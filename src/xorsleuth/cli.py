@@ -3,7 +3,8 @@
 Subcommands wire the protocol parser, the static checkers, the secrecy
 solver, and the ground-derivation oracle into reproducible reports.  Exit
 codes: 0 = secure / check passed, 1 = attack found / check violated,
-2 = usage or input error, 3 = inconclusive (a budget was exhausted).
+2 = usage or input error (input nested too deeply included), 3 =
+inconclusive (a budget was exhausted).
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import hashlib
 import json
 import os
 import sys
-import time
 from typing import Sequence
 
 from .dsl import parse_protocol_file, render_protocol
 from .oracle import verify_solution
-from .protocol import Protocol, check_assumptions, check_munut, tag_protocol
+from .protocol import check_assumptions, check_munut, tag_protocol
 from .solver import (
     AnalysisConfig,
     Constraint,
@@ -281,7 +281,6 @@ _HANDLERS = {
 
 
 def run_command(argv: Sequence[str]) -> int:
-    os.environ.get("XORSLEUTH_SEED")  # no randomized tie-breaking exists to seed
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
@@ -291,6 +290,9 @@ def run_command(argv: Sequence[str]) -> int:
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .protocol import ATTACKER
+from .protocol import ATTACKER, PK_EPS
 from .terms import (
     PEnc,
     Pk,
     SEnc,
     Seq,
-    Sort,
     Substitution,
     Term,
     Var,
@@ -36,8 +35,6 @@ from .terms import (
     to_text,
     vars_of,
 )
-
-PK_EPS = normalize(Pk(ATTACKER))
 
 
 class NonGround(XorsleuthError):

@@ -15,7 +15,7 @@ must not have unifiable encrypted components or XOR summands.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .terms import (
@@ -35,6 +35,7 @@ from .terms import (
     Zero,
     interms,
     is_interm,
+    map_term,
     normalize,
     subterms,
     term_key,
@@ -44,6 +45,7 @@ from .terms import (
 from .unify import ABSTRACTION_PREFIX, MixedTheoryTerm, unify_std
 
 ATTACKER = Const("eps", Sort.AGENT)
+PK_EPS = normalize(Pk(ATTACKER))
 
 SEND = "+"
 RECV = "-"
@@ -296,7 +298,7 @@ def build_iik(bundles: Sequence[SemiBundle], extra: Iterable[Term] = ()) -> Iik:
     the instantiated strands, and the caller-supplied extras.  Secrets are
     never allowed in.
     """
-    out: set[Term] = {ATTACKER, ZERO, normalize(Pk(ATTACKER))}
+    out: set[Term] = {ATTACKER, ZERO, PK_EPS}
     all_fresh: set[Const] = set()
     all_secret: set[Const] = set()
     for b in bundles:
@@ -428,23 +430,18 @@ class MunutReport:
 
 
 def _abstract_xor(t: Term, counter) -> Term:
-    """Replace maximal XOR/zero subterms by fresh variables (free-theory view)."""
+    """Replace maximal XOR/zero subterms by fresh variables (free-theory view).
+
+    The variables are numbered bottom-up, so an XOR or zero nested inside
+    another one uses up a number that does not appear in the result."""
     cache: dict[Term, Var] = {}
 
-    def rep(u: Term) -> Term:
-        if isinstance(u, (Xor, Zero)):
-            if u not in cache:
-                cache[u] = Var(f"{ABSTRACTION_PREFIX}{next(counter)}", Sort.DATA)
-            return cache[u]
-        if isinstance(u, Seq):
-            return Seq(tuple(rep(c) for c in u.items))
-        if isinstance(u, PEnc):
-            return PEnc(rep(u.plain), rep(u.key))
-        if isinstance(u, SEnc):
-            return SEnc(rep(u.plain), rep(u.key))
-        return u
+    def abstract(u: Term) -> Term:
+        if isinstance(u, (Xor, Zero)) and u not in cache:
+            cache[u] = Var(f"{ABSTRACTION_PREFIX}{next(counter)}", Sort.DATA)
+        return cache.get(u, u)
 
-    return rep(normalize(t))
+    return map_term(normalize(t), abstract)
 
 
 def _std_unifier_witness(t1: Term, t2: Term) -> Substitution | None:
@@ -518,19 +515,15 @@ def tag_protocol(p: Protocol, label: Const | str) -> Protocol:
             return Seq((tag,) + t.items)
         return Seq((tag, t))
 
-    def walk(t: Term) -> Term:
-        if isinstance(t, Seq):
-            return Seq(tuple(walk(c) for c in t.items))
-        if isinstance(t, PEnc):
-            return PEnc(prepend(walk(t.plain)), walk(t.key))
-        if isinstance(t, SEnc):
-            return SEnc(prepend(walk(t.plain)), walk(t.key))
+    def add_tags(t: Term) -> Term:
+        if isinstance(t, (PEnc, SEnc)):
+            return type(t)(prepend(t.plain), t.key)
         if isinstance(t, Xor):
-            return normalize(Xor(tuple(prepend(walk(c)) for c in t.items)))
+            return normalize(Xor(tuple(prepend(c) for c in t.items)))
         return t
 
     roles = tuple(
-        (rn, Strand(tuple(Node(n.sign, normalize(walk(n.term))) for n in strand.nodes)))
+        (rn, Strand(tuple(Node(n.sign, normalize(map_term(n.term, add_tags))) for n in strand.nodes)))
         for rn, strand in p.roles
     )
     return Protocol(f"{p.name}_{tag.name}", roles, p.fresh_vars, p.secret_vars)

@@ -23,28 +23,23 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .protocol import ATTACKER, Iik, SemiBundle, build_iik, make_semibundle, FreshSession, Protocol
+from .protocol import PK_EPS, Iik, SemiBundle, build_iik, make_semibundle, FreshSession, Protocol
 from .terms import (
     Const,
     PEnc,
-    Pk,
     SEnc,
     Seq,
-    Sort,
     Substitution,
     Term,
     Var,
     Xor,
     XorsleuthError,
     normalize,
-    subterms,
     term_key,
     to_text,
     vars_of,
 )
 from .unify import BudgetExhausted, SearchBudget, unify_sua
-
-PK_EPS = normalize(Pk(ATTACKER))
 
 
 class ConfigError(XorsleuthError):
@@ -359,7 +354,7 @@ def _canonical_key(cs: ConstraintSequence) -> str:
     return ";".join(parts)
 
 
-def _site_text(cs: ConstraintSequence, rule: RuleName, site: int) -> str:
+def _site_text(cs: ConstraintSequence, site: int) -> str:
     if site == TARGET_SITE:
         return "target"
     c = cs.constraints[cs.active_index()]
@@ -404,7 +399,7 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
             continue
         expansions: list[tuple[ConstraintSequence, tuple[RuleStep, ...], int]] = []
         for rule, site in applicable_rules(cur):
-            site_desc = _site_text(cur, rule, site)
+            site_desc = _site_text(cur, site)
             try:
                 branches, complete = _apply(rule, site, cur, budget.unify)
             except BudgetExhausted:
@@ -469,7 +464,12 @@ def constraint_sequences(
                 acc.pop()
             positions[si] -= 1
 
-    yield from walk(0, (), [], ())
+    try:
+        yield from walk(0, (), [], ())
+    finally:
+        # `walk` reaches itself through its closure; breaking that cycle frees
+        # `seen` when the enumeration stops, not at the next full collection
+        del walk
 
 
 # -- secrecy ------------------------------------------------------------------------

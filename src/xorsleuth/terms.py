@@ -7,14 +7,17 @@ duplicate children are cancelled in pairs, the unit ``zero`` is dropped, and
 commutative argument lists (XOR children, shared-key arguments) are sorted
 under a fixed total order on terms.  Two terms are equal modulo the supported
 equational theories exactly when their canonical forms coincide.
+
+Each term computes its order key, its hash and its variable set once, when it
+is built, from those of its children; equality, hashing, ``term_key`` and
+``vars_of`` only read them.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Mapping
 
 
 class XorsleuthError(Exception):
@@ -41,79 +44,122 @@ class Theory(enum.Enum):
     SUA = "SUA"
 
 
-@dataclass(frozen=True)
 class Term:
-    __slots__ = ()
+    """Base of the term constructors below.
+
+    ``_key`` is the total order key (constructor rank, arity, atom payload,
+    child keys), ``_hash`` a hash of the same data built from the children's
+    hashes, and ``_vars`` the variables of a compound term (``None`` on a
+    variable, whose own one-element set would be a reference cycle).
+    """
+
+    __slots__ = ("_key", "_hash", "_vars")
+
+    def __post_init__(self) -> None:
+        kids = children(self)
+        rank = _RANK[type(self)]
+        payload = f"{self.name}:{self.sort.value}" if isinstance(self, (Var, Const)) else ""
+        init = object.__setattr__
+        init(self, "_key", (rank, len(kids), payload, tuple(c._key for c in kids)))
+        init(self, "_hash", hash((rank, payload, tuple(c._hash for c in kids))))
+        init(self, "_vars", None if isinstance(self, Var) else _vars_of_all(kids))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Term):
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __lt__(self, other: "Term") -> bool:
-        return term_key(self) < term_key(other)
+        return self._key < other._key
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor, which recomputes the cached fields
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True)
+_term = dataclass(frozen=True, eq=False, slots=True)
+
+
+@_term
 class Var(Term):
     name: str
     sort: Sort
 
 
-@dataclass(frozen=True)
+@_term
 class Const(Term):
     name: str
     sort: Sort
 
 
-@dataclass(frozen=True)
+@_term
 class Zero(Term):
     """The XOR unit element."""
 
 
-@dataclass(frozen=True)
+@_term
 class Seq(Term):
     items: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@_term
 class PEnc(Term):
     plain: Term
     key: Term
 
 
-@dataclass(frozen=True)
+@_term
 class SEnc(Term):
     plain: Term
     key: Term
 
 
-@dataclass(frozen=True)
+@_term
 class Pk(Term):
     agent: Term
 
 
-@dataclass(frozen=True)
+@_term
 class Sh(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_term
 class Xor(Term):
     items: tuple[Term, ...]
 
-
-ZERO = Zero()
 
 _RANK = {Var: 0, Const: 1, Zero: 2, Seq: 3, PEnc: 4, SEnc: 5, Pk: 6, Sh: 7, Xor: 8}
 
 _KeyType = tuple
 
 
-@functools.lru_cache(maxsize=None)
 def term_key(t: Term) -> _KeyType:
     """Total order key: (constructor rank, arity, atom payload, child keys)."""
-    rank = _RANK[type(t)]
-    if isinstance(t, (Var, Const)):
-        return (rank, 0, f"{t.name}:{t.sort.value}", ())
-    kids = tuple(term_key(c) for c in children(t))
-    return (rank, len(kids), "", kids)
+    return t._key
+
+
+def vars_of(t: Term) -> frozenset[Var]:
+    return frozenset((t,)) if t._vars is None else t._vars
+
+
+_NO_VARS: frozenset[Var] = frozenset()
+
+
+def _vars_of_all(terms: Iterable[Term]) -> frozenset[Var]:
+    # reuses a child's set when it covers the others, so ground terms share one empty set
+    out = _NO_VARS
+    for t in terms:
+        vs = vars_of(t)
+        if not vs <= out:
+            out = out | vs if out else vs
+    return out
 
 
 def children(t: Term) -> tuple[Term, ...]:
@@ -130,55 +176,64 @@ def children(t: Term) -> tuple[Term, ...]:
     raise TypeError(f"not a term: {t!r}")
 
 
+def with_children(t: Term, kids: tuple[Term, ...]) -> Term:
+    """A term with ``t``'s constructor and the given children (not normalized)."""
+    return type(t)(kids) if isinstance(t, (Seq, Xor)) else type(t)(*kids)
+
+
+def map_term(t: Term, f: Callable[[Term], Term]) -> Term:
+    """Bottom-up rebuild: map the children, rebuild the node with the same
+    constructor (reusing it when no child changed), then apply ``f`` to it."""
+    kids = children(t)
+    if kids:
+        new = tuple(map_term(c, f) for c in kids)
+        if any(n is not c for n, c in zip(new, kids)):
+            t = with_children(t, new)
+    return f(t)
+
+
+ZERO = Zero()
+
+
 def _check_agent_arg(t: Term, ctor: str) -> None:
     if not (isinstance(t, (Var, Const)) and t.sort is Sort.AGENT):
         raise SortError(f"{ctor} argument must be an Agent atom, got {to_text(t)}")
 
 
-def normalize(t: Term) -> Term:
-    """Canonical form: flattened, parity-reduced, sorted XOR; sorted sh arguments."""
-    if isinstance(t, (Var, Const, Zero)):
-        return t
-    if isinstance(t, Seq):
-        if not t.items:
-            raise SortError("sequences must have at least one element")
-        return Seq(tuple(normalize(c) for c in t.items))
-    if isinstance(t, PEnc):
-        return PEnc(normalize(t.plain), normalize(t.key))
-    if isinstance(t, SEnc):
-        return SEnc(normalize(t.plain), normalize(t.key))
+def _normalize_node(t: Term) -> Term:
+    """Canonical form of a node whose children are already canonical."""
+    if isinstance(t, Seq) and not t.items:
+        raise SortError("sequences must have at least one element")
     if isinstance(t, Pk):
-        a = normalize(t.agent)
-        _check_agent_arg(a, "pk")
-        return Pk(a)
-    if isinstance(t, Sh):
-        a, b = normalize(t.left), normalize(t.right)
-        _check_agent_arg(a, "sh")
-        _check_agent_arg(b, "sh")
-        if term_key(b) < term_key(a):
-            a, b = b, a
-        return Sh(a, b)
-    if isinstance(t, Xor):
+        _check_agent_arg(t.agent, "pk")
+    elif isinstance(t, Sh):
+        _check_agent_arg(t.left, "sh")
+        _check_agent_arg(t.right, "sh")
+        if t.right < t.left:
+            return Sh(t.right, t.left)
+    elif isinstance(t, Xor):
         flat: list[Term] = []
         for c in t.items:
-            c = normalize(c)
             if isinstance(c, Xor):
                 flat.extend(c.items)
             elif not isinstance(c, Zero):
                 flat.append(c)
         # cancel duplicates in pairs (nilpotence)
-        counts: dict[_KeyType, tuple[Term, int]] = {}
+        counts: dict[Term, int] = {}
         for c in flat:
-            k = term_key(c)
-            counts[k] = (c, counts.get(k, (c, 0))[1] + 1)
-        odd = [c for c, n in counts.values() if n % 2 == 1]
-        odd.sort(key=term_key)
+            counts[c] = counts.get(c, 0) + 1
+        odd = tuple(sorted((c for c, n in counts.items() if n % 2 == 1), key=term_key))
         if not odd:
             return ZERO
         if len(odd) == 1:
             return odd[0]
-        return Xor(tuple(odd))
-    raise TypeError(f"not a term: {t!r}")
+        return t if odd == t.items else Xor(odd)
+    return t
+
+
+def normalize(t: Term) -> Term:
+    """Canonical form: flattened, parity-reduced, sorted XOR; sorted sh arguments."""
+    return map_term(t, _normalize_node)
 
 
 # -- convenience constructors (always canonical) ------------------------------
@@ -268,10 +323,6 @@ def is_interm(x: Term, t: Term) -> bool:
     return normalize(x) in interms(normalize(t))
 
 
-def vars_of(t: Term) -> frozenset[Var]:
-    return frozenset(s for s in subterms(t) if isinstance(s, Var))
-
-
 def equal_mod(theory: Theory, t1: Term, t2: Term) -> bool:
     """Equality modulo the theory.
 
@@ -293,7 +344,7 @@ class Substitution:
 
     def __init__(self, mapping: Mapping[Var, Term] | Iterable[tuple[Var, Term]] = ()):
         m = dict(mapping.items() if isinstance(mapping, Mapping) else mapping)
-        self._map = {v: normalize(t) for v, t in m.items() if normalize(t) != v}
+        self._map = {v: n for v, t in m.items() if (n := normalize(t)) != v}
         self._key = tuple(sorted(self._map.items(), key=lambda kv: term_key(kv[0])))
 
     def __bool__(self) -> bool:
@@ -356,27 +407,8 @@ EMPTY_SUBST = Substitution()
 
 
 def apply_subst(s: Substitution, t: Term) -> Term:
-    def rep(u: Term) -> Term:
-        if isinstance(u, Var):
-            b = s.get(u)
-            return b if b is not None else u
-        if isinstance(u, (Const, Zero)):
-            return u
-        if isinstance(u, Seq):
-            return Seq(tuple(rep(c) for c in u.items))
-        if isinstance(u, Xor):
-            return Xor(tuple(rep(c) for c in u.items))
-        if isinstance(u, PEnc):
-            return PEnc(rep(u.plain), rep(u.key))
-        if isinstance(u, SEnc):
-            return SEnc(rep(u.plain), rep(u.key))
-        if isinstance(u, Pk):
-            return Pk(rep(u.agent))
-        if isinstance(u, Sh):
-            return Sh(rep(u.left), rep(u.right))
-        raise TypeError(f"not a term: {u!r}")
-
-    return normalize(rep(t))
+    # bindings are canonical, so one bottom-up pass both substitutes and normalizes
+    return map_term(t, lambda u: s._map.get(u, u) if isinstance(u, Var) else _normalize_node(u))
 
 
 # -- canonical text form --------------------------------------------------------
@@ -455,23 +487,17 @@ def _parse_term(s: str, pos: int) -> tuple[Term, int]:
             pos += 1
             break
         raise TermTextError(f"unexpected character {s[pos]!r} at offset {pos}")
-    try:
-        if head == "seq":
-            return Seq(tuple(args)), pos
-        if head == "xor":
-            return Xor(tuple(args)), pos
-        if head == "penc" and len(args) == 2:
-            return PEnc(args[0], args[1]), pos
-        if head == "senc" and len(args) == 2:
-            return SEnc(args[0], args[1]), pos
-        if head == "pk" and len(args) == 1:
-            return Pk(args[0]), pos
-        if head == "sh" and len(args) == 2:
-            return Sh(args[0], args[1]), pos
-    except SortError:
-        raise
+    if head == "seq":
+        return Seq(tuple(args)), pos
+    if head == "xor":
+        return Xor(tuple(args)), pos
+    if head == "penc" and len(args) == 2:
+        return PEnc(args[0], args[1]), pos
+    if head == "senc" and len(args) == 2:
+        return SEnc(args[0], args[1]), pos
+    if head == "pk" and len(args) == 1:
+        return Pk(args[0]), pos
+    if head == "sh" and len(args) == 2:
+        return Sh(args[0], args[1]), pos
     raise TermTextError(f"unknown constructor {head!r} with {len(args)} arguments")
 
-
-def iter_sorted(terms: Iterable[Term]) -> Iterator[Term]:
-    return iter(sorted(terms, key=term_key))

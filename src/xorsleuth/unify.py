@@ -32,13 +32,16 @@ from .terms import (
     XorsleuthError,
     Zero,
     apply_subst,
+    children,
     equal_mod,
     is_atom,
+    map_term,
     normalize,
     subterms,
     term_key,
     to_text,
     vars_of,
+    with_children,
 )
 
 ABSTRACTION_PREFIX = "#v"
@@ -120,6 +123,20 @@ def _reject_xor(terms: Iterable[Term]) -> None:
                 raise MixedTheoryTerm(f"free-theory unification given {to_text(t)}")
 
 
+def _decompose(s: Term, t: Term) -> list[list[tuple[Term, Term]]] | None:
+    """Free decomposition of ``s = t`` for two non-variable terms: the lists of
+    argument pairs to solve instead, one list per alternative (two for the
+    commutative sh), or ``None`` on a constructor clash.  Same-arity XOR nodes
+    pair their children positionally, which is sound only for ``match_std``
+    on canonical forms; ``unify_std`` rejects XOR before it gets here."""
+    ks, kt = children(s), children(t)
+    if type(s) is not type(t) or not ks or len(ks) != len(kt):
+        return None
+    if isinstance(s, Sh):
+        return [[(s.left, t.left), (s.right, t.right)], [(s.left, t.right), (s.right, t.left)]]
+    return [list(zip(ks, kt))]
+
+
 def unify_std(equations) -> tuple[Substitution, ...]:
     """Complete set of most-general unifiers in the free theory.
 
@@ -156,20 +173,13 @@ def unify_std(equations) -> tuple[Substitution, ...]:
                 bnd = {v: upd.apply(u) for v, u in bnd.items()}
                 bnd[s] = t
                 continue
-            if isinstance(s, Seq) and isinstance(t, Seq) and len(s.items) == len(t.items):
-                todo.extend(zip(s.items, t.items))
-            elif isinstance(s, PEnc) and isinstance(t, PEnc):
-                todo.extend([(s.plain, t.plain), (s.key, t.key)])
-            elif isinstance(s, SEnc) and isinstance(t, SEnc):
-                todo.extend([(s.plain, t.plain), (s.key, t.key)])
-            elif isinstance(s, Pk) and isinstance(t, Pk):
-                todo.append((s.agent, t.agent))
-            elif isinstance(s, Sh) and isinstance(t, Sh):
-                stack.append((todo + [(s.left, t.right), (s.right, t.left)], dict(bnd)))
-                todo.extend([(s.left, t.left), (s.right, t.right)])
-            else:
+            alternatives = _decompose(s, t)
+            if alternatives is None:
                 failed = True
                 break
+            for alt in alternatives[1:]:
+                stack.append((todo + alt, dict(bnd)))
+            todo.extend(alternatives[0])
         if not failed:
             solutions.append(Substitution(bnd).restrict(problem_vars))
     return _prune_to_most_general(solutions)
@@ -194,23 +204,13 @@ def match_std(pairs: Sequence[tuple[Term, Term]]) -> bool:
                 bnd = dict(bnd)
                 bnd[p] = t
                 continue
-            if isinstance(p, Seq) and isinstance(t, Seq) and len(p.items) == len(t.items):
-                todo.extend(zip(p.items, t.items))
-            elif isinstance(p, PEnc) and isinstance(t, PEnc):
-                todo.extend([(p.plain, t.plain), (p.key, t.key)])
-            elif isinstance(p, SEnc) and isinstance(t, SEnc):
-                todo.extend([(p.plain, t.plain), (p.key, t.key)])
-            elif isinstance(p, Pk) and isinstance(t, Pk):
-                todo.append((p.agent, t.agent))
-            elif isinstance(p, Sh) and isinstance(t, Sh):
-                stack.append((todo + [(p.left, t.right), (p.right, t.left)], dict(bnd)))
-                todo.extend([(p.left, t.left), (p.right, t.right)])
-            elif isinstance(p, Xor) and isinstance(t, Xor) and len(p.items) == len(t.items):
-                # used only on canonical forms; children matched positionally
-                todo.extend(zip(p.items, t.items))
-            else:
+            alternatives = _decompose(p, t)
+            if alternatives is None:
                 failed = True
                 break
+            for alt in alternatives[1:]:
+                stack.append((todo + alt, dict(bnd)))
+            todo.extend(alternatives[0])
         if not failed:
             return True
     return False
@@ -368,20 +368,8 @@ def purify(problem: UnificationProblem) -> PurifyResult:
         if is_atom(t):
             return t
         ht = _head_theory(t)
-        if ht == theory or (isinstance(t, Zero) and theory is Theory.ACUN):
-            if isinstance(t, Seq):
-                return Seq(tuple(abstract(c, theory) for c in t.items))
-            if isinstance(t, Xor):
-                return normalize(Xor(tuple(abstract(c, theory) for c in t.items)))
-            if isinstance(t, PEnc):
-                return PEnc(abstract(t.plain, theory), abstract(t.key, theory))
-            if isinstance(t, SEnc):
-                return SEnc(abstract(t.plain, theory), abstract(t.key, theory))
-            if isinstance(t, Pk):
-                return t
-            if isinstance(t, Sh):
-                return t
-            return t
+        if ht == theory:
+            return normalize(with_children(t, tuple(abstract(c, theory) for c in children(t))))
         if t in by_term:
             return by_term[t]
         v = Var(f"{ABSTRACTION_PREFIX}{next(counter)}", Sort.DATA)
@@ -510,29 +498,7 @@ def _invert_grounding(grounding: Substitution | None):
         return lambda t: t
     inverse = {c: v for v, c in grounding.items() if isinstance(c, Const)}
 
-    def unground(t: Term) -> Term:
-        def rep(u: Term) -> Term:
-            if isinstance(u, Const):
-                return inverse.get(u, u)
-            if isinstance(u, (Var, Zero)):
-                return u
-            if isinstance(u, Seq):
-                return Seq(tuple(rep(c) for c in u.items))
-            if isinstance(u, Xor):
-                return Xor(tuple(rep(c) for c in u.items))
-            if isinstance(u, PEnc):
-                return PEnc(rep(u.plain), rep(u.key))
-            if isinstance(u, SEnc):
-                return SEnc(rep(u.plain), rep(u.key))
-            if isinstance(u, Pk):
-                return Pk(rep(u.agent))
-            if isinstance(u, Sh):
-                return Sh(rep(u.left), rep(u.right))
-            raise TypeError(f"not a term: {u!r}")
-
-        return normalize(rep(t))
-
-    return unground
+    return lambda t: normalize(map_term(t, lambda u: inverse.get(u, u) if isinstance(u, Const) else u))
 
 
 def _toposort_bindings(s1: Substitution, s2: Substitution) -> list[Var] | None:

@@ -200,6 +200,27 @@ class TestOracleVerifyCommand:
         assert "no attack trace" in capsys.readouterr().err
 
 
+class TestDeepInput:
+    """Input nested too deeply is an input error (exit 2), never a traceback."""
+
+    DEPTH = 3000
+
+    def test_deep_proto_file(self, tmp_path, capsys):
+        term = "seq(" * self.DEPTH + "a" + ", a)" * self.DEPTH
+        path = tmp_path / "deep.proto"
+        path.write_text(f"protocol deep\nrole A:\n  send {term}\n")
+        for command in ("parse", "check-assumptions"):
+            assert run_command([command, str(path)]) == 2
+            assert "error: input nested too deeply" in capsys.readouterr().err
+
+    def test_deep_trace_file(self, tmp_path, capsys):
+        term = "seq(" * self.DEPTH + "const(a:Data)" + ",const(a:Data))" * self.DEPTH
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"constraints": [{"target": term, "term_set": []}]}))
+        assert run_command(["oracle-verify", str(path)]) == 2
+        assert "error: input nested too deeply" in capsys.readouterr().err
+
+
 class TestInstalledScript:
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -1,11 +1,12 @@
 """Constraint generation, reduction rules, and the satisfiability search."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xorsleuth.dsl import parse_protocol
+from xorsleuth.dsl import parse_protocol, parse_protocol_file
 from xorsleuth.protocol import ATTACKER, FreshSession, build_iik, make_semibundle
 from xorsleuth.solver import (
     AnalysisConfig,
@@ -529,6 +530,23 @@ role A:
         ]
         assert d["protocols"] == ["p1", "p2"]
         assert d["sessions"] == 1
+
+    @pytest.mark.parametrize(
+        "names,verdict,counters",
+        [
+            (("q1",), "secure", (5, 35)),
+            (("q1", "q2"), "secure", (30, 210)),
+            (("nslx",), "attack", (1, 33)),
+        ],
+    )
+    def test_search_counters_pinned(self, names, verdict, counters):
+        # (sequences, nodes) move with any change to state keying, interleaving
+        # de-duplication or rule order; a change that moves them says why
+        fixtures = Path(__file__).resolve().parent.parent / "src" / "xorsleuth" / "fixtures"
+        protocols = [parse_protocol_file(fixtures / f"{n}.proto") for n in names]
+        res = check_secrecy(protocols, AnalysisConfig(sessions=1))
+        assert res.verdict == verdict
+        assert (res.stats["sequences"], res.stats["nodes"]) == counters
 
     def test_deterministic_across_runs(self):
         p1 = parse_protocol(P1_SRC)

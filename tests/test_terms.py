@@ -1,6 +1,8 @@
 """Term algebra: canonical forms, equality oracle, orders, substitutions."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -315,9 +317,14 @@ def test_key_agrees_with_equality(t):
 @given(_raw_terms, _raw_terms)
 @settings(max_examples=300)
 def test_key_total_order(t1, t2):
-    k1, k2 = term_key(normalize(t1)), term_key(normalize(t2))
-    assert (k1 == k2) == (normalize(t1) == normalize(t2))
+    n1, n2 = normalize(t1), normalize(t2)
+    k1, k2 = term_key(n1), term_key(n2)
+    assert (k1 == k2) == (n1 == n2)
     assert (k1 < k2) or (k2 < k1) or (k1 == k2)
+    if n1 == n2:
+        assert hash(n1) == hash(n2)
+    # the solver's string state keys prune exactly the states term equality would
+    assert (to_text(n1) == to_text(n2)) == (n1 == n2)
 
 
 @given(_raw_terms)
@@ -332,6 +339,15 @@ def test_substitution_commutes_with_normalization(t):
 def test_text_round_trip(t):
     n = normalize(t)
     assert from_text(to_text(n)) == n
+
+
+@given(_raw_terms)
+@settings(max_examples=100)
+def test_copies_keep_key_hash_and_vars(t):
+    n = normalize(t)
+    for dup in (copy.deepcopy(n), pickle.loads(pickle.dumps(n))):
+        assert dup == n and hash(dup) == hash(n)
+        assert term_key(dup) == term_key(n) and vars_of(dup) == vars_of(n)
 
 
 @given(_raw_terms)
