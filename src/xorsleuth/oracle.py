@@ -60,6 +60,10 @@ def _require_ground(terms: Iterable[Term]) -> None:
             raise NonGround(f"not a ground term: {to_text(t)}")
 
 
+class _Full(Exception):
+    """The closure reached its size cap."""
+
+
 def dy_closure(
     initial: Iterable[Term],
     rounds: int = 6,
@@ -99,9 +103,6 @@ def dy_closure(
             capped = True
             break
         frontier: set[Term] = set()
-
-        class _Full(Exception):
-            pass
 
         def add(t: Term) -> None:
             t = normalize(t)

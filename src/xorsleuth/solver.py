@@ -333,25 +333,39 @@ def apply_rule(rule: RuleName, site: int, cs: ConstraintSequence) -> list[Constr
 # -- search -------------------------------------------------------------------------
 
 
-def _canonical_key(cs: ConstraintSequence) -> str:
+def _canonical_key(cs: ConstraintSequence, renamed: dict[tuple[Term, tuple[Var, ...]], str]) -> str:
     """Canonical form with variables renamed by first occurrence, so that
-    alpha-equivalent states produced by `un` are pruned."""
-    renaming: dict[Var, Var] = {}
+    alpha-equivalent states produced by `un` are pruned.
 
-    def rn(t: Term) -> Term:
-        mapping = {}
-        for v in sorted(vars_of(t), key=term_key):
-            if v not in renaming:
-                renaming[v] = Var(f"_{len(renaming)}", v.sort)
-            mapping[v] = renaming[v]
-        return Substitution(mapping).apply(t) if mapping else t
+    Each distinct term of the state is rendered once: when a term occurs
+    again, its variables already have their names, so it renders as it did
+    the first time.  ``renamed`` is owned by the caller's search and maps a
+    term with the new names of its variables (in term order) to the text of
+    the renamed term, so each such pair is renamed and rendered once per
+    search; ground terms keep their own text (``to_text``)."""
+    names: dict[Var, Var] = {}
+    texts: dict[Term, str] = {}
 
-    parts = []
-    for c in cs.constraints:
-        tgt = rn(c.target)
-        members = [rn(t) for t in c.term_set]
-        parts.append(to_text(tgt) + "!" + ",".join(to_text(m) for m in members))
-    return ";".join(parts)
+    def text(t: Term) -> str:
+        vs = vars_of(t)
+        if not vs:
+            return to_text(t)
+        out = texts.get(t)
+        if out is None:
+            ordered = sorted(vs, key=term_key)
+            for v in ordered:
+                if v not in names:
+                    names[v] = Var(f"_{len(names)}", v.sort)
+            new = tuple(names[v] for v in ordered)
+            out = renamed.get((t, new))
+            if out is None:
+                out = renamed[(t, new)] = to_text(Substitution(zip(ordered, new)).apply(t))
+            texts[t] = out
+        return out
+
+    return ";".join(
+        text(c.target) + "!" + ",".join(map(text, c.term_set)) for c in cs.constraints
+    )
 
 
 def _site_text(cs: ConstraintSequence, site: int) -> str:
@@ -371,6 +385,7 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
     """
     budget = budget or SolverBudget()
     visited: set[str] = set()
+    renamed: dict[tuple[Term, tuple[Var, ...]], str] = {}
     nodes = 0
     peak_depth = 0
     incomplete = False
@@ -379,7 +394,7 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
     while stack:
         cur, trace, depth = stack.pop()
         cur = normalize_seq(cur)
-        key = _canonical_key(cur)
+        key = _canonical_key(cur, renamed)
         if key in visited:
             continue
         visited.add(key)
@@ -436,6 +451,7 @@ def constraint_sequences(
         strands.extend(zip(b.strand_ids, (s.nodes for s in b.strands)))
     base = iik.sorted_terms()
     seen: set[str] = set()
+    renamed: dict[tuple[Term, tuple[Var, ...]], str] = {}
 
     positions = [0] * len(strands)
     total = sum(len(nodes) for _, nodes in strands)
@@ -444,7 +460,7 @@ def constraint_sequences(
         if placed == total:
             final = Constraint.make(secret, base + know)
             cs = ConstraintSequence(tuple(acc) + (final,), Substitution(), ids + ("sec",))
-            key = _canonical_key(cs)
+            key = _canonical_key(cs, renamed)
             if key not in seen:
                 seen.add(key)
                 yield cs
@@ -568,6 +584,7 @@ def check_secrecy(protocols: Sequence[Protocol], config: AnalysisConfig | None =
             if result.status is SolveStatus.SATISFIABLE:
                 sigma, steps = result.solution()
                 keep = frozenset().union(*[vars_of(c.target) | {v for t in c.term_set for v in vars_of(t)} for c in cs.constraints]) if cs.constraints else frozenset()
+                elapsed_ms = (time.perf_counter() - started) * 1000.0
                 trace = AttackTrace(
                     protocols=tuple(p.name for p in protocols),
                     sessions=config.sessions,
@@ -576,11 +593,11 @@ def check_secrecy(protocols: Sequence[Protocol], config: AnalysisConfig | None =
                     rules=steps,
                     substitution=sigma.restrict(keep),
                     constraints=cs.constraints,
-                    elapsed_ms=(time.perf_counter() - started) * 1000.0,
+                    elapsed_ms=elapsed_ms,
                 )
                 return SecrecyResult(
                     "attack", config.sessions, names, trace,
-                    {"sequences": sequences, "nodes": total_nodes},
+                    {"sequences": sequences, "nodes": total_nodes, "elapsed_ms": elapsed_ms},
                 )
             if result.status is SolveStatus.BUDGET_EXHAUSTED:
                 inconclusive = True

@@ -10,7 +10,9 @@ equational theories exactly when their canonical forms coincide.
 
 Each term computes its order key, its hash and its variable set once, when it
 is built, from those of its children; equality, hashing, ``term_key`` and
-``vars_of`` only read them.
+``vars_of`` only read them.  ``to_text`` renders a term once and keeps the
+text, and ``normalize`` marks what it returns as canonical, so normalizing a
+canonical term again costs one field read.
 """
 
 from __future__ import annotations
@@ -51,9 +53,14 @@ class Term:
     child keys), ``_hash`` a hash of the same data built from the children's
     hashes, and ``_vars`` the variables of a compound term (``None`` on a
     variable, whose own one-element set would be a reference cycle).
+    ``_text`` is the canonical text, set by the first ``to_text`` call, and
+    ``_canon`` is true when the term is known to be in canonical form (atoms
+    and zero always; compound terms once ``normalize`` has returned them).
+    Both are functions of the term's value, so equal terms never disagree
+    on them except by one being set later.
     """
 
-    __slots__ = ("_key", "_hash", "_vars")
+    __slots__ = ("_key", "_hash", "_vars", "_text", "_canon")
 
     def __post_init__(self) -> None:
         kids = children(self)
@@ -63,6 +70,8 @@ class Term:
         init(self, "_key", (rank, len(kids), payload, tuple(c._key for c in kids)))
         init(self, "_hash", hash((rank, payload, tuple(c._hash for c in kids))))
         init(self, "_vars", None if isinstance(self, Var) else _vars_of_all(kids))
+        init(self, "_text", None)
+        init(self, "_canon", isinstance(self, (Var, Const, Zero)))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -181,12 +190,18 @@ def with_children(t: Term, kids: tuple[Term, ...]) -> Term:
     return type(t)(kids) if isinstance(t, (Seq, Xor)) else type(t)(*kids)
 
 
-def map_term(t: Term, f: Callable[[Term], Term]) -> Term:
+def map_term(
+    t: Term, f: Callable[[Term], Term], keep: Callable[[Term], bool] | None = None
+) -> Term:
     """Bottom-up rebuild: map the children, rebuild the node with the same
-    constructor (reusing it when no child changed), then apply ``f`` to it."""
+    constructor (reusing it when no child changed), then apply ``f`` to it.
+    A subterm for which ``keep`` holds is returned as it is, unvisited: the
+    caller promises that mapping it would give it back unchanged."""
+    if keep is not None and keep(t):
+        return t
     kids = children(t)
     if kids:
-        new = tuple(map_term(c, f) for c in kids)
+        new = tuple(map_term(c, f, keep) for c in kids)
         if any(n is not c for n, c in zip(new, kids)):
             t = with_children(t, new)
     return f(t)
@@ -201,7 +216,14 @@ def _check_agent_arg(t: Term, ctor: str) -> None:
 
 
 def _normalize_node(t: Term) -> Term:
-    """Canonical form of a node whose children are already canonical."""
+    """Canonical form of a node whose children are already canonical, marked
+    as such."""
+    out = _reduce_node(t)
+    object.__setattr__(out, "_canon", True)
+    return out
+
+
+def _reduce_node(t: Term) -> Term:
     if isinstance(t, Seq) and not t.items:
         raise SortError("sequences must have at least one element")
     if isinstance(t, Pk):
@@ -231,9 +253,23 @@ def _normalize_node(t: Term) -> Term:
     return t
 
 
+def _is_canonical(t: Term) -> bool:
+    return t._canon
+
+
 def normalize(t: Term) -> Term:
-    """Canonical form: flattened, parity-reduced, sorted XOR; sorted sh arguments."""
-    return map_term(t, _normalize_node)
+    """Canonical form: flattened, parity-reduced, sorted XOR; sorted sh arguments.
+
+    The result and every subterm of it are marked canonical, and a marked
+    subterm is returned without a walk.  That is sound because ``normalize``
+    is idempotent (``normalize(normalize(t)) == normalize(t)``) and a
+    canonical form is unique: two terms are equal only when their trees are
+    identical, so a term equal to a canonical one is itself canonical, and a
+    mark can never sit on a term that normalizing would change.  The
+    constructors leave compound terms unmarked, so a raw ``Xor`` or ``Sh``
+    built by hand is always reduced.
+    """
+    return t if t._canon else map_term(t, _normalize_node, _is_canonical)
 
 
 # -- convenience constructors (always canonical) ------------------------------
@@ -408,14 +444,31 @@ EMPTY_SUBST = Substitution()
 
 def apply_subst(s: Substitution, t: Term) -> Term:
     # bindings are canonical, so one bottom-up pass both substitutes and normalizes
-    return map_term(t, lambda u: s._map.get(u, u) if isinstance(u, Var) else _normalize_node(u))
+    return map_term(
+        t, lambda u: s._map.get(u, u) if isinstance(u, Var) else _normalize_node(u), _is_canonical_ground
+    )
+
+
+def _is_canonical_ground(t: Term) -> bool:
+    # ``_vars`` is None on a variable, which may be in the substitution's domain
+    return t._canon and t._vars is not None and not t._vars
 
 
 # -- canonical text form --------------------------------------------------------
 
 
 def to_text(t: Term) -> str:
-    """Render the canonical text form (stable, whitespace-free)."""
+    """Render the canonical text form (stable, whitespace-free).
+
+    A term is rendered once; the text is kept on it for later calls."""
+    text = t._text
+    if text is None:
+        text = _render(t)
+        object.__setattr__(t, "_text", text)
+    return text
+
+
+def _render(t: Term) -> str:
     if isinstance(t, Var):
         return f"var({t.name}:{t.sort.value})"
     if isinstance(t, Const):

@@ -360,25 +360,7 @@ def purify(problem: UnificationProblem) -> PurifyResult:
     it in the alien's own theory; identical aliens share one variable.
     """
     out: list[Equation] = []
-    abstraction: dict[Var, Term] = {}
     by_term: dict[Term, Var] = {}
-    counter = itertools.count()
-
-    def abstract(t: Term, theory: Theory) -> Term:
-        if is_atom(t):
-            return t
-        ht = _head_theory(t)
-        if ht == theory:
-            return normalize(with_children(t, tuple(abstract(c, theory) for c in children(t))))
-        if t in by_term:
-            return by_term[t]
-        v = Var(f"{ABSTRACTION_PREFIX}{next(counter)}", Sort.DATA)
-        by_term[t] = v
-        purified_alien = abstract(t, ht)
-        out.append(Equation(v, purified_alien, ht))
-        abstraction[v] = t
-        return v
-
     for eq in problem.equations:
         left, right = normalize(eq.left), normalize(eq.right)
         heads = {_head_theory(left), _head_theory(right)} - {None}
@@ -388,11 +370,29 @@ def purify(problem: UnificationProblem) -> PurifyResult:
             (root,) = heads
         else:
             root = Theory.STD
-        pl = abstract(left, root)
-        pr = abstract(right, root)
+        pl = _abstract(left, root, out, by_term)
+        pr = _abstract(right, root, out, by_term)
         out.append(Equation(normalize(pl), normalize(pr), root))
 
-    return PurifyResult(tuple(out), tuple(sorted(abstraction.items(), key=lambda kv: term_key(kv[0]))))
+    abstraction = sorted(((v, t) for t, v in by_term.items()), key=lambda kv: term_key(kv[0]))
+    return PurifyResult(tuple(out), tuple(abstraction))
+
+
+def _abstract(t: Term, theory: Theory, out: list[Equation], by_term: dict[Term, Var]) -> Term:
+    """``t`` with each maximal subterm alien to ``theory`` replaced by its
+    abstraction variable; a new alien gets the next ``#v`` variable and its
+    own (purified) equation in ``out``."""
+    if is_atom(t):
+        return t
+    ht = _head_theory(t)
+    if ht == theory:
+        return normalize(with_children(t, tuple(_abstract(c, theory, out, by_term) for c in children(t))))
+    if t in by_term:
+        return by_term[t]
+    v = Var(f"{ABSTRACTION_PREFIX}{len(by_term)}", Sort.DATA)
+    by_term[t] = v
+    out.append(Equation(v, _abstract(t, ht, out, by_term), ht))
+    return v
 
 
 # -- variable identifications -----------------------------------------------------
@@ -410,29 +410,27 @@ def enumerate_identifications(variables: Iterable[Var], limit: int = 12) -> Iter
         yield ()
         return
     for nblocks in range(n, 0, -1):
-        yield from _partitions_into(vs, nblocks)
+        yield from _partitions_into(vs, nblocks, 0, [])
 
 
-def _partitions_into(vs: list[Var], k: int) -> Iterator[Partition]:
+def _partitions_into(vs: list[Var], k: int, i: int, blocks: list[list[Var]]) -> Iterator[Partition]:
+    """Partitions of ``vs`` into exactly ``k`` blocks that extend ``blocks``,
+    which hold the first ``i`` variables."""
     n = len(vs)
-
-    def rec(i: int, blocks: list[list[Var]]) -> Iterator[Partition]:
-        if i == n:
-            if len(blocks) == k:
-                yield tuple(tuple(b) for b in blocks)
-            return
-        remaining = n - i
-        for j, b in enumerate(blocks):
-            if len(blocks) + remaining - 1 >= k:
-                b.append(vs[i])
-                yield from rec(i + 1, blocks)
-                b.pop()
-        if len(blocks) < k:
-            blocks.append([vs[i]])
-            yield from rec(i + 1, blocks)
-            blocks.pop()
-
-    yield from rec(0, [])
+    if i == n:
+        if len(blocks) == k:
+            yield tuple(tuple(b) for b in blocks)
+        return
+    remaining = n - i
+    for b in blocks:
+        if len(blocks) + remaining - 1 >= k:
+            b.append(vs[i])
+            yield from _partitions_into(vs, k, i + 1, blocks)
+            b.pop()
+    if len(blocks) < k:
+        blocks.append([vs[i]])
+        yield from _partitions_into(vs, k, i + 1, blocks)
+        blocks.pop()
 
 
 def _sort_rank(v: Var) -> int:
@@ -511,24 +509,25 @@ def _toposort_bindings(s1: Substitution, s2: Substitution) -> list[Var] | None:
     deps = {v: sorted(vars_of(bindings[v]) & node_set, key=term_key) for v in nodes}
     order: list[Var] = []
     state: dict[Var, int] = {}
-
-    def visit(v: Var) -> bool:
-        if state.get(v) == 2:
-            return True
-        if state.get(v) == 1:
-            return False
-        state[v] = 1
-        for d in deps[v]:
-            if not visit(d):
-                return False
-        state[v] = 2
-        order.append(v)
-        return True
-
     for v in nodes:
-        if not visit(v):
+        if not _visit(v, deps, state, order):
             return None
     return order
+
+
+def _visit(v: Var, deps: dict[Var, list[Var]], state: dict[Var, int], order: list[Var]) -> bool:
+    """Depth-first post-order step of ``_toposort_bindings``; False on a cycle."""
+    if state.get(v) == 2:
+        return True
+    if state.get(v) == 1:
+        return False
+    state[v] = 1
+    for d in deps[v]:
+        if not _visit(d, deps, state, order):
+            return False
+    state[v] = 2
+    order.append(v)
+    return True
 
 
 # -- combined search ---------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Constraint generation, reduction rules, and the satisfiability search."""
 
+import gc
 import itertools
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xorsleuth import solver
 from xorsleuth.dsl import parse_protocol, parse_protocol_file
+from xorsleuth.oracle import verify_solution
 from xorsleuth.protocol import ATTACKER, FreshSession, build_iik, make_semibundle
 from xorsleuth.solver import (
     AnalysisConfig,
@@ -36,6 +39,7 @@ from xorsleuth.terms import (
     Var,
     Xor,
     ZERO,
+    children,
     is_atom,
     normalize,
     subterms,
@@ -43,6 +47,9 @@ from xorsleuth.terms import (
     to_text,
     vars_of,
 )
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "xorsleuth" / "fixtures"
 
 
 def atoms_of(t):
@@ -537,16 +544,42 @@ role A:
             (("q1",), "secure", (5, 35)),
             (("q1", "q2"), "secure", (30, 210)),
             (("nslx",), "attack", (1, 33)),
+            (("q3", "q5"), "secure", (30, 432)),
         ],
     )
     def test_search_counters_pinned(self, names, verdict, counters):
         # (sequences, nodes) move with any change to state keying, interleaving
         # de-duplication or rule order; a change that moves them says why
-        fixtures = Path(__file__).resolve().parent.parent / "src" / "xorsleuth" / "fixtures"
-        protocols = [parse_protocol_file(fixtures / f"{n}.proto") for n in names]
+        protocols = [parse_protocol_file(FIXTURES / f"{n}.proto") for n in names]
         res = check_secrecy(protocols, AnalysisConfig(sessions=1))
         assert res.verdict == verdict
         assert (res.stats["sequences"], res.stats["nodes"]) == counters
+
+    def test_stats_have_the_same_keys_on_both_paths(self):
+        p1 = parse_protocol(P1_SRC)
+        p2 = parse_protocol(P2_SRC)
+        secure = check_secrecy([p2], AnalysisConfig(sessions=1))
+        attack = check_secrecy([p1, p2], AnalysisConfig(sessions=1, secrets=("NA",)))
+        assert (secure.verdict, attack.verdict) == ("secure", "attack")
+        assert set(secure.stats) == set(attack.stats) == {"sequences", "nodes", "elapsed_ms"}
+
+    def test_analysis_and_oracle_leave_no_cyclic_garbage(self):
+        # a reference cycle on every call (a recursive closure, a class built
+        # per call) keeps its objects until the next full collection
+        q1 = parse_protocol_file(FIXTURES / "q1.proto")
+        p1p2 = [parse_protocol_file(FIXTURES / f"{n}.proto") for n in ("p1", "p2")]
+        attack = check_secrecy(p1p2, AnalysisConfig(sessions=1, secrets=("NA",))).attack
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert check_secrecy([q1], AnalysisConfig(sessions=1)).verdict == "secure"
+            assert gc.collect() == 0
+            assert verify_solution(ConstraintSequence(attack.constraints), attack.substitution)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_deterministic_across_runs(self):
         p1 = parse_protocol(P1_SRC)
@@ -555,6 +588,73 @@ role A:
         d2 = check_secrecy([p1, p2], AnalysisConfig(sessions=1, secrets=("NA",))).attack.to_json_dict()
         d1.pop("elapsed_ms"), d2.pop("elapsed_ms")
         assert d1 == d2
+
+
+def fresh_text(t):
+    """The canonical text of ``t``, rendered without reading any kept text."""
+    if isinstance(t, (Var, Const)):
+        return f"{'var' if isinstance(t, Var) else 'const'}({t.name}:{t.sort.value})"
+    if t == ZERO:
+        return "zero"
+    head = {Seq: "seq", PEnc: "penc", SEnc: "senc", Pk: "pk", Sh: "sh", Xor: "xor"}[type(t)]
+    return head + "(" + ",".join(fresh_text(c) for c in children(t)) + ")"
+
+
+def reference_key(cs):
+    """The state key built the plain way: every occurrence of every term is
+    renamed through ``Substitution.apply`` and rendered afresh."""
+    renaming = {}
+
+    def rn(t):
+        mapping = {}
+        for v in sorted(vars_of(t), key=term_key):
+            if v not in renaming:
+                renaming[v] = Var(f"_{len(renaming)}", v.sort)
+            mapping[v] = renaming[v]
+        return Substitution(mapping).apply(t) if mapping else t
+
+    parts = []
+    for c in cs.constraints:
+        tgt = rn(c.target)
+        members = [rn(t) for t in c.term_set]
+        parts.append(fresh_text(tgt) + "!" + ",".join(fresh_text(m) for m in members))
+    return ";".join(parts)
+
+
+class TestStateKey:
+    @pytest.mark.parametrize(
+        "names,secrets",
+        [
+            (("q1",), ()),
+            (("q1", "q2"), ()),
+            (("q3", "q5"), ()),
+            (("nslx",), ()),
+            (("p1", "p2"), ("NA",)),
+        ],
+    )
+    def test_key_matches_reference_on_every_state(self, monkeypatch, names, secrets):
+        keyed = solver._canonical_key
+        states = 0
+        wrong_keys = []
+        wrong_texts = set()
+
+        def checked(cs, renamed):
+            nonlocal states
+            states += 1
+            key = keyed(cs, renamed)
+            if key != reference_key(cs):
+                wrong_keys.append(key)
+            for c in cs.constraints:
+                for t in (c.target, *c.term_set):
+                    if to_text(t) != fresh_text(t):
+                        wrong_texts.add(t)
+            return key
+
+        monkeypatch.setattr(solver, "_canonical_key", checked)
+        protocols = [parse_protocol_file(FIXTURES / f"{n}.proto") for n in names]
+        res = check_secrecy(protocols, AnalysisConfig(sessions=1, secrets=secrets))
+        assert states >= res.stats["sequences"] + res.stats["nodes"]
+        assert wrong_keys == [] and wrong_texts == set()
 
 
 @st.composite

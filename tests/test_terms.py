@@ -24,6 +24,7 @@ from xorsleuth.terms import (
     Var,
     Xor,
     apply_subst,
+    children,
     const,
     equal_mod,
     from_text,
@@ -295,7 +296,40 @@ _raw_terms = st.recursive(_atoms, _compound, max_leaves=12)
 @settings(max_examples=300)
 def test_normalize_idempotent(t):
     n = normalize(t)
-    assert normalize(n) == n
+    assert normalize(n) is n
+
+
+def _canonical_tree(t):
+    """The canonical-form invariants, read off the tree itself: XOR nodes have
+    at least two children in strictly increasing order, none of them an XOR
+    or zero, and sh arguments are in order."""
+    if isinstance(t, Xor):
+        items = t.items
+        if len(items) < 2 or any(isinstance(i, Xor) or i == ZERO for i in items):
+            return False
+        if any(not term_key(x) < term_key(y) for x, y in zip(items, items[1:])):
+            return False
+    if isinstance(t, Sh) and term_key(t.right) < term_key(t.left):
+        return False
+    return all(_canonical_tree(k) for k in children(t))
+
+
+_agents = st.sampled_from([a, b, A, B])
+
+
+@given(_raw_terms, _raw_terms, _agents, _agents)
+@settings(max_examples=300)
+def test_normalize_reduces_raw_nodes_over_canonical_children(t1, t2, x, y):
+    # the children are canonical (and marked so) but the node built on them
+    # is not, so normalizing must still reduce it
+    n1, n2 = normalize(t1), normalize(t2)
+    raws = (Xor((n1, n2, n1)), Xor((n2, n1)), Xor((Xor((n1, n2)), n2)), Seq((Sh(y, x), n1)), Sh(y, x))
+    for raw in raws:
+        n = normalize(raw)
+        assert _canonical_tree(n)
+        assert normalize(n) is n
+        # the same tree with no canonical marks anywhere normalizes alike
+        assert n == normalize(copy.deepcopy(raw))
 
 
 @given(_raw_terms, _raw_terms)
