@@ -288,8 +288,13 @@ class _Parser:
     def _resolve_const_sorts(self, roles) -> dict[str, Sort]:
         annotated: dict[str, Sort] = {}
         agent_position: set[str] = set()
-
-        def walk(ast: _Ast, in_agent_pos: bool):
+        # preorder, left to right, so the first conflicting annotation in
+        # source order is the one reported
+        stack: list[tuple[_Ast, bool]] = [
+            (ast, False) for _, steps in reversed(roles) for _, ast in reversed(steps)
+        ]
+        while stack:
+            ast, in_agent_pos = stack.pop()
             head = ast[0]
             if head == "const":
                 tok, ann = ast[1], ast[2]
@@ -303,19 +308,8 @@ class _Parser:
                     annotated[tok.value] = ann
                 if in_agent_pos:
                     agent_position.add(tok.value)
-            elif head in ("pk", "sh"):
-                for a in ast[2]:
-                    walk(a, True)
-            elif head in ("seq", "xor"):
-                for a in ast[2]:
-                    walk(a, False)
-            elif head in ("penc", "senc"):
-                walk(ast[2][0], False)
-                walk(ast[2][1], False)
-
-        for _, steps in roles:
-            for _, ast in steps:
-                walk(ast, False)
+            elif head in _CONSTRUCTORS:
+                stack.extend((a, head in ("pk", "sh")) for a in reversed(ast[2]))
 
         out: dict[str, Sort] = {}
         for name in agent_position:

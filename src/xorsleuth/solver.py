@@ -410,11 +410,13 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
                 {"nodes": nodes, "peak_depth": peak_depth},
             )
         if depth >= budget.max_depth:
+            # not expanded, so not visited: the same state reached later by
+            # a shorter path must still be searched
             incomplete = True
+            visited.discard(key)
             continue
         expansions: list[tuple[ConstraintSequence, tuple[RuleStep, ...], int]] = []
         for rule, site in applicable_rules(cur):
-            site_desc = _site_text(cur, site)
             try:
                 branches, complete = _apply(rule, site, cur, budget.unify)
             except BudgetExhausted:
@@ -422,6 +424,9 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
                 continue
             if not complete:
                 incomplete = True
+            if not branches:
+                continue
+            site_desc = _site_text(cur, site)
             for bi, (branch, tau) in enumerate(branches):
                 step = RuleStep(rule.value, site_desc, bi, tau)
                 expansions.append((branch, trace + (step,), depth + 1))

@@ -2,9 +2,11 @@
 
 ``unify_std`` handles the free constructors (with commutative shared keys),
 ``unify_acun`` solves pure XOR problems by Gaussian elimination over GF(2),
-and ``bsca_unify`` combines the two: it purifies mixed equations, searches
-variable identifications and theory splits, solves the two pure projections
-independently, and recombines the partial unifiers along a dependency order.
+and ``bsca_unify`` combines the two (Baader–Schulz, JSC 1996): it rejects
+mixed equations whose sides clash through free constructors alone, purifies
+the rest, searches variable identifications and theory splits, solves the
+two pure projections independently, and recombines the partial unifiers
+along a dependency order.
 Every combined candidate is validated against the original equations, so the
 search heuristics can only cost completeness, never soundness.
 """
@@ -135,6 +137,46 @@ def _decompose(s: Term, t: Term) -> list[list[tuple[Term, Term]]] | None:
     if isinstance(s, Sh):
         return [[(s.left, t.left), (s.right, t.right)], [(s.left, t.right), (s.right, t.left)]]
     return [list(zip(ks, kt))]
+
+
+# where the clash walk stops: heads that are not free constructors or constants
+_OPEN = (Var, Xor, Zero)
+
+
+def _free_clash(s: Term, t: Term) -> bool:
+    """Do the canonical terms ``s`` and ``t`` clash at a position reached from
+    the root through free constructors only?
+
+    The walk pairs the two sides through ``seq``, ``senc``, ``penc``, ``pk``
+    and ``sh`` (both argument orders) with ``_decompose``, and stops at a
+    variable, an XOR or ``zero`` on either side.  It reports a clash when
+    ``_decompose`` does: different constructors, different arities or two
+    different constants.
+
+    Soundness: normalization keeps the head of a term whose head is free,
+    and so does every instance (a substitution replaces variables only), and
+    the free constructors are injective modulo SUA (``sh`` up to the order
+    of its two arguments).  So ``normalize(σ(f(s…))) == normalize(σ(g(t…)))``
+    needs ``f == g``, equal arity and, argument by argument, the same
+    equation one level down; two different constants never become equal.
+    A clash reached that way is therefore a proof that no substitution, well
+    sorted or not, unifies ``s`` and ``t`` modulo SUA.  A variable or an
+    XOR is left alone, since an instance of it can take any head; ``zero``
+    is left alone with the XOR theory it belongs to.
+    """
+    stack = [(s, t)]
+    while stack:
+        s, t = stack.pop()
+        if s == t or isinstance(s, _OPEN) or isinstance(t, _OPEN):
+            continue
+        alternatives = _decompose(s, t)
+        if alternatives is None:
+            return True
+        if len(alternatives) == 1:
+            stack.extend(alternatives[0])
+        elif all(any(_free_clash(a, b) for a, b in alt) for alt in alternatives):
+            return True
+    return False
 
 
 def unify_std(equations) -> tuple[Substitution, ...]:
@@ -609,7 +651,15 @@ def bsca_unify(
     """Unifiers modulo the combined theory, with a search trace.
 
     Pure problems are dispatched straight to the single-theory algorithms.
-    Mixed problems are purified; identifications are enumerated over the
+    A mixed problem with a free clash (``_free_clash``: a constructor, arity
+    or constant clash reached from an equation's root through free symbols
+    only) is rejected before the combination runs, with shortcut ``clash``,
+    no configurations tried and a complete search.  That is sound because
+    normalization and every instance keep a free head and the free
+    constructors are injective, so such a clash rules out every unifier
+    modulo SUA; it is how tagging keeps encryptions of differently tagged
+    protocols apart even when XOR sits below the tag.  Other mixed
+    problems are purified; identifications are enumerated over the
     variables of XOR equations (identity partition first), single-theory
     variables are assigned their forced component, and for each configuration the
     two pure systems are solved and recombined.  Candidates are kept only if
@@ -650,6 +700,9 @@ def bsca_unify(
         if acun_result:
             trace.sigma2 = acun_result[0]
         trace.unifiers = validated(acun_result)
+        return trace.unifiers, trace
+    if any(_free_clash(e.left, e.right) for e in orig):
+        trace.shortcut = "clash"
         return trace.unifiers, trace
 
     pure = purify(UnificationProblem(tuple(orig), Theory.SUA))

@@ -157,13 +157,10 @@ def _distinct_std_children(rng: random.Random, k: int, depth: int) -> list:
     return out
 
 
-def test_criterion_2_top_level_xor_problems_have_ground_acun_residue():
-    """Unifiable problems whose XOR terms sit at an equation side and have no
-    variable children resolve with a fully ground ACUN subsystem and an empty
-    ACUN unifier: the XOR layer contributes no bindings."""
+def criterion_2_problems():
+    """The 500 problems of criterion 2, as (lhs, rhs) pairs of canonical terms."""
     rng = random.Random(20260815)
     generated = 0
-    started = time.perf_counter()
     while generated < 500:
         counter = [0]
         if rng.random() < 0.5:
@@ -191,6 +188,17 @@ def test_criterion_2_top_level_xor_problems_have_ground_acun_residue():
         if not isinstance(rhs, Xor):
             continue
         generated += 1
+        yield lhs, rhs
+
+
+def test_criterion_2_top_level_xor_problems_have_ground_acun_residue():
+    """Unifiable problems whose XOR terms sit at an equation side and have no
+    variable children resolve with a fully ground ACUN subsystem and an empty
+    ACUN unifier: the XOR layer contributes no bindings."""
+    generated = 0
+    started = time.perf_counter()
+    for lhs, rhs in criterion_2_problems():
+        generated += 1
         unifiers, trace = bsca_unify(
             UnificationProblem((Equation(lhs, rhs, Theory.SUA),), Theory.SUA)
         )
@@ -207,33 +215,44 @@ def test_criterion_2_top_level_xor_problems_have_ground_acun_residue():
     print(f"criterion 2: PASS ({generated} problems, {elapsed:.1f}s)")
 
 
+_C3_POOL = (Const("a", Sort.AGENT), Const("d1", Sort.DATA), Const("d2", Sort.DATA))
+_C3_VARIABLES = (Var("X", Sort.DATA), Var("Y", Sort.DATA), Var("Z", Sort.DATA))
+
+
+def _small_term(rng: random.Random, depth: int) -> Term:
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice(_C3_POOL + _C3_VARIABLES)
+    kind = rng.choice(["seq", "senc", "xor"])
+    if kind == "seq":
+        return Seq((_small_term(rng, depth - 1), _small_term(rng, depth - 1)))
+    if kind == "senc":
+        return SEnc(_small_term(rng, depth - 1), _small_term(rng, depth - 1))
+    return Xor((_small_term(rng, depth - 1), _small_term(rng, depth - 1)))
+
+
+def criterion_3_problems():
+    """The 400 candidate problems of criterion 3, as (lhs, rhs) pairs of
+    canonical terms (the gate skips those with more than three variables)."""
+    rng = random.Random(715)
+    for _ in range(400):
+        lhs = normalize(_small_term(rng, 2))
+        rhs = normalize(_small_term(rng, 2))
+        yield lhs, rhs
+
+
 def test_criterion_3_unification_sound_and_ground_complete():
     """Returned unifiers solve their equations; brute-force ground search over
     a 3-atom pool finds no solution the engine missed."""
-    rng = random.Random(715)
-    pool = (Const("a", Sort.AGENT), Const("d1", Sort.DATA), Const("d2", Sort.DATA))
-    variables = (Var("X", Sort.DATA), Var("Y", Sort.DATA), Var("Z", Sort.DATA))
+    pool = _C3_POOL
     # ground XOR combinations a free variable in a unifier range may stand for
     xor_pool = [ZERO]
     for r in range(1, len(pool) + 1):
         for combo in itertools.combinations(pool, r):
             xor_pool.append(normalize(Xor(combo)) if len(combo) > 1 else combo[0])
 
-    def small_term(depth: int) -> Term:
-        if depth == 0 or rng.random() < 0.4:
-            return rng.choice(pool + variables)
-        kind = rng.choice(["seq", "senc", "xor"])
-        if kind == "seq":
-            return Seq((small_term(depth - 1), small_term(depth - 1)))
-        if kind == "senc":
-            return SEnc(small_term(depth - 1), small_term(depth - 1))
-        return Xor((small_term(depth - 1), small_term(depth - 1)))
-
     started = time.perf_counter()
     checked = sat_count = 0
-    for i in range(400):
-        lhs = normalize(small_term(2))
-        rhs = normalize(small_term(2))
+    for lhs, rhs in criterion_3_problems():
         free = sorted(vars_of(lhs) | vars_of(rhs), key=term_key)
         if len(free) > 3:
             continue

@@ -1,12 +1,14 @@
 """Command-line behavior: exit codes, reports, golden files, round-trips."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import xorsleuth
 from xorsleuth.cli import run_command
 from xorsleuth.dsl import parse_protocol, parse_protocol_file, render_protocol
 from xorsleuth.protocol import tag_protocol
@@ -223,10 +225,15 @@ class TestDeepInput:
 
 class TestInstalledScript:
     def test_console_entry_point(self):
+        # the subprocess imports the same package as this process, installed or not
+        package_root = str(Path(xorsleuth.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "xorsleuth.cli", "parse", fx("p1.proto")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("protocol p1")

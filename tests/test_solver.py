@@ -581,6 +581,18 @@ role A:
             if enabled:
                 gc.enable()
 
+    def test_parsing_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for name in ("q3", "q5", "p1", "p2"):
+                parse_protocol_file(FIXTURES / f"{name}.proto")
+                assert gc.collect() == 0, name
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_deterministic_across_runs(self):
         p1 = parse_protocol(P1_SRC)
         p2 = parse_protocol(P2_SRC)
@@ -693,4 +705,13 @@ class TestSearchProperties:
     def test_member_target_always_satisfiable(self, term_set, target):
         cs = cseq((target, tuple(term_set) + (target,)))
         res = satisfiable(cs)
+        assert res.status is SolveStatus.SATISFIABLE
+
+    def test_state_cut_at_depth_bound_is_searched_again_by_a_shorter_path(self):
+        # the search first meets a state on the way to the shallow solution
+        # at the depth bound, and must still expand it when a shorter path
+        # reaches it later
+        target = normalize(Seq((a, Seq((a, a)))))
+        term_set = (SEnc(a, SEnc(a, a)), Xor((a, b)), SEnc(a, Seq((a, a))), target)
+        res = satisfiable(cseq((target, tuple(normalize(t) for t in term_set))))
         assert res.status is SolveStatus.SATISFIABLE

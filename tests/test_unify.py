@@ -1,11 +1,16 @@
 """Unification: free theory, XOR theory, purification and the combined search."""
 
 import itertools
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorsleuth import solver, unify
+from xorsleuth.dsl import parse_protocol_file
+from xorsleuth.solver import AnalysisConfig, check_secrecy
 from xorsleuth.terms import (
     ZERO,
     Const,
@@ -22,6 +27,7 @@ from xorsleuth.terms import (
     seq,
     senc,
     sh,
+    subterms,
     var,
     vars_of,
     xor,
@@ -46,6 +52,8 @@ from xorsleuth.unify import (
     unify_std,
     unify_sua,
 )
+
+from test_acceptance import criterion_2_problems, criterion_3_problems
 
 a = const("a", Sort.AGENT)
 b = const("b", Sort.AGENT)
@@ -387,3 +395,113 @@ def test_is_instance_of():
     special = Substitution({X: seq(d, c), Y: d})
     assert is_instance_of(special, general, [X, Y])
     assert not is_instance_of(general, special, [X, Y])
+
+
+# -- free-clash pre-check ----------------------------------------------------------
+
+t1 = const("t1", Sort.TAG)
+t5 = const("t5", Sort.TAG)
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "xorsleuth" / "fixtures"
+
+
+def outcome(problem, budget=None):
+    """``bsca_unify``'s unifiers and trace, or ``None`` when its budget ran out."""
+    try:
+        return bsca_unify(problem, budget)
+    except BudgetExhausted:
+        return None
+
+
+def unfiltered(problem, budget=None):
+    """``outcome`` with the free-clash pre-check switched off."""
+    with mock.patch.object(unify, "_free_clash", return_value=False):
+        return outcome(problem, budget)
+
+
+def assert_agrees_with_unfiltered(problem, budget=None):
+    """A clash is a proof that the full search finds nothing; without one,
+    both paths run the same search and return the same trace."""
+    filtered, full = outcome(problem, budget), unfiltered(problem, budget)
+    if filtered is not None and filtered[1].shortcut == "clash":
+        assert filtered[0] == () and filtered[1].complete and filtered[1].configs_tried == 0
+        assert full is None or full[0] == (), f"clash rejected a unifiable problem: {problem}"
+        return True
+    assert (filtered is None) == (full is None)
+    if full is not None:
+        assert filtered[0] == full[0]
+        assert filtered[1].to_json_dict() == full[1].to_json_dict()
+    return False
+
+
+class TestFreeClash:
+    @pytest.mark.parametrize(
+        "s, t",
+        [
+            (seq(t1, X), seq(t5, Y)),
+            (seq(c, X), seq(c, X, Y)),
+            (senc(seq(t1, xor(X, c)), sh(a, b)), penc(seq(t1, xor(X, c)), pk(a))),
+            (senc(c, sh(A, a)), senc(c, sh(b, b))),
+            (seq(c, pk(A)), seq(c, d)),
+        ],
+    )
+    def test_clash_through_free_symbols(self, s, t):
+        assert unify._free_clash(s, t) and unify._free_clash(t, s)
+
+    @pytest.mark.parametrize(
+        "s, t",
+        [
+            (seq(t1, X), seq(Y, c)),
+            (seq(t1, xor(X, c)), seq(t1, seq(t5, d))),
+            (seq(c, ZERO), seq(c, d)),
+            (senc(c, sh(A, a)), senc(c, sh(b, a))),
+            (senc(c, sh(A, B)), senc(c, sh(a, b))),
+        ],
+    )
+    def test_no_clash_below_variables_xor_zero_or_either_sh_order(self, s, t):
+        assert not unify._free_clash(s, t) and not unify._free_clash(t, s)
+
+    def test_tagged_xor_pair_is_decided(self):
+        # the combination search alone runs out of its 20,000-configuration
+        # budget on this pair and leaves the answer open; the tags decide it
+        X_, Y_, Z_ = (var(n, Sort.NONCE) for n in ("X", "Y", "Z"))
+        c1, c2, c3 = (const(n, Sort.NONCE) for n in ("c1", "c2", "c3"))
+        lhs = senc(seq(t1, xor(seq(t1, X_), seq(t1, Y_), seq(t1, Z_))), sh(a, b))
+        rhs = senc(seq(t5, xor(seq(t5, c1), seq(t5, c2), seq(t5, c3))), sh(a, b))
+        assert unify_sua(lhs, rhs) == ((), True)
+        unifiers, trace = bsca_unify(sua_problem((lhs, rhs)))
+        assert (unifiers, trace.shortcut, trace.configs_tried, trace.complete) == ((), "clash", 0, True)
+
+    def test_q1_q5_tag_clash_call_reports_clash(self):
+        traces = []
+        real = unify.bsca_unify
+
+        def recording(problem, budget=None):
+            result = real(problem, budget)
+            traces.append((problem, result[1]))
+            return result
+
+        q1, q5 = (parse_protocol_file(FIXTURES / f"{n}.proto") for n in ("q1", "q5"))
+        solver._cached_unify.cache_clear()
+        with mock.patch.object(unify, "bsca_unify", recording):
+            assert check_secrecy([q1, q5], AnalysisConfig(sessions=1)).verdict == "secure"
+        # the mixed-theory calls that pair a t1 term with a t5 term
+        cross = [
+            trace
+            for problem, trace in traces
+            for eq in problem.equations
+            if trace.shortcut not in ("std", "acun")
+            and {t1, t5} <= subterms(eq.left) | subterms(eq.right)
+        ]
+        assert cross and all(t.shortcut == "clash" and t.configs_tried == 0 for t in cross)
+
+    @pytest.mark.parametrize("problems", [criterion_2_problems, criterion_3_problems])
+    def test_agrees_with_unfiltered_search_on_acceptance_generators(self, problems):
+        clashes = [assert_agrees_with_unfiltered(sua_problem(p)) for p in problems()]
+        # criterion 2's problems are all unifiable; some of criterion 3's clash
+        assert (problems is criterion_2_problems) == (not any(clashes))
+
+
+@given(_mixed_terms, _mixed_terms)
+@settings(max_examples=150, deadline=None)
+def test_free_clash_agrees_with_unfiltered_search(s, t):
+    assert_agrees_with_unfiltered(sua_problem((s, t)), SearchBudget(max_configs=2000))
