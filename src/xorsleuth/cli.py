@@ -26,7 +26,7 @@ from .solver import (
     SolverBudget,
     check_secrecy,
 )
-from .terms import Substitution, XorsleuthError, from_text, to_text
+from .terms import Substitution, Term, Var, XorsleuthError, from_text, to_text
 from .unify import SearchBudget
 
 EXIT_OK = 0
@@ -238,29 +238,47 @@ def _cmd_analyze(args) -> int:
     return code
 
 
-def _load_trace(path: str) -> dict:
+def _trace_term(value, where: str) -> Term:
+    if not isinstance(value, str):
+        raise XorsleuthError(f"{where} must be a term in text form, not {type(value).__name__}")
+    return from_text(value)
+
+
+def _load_trace(path: str) -> ConstraintSequence:
+    """The constraints and substitution of a saved attack trace: a report of
+    ``analyze --json``, its ``results`` or its ``attack`` object.  A trace of
+    any other shape is an input error."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    if "results" in doc and isinstance(doc["results"], dict):
-        doc = doc["results"]
-    if "attack" in doc and isinstance(doc["attack"], dict):
-        doc = doc["attack"]
-    if "constraints" not in doc:
+    for key in ("results", "attack"):
+        if isinstance(doc, dict) and isinstance(doc.get(key), dict):
+            doc = doc[key]
+    if not isinstance(doc, dict) or "constraints" not in doc:
         raise XorsleuthError(f"{path}: no attack trace found in file")
-    return doc
+    if not (isinstance(doc["constraints"], list) and doc["constraints"]):
+        raise XorsleuthError(f"{path}: constraints must be a non-empty list")
+    constraints = []
+    for i, c in enumerate(doc["constraints"]):
+        if not (isinstance(c, dict) and isinstance(c.get("term_set"), list)):
+            raise XorsleuthError(f"{path}: constraint {i} must be an object with a term_set list")
+        target = _trace_term(c.get("target"), f"{path}: target of constraint {i}")
+        term_set = tuple(_trace_term(t, f"{path}: term set of constraint {i}") for t in c["term_set"])
+        constraints.append(Constraint(target, term_set))
+    bindings = doc.get("substitution", {})
+    if not isinstance(bindings, dict):
+        raise XorsleuthError(f"{path}: substitution must be an object")
+    subst = {}
+    for v, t in bindings.items():
+        var = from_text(v)
+        if not isinstance(var, Var):
+            raise XorsleuthError(f"{path}: substitution binds {v}, which is not a variable")
+        subst[var] = _trace_term(t, f"{path}: binding of {v}")
+    return ConstraintSequence(tuple(constraints), Substitution(subst))
 
 
 def _cmd_oracle_verify(args) -> int:
-    trace = _load_trace(args.trace)
-    constraints = tuple(
-        Constraint(from_text(c["target"]), tuple(from_text(t) for t in c["term_set"]))
-        for c in trace["constraints"]
-    )
-    subst = Substitution(
-        {from_text(v): from_text(t) for v, t in trace.get("substitution", {}).items()}
-    )
-    cs = ConstraintSequence(constraints, subst)
-    confirmed = verify_solution(cs, subst)
+    cs = _load_trace(args.trace)
+    confirmed = verify_solution(cs, cs.subst)
     code = EXIT_OK if confirmed else EXIT_VIOLATED
     print("trace confirmed" if confirmed else "trace NOT confirmed")
     env = _envelope(

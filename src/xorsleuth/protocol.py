@@ -189,14 +189,12 @@ class FreshSession:
 
 @dataclass(frozen=True)
 class SemiBundle:
-    source: Protocol
     strand_ids: tuple[str, ...]
     strands: tuple[Strand, ...]
     instantiations: tuple[tuple[str, Substitution], ...]
     fresh_constants: frozenset[Const]
     secret_constants: frozenset[Const]
     secret_bindings: tuple[tuple[Var, Const], ...]
-    long_term_keys: tuple[Term, ...]
 
     def node_terms(self) -> tuple[Term, ...]:
         return tuple(t for s in self.strands for t in s.terms())
@@ -264,18 +262,13 @@ def make_semibundle(
             strands.append(Strand(tuple(Node(n.sign, s.apply(n.term)) for n in role_strand.nodes)))
             insts.append((role_name, s))
 
-    ltks = {
-        s for strand in strands for t in strand.terms() for s in subterms(t) if isinstance(s, Sh)
-    }
     return SemiBundle(
-        source=p,
         strand_ids=tuple(ids),
         strands=tuple(strands),
         instantiations=tuple(insts),
         fresh_constants=frozenset(fresh_consts),
         secret_constants=frozenset(secret_consts),
         secret_bindings=tuple(sorted(secret_pairs, key=lambda vc: term_key(vc[1]))),
-        long_term_keys=tuple(sorted(ltks, key=term_key)),
     )
 
 

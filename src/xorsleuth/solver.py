@@ -21,7 +21,7 @@ import enum
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .protocol import PK_EPS, Iik, SemiBundle, build_iik, make_semibundle, FreshSession, Protocol
 from .terms import (
@@ -39,7 +39,7 @@ from .terms import (
     to_text,
     vars_of,
 )
-from .unify import BudgetExhausted, SearchBudget, unify_sua
+from .unify import SearchBudget, unify_sua
 
 
 class ConfigError(XorsleuthError):
@@ -71,9 +71,6 @@ class ConstraintSequence:
     constraints: tuple[Constraint, ...]
     subst: Substitution = field(default_factory=Substitution)
     origin: tuple[str, ...] = ()
-
-    def is_simple(self) -> bool:
-        return all(isinstance(c.target, Var) for c in self.constraints)
 
     def active_index(self) -> int | None:
         for i, c in enumerate(self.constraints):
@@ -183,6 +180,101 @@ def _cached_unify(m: Term, t: Term, budget: SearchBudget) -> tuple[tuple[Substit
     return unify_sua(m, t, budget)
 
 
+Constraints = tuple[Constraint, ...]
+Branches = list[Constraints]
+Rewrite = tuple[tuple[Term, Term], Constraints]
+
+
+def _without(term_set: Sequence[Term], i: int) -> tuple[Term, ...]:
+    return term_set[:i] + term_set[i + 1 :]
+
+
+def _xor_split(items: Sequence[Term]) -> Iterator[tuple[Term, Term]]:
+    """(XOR of the other summands, summand) for each summand, in order."""
+    for j, child in enumerate(items):
+        rest = items[:j] + items[j + 1 :]
+        yield (normalize(Xor(tuple(rest))) if len(rest) > 1 else rest[0]), child
+
+
+def _concat(c: Constraint, site: int) -> Branches:
+    return [tuple(Constraint.make(t, c.term_set) for t in c.target.items)]
+
+
+def _open(parts: Callable[[Term], tuple[Term, ...]]) -> Callable[[Constraint, int], Branches]:
+    """``split`` and ``pdec``: the member gives way to the parts read from it."""
+    return lambda c, site: [
+        (Constraint.make(c.target, _without(c.term_set, site) + parts(c.term_set[site])),)
+    ]
+
+
+def _encrypt(c: Constraint, site: int) -> Branches:
+    """``penc`` and ``senc``: derive the key, then the plaintext."""
+    T = c.term_set
+    return [(Constraint.make(c.target.key, T), Constraint.make(c.target.plain, T))]
+
+
+def _sdec(c: Constraint, site: int) -> Branches:
+    member = c.term_set[site]
+    rest = _without(c.term_set, site)
+    return [
+        (Constraint.make(member.key, rest), Constraint.make(c.target, rest + (member.plain, member.key)))
+    ]
+
+
+def _xor_r(c: Constraint, site: int) -> Branches:
+    rest_T = _without(c.term_set, site)
+    return [
+        (Constraint.make(remainder, rest_T), Constraint.make(c.target, rest_T + (child,)))
+        for remainder, child in _xor_split(c.term_set[site].items)
+    ]
+
+
+def _xor_l(c: Constraint, site: int) -> Branches:
+    T = c.term_set
+    return [
+        (Constraint.make(rest, T), Constraint.make(child, T)) for rest, child in _xor_split(c.target.items)
+    ]
+
+
+def _un(c: Constraint, site: int, prefix: Constraints, suffix: Constraints) -> Rewrite:
+    """Unify the target with the member; the active constraint is discharged."""
+    return (c.target, c.term_set[site]), prefix + suffix
+
+
+def _ksub(c: Constraint, site: int, prefix: Constraints, suffix: Constraints) -> Rewrite:
+    """Key the member's encryption to the attacker; every constraint stays."""
+    return (c.term_set[site].key, PK_EPS), prefix + (c,) + suffix
+
+
+class _Rule(NamedTuple):
+    """Where a rule applies: at the target, or at each term-set member, when
+    the term there is a ``head`` (and ``guard`` holds of it, if given).  Its
+    step: ``decompose`` gives the constraints that replace the active one,
+    one tuple per branch; ``substitute`` gives the pair to unify and the
+    constraints that each unifier rewrites."""
+
+    at_target: bool
+    head: type
+    decompose: Callable[[Constraint, int], Branches] | None = None
+    substitute: Callable[[Constraint, int, Constraints, Constraints], Rewrite] | None = None
+    guard: Callable[[Term], bool] | None = None
+
+
+# In RuleName order, which is the order of `applicable_rules` and of the search.
+_RULES: dict[RuleName, _Rule] = {
+    RuleName.CONCAT: _Rule(True, Seq, _concat),
+    RuleName.SPLIT: _Rule(False, Seq, _open(lambda t: t.items)),
+    RuleName.PENC: _Rule(True, PEnc, _encrypt),
+    RuleName.PDEC: _Rule(False, PEnc, _open(lambda t: (t.plain,)), guard=lambda t: t.key == PK_EPS),
+    RuleName.SENC: _Rule(True, SEnc, _encrypt),
+    RuleName.SDEC: _Rule(False, SEnc, _sdec),
+    RuleName.XOR_R: _Rule(False, Xor, _xor_r),
+    RuleName.XOR_L: _Rule(True, Xor, _xor_l),
+    RuleName.UN: _Rule(False, Term, substitute=_un),
+    RuleName.KSUB: _Rule(False, PEnc, substitute=_ksub, guard=lambda t: t.key != PK_EPS),
+}
+
+
 def applicable_rules(cs: ConstraintSequence) -> tuple[tuple[RuleName, int], ...]:
     """Every (rule, site) whose applicability predicate holds at the active
     constraint, in rule-enumeration order then site order.  Sites are term-set
@@ -192,142 +284,54 @@ def applicable_rules(cs: ConstraintSequence) -> tuple[tuple[RuleName, int], ...]
         return ()
     c = cs.constraints[ai]
     out: list[tuple[RuleName, int]] = []
-    if isinstance(c.target, Seq):
-        out.append((RuleName.CONCAT, TARGET_SITE))
-    for i, t in enumerate(c.term_set):
-        if isinstance(t, Seq):
-            out.append((RuleName.SPLIT, i))
-    if isinstance(c.target, PEnc):
-        out.append((RuleName.PENC, TARGET_SITE))
-    for i, t in enumerate(c.term_set):
-        if isinstance(t, PEnc) and t.key == PK_EPS:
-            out.append((RuleName.PDEC, i))
-    if isinstance(c.target, SEnc):
-        out.append((RuleName.SENC, TARGET_SITE))
-    for i, t in enumerate(c.term_set):
-        if isinstance(t, SEnc):
-            out.append((RuleName.SDEC, i))
-    for i, t in enumerate(c.term_set):
-        if isinstance(t, Xor):
-            out.append((RuleName.XOR_R, i))
-    if isinstance(c.target, Xor):
-        out.append((RuleName.XOR_L, TARGET_SITE))
-    for i, _ in enumerate(c.term_set):
-        out.append((RuleName.UN, i))
-    for i, t in enumerate(c.term_set):
-        if isinstance(t, PEnc) and t.key != PK_EPS:
-            out.append((RuleName.KSUB, i))
+    for name, rule in _RULES.items():
+        sites = ((TARGET_SITE, c.target),) if rule.at_target else enumerate(c.term_set)
+        out.extend(
+            (name, i) for i, t in sites if isinstance(t, rule.head) and (rule.guard is None or rule.guard(t))
+        )
     return tuple(out)
 
 
-def _without(term_set: Sequence[Term], i: int) -> tuple[Term, ...]:
-    return term_set[:i] + term_set[i + 1 :]
+def _split_at_active(cs: ConstraintSequence) -> tuple[Constraints, Constraint, Constraints] | None:
+    ai = cs.active_index()
+    return None if ai is None else (cs.constraints[:ai], cs.constraints[ai], cs.constraints[ai + 1 :])
 
 
-def _xor_minus(items: Sequence[Term], j: int) -> Term:
-    rest = items[:j] + items[j + 1 :]
-    return normalize(Xor(tuple(rest))) if len(rest) > 1 else rest[0]
-
-
-def _subst_constraints(tau: Substitution, cs: Sequence[Constraint]) -> tuple[Constraint, ...]:
+def _subst_constraints(tau: Substitution, cs: Constraints) -> Constraints:
     return tuple(Constraint.make(tau.apply(c.target), (tau.apply(t) for t in c.term_set)) for c in cs)
 
 
 def _apply(
-    rule: RuleName, site: int, cs: ConstraintSequence, unify_budget: SearchBudget
+    rule: RuleName,
+    site: int,
+    cs: ConstraintSequence,
+    active: tuple[Constraints, Constraint, Constraints],
+    unify_budget: SearchBudget,
 ) -> tuple[list[tuple[ConstraintSequence, Substitution | None]], bool]:
-    """All branch results plus a completeness flag (False when the `un`/`ksub`
-    unifier search hit its budget, so an empty branch list is not a proof of
-    absence)."""
-    ai = cs.active_index()
-    assert ai is not None, "no active constraint"
-    c = cs.constraints[ai]
-    prefix = cs.constraints[:ai]
-    suffix = cs.constraints[ai + 1 :]
-
-    def seq_with(new_active: Sequence[Constraint]) -> ConstraintSequence:
-        return ConstraintSequence(prefix + tuple(new_active) + suffix, cs.subst, cs.origin)
-
-    T = c.term_set
-    if rule is RuleName.CONCAT:
-        assert isinstance(c.target, Seq)
-        return [(seq_with([Constraint.make(t, T) for t in c.target.items]), None)], True
-    if rule is RuleName.SPLIT:
-        member = T[site]
-        assert isinstance(member, Seq)
-        return [(seq_with([Constraint.make(c.target, _without(T, site) + member.items)]), None)], True
-    if rule is RuleName.PENC:
-        assert isinstance(c.target, PEnc)
-        return [(seq_with([Constraint.make(c.target.key, T), Constraint.make(c.target.plain, T)]), None)], True
-    if rule is RuleName.SENC:
-        assert isinstance(c.target, SEnc)
-        return [(seq_with([Constraint.make(c.target.key, T), Constraint.make(c.target.plain, T)]), None)], True
-    if rule is RuleName.XOR_L:
-        assert isinstance(c.target, Xor)
-        branches = []
-        for j in range(len(c.target.items)):
-            rest = _xor_minus(c.target.items, j)
-            child = c.target.items[j]
-            branches.append(
-                (seq_with([Constraint.make(rest, T), Constraint.make(child, T)]), None)
-            )
-        return branches, True
-    if rule is RuleName.PDEC:
-        member = T[site]
-        assert isinstance(member, PEnc) and member.key == PK_EPS
-        rest = _without(T, site)
-        return [(seq_with([Constraint.make(c.target, rest + (member.plain,))]), None)], True
-    if rule is RuleName.SDEC:
-        member = T[site]
-        assert isinstance(member, SEnc)
-        rest = _without(T, site)
-        new = [
-            Constraint.make(member.key, rest),
-            Constraint.make(c.target, rest + (member.plain, member.key)),
-        ]
-        return [(seq_with(new), None)], True
-    if rule is RuleName.XOR_R:
-        member = T[site]
-        assert isinstance(member, Xor)
-        rest_T = _without(T, site)
-        branches = []
-        for j in range(len(member.items)):
-            remainder = _xor_minus(member.items, j)
-            child = member.items[j]
-            new = [
-                Constraint.make(remainder, rest_T),
-                Constraint.make(c.target, rest_T + (child,)),
-            ]
-            branches.append((seq_with(new), None))
-        return branches, True
-    if rule is RuleName.UN:
-        member = T[site]
-        unifiers, complete = _cached_unify(c.target, member, unify_budget)
-        branches = []
-        for tau in unifiers:
-            constraints = _subst_constraints(tau, prefix) + _subst_constraints(tau, suffix)
-            branches.append(
-                (ConstraintSequence(constraints, cs.subst.compose(tau), cs.origin), tau)
-            )
-        return branches, complete
-    if rule is RuleName.KSUB:
-        member = T[site]
-        assert isinstance(member, PEnc) and member.key != PK_EPS
-        unifiers, complete = _cached_unify(member.key, PK_EPS, unify_budget)
-        branches = []
-        for tau in unifiers:
-            constraints = _subst_constraints(tau, cs.constraints)
-            branches.append(
-                (ConstraintSequence(constraints, cs.subst.compose(tau), cs.origin), tau)
-            )
-        return branches, complete
-    raise ValueError(f"unknown rule {rule}")
+    """All branch results of one rule at one site plus a completeness flag
+    (False when the `un`/`ksub` unifier search hit its budget, so an empty
+    branch list is not a proof of absence).  ``active`` is the sequence split
+    at its active constraint (`_split_at_active`)."""
+    prefix, c, suffix = active
+    row = _RULES[rule]
+    if row.decompose is not None:
+        return [
+            (ConstraintSequence(prefix + new + suffix, cs.subst, cs.origin), None)
+            for new in row.decompose(c, site)
+        ], True
+    (m, t), rewritten = row.substitute(c, site, prefix, suffix)
+    unifiers, complete = _cached_unify(m, t, unify_budget)
+    return [
+        (ConstraintSequence(_subst_constraints(tau, rewritten), cs.subst.compose(tau), cs.origin), tau)
+        for tau in unifiers
+    ], complete
 
 
 def apply_rule(rule: RuleName, site: int, cs: ConstraintSequence) -> list[ConstraintSequence]:
     """All branch results of one rule application (empty list = dead end)."""
-    branches, _ = _apply(rule, site, cs, SearchBudget())
-    return [b for b, _ in branches]
+    active = _split_at_active(cs)
+    assert active is not None, "no active constraint"
+    return [b for b, _ in _apply(rule, site, cs, active, SearchBudget())[0]]
 
 
 # -- search -------------------------------------------------------------------------
@@ -368,13 +372,6 @@ def _canonical_key(cs: ConstraintSequence, renamed: dict[tuple[Term, tuple[Var, 
     )
 
 
-def _site_text(cs: ConstraintSequence, site: int) -> str:
-    if site == TARGET_SITE:
-        return "target"
-    c = cs.constraints[cs.active_index()]
-    return to_text(c.term_set[site])
-
-
 def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> SolverResult:
     """Depth-first bounded search for a solution of the sequence.
 
@@ -403,7 +400,8 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
         if nodes > budget.max_nodes:
             incomplete = True
             break
-        if cur.active_index() is None:
+        active = _split_at_active(cur)
+        if active is None:
             return SolverResult(
                 SolveStatus.SATISFIABLE,
                 ((cur.subst, trace),),
@@ -417,16 +415,12 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
             continue
         expansions: list[tuple[ConstraintSequence, tuple[RuleStep, ...], int]] = []
         for rule, site in applicable_rules(cur):
-            try:
-                branches, complete = _apply(rule, site, cur, budget.unify)
-            except BudgetExhausted:
-                incomplete = True
-                continue
+            branches, complete = _apply(rule, site, cur, active, budget.unify)
             if not complete:
                 incomplete = True
             if not branches:
                 continue
-            site_desc = _site_text(cur, site)
+            site_desc = "target" if site == TARGET_SITE else to_text(active[1].term_set[site])
             for bi, (branch, tau) in enumerate(branches):
                 step = RuleStep(rule.value, site_desc, bi, tau)
                 expansions.append((branch, trace + (step,), depth + 1))
@@ -500,9 +494,7 @@ def constraint_sequences(
 class AnalysisConfig:
     sessions: int = 1
     secrets: tuple[str, ...] = ()
-    extra_iik: tuple[Term, ...] = ()
     budget: SolverBudget = SolverBudget()
-    naming: tuple[tuple[str, Const], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -561,9 +553,8 @@ def check_secrecy(protocols: Sequence[Protocol], config: AnalysisConfig | None =
     if config.sessions < 1:
         raise ConfigError("sessions must be at least 1")
     session = FreshSession()
-    naming = dict(config.naming) or None
-    bundles = [make_semibundle(p, config.sessions, naming, session) for p in protocols]
-    iik = build_iik(bundles, config.extra_iik)
+    bundles = [make_semibundle(p, config.sessions, session=session) for p in protocols]
+    iik = build_iik(bundles)
 
     pairs: list[tuple[str, Const]] = []
     for b in bundles:

@@ -313,15 +313,6 @@ def is_atom(t: Term) -> bool:
     return isinstance(t, (Var, Const))
 
 
-def sort_of(t: Term) -> Sort:
-    """Declared sort for atoms; Key for key constructors; Data otherwise."""
-    if isinstance(t, (Var, Const)):
-        return t.sort
-    if isinstance(t, (Pk, Sh)):
-        return Sort.KEY
-    return Sort.DATA
-
-
 def subterms(t: Term) -> frozenset[Term]:
     """Reflexive subterm closure, descending through every argument position."""
     out: set[Term] = set()

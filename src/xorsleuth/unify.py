@@ -391,9 +391,6 @@ class PurifyResult:
     equations: tuple[Equation, ...]
     abstraction: tuple[tuple[Var, Term], ...]
 
-    def abstraction_map(self) -> dict[Var, Term]:
-        return dict(self.abstraction)
-
 
 def purify(problem: UnificationProblem) -> PurifyResult:
     """Split mixed equations into theory-pure ones via fresh abstraction variables.
@@ -577,7 +574,6 @@ def _visit(v: Var, deps: dict[Var, list[Var]], state: dict[Var, int], order: lis
 
 @dataclass(frozen=True)
 class SearchBudget:
-    max_identification_vars: int = 12
     max_configs: int = 20000
 
 
@@ -717,7 +713,7 @@ def bsca_unify(
     complete = True
     try:
         partitions: Iterable[Partition] = list(
-            enumerate_identifications(acun_vars, budget.max_identification_vars)
+            enumerate_identifications(acun_vars)
         )
     except PartitionSpaceExceeded:
         partitions = [tuple((v,) for v in acun_vars)]

@@ -174,6 +174,21 @@ class TestAnalyzeCommand:
             docs.append(json.dumps(strip_elapsed(json.loads(out.read_text())), sort_keys=False))
         assert docs[0] == docs[1]
 
+    @pytest.mark.parametrize(
+        "files,options,golden",
+        [
+            (("p1.proto", "p2.proto"), ("--secret", "NA"), "analyze_p1_p2.json"),
+            (("nslx.proto",), (), "analyze_nslx.json"),
+            (("nslx_nslx.proto",), (), "analyze_nslx_nslx.json"),
+            (("nslx.proto", "p2.proto"), (), "analyze_nslx_p2.json"),
+        ],
+    )
+    def test_golden_attack_report(self, tmp_path, files, options, golden):
+        out = tmp_path / "report.json"
+        combined = [a for f in files[1:] for a in ("--combined", fx(f))]
+        run_command(["analyze", fx(files[0]), *combined, *options, "--json", str(out), "--oracle-verify"])
+        assert strip_elapsed(json.loads(out.read_text())) == json.loads((GOLDEN / golden).read_text())
+
 
 class TestOracleVerifyCommand:
     def test_round_trip_confirms(self, tmp_path):
@@ -200,6 +215,44 @@ class TestOracleVerifyCommand:
         run_command(["analyze", fx("p2.proto"), "--json", str(out)])
         assert run_command(["oracle-verify", str(out)]) == 2
         assert "no attack trace" in capsys.readouterr().err
+
+    def _verify_tampered(self, tmp_path, capsys, tamper) -> str:
+        """Exit code of oracle-verify on the p1+p2 attack trace after
+        ``tamper`` edits its attack object; returns standard error."""
+        out = tmp_path / "attack.json"
+        run_command(
+            ["analyze", fx("p1.proto"), "--combined", fx("p2.proto"), "--secret", "NA", "--json", str(out)]
+        )
+        doc = json.loads(out.read_text())
+        tamper(doc["results"]["attack"])
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_command(["oracle-verify", str(tampered)]) == 2
+        return capsys.readouterr().err
+
+    def test_non_string_target_is_input_error(self, tmp_path, capsys):
+        err = self._verify_tampered(tmp_path, capsys, lambda a: a["constraints"][0].update(target=7))
+        assert err.startswith("error:") and "target of constraint 0" in err
+
+    def test_list_substitution_is_input_error(self, tmp_path, capsys):
+        err = self._verify_tampered(tmp_path, capsys, lambda a: a.update(substitution=[]))
+        assert err.startswith("error:") and "substitution must be an object" in err
+
+    def test_string_constraints_is_input_error(self, tmp_path, capsys):
+        err = self._verify_tampered(tmp_path, capsys, lambda a: a.update(constraints="const(a:Agent)"))
+        assert err.startswith("error:") and "constraints must be a non-empty list" in err
+
+    def test_empty_constraints_is_input_error(self, tmp_path, capsys):
+        # an attack trace always ends by demanding the secret
+        err = self._verify_tampered(tmp_path, capsys, lambda a: a.update(constraints=[]))
+        assert err.startswith("error:") and "constraints must be a non-empty list" in err
+
+    def test_constant_substitution_key_is_input_error(self, tmp_path, capsys):
+        err = self._verify_tampered(
+            tmp_path, capsys, lambda a: a.update(substitution={"const(a:Agent)": "const(b:Agent)"})
+        )
+        assert err.startswith("error:") and "not a variable" in err
 
 
 class TestDeepInput:

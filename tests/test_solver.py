@@ -104,6 +104,27 @@ def cseq(*constraints):
     return ConstraintSequence(tuple(Constraint.make(m, T) for m, T in constraints))
 
 
+@st.composite
+def rule_terms(draw, depth=2):
+    """Terms with every head a rule looks at, including keys of the attacker."""
+    base = st.sampled_from([a, na, X, A, ATTACKER, ZERO])
+    if depth == 0:
+        return draw(base)
+    sub = rule_terms(depth=depth - 1)
+    agent = st.sampled_from([a, A, ATTACKER])
+    return normalize(
+        draw(
+            st.one_of(
+                base,
+                st.tuples(sub, sub).map(Seq),
+                st.tuples(sub, sub).map(lambda p: SEnc(*p)),
+                st.tuples(sub, agent).map(lambda p: PEnc(p[0], Pk(p[1]))),
+                st.tuples(sub, sub).map(Xor),
+            )
+        )
+    )
+
+
 class TestNormalizeSeq:
     def test_sequence_target_splits(self):
         out = normalize_seq(cseq((Seq((a, b)), (na,))))
@@ -185,6 +206,31 @@ class TestApplicableRules:
 
     def test_simple_sequence_has_no_rules(self):
         assert applicable_rules(cseq((X, (a,)))) == ()
+
+    @given(st.lists(rule_terms(), max_size=5), rule_terms())
+    @settings(max_examples=200, deadline=None)
+    def test_sites_match_the_rule_definitions(self, term_set, target):
+        # every rule's predicate, written out by hand, in rule then site order
+        cs = ConstraintSequence((Constraint.make(A, ()), Constraint.make(target, term_set)))
+        c = cs.constraints[1]
+        if isinstance(c.target, Var):
+            assert applicable_rules(cs) == ()
+            return
+        T = list(enumerate(c.term_set))
+        eps_key = lambda t: isinstance(t, PEnc) and t.key == normalize(Pk(ATTACKER))
+        expected = (
+            [(RuleName.CONCAT, TARGET_SITE)] * isinstance(c.target, Seq)
+            + [(RuleName.SPLIT, i) for i, t in T if isinstance(t, Seq)]
+            + [(RuleName.PENC, TARGET_SITE)] * isinstance(c.target, PEnc)
+            + [(RuleName.PDEC, i) for i, t in T if eps_key(t)]
+            + [(RuleName.SENC, TARGET_SITE)] * isinstance(c.target, SEnc)
+            + [(RuleName.SDEC, i) for i, t in T if isinstance(t, SEnc)]
+            + [(RuleName.XOR_R, i) for i, t in T if isinstance(t, Xor)]
+            + [(RuleName.XOR_L, TARGET_SITE)] * isinstance(c.target, Xor)
+            + [(RuleName.UN, i) for i, _ in T]
+            + [(RuleName.KSUB, i) for i, t in T if isinstance(t, PEnc) and not eps_key(t)]
+        )
+        assert applicable_rules(cs) == tuple(expected)
 
 
 class TestApplyRule:
