@@ -43,10 +43,14 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _envelope(command: str, paths: Sequence[str], config: dict, results, exit_code: int) -> dict:
+def _file_inputs(paths: Sequence[str]) -> dict[str, str]:
+    return {os.path.basename(p): _sha256(p) for p in paths}
+
+
+def _envelope(command: str, inputs: dict[str, str], config: dict, results, exit_code: int) -> dict:
     return {
         "command": command,
-        "inputs": {os.path.basename(p): _sha256(p) for p in paths},
+        "inputs": inputs,
         "config": config,
         "results": results,
         "exit_code": exit_code,
@@ -120,7 +124,7 @@ def _cmd_parse(args) -> int:
             }
         )
     print("\n".join(blocks), end="")
-    env = _envelope("parse", args.files, {}, results, EXIT_OK)
+    env = _envelope("parse", _file_inputs(args.files), {}, results, EXIT_OK)
     _emit(env, args.json)
     return EXIT_OK
 
@@ -137,7 +141,7 @@ def _cmd_check_assumptions(args) -> int:
             print(f"  assumption {v.assumption}: {to_text(v.witness)} — {v.detail}")
         if not report.ok():
             worst = EXIT_VIOLATED
-    env = _envelope("check-assumptions", args.files, {}, results, worst)
+    env = _envelope("check-assumptions", _file_inputs(args.files), {}, results, worst)
     _emit(env, args.json)
     return worst
 
@@ -152,7 +156,7 @@ def _cmd_check_munut(args) -> int:
         uni = ", ".join(f"{to_text(w)} := {to_text(t)}" for w, t in v.unifier.items())
         print(f"  condition {v.condition}: {to_text(v.left)} ~ {to_text(v.right)}  [{uni}]")
     env = _envelope(
-        "check-munut", [args.file1, args.file2], {}, report.to_json_dict(), code
+        "check-munut", _file_inputs([args.file1, args.file2]), {}, report.to_json_dict(), code
     )
     _emit(env, args.json)
     return code
@@ -169,7 +173,7 @@ def _cmd_tag(args) -> int:
         print(text, end="")
     env = _envelope(
         "tag",
-        [args.file],
+        _file_inputs([args.file]),
         {"label": args.label},
         {"protocol": tagged.name, "output": args.output or "-"},
         EXIT_OK,
@@ -223,7 +227,7 @@ def _cmd_analyze(args) -> int:
 
     env = _envelope(
         "analyze",
-        paths,
+        _file_inputs(paths),
         {
             "sessions": args.sessions,
             "secrets": list(args.secret),
@@ -276,13 +280,24 @@ def _load_trace(path: str) -> ConstraintSequence:
     return ConstraintSequence(tuple(constraints), Substitution(subst))
 
 
+def _trace_digest(cs: ConstraintSequence) -> str:
+    """The sha256 of a trace as `_load_trace` read it: its constraints and
+    substitution in text form, so timings and layout in the file do not
+    change it."""
+    doc = {
+        "constraints": [c.to_json_dict() for c in cs.constraints],
+        "substitution": {to_text(v): to_text(t) for v, t in cs.subst.items()},
+    }
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
 def _cmd_oracle_verify(args) -> int:
     cs = _load_trace(args.trace)
     confirmed = verify_solution(cs, cs.subst)
     code = EXIT_OK if confirmed else EXIT_VIOLATED
     print("trace confirmed" if confirmed else "trace NOT confirmed")
     env = _envelope(
-        "oracle-verify", [args.trace], {}, {"confirmed": confirmed}, code
+        "oracle-verify", {os.path.basename(args.trace): _trace_digest(cs)}, {}, {"confirmed": confirmed}, code
     )
     _emit(env, args.json)
     return code

@@ -297,6 +297,26 @@ def _split_at_active(cs: ConstraintSequence) -> tuple[Constraints, Constraint, C
     return None if ai is None else (cs.constraints[:ai], cs.constraints[ai], cs.constraints[ai + 1 :])
 
 
+def _rule_sites(cs: ConstraintSequence, c: Constraint) -> tuple[tuple[RuleName, int], ...]:
+    """The (rule, site) pairs the search expands at ``cs``'s active
+    constraint ``c``: `applicable_rules`, except that a target that is a
+    member of its own term set is discharged by `un` at that member alone,
+    with the identity unifier.
+
+    Soundness: when ``m`` is in ``T``, ``σ(m)`` is in ``σ(T)`` for every
+    substitution ``σ``, so ``m : T`` holds under every substitution and the
+    state is satisfiable exactly when the rest of it (what that `un`
+    leaves) is.  A solution another rule would lead to solves that rest.
+    The search finds it there when every variable of a term set occurs in
+    an earlier target, as the variables a strand receives do; a variable
+    that occurs first in a term set is dropped once it stands alone, so
+    ``a : {penc(X, pk(A))}`` is answered Unsatisfiable with or without
+    this discharge, although ``{X ↦ a, A ↦ eps}`` solves it."""
+    if c.target in c.term_set:
+        return ((RuleName.UN, c.term_set.index(c.target)),)
+    return applicable_rules(cs)
+
+
 def _subst_constraints(tau: Substitution, cs: Constraints) -> Constraints:
     return tuple(Constraint.make(tau.apply(c.target), (tau.apply(t) for t in c.term_set)) for c in cs)
 
@@ -320,7 +340,8 @@ def _apply(
             for new in row.decompose(c, site)
         ], True
     (m, t), rewritten = row.substitute(c, site, prefix, suffix)
-    unifiers, complete = _cached_unify(m, t, unify_budget)
+    # every unifier of m = m is an instance of the identity
+    unifiers, complete = ((Substitution(),), True) if m == t else _cached_unify(m, t, unify_budget)
     return [
         (ConstraintSequence(_subst_constraints(tau, rewritten), cs.subst.compose(tau), cs.origin), tau)
         for tau in unifiers
@@ -337,38 +358,54 @@ def apply_rule(rule: RuleName, site: int, cs: ConstraintSequence) -> list[Constr
 # -- search -------------------------------------------------------------------------
 
 
-def _canonical_key(cs: ConstraintSequence, renamed: dict[tuple[Term, tuple[Var, ...]], str]) -> str:
+Tokens = dict[object, str]
+
+
+def _canonical_key(cs: ConstraintSequence, tokens: Tokens) -> str:
     """Canonical form with variables renamed by first occurrence, so that
     alpha-equivalent states produced by `un` are pruned.
 
-    Each distinct term of the state is rendered once: when a term occurs
-    again, its variables already have their names, so it renders as it did
-    the first time.  ``renamed`` is owned by the caller's search and maps a
-    term with the new names of its variables (in term order) to the text of
-    the renamed term, so each such pair is renamed and rendered once per
-    search; ground terms keep their own text (``to_text``)."""
+    Each term of the state is written as a short token that stands for its
+    text after the renaming.  ``tokens`` is owned by the caller's search.
+    It gives each distinct ground term, and each distinct renamed text, a
+    new token (the table's size when it is added, so tokens never repeat),
+    and it maps a term with the new names of its variables (in term order)
+    to the token of the renamed term, so each such pair is renamed and
+    rendered once per search.  Two terms get the same token exactly when
+    their renamed texts are equal, so within one search two keys are equal
+    exactly when the keys built from those texts are.  Each distinct term
+    of the state is looked up once: when a term occurs again, its variables
+    already have their names, so it renames as it did the first time."""
     names: dict[Var, Var] = {}
-    texts: dict[Term, str] = {}
+    seen: dict[Term, str] = {}
 
-    def text(t: Term) -> str:
+    def token(t: Term) -> str:
+        out = seen.get(t)
+        if out is not None:
+            return out
         vs = vars_of(t)
         if not vs:
-            return to_text(t)
-        out = texts.get(t)
-        if out is None:
+            out = tokens.get(t)
+            if out is None:
+                out = tokens[t] = str(len(tokens))
+        else:
             ordered = sorted(vs, key=term_key)
             for v in ordered:
                 if v not in names:
                     names[v] = Var(f"_{len(names)}", v.sort)
             new = tuple(names[v] for v in ordered)
-            out = renamed.get((t, new))
+            out = tokens.get((t, new))
             if out is None:
-                out = renamed[(t, new)] = to_text(Substitution(zip(ordered, new)).apply(t))
-            texts[t] = out
+                text = to_text(Substitution(zip(ordered, new)).apply(t))
+                out = tokens.get(text)
+                if out is None:
+                    out = tokens[text] = str(len(tokens))
+                tokens[(t, new)] = out
+        seen[t] = out
         return out
 
     return ";".join(
-        text(c.target) + "!" + ",".join(map(text, c.term_set)) for c in cs.constraints
+        token(c.target) + "!" + ",".join(map(token, c.term_set)) for c in cs.constraints
     )
 
 
@@ -382,7 +419,7 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
     """
     budget = budget or SolverBudget()
     visited: set[str] = set()
-    renamed: dict[tuple[Term, tuple[Var, ...]], str] = {}
+    tokens: Tokens = {}
     nodes = 0
     peak_depth = 0
     incomplete = False
@@ -391,7 +428,7 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
     while stack:
         cur, trace, depth = stack.pop()
         cur = normalize_seq(cur)
-        key = _canonical_key(cur, renamed)
+        key = _canonical_key(cur, tokens)
         if key in visited:
             continue
         visited.add(key)
@@ -414,7 +451,7 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
             visited.discard(key)
             continue
         expansions: list[tuple[ConstraintSequence, tuple[RuleStep, ...], int]] = []
-        for rule, site in applicable_rules(cur):
+        for rule, site in _rule_sites(cur, active[1]):
             branches, complete = _apply(rule, site, cur, active, budget.unify)
             if not complete:
                 incomplete = True
@@ -436,13 +473,26 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
 def constraint_sequences(
     bundles: Sequence[SemiBundle], iik: Iik, secret: Const
 ) -> Iterator[ConstraintSequence]:
-    """One constraint sequence per distinct strand interleaving.
+    """One constraint sequence per distinct order of the receive nodes, with
+    every send placed as soon as it is enabled.
 
-    Every order-respecting interleaving of all strands' nodes produces a
-    constraint per receive node (term set: iik plus everything sent earlier)
-    and a final artificial constraint demanding the secret from everything
-    sent anywhere.  Interleavings inducing the same sequence are emitted
+    Each interleaving produces a constraint per receive node (term set: iik
+    plus everything sent earlier) and a final artificial constraint
+    demanding the secret from everything sent anywhere.  Only eager
+    interleavings are built: after each receive (and at the start), every
+    strand whose next node is a send places it at once, lowest strand index
+    first; the search branches only on which strand's receive comes next,
+    in strand order.  Interleavings inducing the same sequence are emitted
     once, tagged with the node ids of the first witness.
+
+    Soundness: a send is enabled once its strand's earlier nodes are
+    placed, so in any interleaving, every send before a receive is also
+    before it in the eager interleaving with the same receive order.  That
+    interleaving has the same receive constraints in the same order, each
+    with a superset of its term set (and the same final constraint), and
+    derivability only grows with the term set.  So every attack on some
+    interleaving is an attack on an eager one with the same substitution,
+    and a `secure` verdict over the eager sequences is sound.
     """
     assert any(secret in b.secret_constants for b in bundles), "secret must come from a bundle"
     strands: list[tuple[str, tuple]] = []
@@ -450,41 +500,33 @@ def constraint_sequences(
         strands.extend(zip(b.strand_ids, (s.nodes for s in b.strands)))
     base = iik.sorted_terms()
     seen: set[str] = set()
-    renamed: dict[tuple[Term, tuple[Var, ...]], str] = {}
-
-    positions = [0] * len(strands)
-    total = sum(len(nodes) for _, nodes in strands)
-
-    def walk(placed: int, know: tuple[Term, ...], acc: list, ids: tuple[str, ...]):
-        if placed == total:
+    tokens: Tokens = {}
+    # (next node of each strand, terms sent, constraints, node ids), depth first
+    stack = [((0,) * len(strands), (), (), ())]
+    while stack:
+        positions, know, acc, ids = stack.pop()
+        positions = list(positions)
+        for si, (sid, nodes) in enumerate(strands):
+            while positions[si] < len(nodes) and nodes[positions[si]].sign == "+":
+                know += (nodes[positions[si]].term,)
+                positions[si] += 1
+                ids += (f"{sid}.{positions[si]}",)
+        receivers = [si for si, (_, nodes) in enumerate(strands) if positions[si] < len(nodes)]
+        if not receivers:
             final = Constraint.make(secret, base + know)
-            cs = ConstraintSequence(tuple(acc) + (final,), Substitution(), ids + ("sec",))
-            key = _canonical_key(cs, renamed)
+            cs = ConstraintSequence(acc + (final,), Substitution(), ids + ("sec",))
+            key = _canonical_key(cs, tokens)
             if key not in seen:
                 seen.add(key)
                 yield cs
-            return
-        for si, (sid, nodes) in enumerate(strands):
+            continue
+        for si in reversed(receivers):
+            sid, nodes = strands[si]
             i = positions[si]
-            if i >= len(nodes):
-                continue
-            node = nodes[i]
-            positions[si] += 1
-            nid = f"{sid}.{i + 1}"
-            if node.sign == "+":
-                yield from walk(placed + 1, know + (node.term,), acc, ids + (nid,))
-            else:
-                acc.append(Constraint.make(node.term, base + know))
-                yield from walk(placed + 1, know, acc, ids + (nid,))
-                acc.pop()
-            positions[si] -= 1
-
-    try:
-        yield from walk(0, (), [], ())
-    finally:
-        # `walk` reaches itself through its closure; breaking that cycle frees
-        # `seen` when the enumeration stops, not at the next full collection
-        del walk
+            after = positions.copy()
+            after[si] += 1
+            recv = Constraint.make(nodes[i].term, base + know)
+            stack.append((tuple(after), know, acc + (recv,), ids + (f"{sid}.{i + 1}",)))
 
 
 # -- secrecy ------------------------------------------------------------------------

@@ -143,6 +143,10 @@ def _decompose(s: Term, t: Term) -> list[list[tuple[Term, Term]]] | None:
 _OPEN = (Var, Xor, Zero)
 
 
+def _ground_xor(t: Term) -> bool:
+    return isinstance(t, Xor) and not vars_of(t)
+
+
 def _free_clash(s: Term, t: Term) -> bool:
     """Do the canonical terms ``s`` and ``t`` clash at a position reached from
     the root through free constructors only?
@@ -151,7 +155,8 @@ def _free_clash(s: Term, t: Term) -> bool:
     and ``sh`` (both argument orders) with ``_decompose``, and stops at a
     variable, an XOR or ``zero`` on either side.  It reports a clash when
     ``_decompose`` does: different constructors, different arities or two
-    different constants.
+    different constants; and when a free-headed term (a constructor or a
+    constant) meets a ground XOR.
 
     Soundness: normalization keeps the head of a term whose head is free,
     and so does every instance (a substitution replaces variables only), and
@@ -159,15 +164,21 @@ def _free_clash(s: Term, t: Term) -> bool:
     of its two arguments).  So ``normalize(σ(f(s…))) == normalize(σ(g(t…)))``
     needs ``f == g``, equal arity and, argument by argument, the same
     equation one level down; two different constants never become equal.
-    A clash reached that way is therefore a proof that no substitution, well
-    sorted or not, unifies ``s`` and ``t`` modulo SUA.  A variable or an
-    XOR is left alone, since an instance of it can take any head; ``zero``
-    is left alone with the XOR theory it belongs to.
+    A canonical ground XOR is its own only instance and keeps its XOR head,
+    which no instance of a free-headed term normalizes to.  A clash reached
+    that way is therefore a proof that no substitution, well sorted or not,
+    unifies ``s`` and ``t`` modulo SUA.  A variable or an XOR with variables
+    is left alone, since an instance of it can take any head; ``zero`` is
+    left alone with the XOR theory it belongs to.
     """
     stack = [(s, t)]
     while stack:
         s, t = stack.pop()
-        if s == t or isinstance(s, _OPEN) or isinstance(t, _OPEN):
+        if s == t:
+            continue
+        if isinstance(s, _OPEN) or isinstance(t, _OPEN):
+            if _ground_xor(s) and not isinstance(t, _OPEN) or _ground_xor(t) and not isinstance(s, _OPEN):
+                return True
             continue
         alternatives = _decompose(s, t)
         if alternatives is None:
@@ -648,13 +659,14 @@ def bsca_unify(
 
     Pure problems are dispatched straight to the single-theory algorithms.
     A mixed problem with a free clash (``_free_clash``: a constructor, arity
-    or constant clash reached from an equation's root through free symbols
-    only) is rejected before the combination runs, with shortcut ``clash``,
-    no configurations tried and a complete search.  That is sound because
-    normalization and every instance keep a free head and the free
-    constructors are injective, so such a clash rules out every unifier
-    modulo SUA; it is how tagging keeps encryptions of differently tagged
-    protocols apart even when XOR sits below the tag.  Other mixed
+    or constant clash, or a free-headed term against a ground XOR, reached
+    from an equation's root through free symbols only) is rejected before
+    the combination runs, with shortcut ``clash``, no configurations tried
+    and a complete search.  That is sound because normalization and every
+    instance keep a free head and the free constructors are injective, and
+    a ground XOR is its own only instance, so such a clash rules out every
+    unifier modulo SUA; it is how tagging keeps encryptions of differently
+    tagged protocols apart even when XOR sits below the tag.  Other mixed
     problems are purified; identifications are enumerated over the
     variables of XOR equations (identity partition first), single-theory
     variables are assigned their forced component, and for each configuration the

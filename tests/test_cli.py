@@ -174,6 +174,14 @@ class TestAnalyzeCommand:
             docs.append(json.dumps(strip_elapsed(json.loads(out.read_text())), sort_keys=False))
         assert docs[0] == docs[1]
 
+    def test_nslx_two_sessions_attack_confirmed(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = run_command(
+            ["analyze", fx("nslx.proto"), "--sessions", "2", "--oracle-verify", "--json", str(out)]
+        )
+        assert code == 1
+        assert json.loads(out.read_text())["results"]["oracle_verified"] is True
+
     @pytest.mark.parametrize(
         "files,options,golden",
         [
@@ -197,6 +205,21 @@ class TestOracleVerifyCommand:
             ["analyze", fx("p1.proto"), "--combined", fx("p2.proto"), "--secret", "NA", "--json", str(out)]
         )
         assert run_command(["oracle-verify", str(out)]) == 0
+
+    def test_reports_byte_identical_modulo_elapsed(self, tmp_path):
+        # the two traces differ in their elapsed_ms, which the report's hash
+        # of its input leaves out
+        docs = []
+        for i in range(2):
+            (tmp_path / str(i)).mkdir()
+            trace = tmp_path / str(i) / "attack.json"
+            run_command(
+                ["analyze", fx("p1.proto"), "--combined", fx("p2.proto"), "--secret", "NA", "--json", str(trace)]
+            )
+            out = tmp_path / f"verify{i}.json"
+            assert run_command(["oracle-verify", str(trace), "--json", str(out)]) == 0
+            docs.append(json.dumps(strip_elapsed(json.loads(out.read_text()))))
+        assert docs[0] == docs[1]
 
     def test_tampered_trace_rejected(self, tmp_path):
         out = tmp_path / "attack.json"

@@ -3,9 +3,10 @@
 import gc
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xorsleuth import solver
 from xorsleuth.dsl import parse_protocol, parse_protocol_file
@@ -513,6 +514,49 @@ role B:
         assert len(seqs) == len(set(seqs))
 
 
+def all_interleavings(bundles, iik, secret):
+    """The full interleaving enumeration: one constraint sequence per
+    distinct order of all strands' nodes, sends included, de-duplicated by
+    state key.  The reference for `constraint_sequences`."""
+    strands = []
+    for bundle in bundles:
+        strands.extend(zip(bundle.strand_ids, (s.nodes for s in bundle.strands)))
+    base = iik.sorted_terms()
+    seen = set()
+    tokens = {}
+    positions = [0] * len(strands)
+    total = sum(len(nodes) for _, nodes in strands)
+
+    def walk(placed, know, acc, ids):
+        if placed == total:
+            final = Constraint.make(secret, base + know)
+            cs = ConstraintSequence(tuple(acc) + (final,), Substitution(), ids + ("sec",))
+            key = solver._canonical_key(cs, tokens)
+            if key not in seen:
+                seen.add(key)
+                yield cs
+            return
+        for si, (sid, nodes) in enumerate(strands):
+            i = positions[si]
+            if i >= len(nodes):
+                continue
+            node = nodes[i]
+            positions[si] += 1
+            nid = f"{sid}.{i + 1}"
+            if node.sign == "+":
+                yield from walk(placed + 1, know + (node.term,), acc, ids + (nid,))
+            else:
+                acc.append(Constraint.make(node.term, base + know))
+                yield from walk(placed + 1, know, acc, ids + (nid,))
+                acc.pop()
+            positions[si] -= 1
+
+    try:
+        yield from walk(0, (), [], ())
+    finally:
+        del walk
+
+
 class TestCheckSecrecy:
     def test_combined_key_leak_attack(self):
         p1 = parse_protocol(P1_SRC)
@@ -587,10 +631,10 @@ role A:
     @pytest.mark.parametrize(
         "names,verdict,counters",
         [
-            (("q1",), "secure", (5, 35)),
-            (("q1", "q2"), "secure", (30, 210)),
-            (("nslx",), "attack", (1, 33)),
-            (("q3", "q5"), "secure", (30, 432)),
+            (("q1",), "secure", (2, 23)),
+            (("q1", "q2"), "secure", (4, 46)),
+            (("nslx",), "attack", (1, 21)),
+            (("q3", "q5"), "secure", (4, 136)),
         ],
     )
     def test_search_counters_pinned(self, names, verdict, counters):
@@ -648,6 +692,67 @@ role A:
         assert d1 == d2
 
 
+CORPUS = ("q1", "q2", "q3", "q4", "q5")
+
+
+def load(name):
+    """A fixture protocol, or ``leak_xy``: one role sending the long-term key sh(x, y)."""
+    if name.startswith("leak_"):
+        return parse_protocol(f"protocol {name}\nrole A:\n  send sh({name[-2]}, {name[-1]})\n")
+    return parse_protocol_file(FIXTURES / f"{name}.proto")
+
+
+class TestEagerSends:
+    """`constraint_sequences` against the full interleaving enumeration."""
+
+    @pytest.mark.parametrize(
+        "names,sessions,secrets",
+        [((q,), 1, ()) for q in CORPUS]
+        # q1+q3 is left out: about 6 s at full enumeration
+        + [(pair, 1, ()) for pair in itertools.combinations(CORPUS, 2) if pair != ("q1", "q3")]
+        + [
+            (("p1", "p2"), 1, ("NA",)),
+            (("nslx",), 1, ()),
+            (("nslx_nslx",), 1, ()),
+            (("nslx", "p2"), 1, ()),
+            (("q3", "leak_ac"), 2, ()),
+            (("q5", "leak_bc"), 2, ()),
+        ],
+        ids=lambda v: "+".join(v) if isinstance(v, tuple) else str(v),
+    )
+    def test_verdict_matches_full_enumeration(self, monkeypatch, names, sessions, secrets):
+        config = AnalysisConfig(sessions=sessions, secrets=secrets)
+        eager = check_secrecy([load(n) for n in names], config)
+        monkeypatch.setattr(solver, "constraint_sequences", all_interleavings)
+        full = check_secrecy([load(n) for n in names], config)
+        assert eager.verdict == full.verdict
+        assert eager.stats["sequences"] <= full.stats["sequences"]
+
+    @pytest.mark.parametrize(
+        "names,sessions",
+        [(("nslx",), 1), (("q1", "q2"), 1), (("q3", "q5"), 1), (("p1", "p2"), 1), (("q5", "leak_bc"), 2)],
+        ids=lambda v: "+".join(v) if isinstance(v, tuple) else str(v),
+    )
+    def test_every_interleaving_is_covered_by_an_eager_sequence(self, names, sessions):
+        # the soundness argument of `constraint_sequences`: the same receive
+        # targets in the same order, each with a superset of its term set
+        session = FreshSession()
+        bundles = [make_semibundle(load(n), sessions, session=session) for n in names]
+        iik = build_iik(bundles)
+        secrets = {c for b in bundles for c in b.secret_constants}
+        for secret in sorted(secrets, key=term_key):
+            eager = list(constraint_sequences(bundles, iik, secret))
+            for cs in all_interleavings(bundles, iik, secret):
+                assert any(
+                    len(e.constraints) == len(cs.constraints)
+                    and all(
+                        ec.target == c.target and set(c.term_set) <= set(ec.term_set)
+                        for ec, c in zip(e.constraints, cs.constraints)
+                    )
+                    for e in eager
+                ), cs.origin
+
+
 def fresh_text(t):
     """The canonical text of ``t``, rendered without reading any kept text."""
     if isinstance(t, (Var, Const)):
@@ -691,17 +796,19 @@ class TestStateKey:
         ],
     )
     def test_key_matches_reference_on_every_state(self, monkeypatch, names, secrets):
+        # within one search (one token table), two states' keys are equal
+        # exactly when their reference keys are
         keyed = solver._canonical_key
-        states = 0
-        wrong_keys = []
+        # id of the token table -> (the table, kept alive so that its id
+        # stays its own; {key: reference keys}; {reference key: keys})
+        searches = {}
         wrong_texts = set()
 
-        def checked(cs, renamed):
-            nonlocal states
-            states += 1
-            key = keyed(cs, renamed)
-            if key != reference_key(cs):
-                wrong_keys.append(key)
+        def checked(cs, tokens):
+            _, refs_of, keys_of = searches.setdefault(id(tokens), (tokens, {}, {}))
+            key, ref = keyed(cs, tokens), reference_key(cs)
+            refs_of.setdefault(key, set()).add(ref)
+            keys_of.setdefault(ref, set()).add(key)
             for c in cs.constraints:
                 for t in (c.target, *c.term_set):
                     if to_text(t) != fresh_text(t):
@@ -711,8 +818,24 @@ class TestStateKey:
         monkeypatch.setattr(solver, "_canonical_key", checked)
         protocols = [parse_protocol_file(FIXTURES / f"{n}.proto") for n in names]
         res = check_secrecy(protocols, AnalysisConfig(sessions=1, secrets=secrets))
-        assert states >= res.stats["sequences"] + res.stats["nodes"]
-        assert wrong_keys == [] and wrong_texts == set()
+        # one search per secret's interleavings and one per sequence
+        assert len(searches) >= res.stats["sequences"] + 1
+        assert sum(len(refs) for _, refs, _ in searches.values()) >= res.stats["sequences"] + res.stats["nodes"]
+        for _, refs_of, keys_of in searches.values():
+            assert all(len(refs) == 1 for refs in refs_of.values())
+            assert all(len(keys) == 1 for keys in keys_of.values())
+        assert wrong_texts == set()
+
+    def test_alpha_equivalent_states_share_a_key_within_a_search(self):
+        # the states differ only in variable names: once renamed, their
+        # terms render alike, so they share tokens and keys
+        tokens = {}
+
+        def key(v, w):
+            return solver._canonical_key(cseq((v, (a,)), (SEnc(v, k), (a, Seq((w, na))))), tokens)
+
+        assert key(X, Y) == key(Y, X)
+        assert len({key(X, Y), key(X, X), key(N, Y)}) == 3
 
 
 @st.composite
@@ -732,6 +855,17 @@ def ground_terms(draw, depth=2):
     return normalize(t)
 
 
+# A draw on which the search once spent its 200,000 nodes: (target, term set).
+PINNED_MEMBER_TARGET = (
+    normalize(Xor((SEnc(na, na), SEnc(ZERO, a)))),
+    [
+        normalize(Xor((one, a, b, nb))),
+        normalize(Seq((Xor((a, k)), SEnc(nb, na)))),
+        normalize(Seq((SEnc(nb, one), ZERO))),
+    ],
+)
+
+
 class TestSearchProperties:
     @given(st.lists(ground_terms(), min_size=1, max_size=4), ground_terms())
     @settings(max_examples=60, deadline=None)
@@ -747,11 +881,50 @@ class TestSearchProperties:
             assert res.solutions
 
     @given(st.lists(ground_terms(), min_size=1, max_size=3), ground_terms())
+    @example(PINNED_MEMBER_TARGET[1], PINNED_MEMBER_TARGET[0])
     @settings(max_examples=40, deadline=None)
     def test_member_target_always_satisfiable(self, term_set, target):
         cs = cseq((target, tuple(term_set) + (target,)))
         res = satisfiable(cs)
         assert res.status is SolveStatus.SATISFIABLE
+
+    def test_member_target_is_discharged_at_once(self):
+        # without the discharge, `sdec`/`xor_r` subtrees spend the whole
+        # 200,000-node budget before `un` reaches the member
+        target, term_set = PINNED_MEMBER_TARGET
+        res = satisfiable(cseq((target, tuple(term_set) + (target,))))
+        assert res.status is SolveStatus.SATISFIABLE
+        assert res.stats["nodes"] == 2
+        assert [s.to_json_dict() for s in res.solution()[1]] == [
+            {"rule": "un", "site": to_text(target), "branch": 0, "unifier": {}}
+        ]
+
+    @given(
+        st.lists(rule_terms(depth=1), max_size=3),
+        rule_terms().filter(lambda t: not isinstance(t, Var)),
+        rule_terms(depth=1),
+        st.lists(rule_terms(depth=1), max_size=2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_discharge_agrees_with_every_rule(self, members, target, target2, later):
+        # the active constraint's target is in its term set; X and A occur
+        # in earlier targets, which the discharge's soundness argument
+        # needs (see `solver._rule_sites`)
+        T = IIK + tuple(members) + (target,)
+        cs = ConstraintSequence(
+            (
+                Constraint.make(X, IIK),
+                Constraint.make(A, IIK),
+                Constraint.make(target, T),
+                Constraint.make(target2, T + tuple(later)),
+            )
+        )
+        budget = SolverBudget(max_depth=12, max_nodes=300)
+        discharged = satisfiable(cs, budget).status
+        with mock.patch.object(solver, "_rule_sites", lambda cs, c: applicable_rules(cs)):
+            reference = satisfiable(cs, budget).status
+        if SolveStatus.BUDGET_EXHAUSTED not in (discharged, reference):
+            assert discharged is reference
 
     def test_state_cut_at_depth_bound_is_searched_again_by_a_shorter_path(self):
         # the search first meets a state on the way to the shallow solution

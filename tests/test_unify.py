@@ -442,10 +442,23 @@ class TestFreeClash:
             (senc(seq(t1, xor(X, c)), sh(a, b)), penc(seq(t1, xor(X, c)), pk(a))),
             (senc(c, sh(A, a)), senc(c, sh(b, b))),
             (seq(c, pk(A)), seq(c, d)),
+            # a free-headed term against a ground XOR, at the root and below seq/senc
+            (c, xor(d, e)),
+            (senc(c, sh(a, b)), xor(c, d)),
+            (seq(t1, pk(A)), seq(t1, xor(c, d))),
+            (senc(seq(t1, X), sh(a, b)), senc(xor(seq(t1, c), d), sh(a, b))),
+            # the q1+q5+leak_bc call that took the full search 13,306 configurations
+            (
+                senc(seq(t1, xor(seq(t1, var("N21", Sort.NONCE)), seq(t1, const("n11", Sort.NONCE)))), sh(a, b)),
+                xor(seq(t5, const("c1", Sort.NONCE)), seq(t5, ZERO)),
+            ),
         ],
     )
     def test_clash_through_free_symbols(self, s, t):
         assert unify._free_clash(s, t) and unify._free_clash(t, s)
+        # the search without the pre-check finds no unifier either
+        full = unfiltered(sua_problem((s, t)))
+        assert full is not None and full[0] == () and full[1].complete
 
     @pytest.mark.parametrize(
         "s, t",
