@@ -297,22 +297,38 @@ def _split_at_active(cs: ConstraintSequence) -> tuple[Constraints, Constraint, C
     return None if ai is None else (cs.constraints[:ai], cs.constraints[ai], cs.constraints[ai + 1 :])
 
 
+def _originated(cs: ConstraintSequence) -> bool:
+    """Every variable of a term set occurs in an earlier target, as the
+    variables a strand receives do before it sends them."""
+    known: frozenset[Var] = frozenset()
+    for c in cs.constraints:
+        if any(not vars_of(t) <= known for t in c.term_set):
+            return False
+        known |= vars_of(c.target)
+    return True
+
+
 def _rule_sites(cs: ConstraintSequence, c: Constraint) -> tuple[tuple[RuleName, int], ...]:
     """The (rule, site) pairs the search expands at ``cs``'s active
     constraint ``c``: `applicable_rules`, except that a target that is a
     member of its own term set is discharged by `un` at that member alone,
-    with the identity unifier.
+    with the identity unifier, when `_originated` holds of ``cs``.
 
     Soundness: when ``m`` is in ``T``, ``σ(m)`` is in ``σ(T)`` for every
     substitution ``σ``, so ``m : T`` holds under every substitution and the
     state is satisfiable exactly when the rest of it (what that `un`
-    leaves) is.  A solution another rule would lead to solves that rest.
-    The search finds it there when every variable of a term set occurs in
-    an earlier target, as the variables a strand receives do; a variable
-    that occurs first in a term set is dropped once it stands alone, so
-    ``a : {penc(X, pk(A))}`` is answered Unsatisfiable with or without
-    this discharge, although ``{X ↦ a, A ↦ eps}`` solves it."""
-    if c.target in c.term_set:
+    leaves) is.  The rest is originated too: the variables of ``m`` are
+    those of a member of ``T``, so they occur in earlier targets, and
+    removing ``m : T`` takes away no first occurrence.  On originated
+    states the rules are complete, as in Millen–Shmatikov (a stand-alone
+    variable of a term set was already derived from an earlier, smaller
+    term set, so `normalize_seq` loses nothing by dropping it), so the
+    search finds every solution of the rest that another rule would have
+    led to.  Elsewhere the discharge could lose solutions: on
+    ``penc(a,pk(A)) : {penc(X,pk(A)), penc(a,pk(A))}`` followed by
+    ``a : {penc(X,pk(A))}``, only `un` at the other member binds ``X ↦ a``,
+    and the rest alone drops ``X`` once `pdec` frees it."""
+    if c.target in c.term_set and _originated(cs):
         return ((RuleName.UN, c.term_set.index(c.target)),)
     return applicable_rules(cs)
 
@@ -367,17 +383,24 @@ def _canonical_key(cs: ConstraintSequence, tokens: Tokens) -> str:
 
     Each term of the state is written as a short token that stands for its
     text after the renaming.  ``tokens`` is owned by the caller's search.
-    It gives each distinct ground term, and each distinct renamed text, a
-    new token (the table's size when it is added, so tokens never repeat),
-    and it maps a term with the new names of its variables (in term order)
-    to the token of the renamed term, so each such pair is renamed and
-    rendered once per search.  Two terms get the same token exactly when
-    their renamed texts are equal, so within one search two keys are equal
-    exactly when the keys built from those texts are.  Each distinct term
-    of the state is looked up once: when a term occurs again, its variables
-    already have their names, so it renames as it did the first time."""
+    It gives each distinct text (a ground term's own, or a renamed term's)
+    a new token (the table's size when it is added, so tokens never
+    repeat), and it maps a term with the new names of its variables (in
+    term order) to the token of the renamed term, so each such pair is
+    renamed and rendered once per search.  Two terms get the same token
+    exactly when their renamed texts are equal, so within one search two
+    keys are equal exactly when the keys built from those texts are.  Each
+    distinct term of the state is looked up once: when a term occurs again,
+    its variables already have their names, so it renames as it did the
+    first time."""
     names: dict[Var, Var] = {}
     seen: dict[Term, str] = {}
+
+    def text_token(text: str) -> str:
+        out = tokens.get(text)
+        if out is None:
+            out = tokens[text] = str(len(tokens))
+        return out
 
     def token(t: Term) -> str:
         out = seen.get(t)
@@ -385,9 +408,7 @@ def _canonical_key(cs: ConstraintSequence, tokens: Tokens) -> str:
             return out
         vs = vars_of(t)
         if not vs:
-            out = tokens.get(t)
-            if out is None:
-                out = tokens[t] = str(len(tokens))
+            out = text_token(to_text(t))
         else:
             ordered = sorted(vs, key=term_key)
             for v in ordered:
@@ -396,11 +417,7 @@ def _canonical_key(cs: ConstraintSequence, tokens: Tokens) -> str:
             new = tuple(names[v] for v in ordered)
             out = tokens.get((t, new))
             if out is None:
-                text = to_text(Substitution(zip(ordered, new)).apply(t))
-                out = tokens.get(text)
-                if out is None:
-                    out = tokens[text] = str(len(tokens))
-                tokens[(t, new)] = out
+                out = tokens[(t, new)] = text_token(to_text(Substitution(zip(ordered, new)).apply(t)))
         seen[t] = out
         return out
 

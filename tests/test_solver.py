@@ -899,32 +899,49 @@ class TestSearchProperties:
             {"rule": "un", "site": to_text(target), "branch": 0, "unifier": {}}
         ]
 
-    @given(
-        st.lists(rule_terms(depth=1), max_size=3),
-        rule_terms().filter(lambda t: not isinstance(t, Var)),
-        rule_terms(depth=1),
-        st.lists(rule_terms(depth=1), max_size=2),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_discharge_agrees_with_every_rule(self, members, target, target2, later):
-        # the active constraint's target is in its term set; X and A occur
-        # in earlier targets, which the discharge's soundness argument
-        # needs (see `solver._rule_sites`)
-        T = IIK + tuple(members) + (target,)
-        cs = ConstraintSequence(
-            (
-                Constraint.make(X, IIK),
-                Constraint.make(A, IIK),
-                Constraint.make(target, T),
-                Constraint.make(target2, T + tuple(later)),
-            )
+    def test_discharge_agrees_with_every_rule(self):
+        # the active constraint's target is in its term set; the variables
+        # of the term sets occur in earlier targets or do not, and the later
+        # term set grows from the active one or does not
+        compared = []
+
+        @given(
+            st.lists(st.sampled_from([X, A]), unique=True),
+            st.lists(rule_terms(depth=1), max_size=3),
+            rule_terms().filter(lambda t: not isinstance(t, Var)),
+            rule_terms(depth=1),
+            st.booleans(),
+            st.lists(rule_terms(depth=1), max_size=2),
         )
-        budget = SolverBudget(max_depth=12, max_nodes=300)
-        discharged = satisfiable(cs, budget).status
-        with mock.patch.object(solver, "_rule_sites", lambda cs, c: applicable_rules(cs)):
-            reference = satisfiable(cs, budget).status
-        if SolveStatus.BUDGET_EXHAUSTED not in (discharged, reference):
-            assert discharged is reference
+        # X and A occur first in a term set, and only `un` at the other
+        # member binds X ↦ a, which the second constraint needs; a discharge
+        # without `solver._originated` answered Unsatisfiable here
+        @example(
+            earlier=[], members=[PEnc(X, Pk(A))], target=PEnc(a, Pk(A)), target2=a, grow=False, later=[PEnc(X, Pk(A))]
+        )
+        @settings(max_examples=100, deadline=None)
+        def check(earlier, members, target, target2, grow, later):
+            T = IIK + tuple(members) + (target,)
+            cs = ConstraintSequence(
+                tuple(Constraint.make(v, IIK) for v in earlier)
+                + (Constraint.make(target, T), Constraint.make(target2, (T if grow else IIK) + tuple(later)))
+            )
+            budget = SolverBudget(max_depth=12, max_nodes=300)
+            discharged = satisfiable(cs, budget).status
+            with mock.patch.object(solver, "_rule_sites", lambda cs, c: applicable_rules(cs)):
+                reference = satisfiable(cs, budget).status
+            if SolveStatus.BUDGET_EXHAUSTED not in (discharged, reference):
+                assert discharged is reference
+                root = normalize_seq(cs)
+                ai = root.active_index()
+                c = None if ai is None else root.constraints[ai]
+                compared.append(c is not None and c.target in c.term_set and solver._originated(root))
+
+        check()
+        # draws that compared two definite statuses, and among them those
+        # on which the discharge applied
+        assert len(compared) >= 60
+        assert sum(compared) >= 25
 
     def test_state_cut_at_depth_bound_is_searched_again_by_a_shorter_path(self):
         # the search first meets a state on the way to the shallow solution
