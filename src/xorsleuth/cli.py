@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--sessions", type=int, default=1)
     p_an.add_argument("--secret", metavar="NAME", action="append", default=[])
     p_an.add_argument("--branch-budget", type=int, default=64, help="max rule applications per branch")
-    p_an.add_argument("--node-budget", type=int, default=200_000, help="max search nodes per sequence")
+    p_an.add_argument("--node-budget", type=int, default=200_000, help="max search nodes per secret, over all its interleavings")
     p_an.add_argument("--json", metavar="PATH")
     p_an.add_argument("--oracle-verify", action="store_true", help="re-check any attack with the ground oracle")
 
@@ -218,6 +218,8 @@ def _cmd_analyze(args) -> int:
     else:
         code = EXIT_INCONCLUSIVE
         print("inconclusive: search budget exhausted before a verdict")
+        for secret, budgets in result.exhausted:
+            print(f"  {secret}: out of {' and '.join(budgets)} budget")
 
     if args.oracle_verify and result.attack is not None:
         cs = ConstraintSequence(result.attack.constraints, result.attack.substitution)

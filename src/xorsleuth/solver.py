@@ -23,8 +23,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .protocol import PK_EPS, Iik, SemiBundle, build_iik, make_semibundle, FreshSession, Protocol
+from .protocol import PK_EPS, RECV, SEND, Iik, Node, SemiBundle, build_iik, make_semibundle, FreshSession, Protocol
 from .terms import (
+    EMPTY_SUBST,
     Const,
     PEnc,
     SEnc,
@@ -68,9 +69,15 @@ class Constraint:
 
 @dataclass(frozen=True)
 class ConstraintSequence:
+    """A search state: the constraints placed so far, the substitution
+    applied to them, and the node ids of the interleaving they come from.
+    ``pending`` is None for a sequence given whole; in a search over
+    interleavings (`check_secrecy`) it holds what is still to be placed."""
+
     constraints: tuple[Constraint, ...]
     subst: Substitution = field(default_factory=Substitution)
     origin: tuple[str, ...] = ()
+    pending: Pending | None = None
 
     def active_index(self) -> int | None:
         for i, c in enumerate(self.constraints):
@@ -117,16 +124,29 @@ class RuleStep:
 
 @dataclass(frozen=True)
 class SolverBudget:
+    """Search limits: ``max_depth`` rule applications along one path (the
+    branch budget), ``max_nodes`` states expanded in one `satisfiable` call
+    (in `check_secrecy`, one secret's whole search over all its
+    interleavings), and the unifier search of `un`/`ksub`."""
+
     max_depth: int = 64
     max_nodes: int = 200_000
     unify: SearchBudget = SearchBudget()
 
 
+# The budgets a search can run out of, as its stats name them.
+BUDGETS = ("node", "branch", "unifier")
+
+
 @dataclass(frozen=True)
 class SolverResult:
+    """``sequence`` is what a solution solves: the sequence given, or the
+    interleaving found (its constraints as placed, without substitution)."""
+
     status: SolveStatus
     solutions: tuple[tuple[Substitution, tuple[RuleStep, ...]], ...]
     stats: dict
+    sequence: ConstraintSequence | None = None
 
     def solution(self) -> tuple[Substitution, tuple[RuleStep, ...]]:
         return self.solutions[0]
@@ -148,10 +168,14 @@ def normalize_seq(cs: ConstraintSequence) -> ConstraintSequence:
     """Fixed point of sequence-target splitting and term-set cleanup.
 
     The active constraint ends with a non-sequence target and a term set
-    holding no sequences and no stand-alone variables (the attacker can
-    invent values, so a bare variable carries no information).
+    holding no sequences and no stand-alone variable that is an earlier
+    target: the attacker derived that value from an earlier, smaller term
+    set, so it carries no information.  A stand-alone variable that no
+    earlier target holds (a value an honest strand chose and sent) stays,
+    since `un` may have to bind it.
     """
     constraints = list(cs.constraints)
+    changed = False
     while True:
         ai = next((i for i, c in enumerate(constraints) if not isinstance(c.target, Var)), None)
         if ai is None:
@@ -160,16 +184,19 @@ def normalize_seq(cs: ConstraintSequence) -> ConstraintSequence:
         if isinstance(c.target, Seq):
             parts = [Constraint.make(item, c.term_set) for item in c.target.items]
             constraints[ai : ai + 1] = parts
+            changed = True
             continue
         flat: list[Term] = []
         for t in c.term_set:
             flat.extend(_flatten_member(t))
-        cleaned = _term_set(t for t in flat if not isinstance(t, Var))
+        earlier = {e.target for e in constraints[:ai]}
+        cleaned = _term_set(t for t in flat if not (isinstance(t, Var) and t in earlier))
         if cleaned != c.term_set:
             constraints[ai] = Constraint(c.target, cleaned)
+            changed = True
             continue
         break
-    return ConstraintSequence(tuple(constraints), cs.subst, cs.origin)
+    return ConstraintSequence(tuple(constraints), cs.subst, cs.origin, cs.pending) if changed else cs
 
 
 # -- rule application ---------------------------------------------------------------
@@ -308,11 +335,34 @@ def _originated(cs: ConstraintSequence) -> bool:
     return True
 
 
+def _sends_originated(cs: ConstraintSequence) -> bool:
+    """Every unplaced send's variables, under the substitution, occur in a
+    placed target or in an earlier receive of the same strand.  Every
+    completion of ``cs`` places those receives before the send, so the
+    sequence it completes to is originated wherever ``cs`` is."""
+    p = cs.pending
+    if p is None or p.done:
+        return True
+    targets = frozenset().union(*(vars_of(c.target) for c in cs.constraints))
+    for nodes, position in zip(p.plan.nodes, p.positions):
+        if all(node.sign == RECV for node in nodes[position:]):
+            continue
+        known = targets
+        for i, node in enumerate(nodes):
+            vs = vars_of(cs.subst.apply(node.term))
+            if node.sign == RECV:
+                known |= vs
+            elif i >= position and not vs <= known:
+                return False
+    return True
+
+
 def _rule_sites(cs: ConstraintSequence, c: Constraint) -> tuple[tuple[RuleName, int], ...]:
     """The (rule, site) pairs the search expands at ``cs``'s active
     constraint ``c``: `applicable_rules`, except that a target that is a
     member of its own term set is discharged by `un` at that member alone,
-    with the identity unifier, when `_originated` holds of ``cs``.
+    with the identity unifier, when `_originated` holds of ``cs`` and, in a
+    search over interleavings, of every completion (`_sends_originated`).
 
     Soundness: when ``m`` is in ``T``, ``σ(m)`` is in ``σ(T)`` for every
     substitution ``σ``, so ``m : T`` holds under every substitution and the
@@ -322,19 +372,21 @@ def _rule_sites(cs: ConstraintSequence, c: Constraint) -> tuple[tuple[RuleName, 
     removing ``m : T`` takes away no first occurrence.  On originated
     states the rules are complete, as in Millen–Shmatikov (a stand-alone
     variable of a term set was already derived from an earlier, smaller
-    term set, so `normalize_seq` loses nothing by dropping it), so the
-    search finds every solution of the rest that another rule would have
-    led to.  Elsewhere the discharge could lose solutions: on
-    ``penc(a,pk(A)) : {penc(X,pk(A)), penc(a,pk(A))}`` followed by
-    ``a : {penc(X,pk(A))}``, only `un` at the other member binds ``X ↦ a``,
-    and the rest alone drops ``X`` once `pdec` frees it."""
-    if c.target in c.term_set and _originated(cs):
+    term set), so the search finds every solution of the rest that another
+    rule would have led to.  The constraints still to be placed are part of
+    the rest, so the guard must hold of them too; elsewhere every rule is
+    expanded, which is always complete."""
+    if c.target in c.term_set and _originated(cs) and _sends_originated(cs):
         return ((RuleName.UN, c.term_set.index(c.target)),)
     return applicable_rules(cs)
 
 
 def _subst_constraints(tau: Substitution, cs: Constraints) -> Constraints:
     return tuple(Constraint.make(tau.apply(c.target), (tau.apply(t) for t in c.term_set)) for c in cs)
+
+
+def _subst_pending(tau: Substitution, p: Pending | None) -> Pending | None:
+    return p if p is None or not tau else p._replace(images=tuple(map(tau.apply, p.images)))
 
 
 def _apply(
@@ -352,14 +404,19 @@ def _apply(
     row = _RULES[rule]
     if row.decompose is not None:
         return [
-            (ConstraintSequence(prefix + new + suffix, cs.subst, cs.origin), None)
+            (ConstraintSequence(prefix + new + suffix, cs.subst, cs.origin, cs.pending), None)
             for new in row.decompose(c, site)
         ], True
     (m, t), rewritten = row.substitute(c, site, prefix, suffix)
     # every unifier of m = m is an instance of the identity
     unifiers, complete = ((Substitution(),), True) if m == t else _cached_unify(m, t, unify_budget)
     return [
-        (ConstraintSequence(_subst_constraints(tau, rewritten), cs.subst.compose(tau), cs.origin), tau)
+        (
+            ConstraintSequence(
+                _subst_constraints(tau, rewritten), cs.subst.compose(tau), cs.origin, _subst_pending(tau, cs.pending)
+            ),
+            tau,
+        )
         for tau in unifiers
     ], complete
 
@@ -392,7 +449,12 @@ def _canonical_key(cs: ConstraintSequence, tokens: Tokens) -> str:
     keys are equal exactly when the keys built from those texts are.  Each
     distinct term of the state is looked up once: when a term occurs again,
     its variables already have their names, so it renames as it did the
-    first time."""
+    first time.
+
+    In a search over interleavings the key also holds the strand positions
+    and the pending images (`Pending`), renamed along with the constraints:
+    two prefixes with equal placed constraints that bind a variable of a
+    constraint still to be placed differently must not merge."""
     names: dict[Var, Var] = {}
     seen: dict[Term, str] = {}
 
@@ -421,30 +483,71 @@ def _canonical_key(cs: ConstraintSequence, tokens: Tokens) -> str:
         seen[t] = out
         return out
 
-    return ";".join(
-        token(c.target) + "!" + ",".join(map(token, c.term_set)) for c in cs.constraints
-    )
+    key = ";".join(token(c.target) + "!" + ",".join(map(token, c.term_set)) for c in cs.constraints)
+    p = cs.pending
+    if p is None:
+        return key
+    return f"{key}|{p.positions}|{','.join(map(token, p.images))}"
+
+
+def _stats(nodes: int, peak_depth: int, reached: set[tuple[str, ...]], exhausted: set[str]) -> dict:
+    return {
+        "nodes": nodes,
+        "peak_depth": peak_depth,
+        "sequences": len(reached),
+        "exhausted": [b for b in BUDGETS if b in exhausted],
+    }
 
 
 def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> SolverResult:
-    """Depth-first bounded search for a solution of the sequence.
+    """Depth-first bounded search for a solution of the sequence or, when
+    ``cs`` has nodes still to place (`Pending`), of any interleaving that
+    completes it.
 
     Returns on the first solution found; exhaustive completion without one is
     a definitive Unsatisfiable, while any skipped work (depth cut, node cap,
     or an incomplete unifier enumeration inside `un`/`ksub`) downgrades the
     verdict to BudgetExhausted.
+
+    A state whose placed targets are all variables and which still has nodes
+    to place is not a node: `_place` replaces it by its children, at the same
+    depth and with the same trace.  So one search covers every eager
+    interleaving of a secret (`check_secrecy`), and the constraints of a
+    receive-order prefix are solved once for all the interleavings that
+    share it.  Soundness: rules and `normalize_seq` act only at the active
+    constraint, and substitutions compose, so carrying a constraint from the
+    start (as a sequence given whole does) and appending it later with the
+    substitution applied lead to the same states; eager interleavings with
+    the same receive-order prefix have identical prefix constraints.  The
+    state key holds the strand positions and the pending images, so two
+    states merge only when everything they will still place agrees.
+
+    ``stats``: ``nodes`` and ``peak_depth``; ``sequences``, the
+    interleavings whose secret constraint the search placed (a sequence
+    given whole counts as one); ``exhausted``, the budgets that ran out
+    (`BUDGETS` order).
     """
     budget = budget or SolverBudget()
     visited: set[str] = set()
     tokens: Tokens = {}
+    # node ids of the interleavings whose secret constraint was placed
+    reached: set[tuple[str, ...]] = set() if cs.pending is not None else {cs.origin}
     nodes = 0
     peak_depth = 0
-    incomplete = False
+    exhausted: set[str] = set()
     stack: list[tuple[ConstraintSequence, tuple[RuleStep, ...], int]] = [(cs, (), 0)]
 
     while stack:
         cur, trace, depth = stack.pop()
         cur = normalize_seq(cur)
+        active = _split_at_active(cur)
+        p = cur.pending
+        if active is None and p is not None and not p.done:
+            children = _place(cur)
+            if children[0].pending.done:
+                reached.add(children[0].origin)
+            stack.extend((child, trace, depth) for child in reversed(children))
+            continue
         key = _canonical_key(cur, tokens)
         if key in visited:
             continue
@@ -452,26 +555,27 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
         nodes += 1
         peak_depth = max(peak_depth, depth)
         if nodes > budget.max_nodes:
-            incomplete = True
+            exhausted.add("node")
             break
-        active = _split_at_active(cur)
         if active is None:
+            solved = cs if p is None else ConstraintSequence(p.placed, EMPTY_SUBST, cur.origin)
             return SolverResult(
                 SolveStatus.SATISFIABLE,
                 ((cur.subst, trace),),
-                {"nodes": nodes, "peak_depth": peak_depth},
+                _stats(nodes, peak_depth, reached, exhausted),
+                solved,
             )
         if depth >= budget.max_depth:
             # not expanded, so not visited: the same state reached later by
             # a shorter path must still be searched
-            incomplete = True
+            exhausted.add("branch")
             visited.discard(key)
             continue
         expansions: list[tuple[ConstraintSequence, tuple[RuleStep, ...], int]] = []
         for rule, site in _rule_sites(cur, active[1]):
             branches, complete = _apply(rule, site, cur, active, budget.unify)
             if not complete:
-                incomplete = True
+                exhausted.add("unifier")
             if not branches:
                 continue
             site_desc = "target" if site == TARGET_SITE else to_text(active[1].term_set[site])
@@ -480,25 +584,127 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
                 expansions.append((branch, trace + (step,), depth + 1))
         stack.extend(reversed(expansions))
 
-    status = SolveStatus.BUDGET_EXHAUSTED if incomplete else SolveStatus.UNSATISFIABLE
-    return SolverResult(status, (), {"nodes": nodes, "peak_depth": peak_depth})
+    status = SolveStatus.BUDGET_EXHAUSTED if exhausted else SolveStatus.UNSATISFIABLE
+    return SolverResult(status, (), _stats(nodes, peak_depth, reached, exhausted))
 
 
 # -- interleavings ------------------------------------------------------------------
+
+
+class _Plan:
+    """What the states of one search over interleavings share: each strand's
+    id and nodes, with the demand for the secret as one more strand of a
+    single receive (node id ``sec``), placed once every other strand is
+    finished; the initial knowledge; and, per strand positions, the
+    variables whose images a state keeps (`Pending`)."""
+
+    __slots__ = ("ids", "nodes", "base", "_watched")
+
+    def __init__(self, bundles: Sequence[SemiBundle], iik: Iik, secret: Const) -> None:
+        self.ids = tuple(sid for b in bundles for sid in b.strand_ids)
+        self.nodes: tuple[tuple[Node, ...], ...] = tuple(s.nodes for b in bundles for s in b.strands) + (
+            (Node(RECV, secret),),
+        )
+        self.base = iik.sorted_terms()
+        self._watched: dict[tuple[int, ...], tuple[Var, ...]] = {}
+
+    def watched(self, positions: tuple[int, ...]) -> tuple[Var, ...]:
+        """The variables of the unplaced nodes and of the terms sent, in term
+        order: every constraint still to be placed is built from them.  There
+        are none once the secret is placed, since nothing more is built then."""
+        out = self._watched.get(positions)
+        if out is None:
+            vs: set[Var] = set()
+            if not positions[-1]:
+                for nodes, position in zip(self.nodes, positions):
+                    for i, node in enumerate(nodes):
+                        if i >= position or node.sign == SEND:
+                            vs |= vars_of(node.term)
+            out = self._watched[positions] = tuple(sorted(vs, key=term_key))
+        return out
+
+
+class Pending(NamedTuple):
+    """The interleaving part of a search state.  ``positions`` is the next
+    node of each strand of ``plan`` (the last strand is the secret's);
+    ``sent`` and ``placed`` are the terms sent and the constraints placed so
+    far, as the strands have them, without the substitution (the attack
+    trace reports them).  ``images`` are the images, under the state's
+    substitution, of ``plan.watched(positions)``.  They change only at a
+    placement or at a non-identity `un`/`ksub`, so the state carries them;
+    in the state key, they keep apart prefixes that bind a variable of a
+    constraint still to be placed differently."""
+
+    plan: _Plan
+    positions: tuple[int, ...]
+    sent: tuple[Term, ...]
+    placed: tuple[Constraint, ...]
+    images: tuple[Term, ...]
+
+    @property
+    def done(self) -> bool:
+        """The secret's constraint is placed: nothing is left to place."""
+        return self.positions[-1] == 1
+
+
+def _interleavings(bundles: Sequence[SemiBundle], iik: Iik, secret: Const) -> ConstraintSequence:
+    """The state from which `_place` reaches every eager interleaving of the
+    bundles' strands, each ending with the demand for ``secret``."""
+    assert any(secret in b.secret_constants for b in bundles), "secret must come from a bundle"
+    plan = _Plan(bundles, iik, secret)
+    start = (0,) * len(plan.nodes)
+    return ConstraintSequence((), EMPTY_SUBST, (), Pending(plan, start, (), (), plan.watched(start)))
+
+
+def _place(cs: ConstraintSequence) -> list[ConstraintSequence]:
+    """The states that follow ``cs`` by placing nodes: every enabled send at
+    once, lowest strand index first; then one child per strand whose next
+    node is a receive, in strand order, with that receive's constraint
+    appended (term set: the initial knowledge plus everything sent so far);
+    or, once every strand is finished, one child with the secret's.  The
+    appended constraint has ``cs``'s substitution applied.  This is the one
+    placement step of `satisfiable` and of `constraint_sequences`."""
+    p = cs.pending
+    plan, sigma = p.plan, cs.subst
+    positions, sent, ids = list(p.positions), p.sent, cs.origin
+    for si, nodes in enumerate(plan.nodes):
+        i = positions[si]
+        while i < len(nodes) and nodes[i].sign == SEND:
+            sent += (nodes[i].term,)
+            i += 1
+            ids += (f"{plan.ids[si]}.{i}",)
+        positions[si] = i
+    last = len(plan.nodes) - 1
+    receivers = [si for si in range(last) if positions[si] < len(plan.nodes[si])] or [last]
+    raw_set = _term_set(plan.base + sent)
+    term_set = _term_set(map(sigma.apply, raw_set)) if sigma else raw_set
+    children = []
+    for si in receivers:
+        i = positions[si]
+        after = (*positions[:si], i + 1, *positions[si + 1 :])
+        term = plan.nodes[si][i].term
+        raw = Constraint(normalize(term), raw_set)
+        new = Constraint(normalize(sigma.apply(term)), term_set) if sigma else raw
+        watched = plan.watched(after)
+        pending = Pending(plan, after, sent, p.placed + (raw,), tuple(map(sigma.apply, watched)) if sigma else watched)
+        nid = f"{plan.ids[si]}.{i + 1}" if si < last else "sec"
+        children.append(ConstraintSequence(cs.constraints + (new,), sigma, ids + (nid,), pending))
+    return children
 
 
 def constraint_sequences(
     bundles: Sequence[SemiBundle], iik: Iik, secret: Const
 ) -> Iterator[ConstraintSequence]:
     """One constraint sequence per distinct order of the receive nodes, with
-    every send placed as soon as it is enabled.
+    every send placed as soon as it is enabled: the placement-only walk of
+    `_place`, which `satisfiable` interleaves with solving.
 
     Each interleaving produces a constraint per receive node (term set: iik
     plus everything sent earlier) and a final artificial constraint
     demanding the secret from everything sent anywhere.  Only eager
     interleavings are built: after each receive (and at the start), every
     strand whose next node is a send places it at once, lowest strand index
-    first; the search branches only on which strand's receive comes next,
+    first; the walk branches only on which strand's receive comes next,
     in strand order.  Interleavings inducing the same sequence are emitted
     once, tagged with the node ids of the first witness.
 
@@ -511,39 +717,20 @@ def constraint_sequences(
     interleaving is an attack on an eager one with the same substitution,
     and a `secure` verdict over the eager sequences is sound.
     """
-    assert any(secret in b.secret_constants for b in bundles), "secret must come from a bundle"
-    strands: list[tuple[str, tuple]] = []
-    for b in bundles:
-        strands.extend(zip(b.strand_ids, (s.nodes for s in b.strands)))
-    base = iik.sorted_terms()
     seen: set[str] = set()
     tokens: Tokens = {}
-    # (next node of each strand, terms sent, constraints, node ids), depth first
-    stack = [((0,) * len(strands), (), (), ())]
+    stack = [_interleavings(bundles, iik, secret)]
     while stack:
-        positions, know, acc, ids = stack.pop()
-        positions = list(positions)
-        for si, (sid, nodes) in enumerate(strands):
-            while positions[si] < len(nodes) and nodes[positions[si]].sign == "+":
-                know += (nodes[positions[si]].term,)
-                positions[si] += 1
-                ids += (f"{sid}.{positions[si]}",)
-        receivers = [si for si, (_, nodes) in enumerate(strands) if positions[si] < len(nodes)]
-        if not receivers:
-            final = Constraint.make(secret, base + know)
-            cs = ConstraintSequence(acc + (final,), Substitution(), ids + ("sec",))
-            key = _canonical_key(cs, tokens)
-            if key not in seen:
-                seen.add(key)
-                yield cs
+        cs = stack.pop()
+        p = cs.pending
+        if not p.done:
+            stack.extend(reversed(_place(cs)))
             continue
-        for si in reversed(receivers):
-            sid, nodes = strands[si]
-            i = positions[si]
-            after = positions.copy()
-            after[si] += 1
-            recv = Constraint.make(nodes[i].term, base + know)
-            stack.append((tuple(after), know, acc + (recv,), ids + (f"{sid}.{i + 1}",)))
+        out = ConstraintSequence(p.placed, EMPTY_SUBST, cs.origin)
+        key = _canonical_key(out, tokens)
+        if key not in seen:
+            seen.add(key)
+            yield out
 
 
 # -- secrecy ------------------------------------------------------------------------
@@ -582,20 +769,28 @@ class AttackTrace:
 
 @dataclass(frozen=True)
 class SecrecyResult:
+    """``exhausted`` names, for each secret whose search ran out of budget,
+    the budgets that ran out (`BUDGETS`); a report carries it only when the
+    verdict is inconclusive."""
+
     verdict: str  # "secure" | "attack" | "inconclusive"
     bound: int
     secrets_checked: tuple[str, ...]
     attack: AttackTrace | None
     stats: dict
+    exhausted: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
+        d = {
             "verdict": self.verdict,
             "bound": self.bound,
             "secrets_checked": list(self.secrets_checked),
             "attack": self.attack.to_json_dict() if self.attack else None,
             "stats": self.stats,
         }
+        if self.verdict == "inconclusive":
+            d["exhausted"] = [{"secret": secret, "budgets": list(budgets)} for secret, budgets in self.exhausted]
+        return d
 
 
 def check_secrecy(protocols: Sequence[Protocol], config: AnalysisConfig | None = None) -> SecrecyResult:
@@ -603,7 +798,8 @@ def check_secrecy(protocols: Sequence[Protocol], config: AnalysisConfig | None =
 
     All protocols are instantiated into one analysis session (their fresh
     constants are mutually disjoint) and analysed together, so passing two
-    protocols is exactly the combined-execution check.
+    protocols is exactly the combined-execution check.  Each secret gets one
+    `satisfiable` search over all its eager interleavings (`_interleavings`).
     """
     config = config or AnalysisConfig()
     started = time.perf_counter()
@@ -630,35 +826,36 @@ def check_secrecy(protocols: Sequence[Protocol], config: AnalysisConfig | None =
     names = tuple(to_text(c) for c in secrets)
     total_nodes = 0
     sequences = 0
-    inconclusive = False
+    exhausted: list[tuple[str, tuple[str, ...]]] = []
     for secret in secrets:
-        for cs in constraint_sequences(bundles, iik, secret):
-            sequences += 1
-            result = satisfiable(cs, config.budget)
-            total_nodes += result.stats["nodes"]
-            if result.status is SolveStatus.SATISFIABLE:
-                sigma, steps = result.solution()
-                keep = frozenset().union(*[vars_of(c.target) | {v for t in c.term_set for v in vars_of(t)} for c in cs.constraints]) if cs.constraints else frozenset()
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
-                trace = AttackTrace(
-                    protocols=tuple(p.name for p in protocols),
-                    sessions=config.sessions,
-                    secret=to_text(secret),
-                    interleaving=cs.origin,
-                    rules=steps,
-                    substitution=sigma.restrict(keep),
-                    constraints=cs.constraints,
-                    elapsed_ms=elapsed_ms,
-                )
-                return SecrecyResult(
-                    "attack", config.sessions, names, trace,
-                    {"sequences": sequences, "nodes": total_nodes, "elapsed_ms": elapsed_ms},
-                )
-            if result.status is SolveStatus.BUDGET_EXHAUSTED:
-                inconclusive = True
-    verdict = "inconclusive" if inconclusive else "secure"
+        result = satisfiable(_interleavings(bundles, iik, secret), config.budget)
+        total_nodes += result.stats["nodes"]
+        sequences += result.stats["sequences"]
+        if result.status is SolveStatus.SATISFIABLE:
+            sigma, steps = result.solution()
+            cs = result.sequence
+            keep = frozenset().union(*[vars_of(c.target) | {v for t in c.term_set for v in vars_of(t)} for c in cs.constraints]) if cs.constraints else frozenset()
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            trace = AttackTrace(
+                protocols=tuple(p.name for p in protocols),
+                sessions=config.sessions,
+                secret=to_text(secret),
+                interleaving=cs.origin,
+                rules=steps,
+                substitution=sigma.restrict(keep),
+                constraints=cs.constraints,
+                elapsed_ms=elapsed_ms,
+            )
+            return SecrecyResult(
+                "attack", config.sessions, names, trace,
+                {"sequences": sequences, "nodes": total_nodes, "elapsed_ms": elapsed_ms},
+            )
+        if result.status is SolveStatus.BUDGET_EXHAUSTED:
+            exhausted.append((to_text(secret), tuple(result.stats["exhausted"])))
+    verdict = "inconclusive" if exhausted else "secure"
     return SecrecyResult(
         verdict, config.sessions, names, None,
         {"sequences": sequences, "nodes": total_nodes,
          "elapsed_ms": (time.perf_counter() - started) * 1000.0},
+        tuple(exhausted),
     )

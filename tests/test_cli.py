@@ -158,11 +158,22 @@ class TestAnalyzeCommand:
     def test_no_secrets_usage_error(self):
         assert run_command(["analyze", fx("p1.proto")]) == 2
 
-    def test_tiny_budget_inconclusive_exits_3(self):
+    def test_tiny_budget_inconclusive_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
         code = run_command(
-            ["analyze", fx("nslx.proto"), "--secret", "NB", "--branch-budget", "1", "--node-budget", "3"]
+            ["analyze", fx("nslx.proto"), "--secret", "NB", "--branch-budget", "1", "--node-budget", "3",
+             "--json", str(out)]
         )
         assert code == 3
+        # the report names the budgets that ran out and the secret being checked
+        results = json.loads(out.read_text())["results"]
+        assert results["exhausted"] == [{"secret": "const(nb1:Nonce)", "budgets": ["node", "branch"]}]
+        assert "const(nb1:Nonce): out of node and branch budget" in capsys.readouterr().out
+
+    def test_exhausted_only_on_inconclusive_reports(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_command(["analyze", fx("p2.proto"), "--json", str(out)]) == 0
+        assert "exhausted" not in json.loads(out.read_text())["results"]
 
     def test_reports_byte_identical_modulo_elapsed(self, tmp_path):
         docs = []
