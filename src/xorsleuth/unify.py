@@ -2,11 +2,11 @@
 
 ``unify_std`` handles the free constructors (with commutative shared keys),
 ``unify_acun`` solves pure XOR problems by Gaussian elimination over GF(2),
-and ``bsca_unify`` combines the two (Baader–Schulz, JSC 1996): it rejects
-mixed equations whose sides clash through free constructors alone, purifies
-the rest, searches variable identifications and theory splits, solves the
-two pure projections independently, and recombines the partial unifiers
-along a dependency order.
+and ``bsca_unify`` combines the two (Baader–Schulz, JSC 1996): it decomposes
+mixed equations through free constructors, rejecting those whose sides clash
+there, purifies what is left, searches variable identifications and theory
+splits, solves the two pure projections independently, and recombines the
+partial unifiers along a dependency order.
 Every combined candidate is validated against the original equations, so the
 search heuristics can only cost completeness, never soundness.
 """
@@ -139,55 +139,89 @@ def _decompose(s: Term, t: Term) -> list[list[tuple[Term, Term]]] | None:
     return [list(zip(ks, kt))]
 
 
-# where the clash walk stops: heads that are not free constructors or constants
+# where the split walk stops: heads that are not free constructors or constants
 _OPEN = (Var, Xor, Zero)
 
 
-def _ground_xor(t: Term) -> bool:
-    return isinstance(t, Xor) and not vars_of(t)
+def _open_clash(s: Term, t: Term) -> bool:
+    """Do two different canonical terms, one of them a variable, an XOR or
+    ``zero``, have no instances equal modulo SUA by ``_free_split``'s rules?"""
+    if isinstance(s, Var) or isinstance(t, Var):
+        return False
+    for x, y in ((s, t), (t, s)):
+        if isinstance(x, Zero) and not isinstance(y, Xor):
+            return True
+        if isinstance(x, Xor) and not isinstance(y, Xor):
+            if not vars_of(x):
+                return True
+            if not any(isinstance(u, Var) for u in x.items) and (len(x.items) % 2 == 0) != isinstance(y, Zero):
+                return True
+    return False
 
 
-def _free_clash(s: Term, t: Term) -> bool:
-    """Do the canonical terms ``s`` and ``t`` clash at a position reached from
-    the root through free constructors only?
+def _free_split(s: Term, t: Term) -> list[list[tuple[Term, Term]]]:
+    """The systems of open pairs that the canonical equation ``s =? t``
+    reduces to through free constructors, one per alternative (two for each
+    ``sh`` pair that does not clash); an empty list when every alternative
+    clashes, which proves that ``s`` and ``t`` have no unifier.
 
-    The walk pairs the two sides through ``seq``, ``senc``, ``penc``, ``pk``
-    and ``sh`` (both argument orders) with ``_decompose``, and stops at a
-    variable, an XOR or ``zero`` on either side.  It reports a clash when
-    ``_decompose`` does: different constructors, different arities or two
-    different constants; and when a free-headed term (a constructor or a
-    constant) meets a ground XOR.
+    The walk pairs the two sides from the root through ``seq``, ``senc``,
+    ``penc``, ``pk`` and ``sh`` (both argument orders) with ``_decompose``,
+    drops pairs of equal terms, and stops at a variable, an XOR or ``zero``
+    on either side; the pair reached there is open.  An alternative clashes:
+
+    - where ``_decompose`` does: different constructors, different arities
+      or two different constants;
+    - where a free-headed term (a constructor or a constant) or ``zero``
+      meets a ground XOR;
+    - where a free-headed term meets ``zero``;
+    - where an XOR none of whose summands is a variable meets a free-headed
+      term, if it has an even number of summands, or ``zero``, if odd.
 
     Soundness: normalization keeps the head of a term whose head is free,
     and so does every instance (a substitution replaces variables only), and
     the free constructors are injective modulo SUA (``sh`` up to the order
     of its two arguments).  So ``normalize(σ(f(s…))) == normalize(σ(g(t…)))``
-    needs ``f == g``, equal arity and, argument by argument, the same
-    equation one level down; two different constants never become equal.
-    A canonical ground XOR is its own only instance and keeps its XOR head,
-    which no instance of a free-headed term normalizes to.  A clash reached
-    that way is therefore a proof that no substitution, well sorted or not,
-    unifies ``s`` and ``t`` modulo SUA.  A variable or an XOR with variables
-    is left alone, since an instance of it can take any head; ``zero`` is
-    left alone with the XOR theory it belongs to.
+    holds exactly when ``f == g``, the arities agree and, for one argument
+    order, σ solves every argument pair modulo SUA: every unifier of
+    ``s =? t`` unifies every pair of some returned system, and a unifier of
+    every pair of one system unifies ``s =? t``.  Two different constants
+    never become equal, and no instance of a free-headed term normalizes to
+    ``zero`` or to an XOR.  A canonical ground XOR is its own only instance:
+    neither free-headed nor ``zero``.  An instance of an XOR of free-headed
+    summands sums free-headed terms, which normalization cancels in equal
+    pairs and never flattens, so it normalizes to ``zero`` (no summand
+    left), to one free-headed term (one left) or to an XOR (more left), and
+    the parity of the summand count never changes: an even count never
+    leaves one summand and an odd count never leaves none.  Each clash is
+    therefore a proof that no substitution, well sorted or not, solves the
+    alternative.  A variable or an XOR with a variable summand is left
+    open, since an instance of it can take any head.
     """
-    stack = [(s, t)]
+    systems: list[list[tuple[Term, Term]]] = []
+    stack: list[tuple[list[tuple[Term, Term]], list[tuple[Term, Term]]]] = [([(s, t)], [])]
     while stack:
-        s, t = stack.pop()
-        if s == t:
-            continue
-        if isinstance(s, _OPEN) or isinstance(t, _OPEN):
-            if _ground_xor(s) and not isinstance(t, _OPEN) or _ground_xor(t) and not isinstance(s, _OPEN):
-                return True
-            continue
-        alternatives = _decompose(s, t)
-        if alternatives is None:
-            return True
-        if len(alternatives) == 1:
-            stack.extend(alternatives[0])
-        elif all(any(_free_clash(a, b) for a, b in alt) for alt in alternatives):
-            return True
-    return False
+        todo, open_pairs = stack.pop()
+        while todo:
+            s, t = todo.pop()
+            if s == t:
+                continue
+            if isinstance(s, _OPEN) or isinstance(t, _OPEN):
+                if _open_clash(s, t):
+                    break
+                if (s, t) not in open_pairs:
+                    open_pairs.append((s, t))
+                continue
+            alternatives = _decompose(s, t)
+            if alternatives is None:
+                break
+            for alt in alternatives[1:]:
+                stack.append((todo + alt[::-1], list(open_pairs)))
+            todo.extend(alternatives[0][::-1])
+        else:
+            if open_pairs not in systems:
+                systems.append(open_pairs)
+    return systems
 
 
 def unify_std(equations) -> tuple[Substitution, ...]:
@@ -407,10 +441,15 @@ def purify(problem: UnificationProblem) -> PurifyResult:
     """Split mixed equations into theory-pure ones via fresh abstraction variables.
 
     Each maximal alien subterm is replaced by a fresh variable and equated to
-    it in the alien's own theory; identical aliens share one variable.
+    it in the alien's own theory; identical aliens share one variable.  The
+    abstraction variables are the ``#v<i>`` names that the problem does not
+    already use, in order of ``i``.
     """
     out: list[Equation] = []
     by_term: dict[Term, Var] = {}
+    fresh = _fresh_names(
+        ABSTRACTION_PREFIX, {v.name for eq in problem.equations for v in vars_of(eq.left) | vars_of(eq.right)}
+    )
     for eq in problem.equations:
         left, right = normalize(eq.left), normalize(eq.right)
         heads = {_head_theory(left), _head_theory(right)} - {None}
@@ -420,28 +459,35 @@ def purify(problem: UnificationProblem) -> PurifyResult:
             (root,) = heads
         else:
             root = Theory.STD
-        pl = _abstract(left, root, out, by_term)
-        pr = _abstract(right, root, out, by_term)
+        pl = _abstract(left, root, out, by_term, fresh)
+        pr = _abstract(right, root, out, by_term, fresh)
         out.append(Equation(normalize(pl), normalize(pr), root))
 
     abstraction = sorted(((v, t) for t, v in by_term.items()), key=lambda kv: term_key(kv[0]))
     return PurifyResult(tuple(out), tuple(abstraction))
 
 
-def _abstract(t: Term, theory: Theory, out: list[Equation], by_term: dict[Term, Var]) -> Term:
+def _fresh_names(prefix: str, taken: set[str]) -> Iterator[str]:
+    """``prefix`` followed by 0, 1, 2, …, skipping the names in ``taken``."""
+    return (name for name in (f"{prefix}{i}" for i in itertools.count()) if name not in taken)
+
+
+def _abstract(
+    t: Term, theory: Theory, out: list[Equation], by_term: dict[Term, Var], fresh: Iterator[str]
+) -> Term:
     """``t`` with each maximal subterm alien to ``theory`` replaced by its
-    abstraction variable; a new alien gets the next ``#v`` variable and its
+    abstraction variable; a new alien gets the next ``fresh`` name and its
     own (purified) equation in ``out``."""
     if is_atom(t):
         return t
     ht = _head_theory(t)
     if ht == theory:
-        return normalize(with_children(t, tuple(_abstract(c, theory, out, by_term) for c in children(t))))
+        return normalize(with_children(t, tuple(_abstract(c, theory, out, by_term, fresh) for c in children(t))))
     if t in by_term:
         return by_term[t]
-    v = Var(f"{ABSTRACTION_PREFIX}{len(by_term)}", Sort.DATA)
+    v = Var(next(fresh), Sort.DATA)
     by_term[t] = v
-    out.append(Equation(v, _abstract(t, ht, out, by_term), ht))
+    out.append(Equation(v, _abstract(t, ht, out, by_term, fresh), ht))
     return v
 
 
@@ -652,28 +698,52 @@ def _subsets_by_size(items: list[Var]) -> Iterator[frozenset[Var]]:
             yield frozenset(combo)
 
 
+def _has_xor(eqs: Iterable[Equation]) -> bool:
+    return any(isinstance(s, (Xor, Zero)) for e in eqs for s in subterms(e.left) | subterms(e.right))
+
+
+def _pure_acun(eqs: Iterable[Equation]) -> bool:
+    return all(is_pure(e.left, Theory.ACUN) and is_pure(e.right, Theory.ACUN) for e in eqs)
+
+
+def _split_problem(eqs: Sequence[Equation]) -> list[tuple[Equation, ...]]:
+    """The alternative systems that ``_free_split`` reduces the equations to
+    together: one open pair system per equation, in every combination."""
+    systems: list[tuple[Equation, ...]] = [()]
+    for e in eqs:
+        systems = [
+            system + tuple(Equation(s, t, Theory.SUA) for s, t in alt)
+            for system in systems
+            for alt in _free_split(e.left, e.right)
+        ]
+    return systems
+
+
 def bsca_unify(
     problem: UnificationProblem, budget: SearchBudget | None = None
 ) -> tuple[tuple[Substitution, ...], BscaTrace]:
     """Unifiers modulo the combined theory, with a search trace.
 
     Pure problems are dispatched straight to the single-theory algorithms.
-    A mixed problem with a free clash (``_free_clash``: a constructor, arity
-    or constant clash, or a free-headed term against a ground XOR, reached
-    from an equation's root through free symbols only) is rejected before
-    the combination runs, with shortcut ``clash``, no configurations tried
-    and a complete search.  That is sound because normalization and every
-    instance keep a free head and the free constructors are injective, and
-    a ground XOR is its own only instance, so such a clash rules out every
-    unifier modulo SUA; it is how tagging keeps encryptions of differently
-    tagged protocols apart even when XOR sits below the tag.  Other mixed
-    problems are purified; identifications are enumerated over the
-    variables of XOR equations (identity partition first), single-theory
-    variables are assigned their forced component, and for each configuration the
-    two pure systems are solved and recombined.  Candidates are kept only if
-    they satisfy the original equations modulo the combined theory.  An
-    exhausted budget with no unifier raises :class:`BudgetExhausted`; a
-    completed search with no unifier is a definitive failure.
+    A mixed problem is first decomposed through free constructors
+    (``_free_split``): each equation becomes the open pairs below its
+    free-headed positions, in one alternative system per choice of ``sh``
+    argument order.  When every alternative clashes (see ``_free_split`` for
+    the rules and their soundness argument) the problem has no unifier; it
+    is rejected with shortcut ``clash``, no configurations tried and a
+    complete search.  This is how tagging keeps encryptions of differently
+    tagged protocols apart even when XOR sits below the tag.  Otherwise the
+    unifiers of the problem are those of its alternative systems, since a
+    substitution unifies the equations exactly when it unifies every pair
+    of some alternative.  A system without XOR goes to ``unify_std``, a pure
+    XOR one to ``unify_acun``, and the rest to the combination search
+    (``_combination``), which shares one configuration budget across the
+    systems.  An equation with an XOR at the root is its own only system
+    unless its sides are equal or clash there.
+    Candidates are kept only if they satisfy the original equations modulo
+    the combined theory.  An exhausted budget with no unifier raises
+    :class:`BudgetExhausted`; a completed search with no unifier is a
+    definitive failure.
     """
     budget = budget or SearchBudget()
     orig = [e.normalized() for e in problem.equations]
@@ -692,16 +762,11 @@ def bsca_unify(
         good.sort(key=lambda s: tuple((term_key(v), term_key(t)) for v, t in s.items()))
         return tuple(good)
 
-    has_xor = any(
-        isinstance(s, (Xor, Zero))
-        for e in orig
-        for s in subterms(e.left) | subterms(e.right)
-    )
-    if not has_xor:
+    if not _has_xor(orig):
         trace.shortcut = "std"
         trace.unifiers = validated(unify_std(orig))
         return trace.unifiers, trace
-    if all(is_pure(e.left, Theory.ACUN) and is_pure(e.right, Theory.ACUN) for e in orig):
+    if _pure_acun(orig):
         trace.shortcut = "acun"
         trace.gamma5_2 = tuple(orig)
         acun_result = unify_acun(orig)
@@ -709,14 +774,60 @@ def bsca_unify(
             trace.sigma2 = acun_result[0]
         trace.unifiers = validated(acun_result)
         return trace.unifiers, trace
-    if any(_free_clash(e.left, e.right) for e in orig):
+    systems = _split_problem(orig)
+    if not systems:
         trace.shortcut = "clash"
         return trace.unifiers, trace
 
-    pure = purify(UnificationProblem(tuple(orig), Theory.SUA))
+    found: list[Substitution] = []
+    configs = 0
+    complete = True
+    for system in systems:
+        if not _has_xor(system):
+            cands = validated(unify_std(system))
+        elif _pure_acun(system):
+            cands = validated(unify_acun(system))
+        else:
+            tried, done = _combination(system, budget.max_configs - configs, validated, trace, found)
+            configs += tried
+            complete = complete and done
+            continue
+        found.extend(s for s in cands if s not in found)
+
+    trace.configs_tried = configs
+    trace.complete = complete
+    found.sort(key=lambda s: tuple((term_key(v), term_key(t)) for v, t in s.items()))
+    trace.unifiers = tuple(found)
+    if not found and not complete:
+        raise BudgetExhausted(
+            f"combination search stopped after {configs} configurations without completing"
+        )
+    return trace.unifiers, trace
+
+
+def _combination(
+    system: tuple[Equation, ...],
+    max_configs: int,
+    validated,
+    trace: BscaTrace,
+    found: list[Substitution],
+) -> tuple[int, bool]:
+    """The Baader–Schulz combination search on one mixed system.
+
+    The system is purified; identifications are enumerated over the
+    variables of XOR equations (identity partition first), single-theory
+    variables are assigned their forced component, and for each
+    configuration the two pure systems are solved and recombined.  Each
+    recombined unifier that ``validated`` keeps is added to ``found``; until
+    ``found`` holds one, ``trace`` takes this system's purified equations,
+    and the stages of its first success.  Returns the configurations tried
+    (at most ``max_configs``) and whether the search completed.
+    """
+    pure = purify(UnificationProblem(system, Theory.SUA))
     gamma2 = pure.equations
-    trace.gamma1 = gamma2
-    trace.gamma2 = gamma2
+    if not found:
+        trace.gamma1 = gamma2
+        trace.gamma2 = gamma2
 
     acun_vars = sorted(
         {v for e in gamma2 if e.theory is Theory.ACUN for v in vars_of(e.left) | vars_of(e.right)},
@@ -731,11 +842,9 @@ def bsca_unify(
         partitions = [tuple((v,) for v in acun_vars)]
         complete = False
 
-    found: list[Substitution] = []
-    seen: set[Substitution] = set()
+    taken = {u.name for e in gamma2 for u in subterms(e.left) | subterms(e.right) if isinstance(u, Const)}
     failed_pure: set[tuple] = set()
     configs = 0
-    first_success_recorded = False
     stop = False
 
     for partition in partitions:
@@ -752,7 +861,7 @@ def bsca_unify(
         shared = sorted(std_vars & acun_now, key=term_key)
 
         for to_v2 in _subsets_by_size(shared):
-            if configs >= budget.max_configs:
+            if configs >= max_configs:
                 complete = False
                 stop = True
                 break
@@ -760,11 +869,11 @@ def bsca_unify(
             v1 = sorted((std_vars - acun_now) | (set(shared) - to_v2), key=term_key)
             v2 = sorted((acun_now - std_vars) | to_v2, key=term_key)
             beta_bindings: dict[Var, Term] = {}
-            counter = itertools.count()
+            names = _fresh_names(GROUNDING_PREFIX, taken)
             for v in sorted(set(v1) & acun_now, key=term_key):
-                beta_bindings[v] = Const(f"{GROUNDING_PREFIX}{next(counter)}", v.sort)
+                beta_bindings[v] = Const(next(names), v.sort)
             for v in sorted(set(v2) & std_vars, key=term_key):
-                beta_bindings[v] = Const(f"{GROUNDING_PREFIX}{next(counter)}", v.sort)
+                beta_bindings[v] = Const(next(names), v.sort)
             beta = Substitution(beta_bindings)
             g51 = _apply_to_eqs(beta.restrict(v2), g41)
             g52 = _apply_to_eqs(beta.restrict(v1), g42)
@@ -799,11 +908,7 @@ def bsca_unify(
                         continue
                     for cand in validated([full]):
                         produced = True
-                        if cand not in seen:
-                            seen.add(cand)
-                            found.append(cand)
-                        if not first_success_recorded:
-                            first_success_recorded = True
+                        if not found:
                             trace.var_idp = partition
                             trace.gamma3 = gamma3
                             trace.gamma4_1 = g41
@@ -815,18 +920,12 @@ def bsca_unify(
                             trace.gamma5_2 = g52
                             trace.sigma1 = sigma1
                             trace.sigma2 = sigma2
+                        if cand not in found:
+                            found.append(cand)
             if not produced:
                 failed_pure.add(sig)
 
-    trace.configs_tried = configs
-    trace.complete = complete
-    found.sort(key=lambda s: tuple((term_key(v), term_key(t)) for v, t in s.items()))
-    trace.unifiers = tuple(found)
-    if not found and not complete:
-        raise BudgetExhausted(
-            f"combination search stopped after {configs} configurations without completing"
-        )
-    return trace.unifiers, trace
+    return configs, complete
 
 
 def unify_sua(m: Term, t: Term, budget: SearchBudget | None = None) -> tuple[tuple[Substitution, ...], bool]:

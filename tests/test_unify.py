@@ -230,6 +230,11 @@ class TestPurify:
         # the first emitted equation abstracts the left-hand encryption
         assert std_eqs[0].right == lhs and std_eqs[0].left == main.left
 
+    def test_abstraction_variables_avoid_problem_names(self):
+        v0, v2 = var("#v0", Sort.DATA), var("#v2", Sort.NONCE)
+        res = purify(sua_problem((seq(v0, xor(X, v2)), xor(senc(c, d), seq(d, e)))))
+        assert [v.name for v, _ in res.abstraction] == ["#v1", "#v3", "#v4", "#v5"]
+
 
 class TestIdentifications:
     def test_counts_follow_bell_numbers(self):
@@ -353,6 +358,21 @@ class TestUnifySua:
         unifiers, complete = unify_sua(lhs, rhs, SearchBudget(max_configs=1))
         assert unifiers == () and not complete
 
+    def test_variable_named_like_an_abstraction_variable(self):
+        # the abstraction of senc(d1, k) must not take the name #v0, which
+        # the problem already gives a variable
+        v0, k = var("#v0", Sort.DATA), const("k", Sort.KEY)
+        d1, d2 = const("d1", Sort.DATA), const("d2", Sort.DATA)
+        unifiers, complete = unify_sua(seq(v0, xor(X, d2)), seq(d1, xor(senc(d1, k), d2)))
+        assert complete and unifiers == (Substitution({v0: d1, X: senc(d1, k)}),)
+
+    def test_constant_named_like_a_grounding_constant(self):
+        # a grounding constant named #c0 would be inverted back together
+        # with the problem's own #c0
+        c0, k = const("#c0", Sort.DATA), const("k", Sort.KEY)
+        unifiers, complete = unify_sua(xor(senc(X, k), Y), xor(senc(c0, k), d))
+        assert complete and Substitution({X: c0, Y: d}) in unifiers
+
 
 # -- randomized soundness sweep ---------------------------------------------------
 
@@ -397,7 +417,7 @@ def test_is_instance_of():
     assert not is_instance_of(general, special, [X, Y])
 
 
-# -- free-clash pre-check ----------------------------------------------------------
+# -- free split ----------------------------------------------------------------------
 
 t1 = const("t1", Sort.TAG)
 t5 = const("t5", Sort.TAG)
@@ -413,24 +433,62 @@ def outcome(problem, budget=None):
 
 
 def unfiltered(problem, budget=None):
-    """``outcome`` with the free-clash pre-check switched off."""
-    with mock.patch.object(unify, "_free_clash", return_value=False):
+    """``outcome`` with ``_free_split`` returning each equation unchanged, so
+    that every mixed problem goes whole to the combination search."""
+    with mock.patch.object(unify, "_free_split", lambda s, t: [[(s, t)]]):
         return outcome(problem, budget)
 
 
 def assert_agrees_with_unfiltered(problem, budget=None):
-    """A clash is a proof that the full search finds nothing; without one,
-    both paths run the same search and return the same trace."""
-    filtered, full = outcome(problem, budget), unfiltered(problem, budget)
-    if filtered is not None and filtered[1].shortcut == "clash":
-        assert filtered[0] == () and filtered[1].complete and filtered[1].configs_tried == 0
+    """A clash is a proof that the whole-equation search finds nothing.
+    Otherwise the split search completes wherever the whole-equation search
+    does (it may also complete where the other runs out of budget), both
+    then give the same answer (some unifier or none), and every unifier σ
+    of the whole-equation search is an instance of a split one τ:
+    ``σ(τ(x)) = σ(x)`` modulo SUA for every problem variable x, which for
+    an idempotent τ says that σ = θ∘τ for some θ.  Returns whether the
+    split found a clash."""
+    split, full = outcome(problem, budget), unfiltered(problem, budget)
+    if split is not None and split[1].shortcut == "clash":
+        assert split[0] == () and split[1].complete and split[1].configs_tried == 0
         assert full is None or full[0] == (), f"clash rejected a unifiable problem: {problem}"
         return True
-    assert (filtered is None) == (full is None)
-    if full is not None:
-        assert filtered[0] == full[0]
-        assert filtered[1].to_json_dict() == full[1].to_json_dict()
+    if full is None:
+        return False
+    assert split is not None and (split[1].complete or not full[1].complete), problem
+    if not split[1].complete:
+        return False
+    assert bool(split[0]) == bool(full[0]) or not full[1].complete, problem
+    xs = frozenset().union(*(vars_of(e.left) | vars_of(e.right) for e in problem.equations))
+    for sigma in full[0]:
+        assert any(
+            tau.is_idempotent()
+            and all(equal_mod(Theory.SUA, sigma.apply(tau.apply(x)), sigma.apply(x)) for x in xs)
+            for tau in split[0]
+        ), f"{sigma} is an instance of no split unifier of {problem}"
     return False
+
+
+def tagged_pairs():
+    """Pairs shaped like the corpus encryptions: ``enc(seq(tag, mid…,
+    xor(seq(tag,X), seq(tag,Y))), key)`` against the same shape with the
+    same tag or another one, with ground or variable nonces, and against
+    ``zero`` in the XOR's place."""
+    n1, n2, n3 = (const(f"n{i}", Sort.NONCE) for i in (1, 2, 3))
+    X_, Y_, M_ = (var(n, Sort.NONCE) for n in ("X", "Y", "M"))
+    out = []
+    for enc, key in ((senc, sh(a, b)), (penc, pk(a))):
+        for mids, ground_mids in (((), ()), ((M_,), (n3,))):
+            def shaped(tag, xv, yv, ms, mask=None):
+                mask = xor(seq(tag, xv), seq(tag, yv)) if mask is None else mask
+                return enc(seq(tag, *ms, mask), key)
+
+            pattern = shaped(t1, X_, Y_, mids)
+            out.append((pattern, shaped(t1, n1, n2, ground_mids)))
+            out.append((pattern, shaped(t5, n1, n2, ground_mids)))
+            out.append((shaped(t1, X_, n1, mids), shaped(t1, n1, n2, ground_mids)))
+            out.append((pattern, shaped(t1, n1, n2, ground_mids, ZERO)))
+    return out
 
 
 class TestFreeClash:
@@ -452,11 +510,21 @@ class TestFreeClash:
                 senc(seq(t1, xor(seq(t1, var("N21", Sort.NONCE)), seq(t1, const("n11", Sort.NONCE)))), sh(a, b)),
                 xor(seq(t5, const("c1", Sort.NONCE)), seq(t5, ZERO)),
             ),
+            # a free-headed term against zero, and zero against a ground XOR
+            (seq(c, ZERO), seq(c, d)),
+            (senc(c, sh(a, b)), ZERO),
+            (seq(c, xor(c, d)), seq(c, ZERO)),
+            # an even XOR without variable summands against a free-headed term
+            (xor(seq(t1, X), seq(t1, Y)), pk(a)),
+            (seq(t1, xor(pk(A), seq(t1, X))), seq(t1, sh(a, b))),
+            (seq(t1, xor(seq(t1, X), penc(Y, pk(a)))), seq(t1, senc(X, sh(a, b)))),
+            # an odd one against zero
+            (seq(t1, xor(seq(t1, X), seq(t1, Y), c)), seq(t1, ZERO)),
         ],
     )
     def test_clash_through_free_symbols(self, s, t):
-        assert unify._free_clash(s, t) and unify._free_clash(t, s)
-        # the search without the pre-check finds no unifier either
+        assert unify._free_split(s, t) == [] and unify._free_split(t, s) == []
+        # the search without the split finds no unifier either
         full = unfiltered(sua_problem((s, t)))
         assert full is not None and full[0] == () and full[1].complete
 
@@ -465,13 +533,25 @@ class TestFreeClash:
         [
             (seq(t1, X), seq(Y, c)),
             (seq(t1, xor(X, c)), seq(t1, seq(t5, d))),
-            (seq(c, ZERO), seq(c, d)),
+            (seq(c, ZERO), seq(c, xor(X, d))),
             (senc(c, sh(A, a)), senc(c, sh(b, a))),
             (senc(c, sh(A, B)), senc(c, sh(a, b))),
+            (seq(c, xor(X, d)), seq(c, pk(a))),
+            (seq(t1, xor(seq(t1, X), seq(t1, Y), c)), seq(t1, pk(a))),
         ],
     )
     def test_no_clash_below_variables_xor_zero_or_either_sh_order(self, s, t):
-        assert not unify._free_clash(s, t) and not unify._free_clash(t, s)
+        assert unify._free_split(s, t) and unify._free_split(t, s)
+
+    def test_split_pairs_open_positions_per_sh_order(self):
+        assert unify._free_split(senc(seq(c, xor(X, d)), sh(A, B)), senc(seq(c, Y), sh(a, b))) == [
+            [(xor(X, d), Y), (A, a), (B, b)],
+            [(xor(X, d), Y), (A, b), (B, a)],
+        ]
+        # the order that pairs A with b clashes at the constants
+        assert unify._free_split(senc(X, sh(A, a)), senc(Y, sh(b, a))) == [[(X, Y), (A, b)]]
+        # a root XOR is its own only open pair
+        assert unify._free_split(xor(X, c), pk(A)) == [[(xor(X, c), pk(A))]]
 
     def test_tagged_xor_pair_is_decided(self):
         # the combination search alone runs out of its 20,000-configuration
@@ -482,6 +562,19 @@ class TestFreeClash:
         rhs = senc(seq(t5, xor(seq(t5, c1), seq(t5, c2), seq(t5, c3))), sh(a, b))
         assert unify_sua(lhs, rhs) == ((), True)
         unifiers, trace = bsca_unify(sua_problem((lhs, rhs)))
+        assert (unifiers, trace.shortcut, trace.configs_tried, trace.complete) == ((), "clash", 0, True)
+
+    def test_q1_calls_split_below_the_encryption(self):
+        N21 = var("N21", Sort.NONCE)
+        n11, n21 = const("n11", Sort.NONCE), const("n21", Sort.NONCE)
+        lhs = senc(seq(t1, xor(seq(t1, N21), seq(t1, n11))), sh(a, b))
+        rhs = senc(seq(t1, xor(seq(t1, n11), seq(t1, n21))), sh(a, b))
+        # 427 configurations for the whole equation
+        unifiers, trace = bsca_unify(sua_problem((lhs, rhs)))
+        assert unifiers == (Substitution({N21: n21}),)
+        assert trace.complete and trace.configs_tried <= 20
+        # 88 configurations for the whole equation
+        unifiers, trace = bsca_unify(sua_problem((lhs, ZERO)))
         assert (unifiers, trace.shortcut, trace.configs_tried, trace.complete) == ((), "clash", 0, True)
 
     def test_q1_q5_tag_clash_call_reports_clash(self):
@@ -512,6 +605,10 @@ class TestFreeClash:
         clashes = [assert_agrees_with_unfiltered(sua_problem(p)) for p in problems()]
         # criterion 2's problems are all unifiable; some of criterion 3's clash
         assert (problems is criterion_2_problems) == (not any(clashes))
+
+    def test_agrees_with_unfiltered_search_on_tagged_pairs(self):
+        clashes = [assert_agrees_with_unfiltered(sua_problem(p)) for p in tagged_pairs()]
+        assert clashes == [False, True, False, False] * 4
 
 
 @given(_mixed_terms, _mixed_terms)
