@@ -4,7 +4,8 @@ Subcommands wire the protocol parser, the static checkers, the secrecy
 solver, and the ground-derivation oracle into reproducible reports.  Exit
 codes: 0 = secure / check passed, 1 = attack found / check violated,
 2 = usage or input error (input nested too deeply included), 3 =
-inconclusive (a budget was exhausted).
+inconclusive (a search budget was exhausted, or the oracle's closure was
+cut before it could confirm or refute a trace).
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+# `verify_solution`'s outcome: confirmed, refuted, undecided
+_ORACLE_TEXT = {True: "confirmed", False: "NOT confirmed", None: "undecided (closure cut by its bounds)"}
+_ORACLE_EXIT = {True: EXIT_OK, False: EXIT_VIOLATED, None: EXIT_INCONCLUSIVE}
 
 
 def _sha256(path: str) -> str:
@@ -225,7 +230,7 @@ def _cmd_analyze(args) -> int:
         cs = ConstraintSequence(result.attack.constraints, result.attack.substitution)
         confirmed = verify_solution(cs, result.attack.substitution)
         results["oracle_verified"] = confirmed
-        print(f"  oracle: {'confirmed' if confirmed else 'NOT confirmed'}")
+        print(f"  oracle: {_ORACLE_TEXT[confirmed]}")
 
     env = _envelope(
         "analyze",
@@ -296,8 +301,8 @@ def _trace_digest(cs: ConstraintSequence) -> str:
 def _cmd_oracle_verify(args) -> int:
     cs = _load_trace(args.trace)
     confirmed = verify_solution(cs, cs.subst)
-    code = EXIT_OK if confirmed else EXIT_VIOLATED
-    print("trace confirmed" if confirmed else "trace NOT confirmed")
+    code = _ORACLE_EXIT[confirmed]
+    print(f"trace {_ORACLE_TEXT[confirmed]}")
     env = _envelope(
         "oracle-verify", {os.path.basename(args.trace): _trace_digest(cs)}, {}, {"confirmed": confirmed}, code
     )

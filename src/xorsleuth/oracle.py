@@ -4,7 +4,10 @@ Computes the attacker's derivable-term closure over *ground* terms: pairing
 and unpairing, symmetric encryption/decryption with a derived key, asymmetric
 decryption only of terms keyed to the attacker's own public key, and XOR of
 any two derived terms.  The closure modulo XOR is infinite, so rounds and a
-size cap bound it; hitting the cap is recorded, never silently ignored.
+size cap bound it; hitting the cap is recorded, never silently ignored, and
+a closure that either bound cut answers no question negatively: the checks
+here are three-valued (True derivable or confirmed, False refuted, None
+undecided).
 
 This module deliberately re-derives nothing from the symbolic solver: it is
 the independent check that a reported attack substitution really lets the
@@ -43,9 +46,14 @@ class NonGround(XorsleuthError):
 
 @dataclass(frozen=True)
 class GroundKnowledge:
+    """``complete``: the closure reached its fixed point, so a term outside
+    ``terms`` is not derivable; False when the size cap or the rounds cut
+    it short (``capped`` tells the cap apart)."""
+
     terms: frozenset[Term]
     depth: int
     capped: bool
+    complete: bool
 
     def __contains__(self, t: Term) -> bool:
         return normalize(t) in self.terms
@@ -95,6 +103,7 @@ def dy_closure(
         for t in compose_targets:
             targets.update(subterms(normalize(t)))
     capped = False
+    complete = False
     depth = 0
     recent: set[Term] = set(known)  # terms not yet combined against everything
 
@@ -162,6 +171,7 @@ def dy_closure(
             capped = True
 
         if not frontier:
+            complete = not capped
             break
         depth += 1
         known |= frontier
@@ -169,7 +179,7 @@ def dy_closure(
         if capped:
             break
 
-    return GroundKnowledge(frozenset(known), depth, capped)
+    return GroundKnowledge(frozenset(known), depth, capped, complete)
 
 
 def _xor_units(t: Term) -> tuple[Term, ...]:
@@ -229,22 +239,29 @@ def _xor_span_extract(known: set[Term], targets: set[Term]) -> list[Term]:
     return sorted(out, key=term_key)
 
 
-def derivable(goal: Term, initial: Iterable[Term], rounds: int = 6, size_cap: int = 20_000) -> bool:
+def derivable(goal: Term, initial: Iterable[Term], rounds: int = 6, size_cap: int = 20_000) -> bool | None:
     """Whether `goal` is in the closure of `initial`, with construction
-    restricted to subterms of the goal and the initial terms."""
+    restricted to subterms of the goal and the initial terms: True when it
+    is, False when it is not and the closure is complete, None (undecided)
+    when it is not in a closure that the rounds or the size cap cut short."""
     goal = normalize(goal)
     initial = [normalize(t) for t in initial]
     k = dy_closure(initial, rounds, size_cap, compose_targets=[goal, *initial])
-    return goal in k
+    if goal in k:
+        return True
+    return False if k.complete else None
 
 
-def verify_solution(cs, solution: Substitution, rounds: int = 6, size_cap: int = 20_000) -> bool:
+def verify_solution(cs, solution: Substitution, rounds: int = 6, size_cap: int = 20_000) -> bool | None:
     """Independent check of a solver solution on the original sequence.
 
     Variables the solver left unconstrained are the attacker's free choices;
     they are instantiated with the attacker's own name before grounding.
-    True iff every original constraint's instantiated target is derivable
-    from its instantiated term set.
+    True (confirmed) iff every original constraint's instantiated target is
+    derivable from its instantiated term set; False (refuted) when some
+    target is not derivable (`derivable` is False); otherwise None
+    (undecided: a truncated closure left some target open).  Only a
+    confirmation is truthy.
     """
     leftover: dict[Var, Term] = {}
     for c in cs.constraints:
@@ -252,10 +269,14 @@ def verify_solution(cs, solution: Substitution, rounds: int = 6, size_cap: int =
             for v in vars_of(solution.apply(t)):
                 leftover.setdefault(v, ATTACKER)
     sigma = solution.compose(Substitution(leftover)) if leftover else solution
+    outcome: bool | None = True
     for c in cs.constraints:
         goal = sigma.apply(c.target)
         terms = [sigma.apply(t) for t in c.term_set]
         _require_ground([goal, *terms])
-        if not derivable(goal, terms, rounds, size_cap):
+        found = derivable(goal, terms, rounds, size_cap)
+        if found is False:
             return False
-    return True
+        if found is None:
+            outcome = None
+    return outcome

@@ -21,7 +21,7 @@ import enum
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 from .protocol import PK_EPS, RECV, SEND, Iik, Node, SemiBundle, build_iik, make_semibundle, FreshSession, Protocol
 from .terms import (
@@ -125,9 +125,11 @@ class RuleStep:
 @dataclass(frozen=True)
 class SolverBudget:
     """Search limits: ``max_depth`` rule applications along one path (the
-    branch budget), ``max_nodes`` states expanded in one `satisfiable` call
-    (in `check_secrecy`, one secret's whole search over all its
-    interleavings), and the unifier search of `un`/`ksub`."""
+    branch budget; a nested search of a ground constraint counts its depth
+    from the state that started it), ``max_nodes`` states expanded in one
+    `satisfiable` call, nested searches included (in `check_secrecy`, one
+    secret's whole search over all its interleavings), and the unifier
+    search of `un`/`ksub`."""
 
     max_depth: int = 64
     max_nodes: int = 200_000
@@ -490,10 +492,38 @@ def _canonical_key(cs: ConstraintSequence, tokens: Tokens) -> str:
     return f"{key}|{p.positions}|{','.join(map(token, p.images))}"
 
 
-def _stats(nodes: int, peak_depth: int, reached: set[tuple[str, ...]], exhausted: set[str]) -> dict:
+def _ground(c: Constraint) -> bool:
+    """The target and every member of the term set are ground."""
+    return not vars_of(c.target) and not any(vars_of(t) for t in c.term_set)
+
+
+class _Shared:
+    """What the searches of one `satisfiable` call share: the budget, the
+    token table (`_canonical_key`), the node count and peak depth, and the
+    table of ground constraints (`_ground`): ``decided`` maps one to whether
+    it is derivable, and ``tried`` holds those whose nested search has
+    started (it may still be running, or a budget cut it)."""
+
+    __slots__ = ("budget", "tokens", "nodes", "peak_depth", "decided", "tried")
+
+    def __init__(self, budget: SolverBudget) -> None:
+        self.budget = budget
+        self.tokens: Tokens = {}
+        self.nodes = 0
+        self.peak_depth = 0
+        self.decided: dict[Constraint, bool] = {}
+        self.tried: set[Constraint] = set()
+
+
+# A search yields (ground constraint, depth) to have it decided by a nested
+# search, and is sent back that search's status.
+Search = Generator[tuple[Constraint, int], SolveStatus, SolverResult]
+
+
+def _stats(shared: _Shared, reached: set[tuple[str, ...]], exhausted: set[str]) -> dict:
     return {
-        "nodes": nodes,
-        "peak_depth": peak_depth,
+        "nodes": shared.nodes,
+        "peak_depth": shared.peak_depth,
         "sequences": len(reached),
         "exhausted": [b for b in BUDGETS if b in exhausted],
     }
@@ -522,20 +552,67 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
     state key holds the strand positions and the pending images, so two
     states merge only when everything they will still place agrees.
 
-    ``stats``: ``nodes`` and ``peak_depth``; ``sequences``, the
-    interleavings whose secret constraint the search placed (a sequence
-    given whole counts as one); ``exhausted``, the budgets that ran out
-    (`BUDGETS` order).
+    Ground constraints are decided once per call.  The first time an
+    undecided `_ground` constraint is active with something after it (a
+    later constraint, or nodes still to place), a nested search of that
+    constraint alone decides it, with the node budget and the depth that
+    are left: its states count in ``nodes`` and its depths from the state
+    that started it, and it shares the token table and the table of
+    decisions (`_Shared`).  When it ends Unsatisfiable, the constraint is
+    dead, and every state whose active constraint is dead is dropped before
+    it is keyed.  A derivable constraint is still expanded by the rules, so
+    the solutions found and their traces are those of the search without
+    the decisions.  A nested search cut by a budget decides nothing, and
+    the constraint is left to the rules wherever it is active.
+    Soundness: the rules act only at the active constraint, and on a ground
+    one they never substitute (`un` of two ground terms gives the identity
+    or nothing; `ksub` of a ground key other than the attacker's gives
+    nothing).  So below a state with a ground active constraint ``m : T``,
+    until all its descendants are discharged, every state keeps the other
+    constraints as they are and starts with ground descendants of
+    ``m : T``, which the rules reduce as the nested search reduces them.
+    The nested search may apply the member-target discharge where the
+    outer one expands every rule (a ground sequence is originated), but in
+    a ground sequence a discharged constraint's other derivations only
+    lead to the same rest.  So a nested search that ends Unsatisfiable
+    without a budget cut proves that no state below ``m : T`` is solved:
+    dropping the state loses no solution, and every state it would have
+    expanded is unsatisfiable.  A constraint gets at most one nested
+    search, and a search nests only deeper than where it started and
+    short of the depth bound, so nesting is bounded by the depth budget.
+    Nested searches run from a loop here, not by recursion.
+
+    ``stats``: ``nodes`` and ``peak_depth``, nested searches included;
+    ``sequences``, the interleavings whose secret constraint the search
+    placed (a sequence given whole counts as one); ``exhausted``, the
+    budgets that ran out (`BUDGETS` order).
     """
-    budget = budget or SolverBudget()
+    shared = _Shared(budget or SolverBudget())
+    searches = [_search(cs, 0, shared)]
+    status: SolveStatus | None = None
+    while True:
+        try:
+            c, depth = searches[-1].send(status)
+        except StopIteration as done:
+            searches.pop()
+            if not searches:
+                return done.value
+            status = done.value.status
+        else:
+            searches.append(_search(ConstraintSequence((c,)), depth, shared))
+            status = None
+
+
+def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
+    """The search of `satisfiable` from ``cs`` at depth ``depth0``, with its
+    own visited set.  It yields each ground constraint it needs decided,
+    with its depth, and is sent back the status of the nested search."""
+    budget, tokens, decided, tried = shared.budget, shared.tokens, shared.decided, shared.tried
     visited: set[str] = set()
-    tokens: Tokens = {}
     # node ids of the interleavings whose secret constraint was placed
     reached: set[tuple[str, ...]] = set() if cs.pending is not None else {cs.origin}
-    nodes = 0
-    peak_depth = 0
     exhausted: set[str] = set()
-    stack: list[tuple[ConstraintSequence, tuple[RuleStep, ...], int]] = [(cs, (), 0)]
+    stack: list[tuple[ConstraintSequence, tuple[RuleStep, ...], int]] = [(cs, (), depth0)]
 
     while stack:
         cur, trace, depth = stack.pop()
@@ -548,22 +625,30 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
                 reached.add(children[0].origin)
             stack.extend((child, trace, depth) for child in reversed(children))
             continue
+        if active is not None and _ground(active[1]):
+            c = active[1]
+            derivable = decided.get(c)
+            more_after = active[2] or p is not None and not p.done
+            if derivable is None and more_after and c not in tried and depth < budget.max_depth:
+                tried.add(c)
+                status = yield c, depth
+                if status is not SolveStatus.BUDGET_EXHAUSTED:
+                    derivable = decided[c] = status is SolveStatus.SATISFIABLE
+            if derivable is False:
+                continue
         key = _canonical_key(cur, tokens)
         if key in visited:
             continue
         visited.add(key)
-        nodes += 1
-        peak_depth = max(peak_depth, depth)
-        if nodes > budget.max_nodes:
+        shared.nodes += 1
+        shared.peak_depth = max(shared.peak_depth, depth)
+        if shared.nodes > budget.max_nodes:
             exhausted.add("node")
             break
         if active is None:
             solved = cs if p is None else ConstraintSequence(p.placed, EMPTY_SUBST, cur.origin)
             return SolverResult(
-                SolveStatus.SATISFIABLE,
-                ((cur.subst, trace),),
-                _stats(nodes, peak_depth, reached, exhausted),
-                solved,
+                SolveStatus.SATISFIABLE, ((cur.subst, trace),), _stats(shared, reached, exhausted), solved
             )
         if depth >= budget.max_depth:
             # not expanded, so not visited: the same state reached later by
@@ -585,7 +670,7 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
         stack.extend(reversed(expansions))
 
     status = SolveStatus.BUDGET_EXHAUSTED if exhausted else SolveStatus.UNSATISFIABLE
-    return SolverResult(status, (), _stats(nodes, peak_depth, reached, exhausted))
+    return SolverResult(status, (), _stats(shared, reached, exhausted))
 
 
 # -- interleavings ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, reports, golden files, round-trips."""
 
+import functools
 import json
 import os
 import subprocess
@@ -170,6 +171,15 @@ class TestAnalyzeCommand:
         assert results["exhausted"] == [{"secret": "const(nb1:Nonce)", "budgets": ["node", "branch"]}]
         assert "const(nb1:Nonce): out of node and branch budget" in capsys.readouterr().out
 
+    def test_large_branch_budget_still_secure(self, capsys):
+        # nested searches of ground constraints may nest as deep as the
+        # branch budget allows; they run from a loop, so a large budget
+        # cannot turn into "input nested too deeply"
+        code = run_command(["analyze", fx("q1.proto"), "--combined", fx("q3.proto"), "--branch-budget", "5000"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out.startswith("secure up to 1 session(s) per role")
+
     def test_exhausted_only_on_inconclusive_reports(self, tmp_path):
         out = tmp_path / "report.json"
         assert run_command(["analyze", fx("p2.proto"), "--json", str(out)]) == 0
@@ -243,6 +253,30 @@ class TestOracleVerifyCommand:
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
         assert run_command(["oracle-verify", str(tampered)]) == 1
+
+    @pytest.mark.parametrize("bound", [{"rounds": 1}, {"size_cap": 1}], ids=["rounds", "size_cap"])
+    def test_undecided_oracle_is_inconclusive(self, tmp_path, capsys, monkeypatch, bound):
+        # the oracle's closure is cut before it reaches the secret: that is
+        # neither a confirmation nor a refutation
+        from xorsleuth import cli, oracle
+
+        monkeypatch.setattr(cli, "verify_solution", functools.partial(oracle.verify_solution, **bound))
+        report = tmp_path / "attack.json"
+        code = run_command(
+            [
+                "analyze", fx("p1.proto"), "--combined", fx("p2.proto"), "--secret", "NA",
+                "--json", str(report), "--oracle-verify",
+            ]
+        )
+        assert code == 1
+        assert json.loads(report.read_text())["results"]["oracle_verified"] is None
+        assert "oracle: undecided" in capsys.readouterr().out
+        out = tmp_path / "verify.json"
+        assert run_command(["oracle-verify", str(report), "--json", str(out)]) == 3
+        assert "trace undecided" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["results"] == {"confirmed": None}
+        assert doc["exit_code"] == 3
 
     def test_secure_report_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "secure.json"

@@ -196,6 +196,50 @@ class TestVerifySolution:
         assert not verify_solution(cs, Substitution({B: a}))
 
 
+
+# s under two layers of encryption: the closure opens one layer per round
+LAYERED = (SEnc(SEnc(s, k2), k), k, k2)
+# construction restricted as `derivable` restricts it for the goal s
+TARGETS = (s, *LAYERED)
+
+
+class TestUndecided:
+    """A closure cut by its rounds or its size cap refutes nothing."""
+
+    def test_fixed_point_marks_closure_complete(self):
+        know = dy_closure(LAYERED, compose_targets=TARGETS)
+        assert know.complete and not know.capped
+        assert s in know
+
+    def test_rounds_cut_leaves_goal_undecided(self):
+        know = dy_closure(LAYERED, rounds=1, compose_targets=TARGETS)
+        assert not know.complete and not know.capped
+        assert derivable(s, LAYERED, rounds=1) is None
+        assert derivable(s, LAYERED) is True
+
+    def test_size_cap_leaves_goal_undecided(self):
+        # the three terms and zero fill the cap: the first new term overflows it
+        know = dy_closure(LAYERED, size_cap=4, compose_targets=TARGETS)
+        assert know.capped and not know.complete
+        assert derivable(s, LAYERED, size_cap=4) is None
+
+    def test_refuted_only_at_the_fixed_point(self):
+        # one round already adds nothing, so one round refutes
+        assert derivable(s, [SEnc(s, k)], rounds=1) is False
+        assert derivable(s, [SEnc(s, k)], rounds=0) is None
+        assert derivable(na, LAYERED) is False
+
+    def test_verify_solution_is_three_valued(self):
+        layered = Constraint.make(s, LAYERED)
+        # one round reaches the fixed point without na
+        underivable = Constraint.make(na, (SEnc(na, k),))
+        assert verify_solution(ConstraintSequence((layered,)), Substitution()) is True
+        assert verify_solution(ConstraintSequence((layered,)), Substitution(), rounds=1) is None
+        assert verify_solution(ConstraintSequence((layered,)), Substitution(), size_cap=4) is None
+        # an underivable target refutes, whatever the others leave open
+        both = ConstraintSequence((layered, underivable))
+        assert verify_solution(both, Substitution(), rounds=1) is False
+
 def ground_substitutions(variables, pool):
     """Every total mapping of the variables into the pool."""
     variables = sorted(variables, key=term_key)

@@ -648,18 +648,20 @@ role A:
     @pytest.mark.parametrize(
         "names,verdict,counters",
         [
-            (("q1",), "secure", (1, 23)),
-            (("q1", "q2"), "secure", (2, 46)),
-            (("nslx",), "attack", (1, 21)),
-            (("q3", "q5"), "secure", (2, 136)),
+            (("q1",), "secure", (1, 8)),
+            (("q1", "q2"), "secure", (2, 16)),
+            (("nslx",), "attack", (1, 28)),
+            (("q3", "q5"), "secure", (2, 30)),
             # its 48 eager sequences share receive-order prefixes: 4,884
-            # nodes when each is searched alone
-            (("q1", "q3"), "secure", (4, 1890)),
+            # nodes when each is searched alone, and 1,890 in one search
+            # with the ground decisions patched off
+            (("q1", "q3"), "secure", (4, 94)),
         ],
     )
     def test_search_counters_pinned(self, names, verdict, counters):
         # (sequences, nodes) move with any change to state keying, interleaving
-        # de-duplication or rule order; a change that moves them says why.
+        # de-duplication, rule order or the ground decisions (whose nested
+        # states count); a change that moves them says why.
         # `sequences` counts the interleavings whose secret constraint was
         # reached: an interleaving whose receives cannot all be met counts none
         protocols = [parse_protocol_file(FIXTURES / f"{n}.proto") for n in names]
@@ -939,12 +941,15 @@ class TestStateKey:
         # exactly when their reference keys are
         keyed = solver._canonical_key
         # id of the token table -> (the table, kept alive so that its id
-        # stays its own; {key: reference keys}; {reference key: keys})
+        # stays its own; {key: reference keys}; {reference key: keys}).
+        # Nested searches share their caller's table
         searches = {}
         wrong_texts = set()
         wrong_images = []
+        calls = []
 
         def checked(cs, tokens):
+            calls.append(cs)
             _, refs_of, keys_of = searches.setdefault(id(tokens), (tokens, {}, {}))
             key, ref = keyed(cs, tokens), reference_key(cs)
             refs_of.setdefault(key, set()).add(ref)
@@ -964,7 +969,9 @@ class TestStateKey:
         # one search per secret, up to the one that found an attack
         searched = len(res.secrets_checked) if res.attack is None else res.secrets_checked.index(res.attack.secret) + 1
         assert len(searches) == searched
-        assert sum(len(refs) for _, refs, _ in searches.values()) >= res.stats["nodes"]
+        # every node is keyed; a state of a nested search may share its key
+        # with one of its caller's, since each search has its own visited set
+        assert len(calls) >= res.stats["nodes"]
         assert wrong_images == []
         for _, refs_of, keys_of in searches.values():
             assert all(len(refs) == 1 for refs in refs_of.values())
@@ -1096,3 +1103,188 @@ class TestSearchProperties:
         term_set = (SEnc(a, SEnc(a, a)), Xor((a, b)), SEnc(a, Seq((a, a))), target)
         res = satisfiable(cseq((target, tuple(normalize(t) for t in term_set))))
         assert res.status is SolveStatus.SATISFIABLE
+
+
+def without_ground_decisions():
+    """The search with no constraint taken for a ground question, so no
+    nested search starts and no state is dropped: the reference."""
+    return mock.patch.object(solver, "_ground", lambda c: False)
+
+
+def attack_of(res):
+    a = res.attack
+    return None if a is None else (a.interleaving, a.rules, a.substitution, a.constraints)
+
+
+def recorded(cs, budget=None):
+    """``satisfiable(cs, budget)``, its table of ground constraints
+    (`solver._Shared`) and the start state and depth of every search it ran,
+    the outermost first."""
+    tables, searches = [], []
+    original_search = solver._search
+
+    class Shared(solver._Shared):
+        def __init__(self, budget):
+            super().__init__(budget)
+            tables.append(self)
+
+    def search(start, depth, shared):
+        searches.append((start, depth))
+        return original_search(start, depth, shared)
+
+    with mock.patch.object(solver, "_Shared", Shared), mock.patch.object(solver, "_search", search):
+        res = satisfiable(cs, budget)
+    (table,) = tables
+    return res, table, searches
+
+
+@st.composite
+def mixed_sequences(draw):
+    """Two or three constraints over the initial knowledge, each ground or
+    drawn with variables."""
+    constraints = []
+    for _ in range(draw(st.integers(2, 3))):
+        terms = ground_terms(depth=1) if draw(st.booleans()) else rule_terms(depth=1)
+        target = draw(terms)
+        constraints.append(Constraint.make(target, IIK + tuple(draw(st.lists(terms, max_size=3)))))
+    return ConstraintSequence(tuple(constraints))
+
+
+class TestGroundDecisions:
+    """The search that decides each ground constraint once against the one
+    that does not."""
+
+    @pytest.mark.parametrize(
+        "names,sessions,secrets",
+        [((q,), 1, ()) for q in CORPUS]
+        + [(pair, 1, ()) for pair in itertools.combinations(CORPUS, 2)]
+        + [
+            (("p1", "p2"), 1, ("NA",)),
+            (("nslx",), 1, ()),
+            (("nslx_nslx",), 1, ()),
+            (("nslx", "p2"), 1, ()),
+            (("q1", "q3", "leak_ab"), 1, ()),
+            (("q1", "q5", "leak_bc"), 1, ()),
+            (("q3", "leak_ac"), 2, ()),
+            (("q5", "leak_bc"), 2, ()),
+        ],
+        ids=case_id,
+    )
+    def test_matches_the_search_without_them(self, names, sessions, secrets):
+        config = AnalysisConfig(sessions=sessions, secrets=secrets)
+        decided = check_secrecy([load(n) for n in names], config)
+        with without_ground_decisions():
+            reference = check_secrecy([load(n) for n in names], config)
+        assert decided.verdict == reference.verdict != "inconclusive"
+        assert decided.stats["sequences"] == reference.stats["sequences"]
+        assert attack_of(decided) == attack_of(reference)
+
+    def test_nested_searches_do_not_call_satisfiable(self):
+        # a wrapper of `satisfiable` (as a tracer installs) sees one call per
+        # secret, whose nodes add up to the report's
+        calls = []
+        original = solver.satisfiable
+
+        def counted(cs, budget=None):
+            res = original(cs, budget)
+            calls.append(res.stats["nodes"])
+            return res
+
+        with mock.patch.object(solver, "satisfiable", counted):
+            res = check_secrecy([load("q1"), load("q3")], AnalysisConfig(sessions=1))
+        assert len(calls) == len(res.secrets_checked) == 2
+        assert sum(calls) == res.stats["nodes"] == 94
+
+    def test_matches_on_mixed_sequences(self):
+        compared = []
+
+        @given(mixed_sequences())
+        @settings(max_examples=150, deadline=None)
+        def check(cs):
+            budget = SolverBudget(max_depth=10, max_nodes=400)
+            res, table, searches = recorded(cs, budget)
+            with without_ground_decisions():
+                reference = satisfiable(cs, budget)
+            if SolveStatus.BUDGET_EXHAUSTED in (res.status, reference.status):
+                return
+            assert res.status is reference.status
+            assert res.solutions == reference.solutions
+            compared.append((len(searches) > 1, False in table.decided.values()))
+
+        check()
+        # draws that compared two definite statuses; among them those that
+        # ran a nested search, and those that found a dead constraint
+        assert len(compared) >= 100
+        assert sum(nested for nested, _ in compared) >= 80
+        assert sum(dead for _, dead in compared) >= 50
+
+    def test_dead_constraint_is_decided_once(self):
+        # `un` at either ciphertext leaves the same two constraints, under
+        # X ↦ a and under X ↦ b: the first state decides na : {…, a}
+        # underivable, and the second is dropped without a nested search
+        dead = Constraint.make(na, IIK + (a,))
+        cs = ConstraintSequence(
+            (
+                Constraint.make(SEnc(X, k), IIK + (SEnc(a, k), SEnc(b, k))),
+                dead,
+                Constraint.make(Y, IIK),
+            )
+        )
+        asked = []
+        ground = solver._ground
+
+        def spy(c):
+            asked.append(c)
+            return ground(c)
+
+        with mock.patch.object(solver, "_ground", spy):
+            res, table, searches = recorded(cs)
+        assert res.status is SolveStatus.UNSATISFIABLE
+        # the two states, and the start of the one nested search
+        assert asked.count(dead) == 3
+        assert [start for start, _ in searches].count(ConstraintSequence((dead,))) == 1
+        assert table.decided[dead] is False
+        with without_ground_decisions():
+            assert satisfiable(cs).status is SolveStatus.UNSATISFIABLE
+
+    def test_budget_cut_decides_nothing(self):
+        # na : T is active at the start with more after it; its nested search
+        # reaches the depth bound after `sdec` and is cut, so the constraint
+        # stays undecided and the search ends as the one without decisions
+        key = normalize(Sh(a, b))
+        ct = normalize(SEnc(Seq((one, na)), key))
+        first = Constraint.make(na, IIK + (key, ct))
+        cs = ConstraintSequence((first, Constraint.make(Y, IIK)))
+        budget = SolverBudget(max_depth=1)
+        res, table, searches = recorded(cs, budget)
+        with without_ground_decisions():
+            reference = satisfiable(cs, budget)
+        assert res.status is reference.status is SolveStatus.BUDGET_EXHAUSTED
+        assert res.stats["exhausted"] == reference.stats["exhausted"] == ["branch"]
+        assert searches[1:] == [(ConstraintSequence((first,)), 0)]
+        assert first not in table.decided
+        assert first in table.tried
+        # within the default budget the nested search decides it, and the
+        # search finds the solution of the one without decisions
+        res, table, _ = recorded(cs)
+        assert table.decided[first] is True
+        with without_ground_decisions():
+            reference = satisfiable(cs)
+        assert res.status is SolveStatus.SATISFIABLE
+        assert res.solutions == reference.solutions
+
+    def test_node_budget_is_shared_with_nested_searches(self):
+        # the nested search of the first constraint spends the whole budget,
+        # and the search stops there, inconclusive
+        key = normalize(Sh(a, b))
+        ct = normalize(SEnc(Seq((one, na)), key))
+        cs = cseq((nb, IIK + (key, ct)), (Y, IIK))
+        res, table, searches = recorded(cs, SolverBudget(max_nodes=2))
+        assert len(searches) > 1
+        assert res.status is SolveStatus.BUDGET_EXHAUSTED
+        assert res.stats["exhausted"] == ["node"]
+        assert not table.decided
+        full = satisfiable(cs)
+        assert full.status is SolveStatus.UNSATISFIABLE
+        with without_ground_decisions():
+            assert satisfiable(cs).status is SolveStatus.UNSATISFIABLE
