@@ -28,7 +28,6 @@ from .solver import (
     check_secrecy,
 )
 from .terms import Substitution, Term, Var, XorsleuthError, from_text, to_text
-from .unify import SearchBudget
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -196,7 +195,6 @@ def _cmd_analyze(args) -> int:
         budget=SolverBudget(
             max_depth=args.branch_budget,
             max_nodes=args.node_budget,
-            unify=SearchBudget(),
         ),
     )
     result = check_secrecy(protocols, config)
@@ -293,7 +291,7 @@ def _trace_digest(cs: ConstraintSequence) -> str:
     change it."""
     doc = {
         "constraints": [c.to_json_dict() for c in cs.constraints],
-        "substitution": {to_text(v): to_text(t) for v, t in cs.subst.items()},
+        "substitution": cs.subst.to_json_dict(),
     }
     return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
 

@@ -26,25 +26,21 @@ from dataclasses import dataclass
 
 from .protocol import Node, Protocol, Strand
 from .terms import (
+    CONSTRUCTOR_NAMED,
+    CONSTRUCTOR_OF_TYPE,
     ZERO,
     Const,
-    PEnc,
-    Pk,
-    SEnc,
-    Seq,
-    Sh,
     Sort,
     Term,
     Var,
-    Xor,
     XorsleuthError,
     SortError,
     Zero,
+    children,
     normalize,
 )
 
 _SORTS = {s.value: s for s in Sort}
-_CONSTRUCTORS = {"seq", "penc", "senc", "pk", "sh", "xor"}
 _KEYWORDS = {"protocol", "vars", "fresh", "secret", "role", "send", "recv", "zero"}
 
 
@@ -198,20 +194,20 @@ class _Parser:
         name = t.value
         if name == "zero":
             return ("zero", t)
-        if name in _CONSTRUCTORS:
+        ctor = CONSTRUCTOR_NAMED.get(name)
+        if ctor is not None:
             self.expect("(", "'('")
             args = [self.parse_term()]
             while self.peek().kind == ",":
                 self.next()
                 args.append(self.parse_term())
             self.expect(")", "')'")
-            arity = {"penc": 2, "senc": 2, "pk": 1, "sh": 2}.get(name)
-            if arity is not None and len(args) != arity:
-                raise ProtocolSyntaxError(
-                    f"{name} takes exactly {arity} argument(s), got {len(args)}", t.line, t.col
-                )
-            if name in ("seq", "xor") and len(args) < 2:
+            if ctor.arity is None and len(args) < 2:
                 raise ProtocolSyntaxError(f"{name} needs at least two arguments", t.line, t.col)
+            if ctor.arity not in (None, len(args)):
+                raise ProtocolSyntaxError(
+                    f"{name} takes exactly {ctor.arity} argument(s), got {len(args)}", t.line, t.col
+                )
             return (name, t, tuple(args))
         if name[0].isupper():
             if self.peek().kind == ":":
@@ -308,8 +304,8 @@ class _Parser:
                     annotated[tok.value] = ann
                 if in_agent_pos:
                     agent_position.add(tok.value)
-            elif head in _CONSTRUCTORS:
-                stack.extend((a, head in ("pk", "sh")) for a in reversed(ast[2]))
+            elif head in CONSTRUCTOR_NAMED:
+                stack.extend((a, CONSTRUCTOR_NAMED[head].agent_args) for a in reversed(ast[2]))
 
         out: dict[str, Sort] = {}
         for name in agent_position:
@@ -333,18 +329,7 @@ class _Parser:
         if head == "const":
             name = ast[1].value
             return Const(name, const_sorts.get(name, Sort.DATA))
-        args = tuple(self._build(a, const_sorts) for a in ast[2])
-        if head == "seq":
-            return Seq(args)
-        if head == "penc":
-            return PEnc(args[0], args[1])
-        if head == "senc":
-            return SEnc(args[0], args[1])
-        if head == "pk":
-            return Pk(args[0])
-        if head == "sh":
-            return Sh(args[0], args[1])
-        return Xor(args)
+        return CONSTRUCTOR_NAMED[head].make(tuple(self._build(a, const_sorts) for a in ast[2]))
 
 
 def parse_protocol(text: str) -> Protocol:
@@ -368,19 +353,10 @@ def render_term(t: Term, agent_pos: bool = False) -> str:
         return t.name if t.sort is default else f"{t.name}:{t.sort.value}"
     if isinstance(t, Zero):
         return "zero"
-    if isinstance(t, Seq):
-        return f"seq({', '.join(render_term(c) for c in t.items)})"
-    if isinstance(t, PEnc):
-        return f"penc({render_term(t.plain)}, {render_term(t.key)})"
-    if isinstance(t, SEnc):
-        return f"senc({render_term(t.plain)}, {render_term(t.key)})"
-    if isinstance(t, Pk):
-        return f"pk({render_term(t.agent, agent_pos=True)})"
-    if isinstance(t, Sh):
-        return f"sh({render_term(t.left, agent_pos=True)}, {render_term(t.right, agent_pos=True)})"
-    if isinstance(t, Xor):
-        return f"xor({', '.join(render_term(c) for c in t.items)})"
-    raise TypeError(f"cannot render {t!r}")
+    ctor = CONSTRUCTOR_OF_TYPE.get(type(t))
+    if ctor is None:
+        raise TypeError(f"cannot render {t!r}")
+    return f"{ctor.name}({', '.join(render_term(c, ctor.agent_args) for c in children(t))})"
 
 
 def render_protocol(p: Protocol) -> str:

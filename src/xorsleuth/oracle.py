@@ -16,14 +16,12 @@ attacker compute each constraint's target.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 from .protocol import ATTACKER, PK_EPS
 from .terms import (
     PEnc,
-    Pk,
     SEnc,
     Seq,
     Substitution,
@@ -51,7 +49,6 @@ class GroundKnowledge:
     it short (``capped`` tells the cap apart)."""
 
     terms: frozenset[Term]
-    depth: int
     capped: bool
     complete: bool
 
@@ -74,9 +71,9 @@ class _Full(Exception):
 
 def dy_closure(
     initial: Iterable[Term],
+    compose_targets: Iterable[Term],
     rounds: int = 6,
     size_cap: int = 20_000,
-    compose_targets: Iterable[Term] | None = None,
 ) -> GroundKnowledge:
     """Fixed point (or bounded prefix) of the attacker rules on ground terms.
 
@@ -84,28 +81,24 @@ def dy_closure(
     rebuilds compound terms from known parts.  ``compose_targets`` restricts
     which compound terms construction may produce — the standard normal-form
     argument: a derivation of a goal only ever needs to build subterms of the
-    goal or of the initial knowledge.  ``None`` means unrestricted
-    construction and literal pairwise XOR (usable only for small sets).
+    goal or of the initial knowledge.
 
-    With targets given, the XOR rule is computed algebraically: the terms
-    derivable by XOR alone are exactly the GF(2) span of the knowledge over
-    its non-XOR units, and since an XOR-headed term never decomposes further,
-    only span members that are single units or target subterms can matter to
-    any later step.  This keeps the closure polynomial where enumerating
-    pairwise sums is exponential in the number of units.
+    The XOR rule is computed algebraically: the terms derivable by XOR alone
+    are exactly the GF(2) span of the knowledge over its non-XOR units, and
+    since an XOR-headed term never decomposes further, only span members
+    that are single units or target subterms can matter to any later step.
+    This keeps the closure polynomial where enumerating pairwise sums is
+    exponential in the number of units.
     """
     known: set[Term] = {normalize(t) for t in initial}
     _require_ground(known)
     known.add(ZERO)
-    targets: set[Term] | None = None
-    if compose_targets is not None:
-        targets = set()
-        for t in compose_targets:
-            targets.update(subterms(normalize(t)))
+    targets: set[Term] = set()
+    for t in compose_targets:
+        targets.update(subterms(normalize(t)))
     capped = False
     complete = False
-    depth = 0
-    recent: set[Term] = set(known)  # terms not yet combined against everything
+    recent: set[Term] = set(known)  # arrived in the last round, not yet decomposed
 
     for _ in range(rounds):
         if len(known) > size_cap:
@@ -135,51 +128,31 @@ def dy_closure(
                     add(t.plain)
 
             # XOR of known terms
-            if targets is not None:
-                for t in _xor_span_extract(known, targets):
-                    add(t)
-            else:
-                # literal pairwise rule (pairs not combined in earlier rounds)
-                new_sorted = sorted(recent, key=term_key)
-                old_sorted = sorted(known - recent, key=term_key)
-                for t1, t2 in itertools.combinations(new_sorted, 2):
-                    add(Xor((t1, t2)))
-                for t1 in new_sorted:
-                    for t2 in old_sorted:
-                        add(Xor((t1, t2)))
+            for t in _xor_span_extract(known, targets):
+                add(t)
 
             # construction of compound terms from known parts
-            if targets is not None:
-                for t in sorted(targets, key=term_key):
-                    if t in known:
-                        continue
-                    if isinstance(t, Seq) and all(i in known for i in t.items):
-                        add(t)
-                    elif isinstance(t, SEnc) and t.plain in known and t.key in known:
-                        add(t)
-                    elif isinstance(t, PEnc) and t.plain in known and t.key in known:
-                        add(t)
-            else:
-                ordered = sorted(known, key=term_key)
-                for a in ordered:
-                    for b in ordered:
-                        add(Seq((a, b)))
-                        add(SEnc(a, b))
-                        if isinstance(b, Pk):
-                            add(PEnc(a, b))
+            for t in sorted(targets, key=term_key):
+                if t in known:
+                    continue
+                if isinstance(t, Seq) and all(i in known for i in t.items):
+                    add(t)
+                elif isinstance(t, SEnc) and t.plain in known and t.key in known:
+                    add(t)
+                elif isinstance(t, PEnc) and t.plain in known and t.key in known:
+                    add(t)
         except _Full:
             capped = True
 
         if not frontier:
             complete = not capped
             break
-        depth += 1
         known |= frontier
         recent = frontier
         if capped:
             break
 
-    return GroundKnowledge(frozenset(known), depth, capped, complete)
+    return GroundKnowledge(frozenset(known), capped, complete)
 
 
 def _xor_units(t: Term) -> tuple[Term, ...]:
@@ -246,7 +219,7 @@ def derivable(goal: Term, initial: Iterable[Term], rounds: int = 6, size_cap: in
     when it is not in a closure that the rounds or the size cap cut short."""
     goal = normalize(goal)
     initial = [normalize(t) for t in initial]
-    k = dy_closure(initial, rounds, size_cap, compose_targets=[goal, *initial])
+    k = dy_closure(initial, [goal, *initial], rounds, size_cap)
     if goal in k:
         return True
     return False if k.complete else None

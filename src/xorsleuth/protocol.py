@@ -125,12 +125,6 @@ class Protocol:
             out |= vars_of(t)
         return frozenset(out)
 
-    def constants(self) -> frozenset[Const]:
-        out: set[Const] = set()
-        for t in self.node_terms():
-            out |= {s for s in subterms(t) if isinstance(s, Const)}
-        return frozenset(out)
-
     def long_term_keys(self) -> tuple[Term, ...]:
         keys = {s for t in self.node_terms() for s in subterms(t) if isinstance(s, Sh)}
         return tuple(sorted(keys, key=term_key))
@@ -401,7 +395,7 @@ class MunutViolation:
             "condition": self.condition,
             "left": to_text(self.left),
             "right": to_text(self.right),
-            "unifier": {to_text(v): to_text(t) for v, t in self.unifier.items()},
+            "unifier": self.unifier.to_json_dict(),
         }
 
 

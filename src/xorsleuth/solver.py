@@ -40,7 +40,7 @@ from .terms import (
     to_text,
     vars_of,
 )
-from .unify import SearchBudget, unify_sua
+from .unify import unify_sua
 
 
 class ConfigError(XorsleuthError):
@@ -118,7 +118,7 @@ class RuleStep:
     def to_json_dict(self) -> dict:
         d = {"rule": self.rule, "site": self.site, "branch": self.branch}
         if self.unifier is not None:
-            d["unifier"] = {to_text(v): to_text(t) for v, t in self.unifier.items()}
+            d["unifier"] = self.unifier.to_json_dict()
         return d
 
 
@@ -128,12 +128,11 @@ class SolverBudget:
     branch budget; a nested search of a ground constraint counts its depth
     from the state that started it), ``max_nodes`` states expanded in one
     `satisfiable` call, nested searches included (in `check_secrecy`, one
-    secret's whole search over all its interleavings), and the unifier
-    search of `un`/`ksub`."""
+    secret's whole search over all its interleavings).  The unifier search
+    of `un`/`ksub` runs under `unify_sua`'s own configuration cap."""
 
     max_depth: int = 64
     max_nodes: int = 200_000
-    unify: SearchBudget = SearchBudget()
 
 
 # The budgets a search can run out of, as its stats name them.
@@ -205,8 +204,8 @@ def normalize_seq(cs: ConstraintSequence) -> ConstraintSequence:
 
 
 @functools.lru_cache(maxsize=100_000)
-def _cached_unify(m: Term, t: Term, budget: SearchBudget) -> tuple[tuple[Substitution, ...], bool]:
-    return unify_sua(m, t, budget)
+def _cached_unify(m: Term, t: Term) -> tuple[tuple[Substitution, ...], bool]:
+    return unify_sua(m, t)
 
 
 Constraints = tuple[Constraint, ...]
@@ -396,7 +395,6 @@ def _apply(
     site: int,
     cs: ConstraintSequence,
     active: tuple[Constraints, Constraint, Constraints],
-    unify_budget: SearchBudget,
 ) -> tuple[list[tuple[ConstraintSequence, Substitution | None]], bool]:
     """All branch results of one rule at one site plus a completeness flag
     (False when the `un`/`ksub` unifier search hit its budget, so an empty
@@ -411,7 +409,7 @@ def _apply(
         ], True
     (m, t), rewritten = row.substitute(c, site, prefix, suffix)
     # every unifier of m = m is an instance of the identity
-    unifiers, complete = ((Substitution(),), True) if m == t else _cached_unify(m, t, unify_budget)
+    unifiers, complete = ((Substitution(),), True) if m == t else _cached_unify(m, t)
     return [
         (
             ConstraintSequence(
@@ -427,7 +425,7 @@ def apply_rule(rule: RuleName, site: int, cs: ConstraintSequence) -> list[Constr
     """All branch results of one rule application (empty list = dead end)."""
     active = _split_at_active(cs)
     assert active is not None, "no active constraint"
-    return [b for b, _ in _apply(rule, site, cs, active, SearchBudget())[0]]
+    return [b for b, _ in _apply(rule, site, cs, active)[0]]
 
 
 # -- search -------------------------------------------------------------------------
@@ -658,7 +656,7 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
             continue
         expansions: list[tuple[ConstraintSequence, tuple[RuleStep, ...], int]] = []
         for rule, site in _rule_sites(cur, active[1]):
-            branches, complete = _apply(rule, site, cur, active, budget.unify)
+            branches, complete = _apply(rule, site, cur, active)
             if not complete:
                 exhausted.add("unifier")
             if not branches:
@@ -846,7 +844,7 @@ class AttackTrace:
             "secret": self.secret,
             "interleaving": list(self.interleaving),
             "rules": [r.to_json_dict() for r in self.rules],
-            "substitution": {to_text(v): to_text(t) for v, t in self.substitution.items()},
+            "substitution": self.substitution.to_json_dict(),
             "constraints": [c.to_json_dict() for c in self.constraints],
             "elapsed_ms": self.elapsed_ms,
         }

@@ -144,7 +144,37 @@ class Xor(Term):
     items: tuple[Term, ...]
 
 
-_RANK = {Var: 0, Const: 1, Zero: 2, Seq: 3, PEnc: 4, SEnc: 5, Pk: 6, Sh: 7, Xor: 8}
+@dataclass(frozen=True)
+class Constructor:
+    """A compound constructor of the message signature, as both text forms
+    (``to_text`` and the protocol DSL) write it.  ``arity`` is None for a
+    variadic constructor, whose node holds its arguments as one tuple;
+    ``agent_args`` marks a constructor whose every argument is an Agent
+    position."""
+
+    cls: type
+    name: str
+    arity: int | None
+    agent_args: bool = False
+
+    def make(self, args: tuple[Term, ...]) -> Term:
+        """The node with these arguments (not normalized)."""
+        return self.cls(args) if self.arity is None else self.cls(*args)
+
+
+# In order-key rank order: a constructor's rank is its position plus 3.
+CONSTRUCTORS = (
+    Constructor(Seq, "seq", None),
+    Constructor(PEnc, "penc", 2),
+    Constructor(SEnc, "senc", 2),
+    Constructor(Pk, "pk", 1, agent_args=True),
+    Constructor(Sh, "sh", 2, agent_args=True),
+    Constructor(Xor, "xor", None),
+)
+CONSTRUCTOR_OF_TYPE = {c.cls: c for c in CONSTRUCTORS}
+CONSTRUCTOR_NAMED = {c.name: c for c in CONSTRUCTORS}
+
+_RANK = {Var: 0, Const: 1, Zero: 2, **{c.cls: rank for rank, c in enumerate(CONSTRUCTORS, 3)}}
 
 _KeyType = tuple
 
@@ -186,8 +216,10 @@ def children(t: Term) -> tuple[Term, ...]:
 
 
 def with_children(t: Term, kids: tuple[Term, ...]) -> Term:
-    """A term with ``t``'s constructor and the given children (not normalized)."""
-    return type(t)(kids) if isinstance(t, (Seq, Xor)) else type(t)(*kids)
+    """A term with ``t``'s constructor and the given children (not normalized);
+    a leaf, which has none, is returned as it is."""
+    ctor = CONSTRUCTOR_OF_TYPE.get(type(t))
+    return t if ctor is None else ctor.make(kids)
 
 
 def map_term(
@@ -210,11 +242,6 @@ def map_term(
 ZERO = Zero()
 
 
-def _check_agent_arg(t: Term, ctor: str) -> None:
-    if not (isinstance(t, (Var, Const)) and t.sort is Sort.AGENT):
-        raise SortError(f"{ctor} argument must be an Agent atom, got {to_text(t)}")
-
-
 def _normalize_node(t: Term) -> Term:
     """Canonical form of a node whose children are already canonical, marked
     as such."""
@@ -226,12 +253,12 @@ def _normalize_node(t: Term) -> Term:
 def _reduce_node(t: Term) -> Term:
     if isinstance(t, Seq) and not t.items:
         raise SortError("sequences must have at least one element")
-    if isinstance(t, Pk):
-        _check_agent_arg(t.agent, "pk")
-    elif isinstance(t, Sh):
-        _check_agent_arg(t.left, "sh")
-        _check_agent_arg(t.right, "sh")
-        if t.right < t.left:
+    ctor = CONSTRUCTOR_OF_TYPE.get(type(t))
+    if ctor is not None and ctor.agent_args:
+        for arg in children(t):
+            if not (isinstance(arg, (Var, Const)) and arg.sort is Sort.AGENT):
+                raise SortError(f"{ctor.name} argument must be an Agent atom, got {to_text(arg)}")
+        if isinstance(t, Sh) and t.right < t.left:
             return Sh(t.right, t.left)
     elif isinstance(t, Xor):
         flat: list[Term] = []
@@ -402,6 +429,10 @@ class Substitution:
     def items(self) -> tuple[tuple[Var, Term], ...]:
         return self._key
 
+    def to_json_dict(self) -> dict[str, str]:
+        """The bindings in canonical text form, in domain order."""
+        return {to_text(v): to_text(t) for v, t in self._key}
+
     def apply(self, t: Term) -> Term:
         return apply_subst(self, t)
 
@@ -466,19 +497,8 @@ def _render(t: Term) -> str:
         return f"const({t.name}:{t.sort.value})"
     if isinstance(t, Zero):
         return "zero"
-    if isinstance(t, Seq):
-        return "seq(" + ",".join(to_text(c) for c in t.items) + ")"
-    if isinstance(t, PEnc):
-        return f"penc({to_text(t.plain)},{to_text(t.key)})"
-    if isinstance(t, SEnc):
-        return f"senc({to_text(t.plain)},{to_text(t.key)})"
-    if isinstance(t, Pk):
-        return f"pk({to_text(t.agent)})"
-    if isinstance(t, Sh):
-        return f"sh({to_text(t.left)},{to_text(t.right)})"
-    if isinstance(t, Xor):
-        return "xor(" + ",".join(to_text(c) for c in t.items) + ")"
-    raise TypeError(f"not a term: {t!r}")
+    kids = children(t)  # raises TypeError on a non-term
+    return CONSTRUCTOR_OF_TYPE[type(t)].name + "(" + ",".join(to_text(c) for c in kids) + ")"
 
 
 _SORT_BY_NAME = {s.value: s for s in Sort}
@@ -531,17 +551,7 @@ def _parse_term(s: str, pos: int) -> tuple[Term, int]:
             pos += 1
             break
         raise TermTextError(f"unexpected character {s[pos]!r} at offset {pos}")
-    if head == "seq":
-        return Seq(tuple(args)), pos
-    if head == "xor":
-        return Xor(tuple(args)), pos
-    if head == "penc" and len(args) == 2:
-        return PEnc(args[0], args[1]), pos
-    if head == "senc" and len(args) == 2:
-        return SEnc(args[0], args[1]), pos
-    if head == "pk" and len(args) == 1:
-        return Pk(args[0]), pos
-    if head == "sh" and len(args) == 2:
-        return Sh(args[0], args[1]), pos
-    raise TermTextError(f"unknown constructor {head!r} with {len(args)} arguments")
-
+    ctor = CONSTRUCTOR_NAMED.get(head)
+    if ctor is None or ctor.arity not in (None, len(args)):
+        raise TermTextError(f"unknown constructor {head!r} with {len(args)} arguments")
+    return ctor.make(tuple(args)), pos

@@ -496,12 +496,16 @@ def _abstract(
 Partition = tuple[tuple[Var, ...], ...]
 
 
-def enumerate_identifications(variables: Iterable[Var], limit: int = 12) -> Iterator[Partition]:
+# Bell(12) is about 4.2 million partitions.
+_IDENTIFICATION_LIMIT = 12
+
+
+def enumerate_identifications(variables: Iterable[Var]) -> Iterator[Partition]:
     """All set partitions of the variables, identity partition first, then coarser."""
     vs = sorted(set(variables), key=term_key)
     n = len(vs)
-    if n > limit:
-        raise PartitionSpaceExceeded(f"{n} variables exceeds identification limit {limit}")
+    if n > _IDENTIFICATION_LIMIT:
+        raise PartitionSpaceExceeded(f"{n} variables exceeds identification limit {_IDENTIFICATION_LIMIT}")
     if n == 0:
         yield ()
         return
@@ -673,11 +677,9 @@ class BscaTrace:
             "beta": {v.name: to_text(t) for v, t in self.beta.items()},
             "gamma5_1": eqs(self.gamma5_1),
             "gamma5_2": eqs(self.gamma5_2),
-            "sigma1": {to_text(v): to_text(t) for v, t in self.sigma1.items()},
-            "sigma2": {to_text(v): to_text(t) for v, t in self.sigma2.items()},
-            "unifiers": [
-                {to_text(v): to_text(t) for v, t in s.items()} for s in self.unifiers
-            ],
+            "sigma1": self.sigma1.to_json_dict(),
+            "sigma2": self.sigma2.to_json_dict(),
+            "unifiers": [s.to_json_dict() for s in self.unifiers],
             "configs_tried": self.configs_tried,
             "complete": self.complete,
         }

@@ -14,7 +14,17 @@ from xorsleuth.dsl import (
     parse_protocol_file,
     render_protocol,
 )
-from xorsleuth.terms import Const, Sort, SortError, Var, to_text
+from xorsleuth.terms import (
+    CONSTRUCTORS,
+    Const,
+    Sort,
+    SortError,
+    TermTextError,
+    Var,
+    from_text,
+    normalize,
+    to_text,
+)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "xorsleuth" / "fixtures"
 
@@ -157,6 +167,43 @@ class TestRoundTrip:
         p = parse_protocol_file(FIXTURES / "nslx.proto")
         once = render_protocol(p)
         assert render_protocol(parse_protocol(once)) == once
+
+
+class TestConstructorTable:
+    """Every constructor of the signature, through both text forms."""
+
+    @staticmethod
+    def _args(ctor, n):
+        # constants in an Agent position are inferred Agent, elsewhere Data
+        sort = Sort.AGENT if ctor.agent_args else Sort.DATA
+        return tuple(Const(f"c{i}", sort) for i in range(n))
+
+    @staticmethod
+    def _protocol_text(ctor, args):
+        return f"protocol x\nrole A:\n send {ctor.name}({', '.join(c.name for c in args)})\n"
+
+    @pytest.mark.parametrize("ctor", CONSTRUCTORS, ids=lambda c: c.name)
+    def test_round_trips(self, ctor):
+        args = self._args(ctor, ctor.arity or 2)
+        t = normalize(ctor.make(args))
+        assert from_text(to_text(t)) == t
+        p = parse_protocol(self._protocol_text(ctor, args))
+        assert p.roles[0][1].nodes[0].term == t
+        assert parse_protocol(render_protocol(p)) == p
+
+    @pytest.mark.parametrize("ctor", [c for c in CONSTRUCTORS if c.arity is not None], ids=lambda c: c.name)
+    def test_one_argument_too_many_rejected(self, ctor):
+        args = self._args(ctor, ctor.arity + 1)
+        text = f"{ctor.name}({','.join(to_text(c) for c in args)})"
+        with pytest.raises(TermTextError):
+            from_text(text)
+        with pytest.raises(ProtocolSyntaxError, match="takes exactly"):
+            parse_protocol(self._protocol_text(ctor, args))
+
+    @pytest.mark.parametrize("ctor", [c for c in CONSTRUCTORS if c.arity is None], ids=lambda c: c.name)
+    def test_variadic_needs_two_arguments_in_the_dsl(self, ctor):
+        with pytest.raises(ProtocolSyntaxError, match="at least two"):
+            parse_protocol(self._protocol_text(ctor, self._args(ctor, 1)))
 
 
 def _atoms(t):

@@ -52,18 +52,18 @@ IIK = (ATTACKER, ZERO, normalize(Pk(ATTACKER)))
 
 class TestClosure:
     def test_xor_of_two_knowns(self):
-        know = dy_closure([a, b], rounds=1)
+        know = dy_closure([a, b], [Xor((a, b))], rounds=1)
         assert normalize(Xor((a, b))) in know
 
     def test_symmetric_decryption_with_known_key(self):
-        know = dy_closure([SEnc(s, k), k])
+        know = dy_closure([SEnc(s, k), k], [s])
         assert s in know
 
     def test_ciphertext_alone_never_opens(self):
         # restricted construction reaches a true fixed point, so this holds
         # for arbitrarily many rounds, not just the ones we ran
         assert not derivable(s, [SEnc(s, k)], rounds=50)
-        know = dy_closure([SEnc(s, k)], rounds=2)
+        know = dy_closure([SEnc(s, k)], [s], rounds=2)
         assert s not in know
 
     def test_unpairing(self):
@@ -78,10 +78,10 @@ class TestClosure:
         assert not derivable(na, [mine, theirs])
 
     def test_zero_always_known(self):
-        assert ZERO in dy_closure([], rounds=0)
+        assert ZERO in dy_closure([], [], rounds=0)
 
     def test_contains_normalizes_queries(self):
-        know = dy_closure([a], rounds=0)
+        know = dy_closure([a], [], rounds=0)
         assert normalize(Xor((a, ZERO))) in know
 
     def test_key_arriving_later_opens_old_ciphertext(self):
@@ -112,16 +112,20 @@ class TestClosure:
         assert derivable(goal, [s, k])
 
     def test_size_cap_marks_closure(self):
-        know = dy_closure([SEnc(s, k), k, a, b], rounds=6, size_cap=50)
-        assert know.capped
+        # zero, the four terms, s and the four sums: ten terms in all
+        sums = [Xor((a, b)), Xor((a, k)), Xor((b, k)), Xor((a, b, k))]
+        know = dy_closure([SEnc(s, k), k, a, b], sums, rounds=6, size_cap=8)
+        assert know.capped and not know.complete
+        assert not dy_closure([SEnc(s, k), k, a, b], sums, rounds=6, size_cap=10).capped
 
     def test_non_ground_rejected(self):
         with pytest.raises(NonGround):
-            dy_closure([X])
+            dy_closure([X], [])
 
     def test_deterministic(self):
-        k1 = dy_closure([a, b, s], rounds=2)
-        kk = dy_closure([a, b, s], rounds=2)
+        targets = [Xor((a, b)), Seq((a, s))]
+        k1 = dy_closure([a, b, s], targets, rounds=2)
+        kk = dy_closure([a, b, s], targets, rounds=2)
         assert k1.sorted_terms() == kk.sorted_terms()
 
 
@@ -144,8 +148,9 @@ class TestClosureProperties:
     @settings(max_examples=25, deadline=None)
     def test_monotone_in_initial_knowledge(self, extra):
         base = [SEnc(s, k), a]
-        small = dy_closure(base, rounds=2)
-        big = dy_closure(base + extra, rounds=2)
+        targets = [Xor((a, b)), Seq((a, s)), Xor((s, one)), SEnc(b, k)]
+        small = dy_closure(base, targets, rounds=2)
+        big = dy_closure(base + extra, targets, rounds=2)
         assert small.terms <= big.terms
 
     @given(st.lists(st.sampled_from([a, b, s, k, one, Xor((a, b)), Seq((a, s))]), min_size=1, max_size=4))
