@@ -332,6 +332,19 @@ class _Parser:
         return CONSTRUCTOR_NAMED[head].make(tuple(self._build(a, const_sorts) for a in ast[2]))
 
 
+def is_constant_name(name: str) -> bool:
+    """Does ``name`` parse as a constant: one identifier of letters, digits
+    and ``_`` that does not start upper-case (a variable) and is not ``zero``
+    or a constructor name?"""
+    return (
+        name != ""
+        and all(ch.isalnum() or ch == "_" for ch in name)
+        and not name[0].isupper()
+        and name != "zero"
+        and name not in CONSTRUCTOR_NAMED
+    )
+
+
 def parse_protocol(text: str) -> Protocol:
     """Parse one protocol from DSL text."""
     return _Parser(text).parse_protocol()

@@ -41,6 +41,7 @@ from .terms import (
     term_key,
     to_text,
     vars_of,
+    vars_of_all,
 )
 from .unify import ABSTRACTION_PREFIX, MixedTheoryTerm, unify_std
 
@@ -120,10 +121,7 @@ class Protocol:
         return tuple(t for _, strand in self.roles for t in strand.terms())
 
     def variables(self) -> frozenset[Var]:
-        out: set[Var] = set()
-        for t in self.node_terms():
-            out |= vars_of(t)
-        return frozenset(out)
+        return vars_of_all(self.node_terms())
 
     def long_term_keys(self) -> tuple[Term, ...]:
         keys = {s for t in self.node_terms() for s in subterms(t) if isinstance(s, Sh)}
@@ -223,7 +221,7 @@ def make_semibundle(
     secret_pairs: list[tuple[Var, Const]] = []
 
     for role_name, role_strand in p.roles:
-        role_vars = frozenset().union(*[vars_of(t) for t in role_strand.terms()]) if role_strand.nodes else frozenset()
+        role_vars = vars_of_all(role_strand.terms())
         identity = next(
             (v for v in role_vars if v.name == role_name and v.sort is Sort.AGENT), None
         )

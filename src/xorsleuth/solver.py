@@ -39,6 +39,7 @@ from .terms import (
     term_key,
     to_text,
     vars_of,
+    vars_of_all,
 )
 from .unify import unify_sua
 
@@ -344,7 +345,7 @@ def _sends_originated(cs: ConstraintSequence) -> bool:
     p = cs.pending
     if p is None or p.done:
         return True
-    targets = frozenset().union(*(vars_of(c.target) for c in cs.constraints))
+    targets = vars_of_all(c.target for c in cs.constraints)
     for nodes, position in zip(p.plan.nodes, p.positions):
         if all(node.sign == RECV for node in nodes[position:]):
             continue
@@ -890,6 +891,9 @@ def check_secrecy(protocols: Sequence[Protocol], config: AnalysisConfig | None =
         raise ConfigError("no protocols given")
     if config.sessions < 1:
         raise ConfigError("sessions must be at least 1")
+    for name, value in (("branch", config.budget.max_depth), ("node", config.budget.max_nodes)):
+        if value < 0:
+            raise ConfigError(f"{name} budget must not be negative, got {value}")
     session = FreshSession()
     bundles = [make_semibundle(p, config.sessions, session=session) for p in protocols]
     iik = build_iik(bundles)
@@ -917,7 +921,7 @@ def check_secrecy(protocols: Sequence[Protocol], config: AnalysisConfig | None =
         if result.status is SolveStatus.SATISFIABLE:
             sigma, steps = result.solution()
             cs = result.sequence
-            keep = frozenset().union(*[vars_of(c.target) | {v for t in c.term_set for v in vars_of(t)} for c in cs.constraints]) if cs.constraints else frozenset()
+            keep = vars_of_all(t for c in cs.constraints for t in (c.target, *c.term_set))
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             trace = AttackTrace(
                 protocols=tuple(p.name for p in protocols),

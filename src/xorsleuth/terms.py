@@ -69,7 +69,7 @@ class Term:
         init = object.__setattr__
         init(self, "_key", (rank, len(kids), payload, tuple(c._key for c in kids)))
         init(self, "_hash", hash((rank, payload, tuple(c._hash for c in kids))))
-        init(self, "_vars", None if isinstance(self, Var) else _vars_of_all(kids))
+        init(self, "_vars", None if isinstance(self, Var) else vars_of_all(kids))
         init(self, "_text", None)
         init(self, "_canon", isinstance(self, (Var, Const, Zero)))
 
@@ -191,8 +191,9 @@ def vars_of(t: Term) -> frozenset[Var]:
 _NO_VARS: frozenset[Var] = frozenset()
 
 
-def _vars_of_all(terms: Iterable[Term]) -> frozenset[Var]:
-    # reuses a child's set when it covers the others, so ground terms share one empty set
+def vars_of_all(terms: Iterable[Term]) -> frozenset[Var]:
+    """The variables of all the terms.  A term's own set is reused when it
+    covers the others, so ground terms share one empty set."""
     out = _NO_VARS
     for t in terms:
         vs = vars_of(t)
@@ -452,13 +453,20 @@ class Substitution:
         return all(not (vars_of(t) & bound) for t in self._map.values())
 
     def close(self) -> "Substitution":
-        """Apply the substitution to its own ranges until it is idempotent."""
-        cur = self
-        for _ in range(len(self._map) + 1):
-            if cur.is_idempotent():
-                return cur
-            cur = Substitution({v: cur.apply(t) for v, t in cur.items()})
-        raise SortError(f"substitution is cyclic: {cur!r}")
+        """The idempotent form, in dependency order: each round resolves the
+        bindings whose terms refer to no binding left unresolved, through
+        those already resolved.  Raises :class:`SortError` when bindings
+        refer to one another in a cycle, or when resolving puts a non-Agent
+        into a pk/sh argument."""
+        pending, resolved = dict(self._map), {}
+        while pending:
+            ready = [v for v, t in pending.items() if pending.keys().isdisjoint(vars_of(t))]
+            if not ready:
+                raise SortError(f"substitution is cyclic: {self!r}")
+            done = Substitution(resolved)
+            for v in ready:
+                resolved[v] = done.apply(pending.pop(v))
+        return Substitution(resolved)
 
 
 EMPTY_SUBST = Substitution()

@@ -6,7 +6,7 @@ and ``bsca_unify`` combines the two (Baader–Schulz, JSC 1996): it decomposes
 mixed equations through free constructors, rejecting those whose sides clash
 there, purifies what is left, searches variable identifications and theory
 splits, solves the two pure projections independently, and recombines the
-partial unifiers along a dependency order.
+partial unifiers by closing their union (``Substitution.close``).
 Every combined candidate is validated against the original equations, so the
 search heuristics can only cost completeness, never soundness.
 """
@@ -33,7 +33,6 @@ from .terms import (
     Xor,
     XorsleuthError,
     Zero,
-    apply_subst,
     children,
     equal_mod,
     is_atom,
@@ -43,6 +42,7 @@ from .terms import (
     term_key,
     to_text,
     vars_of,
+    vars_of_all,
     with_children,
 )
 
@@ -66,10 +66,6 @@ class PartitionSpaceExceeded(XorsleuthError):
 
 class BudgetExhausted(XorsleuthError):
     """Search gave up before completing; inconclusive, not 'no unifier'."""
-
-
-class OrderCycle(XorsleuthError):
-    """No linear variable order admits the requested combination."""
 
 
 @dataclass(frozen=True)
@@ -232,7 +228,7 @@ def unify_std(equations) -> tuple[Substitution, ...]:
     """
     eqs = _as_equations(equations, Theory.STD)
     _reject_xor(itertools.chain.from_iterable((e.left, e.right) for e in eqs))
-    problem_vars = frozenset().union(*[vars_of(e.left) | vars_of(e.right) for e in eqs]) if eqs else frozenset()
+    problem_vars = vars_of_all(t for e in eqs for t in (e.left, e.right))
 
     solutions: list[Substitution] = []
     stack: list[tuple[list[tuple[Term, Term]], dict[Var, Term]]] = [
@@ -559,75 +555,10 @@ def partition_to_subst(partition: Partition) -> Substitution | None:
 # -- combination -------------------------------------------------------------------
 
 
-def combine_unifiers(
-    s1: Substitution,
-    s2: Substitution,
-    order: Sequence[Var],
-    v_split: tuple[Iterable[Var], Iterable[Var]],
-    grounding: Substitution | None = None,
-) -> Substitution:
-    """Merge two theory-pure unifiers along a linear variable order.
-
-    Variables in the first split component take their binding from ``s1``,
-    the rest from ``s2``; each binding may refer only to variables earlier in
-    the order (else :class:`OrderCycle`).  ``grounding`` optionally maps
-    variables to the ground constants that stood for them, and is inverted
-    before combining.
-    """
-    v1 = set(v_split[0])
-    unground = _invert_grounding(grounding)
-    pos = {v: i for i, v in enumerate(order)}
-    bindings: dict[Var, Term] = {}
-    for i, x in enumerate(order):
-        src = s1 if x in v1 else s2
-        raw = src.get(x)
-        if raw is None:
-            continue
-        resolved = apply_subst(Substitution(bindings), unground(raw))
-        for v in vars_of(resolved):
-            if pos.get(v, -1) >= i:
-                raise OrderCycle(f"binding of {x.name} refers to {v.name}, not earlier in order")
-        bindings[x] = resolved
-    return Substitution(bindings)
-
-
-def _invert_grounding(grounding: Substitution | None):
-    if grounding is None:
-        return lambda t: t
-    inverse = {c: v for v, c in grounding.items() if isinstance(c, Const)}
-
+def _invert_grounding(grounding: Substitution):
+    """Replace each grounding constant by the variable it stands for."""
+    inverse = {c: v for v, c in grounding.items()}
     return lambda t: normalize(map_term(t, lambda u: inverse.get(u, u) if isinstance(u, Const) else u))
-
-
-def _toposort_bindings(s1: Substitution, s2: Substitution) -> list[Var] | None:
-    """Order domain variables so each binding refers only to earlier variables."""
-    bindings: dict[Var, Term] = {}
-    for v, t in itertools.chain(s1.items(), s2.items()):
-        bindings.setdefault(v, t)
-    nodes = sorted(bindings, key=term_key)
-    node_set = set(nodes)
-    deps = {v: sorted(vars_of(bindings[v]) & node_set, key=term_key) for v in nodes}
-    order: list[Var] = []
-    state: dict[Var, int] = {}
-    for v in nodes:
-        if not _visit(v, deps, state, order):
-            return None
-    return order
-
-
-def _visit(v: Var, deps: dict[Var, list[Var]], state: dict[Var, int], order: list[Var]) -> bool:
-    """Depth-first post-order step of ``_toposort_bindings``; False on a cycle."""
-    if state.get(v) == 2:
-        return True
-    if state.get(v) == 1:
-        return False
-    state[v] = 1
-    for d in deps[v]:
-        if not _visit(d, deps, state, order):
-            return False
-    state[v] = 2
-    order.append(v)
-    return True
 
 
 # -- combined search ---------------------------------------------------------------
@@ -749,7 +680,7 @@ def bsca_unify(
     """
     budget = budget or SearchBudget()
     orig = [e.normalized() for e in problem.equations]
-    orig_vars = frozenset().union(*[vars_of(e.left) | vars_of(e.right) for e in orig]) if orig else frozenset()
+    orig_vars = vars_of_all(t for e in orig for t in (e.left, e.right))
     trace = BscaTrace()
 
     def validated(cands: Iterable[Substitution]) -> tuple[Substitution, ...]:
@@ -819,8 +750,9 @@ def _combination(
     The system is purified; identifications are enumerated over the
     variables of XOR equations (identity partition first), single-theory
     variables are assigned their forced component, and for each
-    configuration the two pure systems are solved and recombined.  Each
-    recombined unifier that ``validated`` keeps is added to ``found``; until
+    configuration the two pure systems are solved and each pair of their
+    unifiers is recombined: merged, composed with the identification and
+    closed.  Each recombined unifier that ``validated`` keeps is added to ``found``; until
     ``found`` holds one, ``trace`` takes this system's purified equations,
     and the stages of its first success.  Returns the configurations tried
     (at most ``max_configs``) and whether the search completed.
@@ -832,8 +764,7 @@ def _combination(
         trace.gamma2 = gamma2
 
     acun_vars = sorted(
-        {v for e in gamma2 if e.theory is Theory.ACUN for v in vars_of(e.left) | vars_of(e.right)},
-        key=term_key,
+        vars_of_all(t for e in gamma2 if e.theory is Theory.ACUN for t in (e.left, e.right)), key=term_key
     )
     complete = True
     try:
@@ -858,8 +789,8 @@ def _combination(
         gamma3 = _apply_to_eqs(ident, gamma2)
         g41 = tuple(e for e in gamma3 if e.theory is Theory.STD)
         g42 = tuple(e for e in gamma3 if e.theory is Theory.ACUN)
-        std_vars = frozenset().union(*[vars_of(e.left) | vars_of(e.right) for e in g41]) if g41 else frozenset()
-        acun_now = frozenset().union(*[vars_of(e.left) | vars_of(e.right) for e in g42]) if g42 else frozenset()
+        std_vars = vars_of_all(t for e in g41 for t in (e.left, e.right))
+        acun_now = vars_of_all(t for e in g42 for t in (e.left, e.right))
         shared = sorted(std_vars & acun_now, key=term_key)
 
         for to_v2 in _subsets_by_size(shared):
@@ -880,7 +811,7 @@ def _combination(
             g51 = _apply_to_eqs(beta.restrict(v2), g41)
             g52 = _apply_to_eqs(beta.restrict(v1), g42)
 
-            sig = (tuple(map(repr, g51)), tuple(map(repr, g52)))
+            sig = (g51, g52)
             if sig in failed_pure:
                 continue
             sigma2s = unify_acun(g52)
@@ -892,21 +823,17 @@ def _combination(
                 failed_pure.add(sig)
                 continue
 
+            unground = _invert_grounding(beta)
             produced = False
             for sigma1 in sigma1s:
                 for sigma2 in sigma2s:
-                    unground = _invert_grounding(beta)
-                    u1 = Substitution({v: unground(t) for v, t in sigma1.items()})
-                    u2 = Substitution({v: unground(t) for v, t in sigma2.items()})
-                    order = _toposort_bindings(u1, u2)
-                    if order is None:
-                        continue
+                    # σ1 binds only V1 variables and σ2 only V2 ones
+                    merged = Substitution({v: unground(t) for v, t in (*sigma1.items(), *sigma2.items())})
                     try:
-                        combined = combine_unifiers(u1, u2, order, (v1, v2))
-                        full = combined.compose(ident).close()
-                    except (OrderCycle, SortError):
-                        # SortError: a pure-theory unifier forced a non-agent
-                        # value into a pk/sh position; no well-sorted instance.
+                        full = merged.compose(ident).close()
+                    except SortError:
+                        # a binding cycle, or a pure-theory unifier forced a
+                        # non-agent value into a pk/sh position: no unifier
                         continue
                     for cand in validated([full]):
                         produced = True

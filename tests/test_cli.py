@@ -14,7 +14,8 @@ from xorsleuth.cli import run_command
 from xorsleuth.dsl import parse_protocol, parse_protocol_file, render_protocol
 from xorsleuth.protocol import tag_protocol
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "xorsleuth" / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "src" / "xorsleuth" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -122,6 +123,20 @@ class TestTagCommand:
         assert run_command(["tag", str(out), "--label", "t7"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["a b", "X", "zero", "seq", "#v0"])
+    def test_label_that_is_no_constant_name_is_input_error(self, tmp_path, capsys, label):
+        # each would be written into a file that `parse` rejects
+        out = tmp_path / "tagged.proto"
+        assert run_command(["tag", fx("q2.proto"), "--label", label, "-o", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_label_round_trips(self, tmp_path):
+        out = tmp_path / "nslx_t9.proto"
+        assert run_command(["tag", fx("nslx.proto"), "--label", "t9", "-o", str(out)]) == 0
+        assert run_command(["parse", str(out)]) == 0
+        assert parse_protocol_file(str(out)) == tag_protocol(parse_protocol_file(fx("nslx.proto")), "t9")
+
 
 class TestAnalyzeCommand:
     def test_combined_attack_exits_1(self):
@@ -152,6 +167,11 @@ class TestAnalyzeCommand:
 
     def test_zero_sessions_usage_error(self):
         assert run_command(["analyze", fx("p2.proto"), "--sessions", "0"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--node-budget", "--branch-budget"])
+    def test_negative_budget_usage_error(self, capsys, flag):
+        assert run_command(["analyze", fx("p2.proto"), flag, "-1"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_secret_usage_error(self):
         assert run_command(["analyze", fx("p2.proto"), "--secret", "NOPE"]) == 2
@@ -217,6 +237,47 @@ class TestAnalyzeCommand:
         combined = [a for f in files[1:] for a in ("--combined", fx(f))]
         run_command(["analyze", fx(files[0]), *combined, *options, "--json", str(out), "--oracle-verify"])
         assert strip_elapsed(json.loads(out.read_text())) == json.loads((GOLDEN / golden).read_text())
+
+
+def readme_examples() -> dict[str, list[str]]:
+    """The commands in README.md's "Command-line usage" section, each with
+    the output lines shown under it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command-line usage\n", 1)[1].split("\n## ", 1)[0]
+    examples: dict[str, list[str]] = {}
+    command = None
+    for line in section.splitlines():
+        if line.startswith("$ xorsleuth "):
+            command = line.removeprefix("$ xorsleuth ")
+            examples[command] = []
+        elif not line or line.startswith("```"):
+            command = None
+        elif command is not None:
+            examples[command].append(line)
+    return examples
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "analyze src/xorsleuth/fixtures/p2.proto",
+            "analyze src/xorsleuth/fixtures/p1.proto --combined src/xorsleuth/fixtures/p2.proto --secret NA",
+            "check-assumptions src/xorsleuth/fixtures/p1.proto",
+        ],
+    )
+    def test_output_verbatim(self, capsys, monkeypatch, command):
+        expected = readme_examples()[command]
+        monkeypatch.chdir(ROOT)
+        run_command(command.split())
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_check_munut_first_line(self, capsys, monkeypatch):
+        command = "check-munut src/xorsleuth/fixtures/nslx.proto src/xorsleuth/fixtures/nslx.proto"
+        expected = readme_examples()[command]
+        monkeypatch.chdir(ROOT)
+        run_command(command.split())
+        assert capsys.readouterr().out.splitlines()[0] == expected[0]
 
 
 class TestOracleVerifyCommand:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xorsleuth.oracle import (
-    GroundKnowledge,
     NonGround,
     derivable,
     dy_closure,

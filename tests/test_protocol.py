@@ -27,7 +27,6 @@ from xorsleuth.terms import (
     ZERO,
     Const,
     Sort,
-    Var,
     apply_subst,
     const,
     normalize,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from xorsleuth.terms import (
     EMPTY_SUBST,
     ZERO,
-    Const,
     PEnc,
     Seq,
     Sh,
@@ -168,6 +167,25 @@ class TestSubstitution:
         s = Substitution({X: seq(Y, c), Y: d}).close()
         assert s.is_idempotent()
         assert s.apply(X) == seq(d, c)
+
+    def test_close_resolves_through_bindings(self):
+        # W's binding refers to X, whose binding is resolved first, as when
+        # an XOR unifier's grounding constants are mapped back to variables
+        Y, W = var("Y"), var("W")
+        s = Substitution({X: seq(c, d), W: xor(X, Y)}).close()
+        assert s == Substitution({X: seq(c, d), W: xor(seq(c, d), Y)})
+
+    @pytest.mark.parametrize("n", [2, 3, 30])
+    def test_close_rejects_cycles(self, n):
+        vs = [var(f"V{i}") for i in range(n)]
+        s = Substitution({v: seq(vs[(i + 1) % n], c) for i, v in enumerate(vs)})
+        with pytest.raises(SortError, match="cyclic"):
+            s.close()
+
+    def test_close_passes_free_variables_through(self):
+        Y = var("Y")
+        s = Substitution({X: seq(Y, c)})
+        assert s.close() == s
 
     def test_restrict(self):
         s = Substitution({X: c, B: a})

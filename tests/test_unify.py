@@ -13,7 +13,6 @@ from xorsleuth.dsl import parse_protocol_file
 from xorsleuth.solver import AnalysisConfig, check_secrecy
 from xorsleuth.terms import (
     ZERO,
-    Const,
     Sort,
     Substitution,
     Theory,
@@ -33,17 +32,14 @@ from xorsleuth.terms import (
     xor,
 )
 from xorsleuth.unify import (
-    BscaTrace,
     BudgetExhausted,
     Equation,
     MixedTheoryTerm,
     NonPureAcun,
-    OrderCycle,
     PartitionSpaceExceeded,
     SearchBudget,
     UnificationProblem,
     bsca_unify,
-    combine_unifiers,
     enumerate_identifications,
     is_instance_of,
     partition_to_subst,
@@ -257,28 +253,6 @@ class TestIdentifications:
     def test_partition_to_subst(self):
         s = partition_to_subst(((X, Y), (Z,)))
         assert s.apply(Y) == X and s.apply(Z) == Z
-
-
-class TestCombine:
-    def test_back_substitution_through_grounding(self):
-        x_c = Const("x", Sort.DATA)
-        y_c = Const("y", Sort.DATA)
-        s1 = Substitution({X: seq(c, d)})
-        s2 = Substitution({W: xor(x_c, y_c)})
-        beta = Substitution({X: x_c, Y: y_c})
-        combined = combine_unifiers(s1, s2, [X, Y, W], ([X, Y], [W]), grounding=beta)
-        assert combined.apply(W) == xor(seq(c, d), Y)
-
-    def test_order_cycle(self):
-        s1 = Substitution({X: seq(Y, c)})
-        s2 = Substitution({Y: seq(X, d)})
-        with pytest.raises(OrderCycle):
-            combine_unifiers(s1, s2, [X, Y], ([X], [Y]))
-
-    def test_free_variables_pass_through(self):
-        s1 = Substitution({X: seq(Y, c)})
-        combined = combine_unifiers(s1, Substitution(), [X], ([X], []))
-        assert combined.apply(X) == seq(Y, c)
 
 
 class TestBsca:
