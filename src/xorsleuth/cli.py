@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Sequence
 
-from .dsl import is_constant_name, parse_protocol_file, render_protocol
+from .dsl import parse_protocol_file, render_protocol
 from .oracle import verify_solution
 from .protocol import check_assumptions, check_munut, tag_protocol
 from .solver import (
@@ -167,11 +167,6 @@ def _cmd_check_munut(args) -> int:
 
 
 def _cmd_tag(args) -> int:
-    if not is_constant_name(args.label):
-        raise XorsleuthError(
-            f"label {args.label!r} is not a constant name: letters, digits and _, "
-            "not starting upper-case, and not zero or a constructor name"
-        )
     p = parse_protocol_file(args.file)
     tagged = tag_protocol(p, args.label)
     text = render_protocol(tagged)

@@ -41,7 +41,6 @@ from .terms import (
 )
 
 _SORTS = {s.value: s for s in Sort}
-_KEYWORDS = {"protocol", "vars", "fresh", "secret", "role", "send", "recv", "zero"}
 
 
 class ProtocolSyntaxError(XorsleuthError):
@@ -330,19 +329,6 @@ class _Parser:
             name = ast[1].value
             return Const(name, const_sorts.get(name, Sort.DATA))
         return CONSTRUCTOR_NAMED[head].make(tuple(self._build(a, const_sorts) for a in ast[2]))
-
-
-def is_constant_name(name: str) -> bool:
-    """Does ``name`` parse as a constant: one identifier of letters, digits
-    and ``_`` that does not start upper-case (a variable) and is not ``zero``
-    or a constructor name?"""
-    return (
-        name != ""
-        and all(ch.isalnum() or ch == "_" for ch in name)
-        and not name[0].isupper()
-        and name != "zero"
-        and name not in CONSTRUCTOR_NAMED
-    )
 
 
 def parse_protocol(text: str) -> Protocol:

@@ -34,6 +34,7 @@ from .terms import (
     XorsleuthError,
     Zero,
     interms,
+    is_constant_name,
     is_interm,
     map_term,
     normalize,
@@ -485,12 +486,16 @@ def tag_protocol(p: Protocol, label: Const | str) -> Protocol:
 
     The label becomes a Tag-sort constant; encryption plaintexts get it
     prepended (wrapping non-sequences into a pair), and every non-XOR child
-    of every XOR gets the same treatment.  Raises :class:`LabelCollision` if
-    the label's name already occurs in the protocol.
+    of every XOR gets the same treatment.  Raises :class:`XorsleuthError`
+    if the label is no DSL constant name (the result would not parse), and
+    :class:`LabelCollision` if it already occurs in the protocol.
     """
-    tag = label if isinstance(label, Const) else Const(label, Sort.TAG)
-    if tag.sort is not Sort.TAG:
-        tag = Const(tag.name, Sort.TAG)
+    tag = Const(label.name if isinstance(label, Const) else label, Sort.TAG)
+    if not is_constant_name(tag.name):
+        raise XorsleuthError(
+            f"label {tag.name!r} is not a constant name: letters, digits and _, "
+            "not starting upper-case, and not zero or a constructor name"
+        )
     for c in itertools.chain.from_iterable(subterms(t) for t in p.node_terms()):
         if isinstance(c, Const) and c.name == tag.name:
             raise LabelCollision(f"label {tag.name!r} already occurs in {p.name}")

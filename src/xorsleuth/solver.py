@@ -41,7 +41,7 @@ from .terms import (
     vars_of,
     vars_of_all,
 )
-from .unify import unify_sua
+from .unify import rename_new_vars, unify_sua
 
 
 class ConfigError(XorsleuthError):
@@ -88,8 +88,6 @@ class ConstraintSequence:
 
 
 class RuleName(enum.Enum):
-    CONCAT = "concat"
-    SPLIT = "split"
     PENC = "penc"
     PDEC = "pdec"
     SENC = "senc"
@@ -225,15 +223,9 @@ def _xor_split(items: Sequence[Term]) -> Iterator[tuple[Term, Term]]:
         yield (normalize(Xor(tuple(rest))) if len(rest) > 1 else rest[0]), child
 
 
-def _concat(c: Constraint, site: int) -> Branches:
-    return [tuple(Constraint.make(t, c.term_set) for t in c.target.items)]
-
-
-def _open(parts: Callable[[Term], tuple[Term, ...]]) -> Callable[[Constraint, int], Branches]:
-    """``split`` and ``pdec``: the member gives way to the parts read from it."""
-    return lambda c, site: [
-        (Constraint.make(c.target, _without(c.term_set, site) + parts(c.term_set[site])),)
-    ]
+def _pdec(c: Constraint, site: int) -> Branches:
+    """The member gives way to its plaintext."""
+    return [(Constraint.make(c.target, _without(c.term_set, site) + (c.term_set[site].plain,)),)]
 
 
 def _encrypt(c: Constraint, site: int) -> Branches:
@@ -290,11 +282,10 @@ class _Rule(NamedTuple):
 
 
 # In RuleName order, which is the order of `applicable_rules` and of the search.
+# No rule acts on a sequence: `normalize_seq` splits sequences before any rule.
 _RULES: dict[RuleName, _Rule] = {
-    RuleName.CONCAT: _Rule(True, Seq, _concat),
-    RuleName.SPLIT: _Rule(False, Seq, _open(lambda t: t.items)),
     RuleName.PENC: _Rule(True, PEnc, _encrypt),
-    RuleName.PDEC: _Rule(False, PEnc, _open(lambda t: (t.plain,)), guard=lambda t: t.key == PK_EPS),
+    RuleName.PDEC: _Rule(False, PEnc, _pdec, guard=lambda t: t.key == PK_EPS),
     RuleName.SENC: _Rule(True, SEnc, _encrypt),
     RuleName.SDEC: _Rule(False, SEnc, _sdec),
     RuleName.XOR_R: _Rule(False, Xor, _xor_r),
@@ -387,8 +378,15 @@ def _subst_constraints(tau: Substitution, cs: Constraints) -> Constraints:
     return tuple(Constraint.make(tau.apply(c.target), (tau.apply(t) for t in c.term_set)) for c in cs)
 
 
-def _subst_pending(tau: Substitution, p: Pending | None) -> Pending | None:
-    return p if p is None or not tau else p._replace(images=tuple(map(tau.apply, p.images)))
+def _names(cs: ConstraintSequence) -> set[str]:
+    """The names of the variables of ``cs``: of its constraints, of its
+    substitution and of the nodes it has still to place (`_Plan.watched`)."""
+    terms = [t for c in cs.constraints for t in (c.target, *c.term_set)]
+    terms += [t for binding in cs.subst.items() for t in binding]
+    p = cs.pending
+    if p is not None:
+        terms += p.plan.watched(p.positions)
+    return {v.name for v in vars_of_all(terms)}
 
 
 def _apply(
@@ -400,7 +398,9 @@ def _apply(
     """All branch results of one rule at one site plus a completeness flag
     (False when the `un`/`ksub` unifier search hit its budget, so an empty
     branch list is not a proof of absence).  ``active`` is the sequence split
-    at its active constraint (`_split_at_active`)."""
+    at its active constraint (`_split_at_active`).  The variables a unifier
+    brings in (in neither unified term) are named without knowledge of the
+    state, so they are renamed apart from it (`_names`)."""
     prefix, c, suffix = active
     row = _RULES[rule]
     if row.decompose is not None:
@@ -411,11 +411,13 @@ def _apply(
     (m, t), rewritten = row.substitute(c, site, prefix, suffix)
     # every unifier of m = m is an instance of the identity
     unifiers, complete = ((Substitution(),), True) if m == t else _cached_unify(m, t)
+    pair = vars_of(m) | vars_of(t)
+    if any(not vars_of_all(u for _, u in tau.items()) <= pair for tau in unifiers):
+        taken = _names(cs)
+        unifiers = tuple(rename_new_vars(tau, pair, taken) for tau in unifiers)
     return [
         (
-            ConstraintSequence(
-                _subst_constraints(tau, rewritten), cs.subst.compose(tau), cs.origin, _subst_pending(tau, cs.pending)
-            ),
+            ConstraintSequence(_subst_constraints(tau, rewritten), cs.subst.compose(tau), cs.origin, cs.pending),
             tau,
         )
         for tau in unifiers
@@ -453,9 +455,10 @@ def _canonical_key(cs: ConstraintSequence, tokens: Tokens) -> str:
     first time.
 
     In a search over interleavings the key also holds the strand positions
-    and the pending images (`Pending`), renamed along with the constraints:
-    two prefixes with equal placed constraints that bind a variable of a
-    constraint still to be placed differently must not merge."""
+    and the bindings of ``plan.watched`` (what every constraint still to be
+    placed is built from) in the state's substitution, renamed along with
+    the constraints: prefixes with equal placed constraints that bind a
+    variable of a constraint still to be placed differently must not merge."""
     names: dict[Var, Var] = {}
     seen: dict[Term, str] = {}
 
@@ -488,7 +491,8 @@ def _canonical_key(cs: ConstraintSequence, tokens: Tokens) -> str:
     p = cs.pending
     if p is None:
         return key
-    return f"{key}|{p.positions}|{','.join(map(token, p.images))}"
+    images = (cs.subst.get(v) or v for v in p.plan.watched(p.positions))
+    return f"{key}|{p.positions}|{','.join(map(token, images))}"
 
 
 def _ground(c: Constraint) -> bool:
@@ -499,19 +503,18 @@ def _ground(c: Constraint) -> bool:
 class _Shared:
     """What the searches of one `satisfiable` call share: the budget, the
     token table (`_canonical_key`), the node count and peak depth, and the
-    table of ground constraints (`_ground`): ``decided`` maps one to whether
-    it is derivable, and ``tried`` holds those whose nested search has
-    started (it may still be running, or a budget cut it)."""
+    table of ground constraints (`_ground`): ``decided`` maps one whose
+    nested search has started to whether it is derivable, or to None while
+    that search runs and after a budget cut it."""
 
-    __slots__ = ("budget", "tokens", "nodes", "peak_depth", "decided", "tried")
+    __slots__ = ("budget", "tokens", "nodes", "peak_depth", "decided")
 
     def __init__(self, budget: SolverBudget) -> None:
         self.budget = budget
         self.tokens: Tokens = {}
         self.nodes = 0
         self.peak_depth = 0
-        self.decided: dict[Constraint, bool] = {}
-        self.tried: set[Constraint] = set()
+        self.decided: dict[Constraint, bool | None] = {}
 
 
 # A search yields (ground constraint, depth) to have it decided by a nested
@@ -606,7 +609,7 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
     """The search of `satisfiable` from ``cs`` at depth ``depth0``, with its
     own visited set.  It yields each ground constraint it needs decided,
     with its depth, and is sent back the status of the nested search."""
-    budget, tokens, decided, tried = shared.budget, shared.tokens, shared.decided, shared.tried
+    budget, tokens, decided = shared.budget, shared.tokens, shared.decided
     visited: set[str] = set()
     # node ids of the interleavings whose secret constraint was placed
     reached: set[tuple[str, ...]] = set() if cs.pending is not None else {cs.origin}
@@ -626,14 +629,13 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
             continue
         if active is not None and _ground(active[1]):
             c = active[1]
-            derivable = decided.get(c)
             more_after = active[2] or p is not None and not p.done
-            if derivable is None and more_after and c not in tried and depth < budget.max_depth:
-                tried.add(c)
+            if c not in decided and more_after and depth < budget.max_depth:
+                decided[c] = None
                 status = yield c, depth
                 if status is not SolveStatus.BUDGET_EXHAUSTED:
-                    derivable = decided[c] = status is SolveStatus.SATISFIABLE
-            if derivable is False:
+                    decided[c] = status is SolveStatus.SATISFIABLE
+            if decided.get(c) is False:
                 continue
         key = _canonical_key(cur, tokens)
         if key in visited:
@@ -679,10 +681,10 @@ class _Plan:
     """What the states of one search over interleavings share: each strand's
     id and nodes, with the demand for the secret as one more strand of a
     single receive (node id ``sec``), placed once every other strand is
-    finished; the initial knowledge; and, per strand positions, the
-    variables whose images a state keeps (`Pending`)."""
+    finished; the initial knowledge; and, per strand positions, a receive's
+    term set and the variables whose bindings the state key holds."""
 
-    __slots__ = ("ids", "nodes", "base", "_watched")
+    __slots__ = ("ids", "nodes", "base", "_term_sets", "_watched")
 
     def __init__(self, bundles: Sequence[SemiBundle], iik: Iik, secret: Const) -> None:
         self.ids = tuple(sid for b in bundles for sid in b.strand_ids)
@@ -690,7 +692,17 @@ class _Plan:
             (Node(RECV, secret),),
         )
         self.base = iik.sorted_terms()
+        self._term_sets: dict[tuple[int, ...], tuple[Term, ...]] = {}
         self._watched: dict[tuple[int, ...], tuple[Var, ...]] = {}
+
+    def term_set(self, positions: tuple[int, ...]) -> tuple[Term, ...]:
+        """The term set of a receive placed at ``positions``, without the
+        substitution: the initial knowledge and every send before them."""
+        out = self._term_sets.get(positions)
+        if out is None:
+            sent = [n.term for nodes, i in zip(self.nodes, positions) for n in nodes[:i] if n.sign == SEND]
+            out = self._term_sets[positions] = _term_set(self.base + tuple(sent))
+        return out
 
     def watched(self, positions: tuple[int, ...]) -> tuple[Var, ...]:
         """The variables of the unplaced nodes and of the terms sent, in term
@@ -711,19 +723,12 @@ class _Plan:
 class Pending(NamedTuple):
     """The interleaving part of a search state.  ``positions`` is the next
     node of each strand of ``plan`` (the last strand is the secret's);
-    ``sent`` and ``placed`` are the terms sent and the constraints placed so
-    far, as the strands have them, without the substitution (the attack
-    trace reports them).  ``images`` are the images, under the state's
-    substitution, of ``plan.watched(positions)``.  They change only at a
-    placement or at a non-identity `un`/`ksub`, so the state carries them;
-    in the state key, they keep apart prefixes that bind a variable of a
-    constraint still to be placed differently."""
+    ``placed`` are the constraints placed so far, as the strands have them,
+    without the substitution (the attack trace reports them)."""
 
     plan: _Plan
     positions: tuple[int, ...]
-    sent: tuple[Term, ...]
     placed: tuple[Constraint, ...]
-    images: tuple[Term, ...]
 
     @property
     def done(self) -> bool:
@@ -736,8 +741,7 @@ def _interleavings(bundles: Sequence[SemiBundle], iik: Iik, secret: Const) -> Co
     bundles' strands, each ending with the demand for ``secret``."""
     assert any(secret in b.secret_constants for b in bundles), "secret must come from a bundle"
     plan = _Plan(bundles, iik, secret)
-    start = (0,) * len(plan.nodes)
-    return ConstraintSequence((), EMPTY_SUBST, (), Pending(plan, start, (), (), plan.watched(start)))
+    return ConstraintSequence((), EMPTY_SUBST, (), Pending(plan, (0,) * len(plan.nodes), ()))
 
 
 def _place(cs: ConstraintSequence) -> list[ConstraintSequence]:
@@ -750,17 +754,16 @@ def _place(cs: ConstraintSequence) -> list[ConstraintSequence]:
     placement step of `satisfiable` and of `constraint_sequences`."""
     p = cs.pending
     plan, sigma = p.plan, cs.subst
-    positions, sent, ids = list(p.positions), p.sent, cs.origin
+    positions, ids = list(p.positions), cs.origin
     for si, nodes in enumerate(plan.nodes):
         i = positions[si]
         while i < len(nodes) and nodes[i].sign == SEND:
-            sent += (nodes[i].term,)
             i += 1
             ids += (f"{plan.ids[si]}.{i}",)
         positions[si] = i
     last = len(plan.nodes) - 1
     receivers = [si for si in range(last) if positions[si] < len(plan.nodes[si])] or [last]
-    raw_set = _term_set(plan.base + sent)
+    raw_set = plan.term_set(tuple(positions))
     term_set = _term_set(map(sigma.apply, raw_set)) if sigma else raw_set
     children = []
     for si in receivers:
@@ -769,8 +772,7 @@ def _place(cs: ConstraintSequence) -> list[ConstraintSequence]:
         term = plan.nodes[si][i].term
         raw = Constraint(normalize(term), raw_set)
         new = Constraint(normalize(sigma.apply(term)), term_set) if sigma else raw
-        watched = plan.watched(after)
-        pending = Pending(plan, after, sent, p.placed + (raw,), tuple(map(sigma.apply, watched)) if sigma else watched)
+        pending = Pending(plan, after, p.placed + (raw,))
         nid = f"{plan.ids[si]}.{i + 1}" if si < last else "sec"
         children.append(ConstraintSequence(cs.constraints + (new,), sigma, ids + (nid,), pending))
     return children

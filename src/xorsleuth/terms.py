@@ -174,6 +174,20 @@ CONSTRUCTORS = (
 CONSTRUCTOR_OF_TYPE = {c.cls: c for c in CONSTRUCTORS}
 CONSTRUCTOR_NAMED = {c.name: c for c in CONSTRUCTORS}
 
+
+def is_constant_name(name: str) -> bool:
+    """Does ``name`` parse as a constant in the protocol DSL: one identifier
+    of letters, digits and ``_`` that does not start upper-case (a variable)
+    and is not ``zero`` or a constructor name?"""
+    return (
+        name != ""
+        and all(ch.isalnum() or ch == "_" for ch in name)
+        and not name[0].isupper()
+        and name != "zero"
+        and name not in CONSTRUCTOR_NAMED
+    )
+
+
 _RANK = {Var: 0, Const: 1, Zero: 2, **{c.cls: rank for rank, c in enumerate(CONSTRUCTORS, 3)}}
 
 _KeyType = tuple

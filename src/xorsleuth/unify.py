@@ -64,10 +64,6 @@ class PartitionSpaceExceeded(XorsleuthError):
     """Too many variables to enumerate identifications."""
 
 
-class BudgetExhausted(XorsleuthError):
-    """Search gave up before completing; inconclusive, not 'no unifier'."""
-
-
 @dataclass(frozen=True)
 class Equation:
     left: Term
@@ -468,6 +464,25 @@ def _fresh_names(prefix: str, taken: set[str]) -> Iterator[str]:
     return (name for name in (f"{prefix}{i}" for i in itertools.count()) if name not in taken)
 
 
+def rename_new_vars(s: Substitution, keep: frozenset[Var], taken: set[str]) -> Substitution:
+    """``s``, whose domain lies in ``keep``, with each variable of its range
+    outside ``keep`` renamed to ``#v0``, ``#v1``, … (skipping ``taken``, which
+    holds the names of ``keep``) in order of first occurrence: binding by
+    binding in domain order, each term left to right.  A renaming onto new
+    names, so a unifier of terms over ``keep`` stays an equivalent one."""
+    fresh = _fresh_names(ABSTRACTION_PREFIX, taken)
+    renaming: dict[Var, Term] = {}
+    stack = [t for _, t in reversed(s.items())]
+    while stack:
+        u = stack.pop()
+        if not isinstance(u, Var):
+            stack.extend(reversed(children(u)))
+        elif u not in keep and u not in renaming:
+            renaming[u] = Var(next(fresh), u.sort)
+    r = Substitution(renaming)
+    return Substitution({v: r.apply(t) for v, t in s.items()}) if r else s
+
+
 def _abstract(
     t: Term, theory: Theory, out: list[Equation], by_term: dict[Term, Var], fresh: Iterator[str]
 ) -> Term:
@@ -494,6 +509,7 @@ Partition = tuple[tuple[Var, ...], ...]
 
 # Bell(12) is about 4.2 million partitions.
 _IDENTIFICATION_LIMIT = 12
+_MAX_CONFIGS = 20_000  # combination configurations of one `bsca_unify` call
 
 
 def enumerate_identifications(variables: Iterable[Var]) -> Iterator[Partition]:
@@ -562,11 +578,6 @@ def _invert_grounding(grounding: Substitution):
 
 
 # -- combined search ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    max_configs: int = 20000
 
 
 @dataclass
@@ -652,9 +663,7 @@ def _split_problem(eqs: Sequence[Equation]) -> list[tuple[Equation, ...]]:
     return systems
 
 
-def bsca_unify(
-    problem: UnificationProblem, budget: SearchBudget | None = None
-) -> tuple[tuple[Substitution, ...], BscaTrace]:
+def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], BscaTrace]:
     """Unifiers modulo the combined theory, with a search trace.
 
     Pure problems are dispatched straight to the single-theory algorithms.
@@ -670,15 +679,15 @@ def bsca_unify(
     substitution unifies the equations exactly when it unifies every pair
     of some alternative.  A system without XOR goes to ``unify_std``, a pure
     XOR one to ``unify_acun``, and the rest to the combination search
-    (``_combination``), which shares one configuration budget across the
-    systems.  An equation with an XOR at the root is its own only system
-    unless its sides are equal or clash there.
+    (``_combination``), which shares one configuration budget
+    (``_MAX_CONFIGS``) across the systems.  An equation with an XOR at the
+    root is its own only system unless its sides are equal or clash there.
     Candidates are kept only if they satisfy the original equations modulo
-    the combined theory.  An exhausted budget with no unifier raises
-    :class:`BudgetExhausted`; a completed search with no unifier is a
-    definitive failure.
+    the combined theory, and get canonical names for the variables they
+    bring in (`rename_new_vars`), whichever path found them.  A search cut
+    by a limit returns what it found with ``trace.complete`` False; a
+    completed search with no unifier is a definitive failure.
     """
-    budget = budget or SearchBudget()
     orig = [e.normalized() for e in problem.equations]
     orig_vars = vars_of_all(t for e in orig for t in (e.left, e.right))
     trace = BscaTrace()
@@ -690,6 +699,7 @@ def bsca_unify(
             if not subst_well_sorted(s):
                 continue
             if all(equal_mod(Theory.SUA, s.apply(e.left), s.apply(e.right)) for e in orig):
+                s = rename_new_vars(s, orig_vars, {v.name for v in orig_vars})
                 if s not in good:
                     good.append(s)
         good.sort(key=lambda s: tuple((term_key(v), term_key(t)) for v, t in s.items()))
@@ -721,7 +731,7 @@ def bsca_unify(
         elif _pure_acun(system):
             cands = validated(unify_acun(system))
         else:
-            tried, done = _combination(system, budget.max_configs - configs, validated, trace, found)
+            tried, done = _combination(system, _MAX_CONFIGS - configs, validated, trace, found)
             configs += tried
             complete = complete and done
             continue
@@ -731,10 +741,6 @@ def bsca_unify(
     trace.complete = complete
     found.sort(key=lambda s: tuple((term_key(v), term_key(t)) for v, t in s.items()))
     trace.unifiers = tuple(found)
-    if not found and not complete:
-        raise BudgetExhausted(
-            f"combination search stopped after {configs} configurations without completing"
-        )
     return trace.unifiers, trace
 
 
@@ -857,16 +863,7 @@ def _combination(
     return configs, complete
 
 
-def unify_sua(m: Term, t: Term, budget: SearchBudget | None = None) -> tuple[tuple[Substitution, ...], bool]:
-    """Unifiers of a single equation modulo the combined theory.
-
-    Returns the unifiers and whether the search was complete; an exhausted
-    budget yields ``((), False)`` rather than an exception.
-    """
-    try:
-        unifiers, trace = bsca_unify(
-            UnificationProblem((Equation(m, t, Theory.SUA),), Theory.SUA), budget
-        )
-        return unifiers, trace.complete
-    except BudgetExhausted:
-        return (), False
+def unify_sua(m: Term, t: Term) -> tuple[tuple[Substitution, ...], bool]:
+    """Unifiers of one equation modulo the combined theory, and whether the search completed."""
+    unifiers, trace = bsca_unify(UnificationProblem((Equation(m, t, Theory.SUA),), Theory.SUA))
+    return unifiers, trace.complete

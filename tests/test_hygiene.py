@@ -1,0 +1,60 @@
+"""Source hygiene of the package: no unused imports, no dead private names."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xorsleuth"
+
+
+def modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def loaded(tree):
+    """The names a module reads: as a name, or as an attribute of anything."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def imported(tree):
+    """The names a module binds by import, ``from __future__`` aside."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return out
+
+
+def private_definitions(tree):
+    """The ``_``-prefixed names a module defines at its top level."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in out if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_import_is_used():
+    unused = sorted(
+        f"{name}.{imp}" for name, tree in modules().items() for imp in imported(tree) - loaded(tree)
+    )
+    assert unused == []
+
+
+def test_every_private_module_name_is_read_somewhere():
+    trees = modules()
+    everywhere = set().union(*map(loaded, trees.values()))
+    dead = sorted(
+        f"{name}.{private}" for name, tree in trees.items() for private in private_definitions(tree) - everywhere
+    )
+    assert dead == []

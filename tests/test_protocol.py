@@ -27,6 +27,7 @@ from xorsleuth.terms import (
     ZERO,
     Const,
     Sort,
+    XorsleuthError,
     apply_subst,
     const,
     normalize,
@@ -284,6 +285,14 @@ class TestTagProtocol:
         tagged = tag_protocol(p1, "lbl")
         assert tagged.roles == p1.roles
         assert tagged.name == "p1_lbl"
+
+    @pytest.mark.parametrize("label", ["zero", "X", "a b", "seq", "#v0"])
+    def test_label_the_dsl_cannot_read_is_rejected(self, label):
+        # the tagged protocol would render to text that does not parse
+        q2 = load("q2")
+        for given in (label, Const(label, Sort.TAG)):
+            with pytest.raises(XorsleuthError, match="is not a constant name"):
+                tag_protocol(q2, given)
 
     def test_label_collision(self, nslx):
         with pytest.raises(LabelCollision):

@@ -237,9 +237,7 @@ class TestApplicableRules:
         T = list(enumerate(c.term_set))
         eps_key = lambda t: isinstance(t, PEnc) and t.key == normalize(Pk(ATTACKER))
         expected = (
-            [(RuleName.CONCAT, TARGET_SITE)] * isinstance(c.target, Seq)
-            + [(RuleName.SPLIT, i) for i, t in T if isinstance(t, Seq)]
-            + [(RuleName.PENC, TARGET_SITE)] * isinstance(c.target, PEnc)
+            [(RuleName.PENC, TARGET_SITE)] * isinstance(c.target, PEnc)
             + [(RuleName.PDEC, i) for i, t in T if eps_key(t)]
             + [(RuleName.SENC, TARGET_SITE)] * isinstance(c.target, SEnc)
             + [(RuleName.SDEC, i) for i, t in T if isinstance(t, SEnc)]
@@ -252,18 +250,6 @@ class TestApplicableRules:
 
 
 class TestApplyRule:
-    def test_concat(self):
-        cs = cseq((Seq((a, na)), (b,)))
-        (out,) = apply_rule(RuleName.CONCAT, TARGET_SITE, cs)
-        assert [to_text(cn.target) for cn in out.constraints] == [to_text(a), to_text(na)]
-
-    def test_split(self):
-        member = normalize(Seq((a, na)))
-        cs = cseq((nb, (member, k)))
-        site = cs.constraints[0].term_set.index(member)
-        (out,) = apply_rule(RuleName.SPLIT, site, cs)
-        assert set(out.constraints[0].term_set) == {a, na, k}
-
     def test_penc_splits_key_then_plain(self):
         cs = cseq((PEnc(na, Pk(a)), (b,)))
         (out,) = apply_rule(RuleName.PENC, TARGET_SITE, cs)
@@ -325,6 +311,23 @@ class TestApplyRule:
         (out,) = apply_rule(RuleName.UN, site, cs)
         assert out.constraints == cseq((X, (a,))).constraints
         assert out.subst.items() == ()
+
+    @pytest.mark.parametrize("name", ["#v0", "#v2"])
+    def test_un_keeps_the_states_variables_apart_from_new_ones(self, name):
+        # the second unifier binds X to xor(V, q0) for a variable V of its
+        # own; the later constraint has a variable named like V (#v0 is the
+        # unifier search's canonical name for it, #v2 an earlier one), which
+        # must not become V
+        d, q0, v = Const("d", Sort.DATA), Const("q0", Sort.DATA), Var(name, Sort.DATA)
+        cs = cseq((Xor((SEnc(d, k), q0)), (Xor((SEnc(Xor((X, q0)), k), Y)),)), (Seq((v, X)), (q0, v)))
+        branches = apply_rule(RuleName.UN, 0, cs)
+        assert len(branches) == 5
+        assert all(v not in vars_of(out.subst.apply(X)) for out in branches)
+        (new,) = vars_of(branches[1].subst.apply(X)) - {X}
+        assert branches[1].constraints[-1].target == normalize(Seq((v, Xor((new, q0)))))
+        # the trace records the unifier as renamed
+        taus = [tau for _, tau in solver._apply(RuleName.UN, 0, cs, solver._split_at_active(cs))[0]]
+        assert taus == [out.subst for out in branches]
 
     def test_un_structural_unifier_propagates(self):
         B = Var("B", Sort.AGENT)
@@ -839,9 +842,9 @@ class TestSharedPrefixes:
         state = children[-1]
         p = state.pending
         placed = {v for c in state.constraints for t in (c.target, *c.term_set) for v in vars_of(t)}
-        (free, *_) = [v for v in p.images if v not in placed]
+        (free, *_) = [v for v in p.plan.watched(p.positions) if v not in placed]
         moved = replace(state, pending=p._replace(positions=children[0].pending.positions))
-        bound = replace(state, pending=solver._subst_pending(Substitution({free: ATTACKER}), p))
+        bound = replace(state, subst=Substitution({free: ATTACKER}))
         assert moved.constraints == bound.constraints == state.constraints
         tokens = {}
         keys = {solver._canonical_key(cs, tokens) for cs in (state, moved, bound)}
@@ -855,14 +858,14 @@ class TestSharedPrefixes:
         (x,) = {v for s in bundles[0].strands for n in s.nodes for v in vars_of(n.term)}
         plan = solver._Plan(bundles, build_iik(bundles), na)
         cs = ConstraintSequence(
-            (Constraint.make(a, IIK + (a,)),), Substitution(), (), solver.Pending(plan, (0, 0), (), (), (x,))
+            (Constraint.make(a, IIK + (a,)),), Substitution(), (), solver.Pending(plan, (0, 0), ())
         )
         assert solver._originated(cs)
         c = cs.constraints[0]
         assert solver._rule_sites(cs, c) == applicable_rules(cs) != ((RuleName.UN, c.term_set.index(a)),)
         # once X is bound to a value the attacker knows, the send is originated
         sigma = Substitution({x: a})
-        bound = ConstraintSequence(cs.constraints, sigma, (), solver._subst_pending(sigma, cs.pending))
+        bound = ConstraintSequence(cs.constraints, sigma, (), cs.pending)
         assert solver._rule_sites(bound, c) == ((RuleName.UN, c.term_set.index(a)),)
 
 
@@ -945,7 +948,6 @@ class TestStateKey:
         # Nested searches share their caller's table
         searches = {}
         wrong_texts = set()
-        wrong_images = []
         calls = []
 
         def checked(cs, tokens):
@@ -958,9 +960,6 @@ class TestStateKey:
                 for t in (c.target, *c.term_set):
                     if to_text(t) != fresh_text(t):
                         wrong_texts.add(t)
-            # the images a state carries are those computed afresh
-            if cs.pending is not None and list(cs.pending.images) != pending_images(cs):
-                wrong_images.append(cs.origin)
             return key
 
         monkeypatch.setattr(solver, "_canonical_key", checked)
@@ -972,7 +971,6 @@ class TestStateKey:
         # every node is keyed; a state of a nested search may share its key
         # with one of its caller's, since each search has its own visited set
         assert len(calls) >= res.stats["nodes"]
-        assert wrong_images == []
         for _, refs_of, keys_of in searches.values():
             assert all(len(refs) == 1 for refs in refs_of.values())
             assert all(len(keys) == 1 for keys in keys_of.values())
@@ -1262,8 +1260,8 @@ class TestGroundDecisions:
         assert res.status is reference.status is SolveStatus.BUDGET_EXHAUSTED
         assert res.stats["exhausted"] == reference.stats["exhausted"] == ["branch"]
         assert searches[1:] == [(ConstraintSequence((first,)), 0)]
-        assert first not in table.decided
-        assert first in table.tried
+        # started, and left undecided
+        assert table.decided[first] is None
         # within the default budget the nested search decides it, and the
         # search finds the solution of the one without decisions
         res, table, _ = recorded(cs)
@@ -1283,7 +1281,7 @@ class TestGroundDecisions:
         assert len(searches) > 1
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
         assert res.stats["exhausted"] == ["node"]
-        assert not table.decided
+        assert set(table.decided.values()) == {None}
         full = satisfiable(cs)
         assert full.status is SolveStatus.UNSATISFIABLE
         with without_ground_decisions():
