@@ -55,14 +55,93 @@ def _term_set(terms: Iterable[Term]) -> tuple[Term, ...]:
     return tuple(sorted({normalize(t) for t in terms}, key=term_key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constraint:
+    """``target : term_set``.  A constraint computes its hash and its
+    variables once, when it is built, from its terms': ``variables`` are
+    those of the target and the term set, ``set_variables`` those of the
+    term set.  Three more facts are computed on first use and kept:
+    `naming_order`, `is_normal` and `is_settled`.  Every kept field is a
+    function of the two parts, so equal constraints never disagree on one,
+    and a copy or a pickle, which goes through the constructor, recomputes
+    them."""
+
+    __slots__ = ("target", "term_set", "variables", "set_variables", "_hash", "_naming", "_normal", "_settled")
     target: Term
     term_set: tuple[Term, ...]
 
+    def __post_init__(self) -> None:
+        init = object.__setattr__
+        set_vars = vars_of_all(self.term_set)
+        target_vars = vars_of(self.target)
+        init(self, "set_variables", set_vars)
+        init(self, "variables", set_vars if target_vars <= set_vars else target_vars | set_vars)
+        init(self, "_hash", hash((self.target, self.term_set)))
+        init(self, "_naming", None)
+        init(self, "_normal", None)
+        init(self, "_settled", None)
+
     @staticmethod
     def make(target: Term, term_set: Iterable[Term]) -> "Constraint":
-        return Constraint(normalize(target), _term_set(term_set))
+        return Constraint.made(normalize(target), _term_set(term_set))
+
+    @staticmethod
+    def made(target: Term, term_set: tuple[Term, ...]) -> "Constraint":
+        """The constraint of parts already in the form `make` gives them: a
+        canonical target and a term set that `_term_set` returned."""
+        c = Constraint(target, term_set)
+        object.__setattr__(c, "_normal", True)
+        return c
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Constraint):
+            return NotImplemented
+        return self._hash == other._hash and self.target == other.target and self.term_set == other.term_set
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Constraint, (self.target, self.term_set)
+
+    def naming_order(self) -> tuple[Var, ...]:
+        """The variables in the order a state key names them: the target's,
+        then each member's, each term's in `term_key` order, the first
+        occurrence kept."""
+        out = self._naming
+        if out is None:
+            seen: dict[Var, None] = {}
+            for t in (self.target, *self.term_set):
+                vs = vars_of(t)
+                if not vs <= seen.keys():
+                    seen.update(dict.fromkeys(sorted(vs, key=term_key)))
+            out = tuple(seen)
+            object.__setattr__(self, "_naming", out)
+        return out
+
+    def is_normal(self) -> bool:
+        """Is this the constraint `make` builds from its own parts?"""
+        out = self._normal
+        if out is None:
+            out = Constraint.make(self.target, self.term_set) == self
+            object.__setattr__(self, "_normal", out)
+        return out
+
+    def is_settled(self) -> bool:
+        """Is this, when active, a fixed point of `normalize_seq` whatever
+        comes before it: a target that is no sequence, and a normal term set
+        with no sequence to flatten and no stand-alone variable to drop?"""
+        out = self._settled
+        if out is None:
+            out = (
+                not isinstance(self.target, Seq)
+                and not any(isinstance(t, (Seq, Var)) for t in self.term_set)
+                and self.is_normal()
+            )
+            object.__setattr__(self, "_settled", out)
+        return out
 
     def to_json_dict(self) -> dict:
         return {"target": to_text(self.target), "term_set": [to_text(t) for t in self.term_set]}
@@ -173,7 +252,18 @@ def normalize_seq(cs: ConstraintSequence) -> ConstraintSequence:
     set, so it carries no information.  A stand-alone variable that no
     earlier target holds (a value an honest strand chose and sent) stays,
     since `un` may have to bind it.
+
+    A sequence whose active constraint `Constraint.is_settled` is returned
+    at once.  Soundness: its target is no sequence, so the loop below
+    cleans it; with no sequence member nothing is flattened, with no
+    stand-alone variable nothing is dropped, and a normal term set is what
+    `_term_set` gives back, so the cleaned set equals it and the loop ends
+    having changed nothing.  A constraint built directly, whose term set
+    may be unsorted, is not normal and takes the loop.
     """
+    ai = cs.active_index()
+    if ai is None or cs.constraints[ai].is_settled():
+        return cs
     constraints = list(cs.constraints)
     changed = False
     while True:
@@ -322,7 +412,7 @@ def _originated(cs: ConstraintSequence) -> bool:
     variables a strand receives do before it sends them."""
     known: frozenset[Var] = frozenset()
     for c in cs.constraints:
-        if any(not vars_of(t) <= known for t in c.term_set):
+        if not c.set_variables <= known:
             return False
         known |= vars_of(c.target)
     return True
@@ -375,18 +465,29 @@ def _rule_sites(cs: ConstraintSequence, c: Constraint) -> tuple[tuple[RuleName, 
 
 
 def _subst_constraints(tau: Substitution, cs: Constraints) -> Constraints:
-    return tuple(Constraint.make(tau.apply(c.target), (tau.apply(t) for t in c.term_set)) for c in cs)
+    """``tau`` applied to each constraint, as `Constraint.make` of its
+    substituted parts.  A normal constraint none of whose variables ``tau``
+    binds is returned as it is.  Soundness: ``tau`` maps each of its terms
+    to the term's canonical form, which a normal constraint's terms already
+    are, so `make` would rebuild the constraint itself."""
+    bound = tau.domain()
+    return tuple(
+        c
+        if c.variables.isdisjoint(bound) and c.is_normal()
+        else Constraint.make(tau.apply(c.target), map(tau.apply, c.term_set))
+        for c in cs
+    )
 
 
 def _names(cs: ConstraintSequence) -> set[str]:
     """The names of the variables of ``cs``: of its constraints, of its
     substitution and of the nodes it has still to place (`_Plan.watched`)."""
-    terms = [t for c in cs.constraints for t in (c.target, *c.term_set)]
-    terms += [t for binding in cs.subst.items() for t in binding]
+    terms = [t for binding in cs.subst.items() for t in binding]
     p = cs.pending
     if p is not None:
         terms += p.plan.watched(p.positions)
-    return {v.name for v in vars_of_all(terms)}
+    vs = vars_of_all(terms).union(*(c.variables for c in cs.constraints))
+    return {v.name for v in vs}
 
 
 def _apply(
@@ -441,26 +542,32 @@ def _canonical_key(cs: ConstraintSequence, tokens: Tokens) -> str:
     """Canonical form with variables renamed by first occurrence, so that
     alpha-equivalent states produced by `un` are pruned.
 
-    Each term of the state is written as a short token that stands for its
-    text after the renaming.  ``tokens`` is owned by the caller's search.
-    It gives each distinct text (a ground term's own, or a renamed term's)
-    a new token (the table's size when it is added, so tokens never
-    repeat), and it maps a term with the new names of its variables (in
-    term order) to the token of the renamed term, so each such pair is
-    renamed and rendered once per search.  Two terms get the same token
-    exactly when their renamed texts are equal, so within one search two
-    keys are equal exactly when the keys built from those texts are.  Each
-    distinct term of the state is looked up once: when a term occurs again,
-    its variables already have their names, so it renames as it did the
-    first time.
+    The variables are renamed ``_0``, ``_1``, … in order of first occurrence:
+    constraint by constraint, in `Constraint.naming_order`.  Each constraint
+    is written as a short token that stands for its text after the
+    renaming: its target's and members' renamed texts.  ``tokens`` is owned
+    by the caller's search.  It gives each distinct text (a ground term's
+    own, a renamed term's, or a constraint's written with the tokens of its
+    terms) a new token (the table's size when it is added, so tokens never
+    repeat).  It also maps a constraint, or a term, with the new names of
+    its variables in naming order (as numbers: the variables and so their
+    sorts are the constraint's or term's own) to the token of its renamed
+    text, so each such pair is renamed and rendered once per search.  The
+    renamed text of a constraint depends on nothing but the pair, so two
+    constraints get the same token exactly when their renamed texts are
+    equal, and within one search two keys are equal exactly when the keys
+    built from those texts are.
 
     In a search over interleavings the key also holds the strand positions
     and the bindings of ``plan.watched`` (what every constraint still to be
     placed is built from) in the state's substitution, renamed along with
     the constraints: prefixes with equal placed constraints that bind a
     variable of a constraint still to be placed differently must not merge."""
-    names: dict[Var, Var] = {}
-    seen: dict[Term, str] = {}
+    names: dict[Var, int] = {}
+
+    def renamed(vs: Iterable[Var]) -> tuple[int, ...]:
+        """The new names of ``vs``, naming those that have none yet."""
+        return tuple([names.setdefault(v, len(names)) for v in vs])
 
     def text_token(text: str) -> str:
         out = tokens.get(text)
@@ -469,25 +576,25 @@ def _canonical_key(cs: ConstraintSequence, tokens: Tokens) -> str:
         return out
 
     def token(t: Term) -> str:
-        out = seen.get(t)
-        if out is not None:
-            return out
         vs = vars_of(t)
         if not vs:
-            out = text_token(to_text(t))
-        else:
-            ordered = sorted(vs, key=term_key)
-            for v in ordered:
-                if v not in names:
-                    names[v] = Var(f"_{len(names)}", v.sort)
-            new = tuple(names[v] for v in ordered)
-            out = tokens.get((t, new))
-            if out is None:
-                out = tokens[(t, new)] = text_token(to_text(Substitution(zip(ordered, new)).apply(t)))
-        seen[t] = out
+            return text_token(to_text(t))
+        ordered = sorted(vs, key=term_key)
+        new = renamed(ordered)
+        out = tokens.get((t, new))
+        if out is None:
+            renaming = Substitution({v: Var(f"_{i}", v.sort) for v, i in zip(ordered, new)})
+            out = tokens[(t, new)] = text_token(to_text(renaming.apply(t)))
         return out
 
-    key = ";".join(token(c.target) + "!" + ",".join(map(token, c.term_set)) for c in cs.constraints)
+    parts = []
+    for c in cs.constraints:
+        new = renamed(c.naming_order())
+        out = tokens.get((c, new))
+        if out is None:
+            out = tokens[(c, new)] = text_token(token(c.target) + "!" + ",".join(map(token, c.term_set)))
+        parts.append(out)
+    key = ";".join(parts)
     p = cs.pending
     if p is None:
         return key
@@ -497,7 +604,7 @@ def _canonical_key(cs: ConstraintSequence, tokens: Tokens) -> str:
 
 def _ground(c: Constraint) -> bool:
     """The target and every member of the term set are ground."""
-    return not vars_of(c.target) and not any(vars_of(t) for t in c.term_set)
+    return not c.variables
 
 
 class _Shared:
@@ -770,8 +877,8 @@ def _place(cs: ConstraintSequence) -> list[ConstraintSequence]:
         i = positions[si]
         after = (*positions[:si], i + 1, *positions[si + 1 :])
         term = plan.nodes[si][i].term
-        raw = Constraint(normalize(term), raw_set)
-        new = Constraint(normalize(sigma.apply(term)), term_set) if sigma else raw
+        raw = Constraint.made(normalize(term), raw_set)
+        new = Constraint.made(normalize(sigma.apply(term)), term_set) if sigma else raw
         pending = Pending(plan, after, p.placed + (raw,))
         nid = f"{plan.ids[si]}.{i + 1}" if si < last else "sec"
         children.append(ConstraintSequence(cs.constraints + (new,), sigma, ids + (nid,), pending))
@@ -923,7 +1030,7 @@ def check_secrecy(protocols: Sequence[Protocol], config: AnalysisConfig | None =
         if result.status is SolveStatus.SATISFIABLE:
             sigma, steps = result.solution()
             cs = result.sequence
-            keep = vars_of_all(t for c in cs.constraints for t in (c.target, *c.term_set))
+            keep = frozenset().union(*(c.variables for c in cs.constraints))
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             trace = AttackTrace(
                 protocols=tuple(p.name for p in protocols),

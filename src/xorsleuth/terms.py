@@ -18,8 +18,9 @@ canonical term again costs one field read.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 
 class XorsleuthError(Exception):
