@@ -53,10 +53,6 @@ SEND = "+"
 RECV = "-"
 
 
-class SortMismatch(XorsleuthError):
-    """A naming assignment does not fit the variable's sort."""
-
-
 class SecretInIik(XorsleuthError):
     """A secret constant would end up in the attacker's initial knowledge."""
 
@@ -140,9 +136,9 @@ def enc_subterms(p: Protocol) -> tuple[Term, ...]:
     return tuple(sorted(encs, key=term_key))
 
 
-def rename_apart(p: Protocol, suffix: str = "'") -> Protocol:
-    """Rename every variable of the protocol with the given suffix."""
-    ren = {v: Var(v.name + suffix, v.sort) for v in p.variables()}
+def rename_apart(p: Protocol) -> Protocol:
+    """Rename every variable of the protocol with a prime: ``NA`` becomes ``NA'``."""
+    ren = {v: Var(v.name + "'", v.sort) for v in p.variables()}
     s = Substitution(ren)
     roles = tuple(
         (rn, Strand(tuple(Node(n.sign, s.apply(n.term)) for n in strand.nodes)))
@@ -196,23 +192,17 @@ class SemiBundle:
 def make_semibundle(
     p: Protocol,
     sessions_per_role: int,
-    naming: dict[str, Const] | None = None,
     session: FreshSession | None = None,
 ) -> SemiBundle:
     """Instantiate every role ``sessions_per_role`` times.
 
     The role's identity variable (the variable sharing the role's name) and
     its fresh variables become session-indexed constants; received variables
-    are renamed apart per strand and stay symbolic.  ``naming`` overrides the
-    base constant used for a role's identity.
+    are renamed apart per strand and stay symbolic.
     """
     if sessions_per_role < 1:
         raise ValueError("sessions_per_role must be at least 1")
     session = session or FreshSession()
-    naming = dict(naming or {})
-    for rn, base in naming.items():
-        if not (isinstance(base, Const) and base.sort is Sort.AGENT):
-            raise SortMismatch(f"naming for role {rn!r} must be an Agent constant")
 
     ids: list[str] = []
     strands: list[Strand] = []
@@ -236,8 +226,7 @@ def make_semibundle(
             k = session.next_strand()
             bindings: dict[Var, Term] = {}
             if identity is not None:
-                base = naming.get(role_name, Const(role_name.lower(), Sort.AGENT))
-                bindings[identity] = session.next_const(base.name, Sort.AGENT)
+                bindings[identity] = session.next_const(role_name.lower(), Sort.AGENT)
             for v in sorted(role_vars, key=term_key):
                 if v == identity:
                     continue
@@ -285,10 +274,8 @@ def build_iik(bundles: Sequence[SemiBundle], extra: Iterable[Term] = ()) -> Iik:
     never allowed in.
     """
     out: set[Term] = {ATTACKER, ZERO, PK_EPS}
-    all_fresh: set[Const] = set()
     all_secret: set[Const] = set()
     for b in bundles:
-        all_fresh |= b.fresh_constants
         all_secret |= b.secret_constants
         for t in b.node_terms():
             for s in subterms(t):

@@ -57,41 +57,31 @@ def _term_set(terms: Iterable[Term]) -> tuple[Term, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Constraint:
-    """``target : term_set``.  A constraint computes its hash and its
-    variables once, when it is built, from its terms': ``variables`` are
-    those of the target and the term set, ``set_variables`` those of the
-    term set.  Three more facts are computed on first use and kept:
-    `naming_order`, `is_normal` and `is_settled`.  Every kept field is a
-    function of the two parts, so equal constraints never disagree on one,
-    and a copy or a pickle, which goes through the constructor, recomputes
-    them."""
+    """``target : term_set``, in the one form every rule and state key
+    relies on: the constructor normalizes the target and makes the term set
+    the sorted, duplicate-free tuple of the canonical forms of the terms it
+    is given (`_term_set`), so constraints with the same target and the same
+    set of terms are equal.  It also computes the constraint's hash and its
+    variables, from its terms': ``variables`` are those of the target and
+    the term set, ``set_variables`` those of the term set.  `naming_order`
+    is computed on first use and kept.  Every kept field is a function of
+    the two parts, so equal constraints never disagree on one, and a copy
+    or a pickle, which goes through the constructor, recomputes them."""
 
-    __slots__ = ("target", "term_set", "variables", "set_variables", "_hash", "_naming", "_normal", "_settled")
+    __slots__ = ("target", "term_set", "variables", "set_variables", "_hash", "_naming")
     target: Term
     term_set: tuple[Term, ...]
 
     def __post_init__(self) -> None:
         init = object.__setattr__
+        init(self, "target", normalize(self.target))
+        init(self, "term_set", _term_set(self.term_set))
         set_vars = vars_of_all(self.term_set)
         target_vars = vars_of(self.target)
         init(self, "set_variables", set_vars)
         init(self, "variables", set_vars if target_vars <= set_vars else target_vars | set_vars)
         init(self, "_hash", hash((self.target, self.term_set)))
         init(self, "_naming", None)
-        init(self, "_normal", None)
-        init(self, "_settled", None)
-
-    @staticmethod
-    def make(target: Term, term_set: Iterable[Term]) -> "Constraint":
-        return Constraint.made(normalize(target), _term_set(term_set))
-
-    @staticmethod
-    def made(target: Term, term_set: tuple[Term, ...]) -> "Constraint":
-        """The constraint of parts already in the form `make` gives them: a
-        canonical target and a term set that `_term_set` returned."""
-        c = Constraint(target, term_set)
-        object.__setattr__(c, "_normal", True)
-        return c
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -119,28 +109,6 @@ class Constraint:
                     seen.update(dict.fromkeys(sorted(vs, key=term_key)))
             out = tuple(seen)
             object.__setattr__(self, "_naming", out)
-        return out
-
-    def is_normal(self) -> bool:
-        """Is this the constraint `make` builds from its own parts?"""
-        out = self._normal
-        if out is None:
-            out = Constraint.make(self.target, self.term_set) == self
-            object.__setattr__(self, "_normal", out)
-        return out
-
-    def is_settled(self) -> bool:
-        """Is this, when active, a fixed point of `normalize_seq` whatever
-        comes before it: a target that is no sequence, and a normal term set
-        with no sequence to flatten and no stand-alone variable to drop?"""
-        out = self._settled
-        if out is None:
-            out = (
-                not isinstance(self.target, Seq)
-                and not any(isinstance(t, (Seq, Var)) for t in self.term_set)
-                and self.is_normal()
-            )
-            object.__setattr__(self, "_settled", out)
         return out
 
     def to_json_dict(self) -> dict:
@@ -244,49 +212,41 @@ def _flatten_member(t: Term) -> list[Term]:
 
 
 def normalize_seq(cs: ConstraintSequence) -> ConstraintSequence:
-    """Fixed point of sequence-target splitting and term-set cleanup.
-
-    The active constraint ends with a non-sequence target and a term set
-    holding no sequences and no stand-alone variable that is an earlier
-    target: the attacker derived that value from an earlier, smaller term
-    set, so it carries no information.  A stand-alone variable that no
+    """The sequence with its active constraint split and cleaned, in two
+    steps.  First, while the active target is a sequence, the constraint
+    gives way to one constraint per item, each with its term set (a nested
+    sequence splits once it is active).  Then, if the active term set still
+    holds a sequence or a variable, it is cleaned once: sequence members are
+    flattened, and a stand-alone variable that is an earlier target is
+    dropped, since the attacker derived that value from an earlier, smaller
+    term set, so it carries no information.  A stand-alone variable that no
     earlier target holds (a value an honest strand chose and sent) stays,
-    since `un` may have to bind it.
+    since `un` may have to bind it.  ``cs`` itself comes back when nothing
+    changed.
 
-    A sequence whose active constraint `Constraint.is_settled` is returned
-    at once.  Soundness: its target is no sequence, so the loop below
-    cleans it; with no sequence member nothing is flattened, with no
-    stand-alone variable nothing is dropped, and a normal term set is what
-    `_term_set` gives back, so the cleaned set equals it and the loop ends
-    having changed nothing.  A constraint built directly, whose term set
-    may be unsorted, is not normal and takes the loop.
+    The result is the fixed point of splitting and cleaning: cleaning keeps
+    the target, and the cleaned set holds no sequence (flattening goes all
+    the way down, and the items of a canonical sequence are canonical) and
+    no variable that is an earlier target, so cleaning it again changes
+    nothing.  A term set with neither is clean already: the constructor
+    made it canonical.
     """
+    constraints = cs.constraints
     ai = cs.active_index()
-    if ai is None or cs.constraints[ai].is_settled():
-        return cs
-    constraints = list(cs.constraints)
-    changed = False
-    while True:
-        ai = next((i for i, c in enumerate(constraints) if not isinstance(c.target, Var)), None)
-        if ai is None:
-            break
+    while ai is not None and isinstance(constraints[ai].target, Seq):
         c = constraints[ai]
-        if isinstance(c.target, Seq):
-            parts = [Constraint.make(item, c.term_set) for item in c.target.items]
-            constraints[ai : ai + 1] = parts
-            changed = True
-            continue
-        flat: list[Term] = []
-        for t in c.term_set:
-            flat.extend(_flatten_member(t))
-        earlier = {e.target for e in constraints[:ai]}
-        cleaned = _term_set(t for t in flat if not (isinstance(t, Var) and t in earlier))
-        if cleaned != c.term_set:
-            constraints[ai] = Constraint(c.target, cleaned)
-            changed = True
-            continue
-        break
-    return ConstraintSequence(tuple(constraints), cs.subst, cs.origin, cs.pending) if changed else cs
+        parts = tuple(Constraint(item, c.term_set) for item in c.target.items)
+        constraints = constraints[:ai] + parts + constraints[ai + 1 :]
+        ai = next((i for i in range(ai, len(constraints)) if not isinstance(constraints[i].target, Var)), None)
+    if ai is not None:
+        c = constraints[ai]
+        if any(isinstance(t, (Seq, Var)) for t in c.term_set):
+            earlier = {e.target for e in constraints[:ai]}
+            flat = [t for member in c.term_set for t in _flatten_member(member)]
+            cleaned = Constraint(c.target, [t for t in flat if not (isinstance(t, Var) and t in earlier)])
+            if cleaned != c:
+                constraints = constraints[:ai] + (cleaned,) + constraints[ai + 1 :]
+    return cs if constraints is cs.constraints else ConstraintSequence(constraints, cs.subst, cs.origin, cs.pending)
 
 
 # -- rule application ---------------------------------------------------------------
@@ -310,41 +270,37 @@ def _xor_split(items: Sequence[Term]) -> Iterator[tuple[Term, Term]]:
     """(XOR of the other summands, summand) for each summand, in order."""
     for j, child in enumerate(items):
         rest = items[:j] + items[j + 1 :]
-        yield (normalize(Xor(tuple(rest))) if len(rest) > 1 else rest[0]), child
+        yield (Xor(tuple(rest)) if len(rest) > 1 else rest[0]), child
 
 
 def _pdec(c: Constraint, site: int) -> Branches:
     """The member gives way to its plaintext."""
-    return [(Constraint.make(c.target, _without(c.term_set, site) + (c.term_set[site].plain,)),)]
+    return [(Constraint(c.target, _without(c.term_set, site) + (c.term_set[site].plain,)),)]
 
 
 def _encrypt(c: Constraint, site: int) -> Branches:
     """``penc`` and ``senc``: derive the key, then the plaintext."""
     T = c.term_set
-    return [(Constraint.make(c.target.key, T), Constraint.make(c.target.plain, T))]
+    return [(Constraint(c.target.key, T), Constraint(c.target.plain, T))]
 
 
 def _sdec(c: Constraint, site: int) -> Branches:
     member = c.term_set[site]
     rest = _without(c.term_set, site)
-    return [
-        (Constraint.make(member.key, rest), Constraint.make(c.target, rest + (member.plain, member.key)))
-    ]
+    return [(Constraint(member.key, rest), Constraint(c.target, rest + (member.plain, member.key)))]
 
 
 def _xor_r(c: Constraint, site: int) -> Branches:
     rest_T = _without(c.term_set, site)
     return [
-        (Constraint.make(remainder, rest_T), Constraint.make(c.target, rest_T + (child,)))
+        (Constraint(remainder, rest_T), Constraint(c.target, rest_T + (child,)))
         for remainder, child in _xor_split(c.term_set[site].items)
     ]
 
 
 def _xor_l(c: Constraint, site: int) -> Branches:
     T = c.term_set
-    return [
-        (Constraint.make(rest, T), Constraint.make(child, T)) for rest, child in _xor_split(c.target.items)
-    ]
+    return [(Constraint(rest, T), Constraint(child, T)) for rest, child in _xor_split(c.target.items)]
 
 
 def _un(c: Constraint, site: int, prefix: Constraints, suffix: Constraints) -> Rewrite:
@@ -465,16 +421,12 @@ def _rule_sites(cs: ConstraintSequence, c: Constraint) -> tuple[tuple[RuleName, 
 
 
 def _subst_constraints(tau: Substitution, cs: Constraints) -> Constraints:
-    """``tau`` applied to each constraint, as `Constraint.make` of its
-    substituted parts.  A normal constraint none of whose variables ``tau``
-    binds is returned as it is.  Soundness: ``tau`` maps each of its terms
-    to the term's canonical form, which a normal constraint's terms already
-    are, so `make` would rebuild the constraint itself."""
+    """``tau`` applied to each constraint.  A constraint none of whose
+    variables ``tau`` binds is returned as it is: ``tau`` maps each of its
+    terms to the term's canonical form, which they already are."""
     bound = tau.domain()
     return tuple(
-        c
-        if c.variables.isdisjoint(bound) and c.is_normal()
-        else Constraint.make(tau.apply(c.target), map(tau.apply, c.term_set))
+        c if c.variables.isdisjoint(bound) else Constraint(tau.apply(c.target), map(tau.apply, c.term_set))
         for c in cs
     )
 
@@ -871,14 +823,14 @@ def _place(cs: ConstraintSequence) -> list[ConstraintSequence]:
     last = len(plan.nodes) - 1
     receivers = [si for si in range(last) if positions[si] < len(plan.nodes[si])] or [last]
     raw_set = plan.term_set(tuple(positions))
-    term_set = _term_set(map(sigma.apply, raw_set)) if sigma else raw_set
+    term_set = tuple(map(sigma.apply, raw_set)) if sigma else raw_set
     children = []
     for si in receivers:
         i = positions[si]
         after = (*positions[:si], i + 1, *positions[si + 1 :])
         term = plan.nodes[si][i].term
-        raw = Constraint.made(normalize(term), raw_set)
-        new = Constraint.made(normalize(sigma.apply(term)), term_set) if sigma else raw
+        raw = Constraint(term, raw_set)
+        new = Constraint(sigma.apply(term), term_set) if sigma else raw
         pending = Pending(plan, after, p.placed + (raw,))
         nid = f"{plan.ids[si]}.{i + 1}" if si < last else "sec"
         children.append(ConstraintSequence(cs.constraints + (new,), sigma, ids + (nid,), pending))

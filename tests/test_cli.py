@@ -303,6 +303,25 @@ class TestOracleVerifyCommand:
             docs.append(json.dumps(strip_elapsed(json.loads(out.read_text()))))
         assert docs[0] == docs[1]
 
+    def test_permuted_term_sets_with_repeats_verify_alike(self, tmp_path):
+        # a term set is a set: member order and repeats in the file change
+        # neither the verdict nor the hash of the input
+        trace = tmp_path / "attack.json"
+        run_command(
+            ["analyze", fx("p1.proto"), "--combined", fx("p2.proto"), "--secret", "NA", "--json", str(trace)]
+        )
+        doc = json.loads(trace.read_text())
+        for c in doc["results"]["attack"]["constraints"]:
+            c["term_set"] = c["term_set"][::-1] + c["term_set"][:1]
+        (tmp_path / "permuted").mkdir()
+        permuted = tmp_path / "permuted" / "attack.json"
+        permuted.write_text(json.dumps(doc))
+        reports = []
+        for path, out in ((trace, tmp_path / "verify.json"), (permuted, tmp_path / "verify_permuted.json")):
+            assert run_command(["oracle-verify", str(path), "--json", str(out)]) == 0
+            reports.append(strip_elapsed(json.loads(out.read_text())))
+        assert reports[0] == reports[1]
+
     def test_tampered_trace_rejected(self, tmp_path):
         out = tmp_path / "attack.json"
         run_command(

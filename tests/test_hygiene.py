@@ -1,5 +1,5 @@
 """Source hygiene of the package: no unused imports, no dead private names,
-no class checks against `typing` aliases."""
+no unread local variables, no class checks against `typing` aliases."""
 
 import ast
 from pathlib import Path
@@ -94,3 +94,41 @@ def test_no_class_check_against_typing():
                 ):
                     slow.append(f"{name}:{node.lineno}: {ast.unparse(cls)}")
     assert slow == []
+
+
+def _own_nodes(func):
+    """The nodes of a function's body, without those of the functions,
+    lambdas and classes defined in it."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def assigned_locals(func):
+    """The names a function's own body assigns, augmented assignment and
+    unpacking included, less those it declares global or nonlocal."""
+    stored, declared = set(), set()
+    for node in _own_nodes(func):
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.NamedExpr)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                stored.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return stored - declared
+
+
+def test_every_local_variable_is_read():
+    # a nested function may read what its enclosing function assigns, so the
+    # reads are those of the whole function; an augmented assignment stores
+    # its target without counting as a read of it
+    unread = []
+    for name, tree in modules().items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                reads = {n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread += [f"{name}.{func.name}: {v}" for v in sorted(assigned_locals(func) - reads - {"_"})]
+    assert unread == []

@@ -174,28 +174,28 @@ class TestVerifySolution:
         key = normalize(Sh(a, Const("s", Sort.AGENT)))
         ct = normalize(SEnc(Seq((one, na)), key))
         T = IIK + (key, ct)
-        cs = ConstraintSequence((Constraint.make(na, T),))
+        cs = ConstraintSequence((Constraint(na, T),))
         assert verify_solution(cs, Substitution())
 
     def test_empty_solution_on_underivable_target(self):
-        cs = ConstraintSequence((Constraint.make(a, (b,)),))
+        cs = ConstraintSequence((Constraint(a, (b,)),))
         assert not verify_solution(cs, Substitution())
 
     def test_every_constraint_checked_not_just_last(self):
-        good = Constraint.make(a, (a,))
-        bad = Constraint.make(s, (b,))
+        good = Constraint(a, (a,))
+        bad = Constraint(s, (b,))
         cs = ConstraintSequence((bad, good))
         assert not verify_solution(cs, Substitution())
 
     def test_leftover_variables_become_attacker_choices(self):
         # X : {eps} — solver leaves X free; grounding X := eps passes
-        cs = ConstraintSequence((Constraint.make(X, (ATTACKER,)),))
+        cs = ConstraintSequence((Constraint(X, (ATTACKER,)),))
         assert verify_solution(cs, Substitution())
 
     def test_substitution_applied_to_term_sets_too(self):
         B = Var("B", Sort.AGENT)
         ct = normalize(PEnc(s, Pk(B)))
-        cs = ConstraintSequence((Constraint.make(s, (ct,)),))
+        cs = ConstraintSequence((Constraint(s, (ct,)),))
         assert verify_solution(cs, Substitution({B: ATTACKER}))
         assert not verify_solution(cs, Substitution({B: a}))
 
@@ -234,9 +234,9 @@ class TestUndecided:
         assert derivable(na, LAYERED) is False
 
     def test_verify_solution_is_three_valued(self):
-        layered = Constraint.make(s, LAYERED)
+        layered = Constraint(s, LAYERED)
         # one round reaches the fixed point without na
-        underivable = Constraint.make(na, (SEnc(na, k),))
+        underivable = Constraint(na, (SEnc(na, k),))
         assert verify_solution(ConstraintSequence((layered,)), Substitution()) is True
         assert verify_solution(ConstraintSequence((layered,)), Substitution(), rounds=1) is None
         assert verify_solution(ConstraintSequence((layered,)), Substitution(), size_cap=4) is None
@@ -255,26 +255,26 @@ def agreement_cases():
     """Small constraint sequences with known solvable/unsolvable structure."""
     sh_ab = normalize(Sh(a, b))
     cases = [
-        ConstraintSequence((Constraint.make(na, IIK + (na,)),)),
-        ConstraintSequence((Constraint.make(na, IIK + (SEnc(na, k), k)),)),
-        ConstraintSequence((Constraint.make(na, IIK + (SEnc(na, k),)),)),
-        ConstraintSequence((Constraint.make(Xor((a, b)), IIK + (a, b)),)),
-        ConstraintSequence((Constraint.make(na, IIK + (Xor((na, one)), one)),)),
-        ConstraintSequence((Constraint.make(na, IIK + (normalize(Pk(a)),)),)),
-        ConstraintSequence((Constraint.make(na, IIK + (PEnc(na, Pk(ATTACKER)),)),)),
-        ConstraintSequence((Constraint.make(na, IIK + (PEnc(na, Pk(a)),)),)),
-        ConstraintSequence((Constraint.make(s, IIK + (SEnc(s, sh_ab), sh_ab)),)),
-        ConstraintSequence((Constraint.make(s, IIK + (SEnc(s, sh_ab),)),)),
+        ConstraintSequence((Constraint(na, IIK + (na,)),)),
+        ConstraintSequence((Constraint(na, IIK + (SEnc(na, k), k)),)),
+        ConstraintSequence((Constraint(na, IIK + (SEnc(na, k),)),)),
+        ConstraintSequence((Constraint(Xor((a, b)), IIK + (a, b)),)),
+        ConstraintSequence((Constraint(na, IIK + (Xor((na, one)), one)),)),
+        ConstraintSequence((Constraint(na, IIK + (normalize(Pk(a)),)),)),
+        ConstraintSequence((Constraint(na, IIK + (PEnc(na, Pk(ATTACKER)),)),)),
+        ConstraintSequence((Constraint(na, IIK + (PEnc(na, Pk(a)),)),)),
+        ConstraintSequence((Constraint(s, IIK + (SEnc(s, sh_ab), sh_ab)),)),
+        ConstraintSequence((Constraint(s, IIK + (SEnc(s, sh_ab),)),)),
         ConstraintSequence(
             (
-                Constraint.make(Seq((a, na)), IIK + (a, na)),
-                Constraint.make(s, IIK + (a, na, SEnc(s, Xor((na, one))), one)),
+                Constraint(Seq((a, na)), IIK + (a, na)),
+                Constraint(s, IIK + (a, na, SEnc(s, Xor((na, one))), one)),
             )
         ),
-        ConstraintSequence((Constraint.make(X, IIK),)),
-        ConstraintSequence((Constraint.make(PEnc(X, Pk(ATTACKER)), IIK + (a,)),)),
-        ConstraintSequence((Constraint.make(na, IIK + (SEnc(na, X),)),)),
-        ConstraintSequence((Constraint.make(na, IIK + (SEnc(na, X), k)),)),
+        ConstraintSequence((Constraint(X, IIK),)),
+        ConstraintSequence((Constraint(PEnc(X, Pk(ATTACKER)), IIK + (a,)),)),
+        ConstraintSequence((Constraint(na, IIK + (SEnc(na, X),)),)),
+        ConstraintSequence((Constraint(na, IIK + (SEnc(na, X), k)),)),
     ]
     return cases
 

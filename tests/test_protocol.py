@@ -13,7 +13,6 @@ from xorsleuth.protocol import (
     Node,
     Protocol,
     SecretInIik,
-    SortMismatch,
     Strand,
     build_iik,
     check_assumptions,
@@ -112,23 +111,9 @@ class TestSemiBundle:
         sb2 = make_semibundle(nslx, 1, session=session)
         assert not (sb1.fresh_constants & sb2.fresh_constants)
 
-    def test_naming_override_and_sort_mismatch(self, nslx):
-        sb = make_semibundle(
-            nslx, 1, naming={"A": Const("alice", Sort.AGENT)}, session=FreshSession()
-        )
-        assert "alice1" in {c.name for s in sb.strands for c in _consts(s)}
-        with pytest.raises(SortMismatch):
-            make_semibundle(nslx, 1, naming={"A": Const("x", Sort.NONCE)})
-
     def test_zero_sessions_rejected(self, nslx):
         with pytest.raises(ValueError):
             make_semibundle(nslx, 0)
-
-
-def _consts(strand):
-    from xorsleuth.terms import subterms, Const as C
-
-    return {s for n in strand.nodes for s in subterms(n.term) if isinstance(s, C)}
 
 
 class TestIik:

@@ -107,7 +107,7 @@ role B:
 
 
 def cseq(*constraints):
-    return ConstraintSequence(tuple(Constraint.make(m, T) for m, T in constraints))
+    return ConstraintSequence(tuple(Constraint(m, T) for m, T in constraints))
 
 
 @st.composite
@@ -133,18 +133,16 @@ def rule_terms(draw, depth=2):
 
 @st.composite
 def any_constraints(draw):
-    """A constraint as `Constraint.make` builds it, or one built directly
-    from members in any order, repeats allowed."""
+    """A constraint built from members in any order, repeats allowed."""
     target = draw(rule_terms(depth=1))
     members = draw(st.lists(rule_terms(depth=1), max_size=4))
-    if draw(st.booleans()):
-        return Constraint.make(target, members)
-    return Constraint(target, tuple(members))
+    return Constraint(target, members)
 
 
 def reference_normalize_seq(cs):
-    """`normalize_seq` without its settled shortcut: the fixed-point loop
-    alone, on every sequence."""
+    """The fixed-point loop that `normalize_seq`'s two steps stand for:
+    split while the active target is a sequence, and clean the active term
+    set until cleaning changes nothing."""
     constraints = list(cs.constraints)
     changed = False
     while True:
@@ -153,7 +151,7 @@ def reference_normalize_seq(cs):
             break
         c = constraints[ai]
         if isinstance(c.target, Seq):
-            constraints[ai : ai + 1] = [Constraint.make(item, c.term_set) for item in c.target.items]
+            constraints[ai : ai + 1] = [Constraint(item, c.term_set) for item in c.target.items]
             changed = True
             continue
         flat = []
@@ -231,21 +229,21 @@ class TestNormalizeSeq:
         assert normalize_seq(cs) == cs
 
     def test_unsorted_term_set_built_directly_is_sorted(self):
-        # no sequence and no variable, but not the form `_term_set` gives
+        # the constructor sorts and drops the repeat, so nothing is left to clean
         unsorted = Constraint(na, (k, a, k))
-        assert not unsorted.is_settled()
-        out = normalize_seq(ConstraintSequence((unsorted,)))
-        assert out.constraints == (Constraint(na, (a, k)),)
+        assert unsorted.term_set == (a, k)
+        cs = ConstraintSequence((unsorted,))
+        assert normalize_seq(cs) is cs
 
     @given(
         st.lists(st.sampled_from([X, A, N]), unique=True, max_size=2),
         st.lists(any_constraints(), min_size=1, max_size=3),
     )
     @example([], [Constraint(na, (k, a))])
-    @example([X], [Constraint(na, (X, a)), Constraint.make(Seq((a, X)), (k, Seq((na, X))))])
+    @example([X], [Constraint(na, (X, a)), Constraint(Seq((a, X)), (k, Seq((na, X))))])
     @settings(max_examples=200, deadline=None)
     def test_matches_the_loop_without_the_shortcut(self, earlier, rest):
-        cs = ConstraintSequence(tuple(Constraint.make(v, IIK) for v in earlier) + tuple(rest))
+        cs = ConstraintSequence(tuple(Constraint(v, IIK) for v in earlier) + tuple(rest))
         out, reference = normalize_seq(cs), reference_normalize_seq(cs)
         assert out.constraints == reference.constraints
         assert (out is cs) == (reference is cs)
@@ -271,7 +269,6 @@ class TestConstraintFields:
         assert (c1 == c2) is same and (c2 == c1) is same
         if same:
             assert hash(c1) == hash(c2)
-            assert c1.is_normal() == c2.is_normal() and c1.is_settled() == c2.is_settled()
 
     @given(any_constraints())
     @settings(max_examples=200, deadline=None)
@@ -279,7 +276,17 @@ class TestConstraintFields:
         assert c.variables == vars_of_all((c.target, *c.term_set))
         assert c.set_variables == vars_of_all(c.term_set)
         assert c.naming_order() == naming_reference(c)
-        assert c.is_normal() == (Constraint.make(c.target, c.term_set).term_set == c.term_set)
+
+    @given(rule_terms(depth=1), st.lists(st.tuples(rule_terms(depth=1), st.booleans()), max_size=4), st.randoms())
+    @settings(max_examples=200, deadline=None)
+    def test_constructor_gives_the_canonical_form(self, target, drawn, rnd):
+        # ``xor(t, 0)`` is a raw term whose canonical form is ``t``
+        members = [Xor((t, ZERO)) if raw else t for t, raw in drawn]
+        c = Constraint(Xor((target, ZERO)), members)
+        assert c.target == target
+        assert c.term_set == tuple(sorted({t for t, _ in drawn}, key=term_key))
+        rnd.shuffle(members)
+        assert Constraint(target, members + members[:1]) == c
 
     @given(any_constraints())
     @settings(max_examples=100, deadline=None)
@@ -288,10 +295,9 @@ class TestConstraintFields:
             assert dup == c and hash(dup) == hash(c)
             assert dup.variables == c.variables and dup.set_variables == c.set_variables
             assert dup.naming_order() == c.naming_order()
-            assert dup.is_normal() == c.is_normal() and dup.is_settled() == c.is_settled()
 
     def test_not_equal_to_another_type(self):
-        c = Constraint.make(na, (a,))
+        c = Constraint(na, (a,))
         assert c != (na, (a,)) and c != na
 
 
@@ -340,7 +346,7 @@ class TestApplicableRules:
     @settings(max_examples=200, deadline=None)
     def test_sites_match_the_rule_definitions(self, term_set, target):
         # every rule's predicate, written out by hand, in rule then site order
-        cs = ConstraintSequence((Constraint.make(A, ()), Constraint.make(target, term_set)))
+        cs = ConstraintSequence((Constraint(A, ()), Constraint(target, term_set)))
         c = cs.constraints[1]
         if isinstance(c.target, Var):
             assert applicable_rules(cs) == ()
@@ -447,8 +453,8 @@ class TestApplyRule:
         member = normalize(PEnc(Seq((one, NB)), Pk(a)))
         cs = ConstraintSequence(
             (
-                Constraint.make(target, (member,)),
-                Constraint.make(NB, (B,)),
+                Constraint(target, (member,)),
+                Constraint(NB, (B,)),
             )
         )
         branches = apply_rule(RuleName.UN, 0, cs)
@@ -660,7 +666,7 @@ def all_interleavings(bundles, iik, secret):
 
     def walk(placed, know, acc, ids):
         if placed == total:
-            final = Constraint.make(secret, base + know)
+            final = Constraint(secret, base + know)
             cs = ConstraintSequence(tuple(acc) + (final,), Substitution(), ids + ("sec",))
             key = solver._canonical_key(cs, tokens)
             if key not in seen:
@@ -677,7 +683,7 @@ def all_interleavings(bundles, iik, secret):
             if node.sign == "+":
                 yield from walk(placed + 1, know + (node.term,), acc, ids + (nid,))
             else:
-                acc.append(Constraint.make(node.term, base + know))
+                acc.append(Constraint(node.term, base + know))
                 yield from walk(placed + 1, know, acc, ids + (nid,))
                 acc.pop()
             positions[si] -= 1
@@ -969,7 +975,7 @@ class TestSharedPrefixes:
         (x,) = {v for s in bundles[0].strands for n in s.nodes for v in vars_of(n.term)}
         plan = solver._Plan(bundles, build_iik(bundles), na)
         cs = ConstraintSequence(
-            (Constraint.make(a, IIK + (a,)),), Substitution(), (), solver.Pending(plan, (0, 0), ())
+            (Constraint(a, IIK + (a,)),), Substitution(), (), solver.Pending(plan, (0, 0), ())
         )
         assert solver._originated(cs)
         c = cs.constraints[0]
@@ -1101,9 +1107,9 @@ class TestStateKey:
     def test_a_constraint_renamed_otherwise_gets_another_token(self):
         # one constraint after X : IIK and after Y : IIK: its variables are
         # renamed _0, _1 in the first state and _1, _0 in the second
-        shared = Constraint.make(SEnc(X, Y), (a, k))
-        first = ConstraintSequence((Constraint.make(X, IIK), shared))
-        second = ConstraintSequence((Constraint.make(Y, IIK), shared))
+        shared = Constraint(SEnc(X, Y), (a, k))
+        first = ConstraintSequence((Constraint(X, IIK), shared))
+        second = ConstraintSequence((Constraint(Y, IIK), shared))
         tokens = {}
         assert reference_key(first) != reference_key(second)
         assert solver._canonical_key(first, tokens) != solver._canonical_key(second, tokens)
@@ -1191,12 +1197,13 @@ class TestSearchProperties:
         @example(
             earlier=[], members=[PEnc(X, Pk(A))], target=PEnc(a, Pk(A)), target2=a, grow=False, later=[PEnc(X, Pk(A))]
         )
-        @settings(max_examples=100, deadline=None)
+        # a fixed draw: the counts asserted below depend on it
+        @settings(max_examples=100, deadline=None, derandomize=True)
         def check(earlier, members, target, target2, grow, later):
             T = IIK + tuple(members) + (target,)
             cs = ConstraintSequence(
-                tuple(Constraint.make(v, IIK) for v in earlier)
-                + (Constraint.make(target, T), Constraint.make(target2, (T if grow else IIK) + tuple(later)))
+                tuple(Constraint(v, IIK) for v in earlier)
+                + (Constraint(target, T), Constraint(target2, (T if grow else IIK) + tuple(later)))
             )
             budget = SolverBudget(max_depth=12, max_nodes=300)
             discharged = satisfiable(cs, budget).status
@@ -1271,7 +1278,7 @@ def mixed_sequences(draw):
     for _ in range(draw(st.integers(2, 3))):
         terms = ground_terms(depth=1) if draw(st.booleans()) else rule_terms(depth=1)
         target = draw(terms)
-        constraints.append(Constraint.make(target, IIK + tuple(draw(st.lists(terms, max_size=3)))))
+        constraints.append(Constraint(target, IIK + tuple(draw(st.lists(terms, max_size=3)))))
     return ConstraintSequence(tuple(constraints))
 
 
@@ -1347,12 +1354,12 @@ class TestGroundDecisions:
         # `un` at either ciphertext leaves the same two constraints, under
         # X ↦ a and under X ↦ b: the first state decides na : {…, a}
         # underivable, and the second is dropped without a nested search
-        dead = Constraint.make(na, IIK + (a,))
+        dead = Constraint(na, IIK + (a,))
         cs = ConstraintSequence(
             (
-                Constraint.make(SEnc(X, k), IIK + (SEnc(a, k), SEnc(b, k))),
+                Constraint(SEnc(X, k), IIK + (SEnc(a, k), SEnc(b, k))),
                 dead,
-                Constraint.make(Y, IIK),
+                Constraint(Y, IIK),
             )
         )
         asked = []
@@ -1378,8 +1385,8 @@ class TestGroundDecisions:
         # stays undecided and the search ends as the one without decisions
         key = normalize(Sh(a, b))
         ct = normalize(SEnc(Seq((one, na)), key))
-        first = Constraint.make(na, IIK + (key, ct))
-        cs = ConstraintSequence((first, Constraint.make(Y, IIK)))
+        first = Constraint(na, IIK + (key, ct))
+        cs = ConstraintSequence((first, Constraint(Y, IIK)))
         budget = SolverBudget(max_depth=1)
         res, table, searches = recorded(cs, budget)
         with without_ground_decisions():
@@ -1416,8 +1423,8 @@ class TestGroundDecisions:
 
 
 def full_rebuild(tau, cs):
-    """Every constraint rebuilt: `Constraint.make` of its substituted parts."""
-    return tuple(Constraint.make(tau.apply(c.target), [tau.apply(t) for t in c.term_set]) for c in cs)
+    """Every constraint rebuilt from its substituted parts."""
+    return tuple(Constraint(tau.apply(c.target), [tau.apply(t) for t in c.term_set]) for c in cs)
 
 
 # The analyses of the benchmark's `attacks` workload.
@@ -1453,8 +1460,7 @@ class TestSubstStep:
         def checked(tau, cs):
             out = original(tau, cs)
             assert out == full_rebuild(tau, cs)
-            # every constraint of the search is normal, so exactly those
-            # with no variable the unifier binds come back as they are
+            # exactly those with no variable the unifier binds come back as they are
             same = [o is c for o, c in zip(out, cs)]
             assert same == [c.variables.isdisjoint(tau.domain()) for c in cs]
             return out
@@ -1474,4 +1480,4 @@ class TestSubstStep:
         out = solver._subst_constraints(tau, tuple(cs))
         assert out == full_rebuild(tau, cs)
         for o, c in zip(out, cs):
-            assert (o is c) == (c.variables.isdisjoint(tau.domain()) and c.is_normal())
+            assert (o is c) == c.variables.isdisjoint(tau.domain())
