@@ -235,7 +235,13 @@ def verify_solution(cs, solution: Substitution, rounds: int = 6, size_cap: int =
     target is not derivable (`derivable` is False); otherwise None
     (undecided: a truncated closure left some target open).  Only a
     confirmation is truthy.
+
+    The substitution is resolved first (`Substitution.close`), so a binding
+    that refers to another bound variable is checked at that variable's
+    value.  Bindings that refer to one another in a cycle, such as
+    ``X := seq(X, n)``, solve no constraint and raise `SortError`.
     """
+    solution = solution.close()
     leftover: dict[Var, Term] = {}
     for c in cs.constraints:
         for t in (c.target, *c.term_set):

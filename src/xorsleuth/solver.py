@@ -175,7 +175,9 @@ class SolverBudget:
     from the state that started it), ``max_nodes`` states expanded in one
     `satisfiable` call, nested searches included (in `check_secrecy`, one
     secret's whole search over all its interleavings).  The unifier search
-    of `un`/`ksub` runs under `unify_sua`'s own configuration cap."""
+    of `un`/`ksub` runs under `unify_sua`'s own configuration cap; it counts
+    as run out only where the search applied that rule site, since children
+    are built as the search reaches them (`satisfiable`)."""
 
     max_depth: int = 64
     max_nodes: int = 200_000
@@ -643,6 +645,18 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
     short of the depth bound, so nesting is bounded by the depth budget.
     Nested searches run from a loop here, not by recursion.
 
+    Children are built as the search reaches them (`_children`): a
+    state's rule sites are applied one at a time, each when the search
+    comes back for the next child.  Soundness: `_apply` is a pure function
+    of the rule, the site and the state, and `_cached_unify` memoizes the
+    pure `unify_sua`, so a child built later is the same child, and
+    siblings keep their order: the states visited, their order, the counts
+    and the first solution and its trace are those of building every child
+    at once.  Only ``exhausted`` can differ: it names ``unifier`` only for
+    a unifier search that the explored part of the tree ran, so a search
+    that a solution or the node budget ended may leave out one that an
+    unvisited sibling would have run out in.
+
     ``stats``: ``nodes`` and ``peak_depth``, nested searches included;
     ``sequences``, the interleavings whose secret constraint the search
     placed (a sequence given whole counts as one); ``exhausted``, the
@@ -664,6 +678,31 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
             status = None
 
 
+# A state still to visit, with the rule steps that led to it and its depth.
+_Child = tuple[ConstraintSequence, tuple[RuleStep, ...], int]
+
+
+def _children(
+    cur: ConstraintSequence,
+    active: tuple[Constraints, Constraint, Constraints],
+    trace: tuple[RuleStep, ...],
+    depth: int,
+    exhausted: set[str],
+) -> Iterator[_Child]:
+    """The children of the expanded state ``cur``, in search order: the
+    branches of each of its rule sites (`_rule_sites`) in turn.  A site is
+    applied only when the search asks for its first child, and a unifier
+    search it runs that hits its budget adds ``unifier`` to ``exhausted``."""
+    for rule, site in _rule_sites(cur, active[1]):
+        branches, complete = _apply(rule, site, cur, active)
+        if not complete:
+            exhausted.add("unifier")
+        if branches:
+            site_desc = "target" if site == TARGET_SITE else to_text(active[1].term_set[site])
+            for bi, (branch, tau) in enumerate(branches):
+                yield branch, trace + (RuleStep(rule.value, site_desc, bi, tau),), depth + 1
+
+
 def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
     """The search of `satisfiable` from ``cs`` at depth ``depth0``, with its
     own visited set.  It yields each ground constraint it needs decided,
@@ -673,10 +712,15 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
     # node ids of the interleavings whose secret constraint was placed
     reached: set[tuple[str, ...]] = set() if cs.pending is not None else {cs.origin}
     exhausted: set[str] = set()
-    stack: list[tuple[ConstraintSequence, tuple[RuleStep, ...], int]] = [(cs, (), depth0)]
+    # one stream of states still to visit per expanded node, the deepest last
+    stack: list[Iterator[_Child]] = [iter([(cs, (), depth0)])]
 
     while stack:
-        cur, trace, depth = stack.pop()
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            continue
+        cur, trace, depth = step
         cur = normalize_seq(cur)
         active = _split_at_active(cur)
         p = cur.pending
@@ -684,7 +728,8 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
             children = _place(cur)
             if children[0].pending.done:
                 reached.add(children[0].origin)
-            stack.extend((child, trace, depth) for child in reversed(children))
+            # a list: a generator would read trace and depth when resumed
+            stack.append(iter([(child, trace, depth) for child in children]))
             continue
         if active is not None and _ground(active[1]):
             c = active[1]
@@ -716,18 +761,7 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
             exhausted.add("branch")
             visited.discard(key)
             continue
-        expansions: list[tuple[ConstraintSequence, tuple[RuleStep, ...], int]] = []
-        for rule, site in _rule_sites(cur, active[1]):
-            branches, complete = _apply(rule, site, cur, active)
-            if not complete:
-                exhausted.add("unifier")
-            if not branches:
-                continue
-            site_desc = "target" if site == TARGET_SITE else to_text(active[1].term_set[site])
-            for bi, (branch, tau) in enumerate(branches):
-                step = RuleStep(rule.value, site_desc, bi, tau)
-                expansions.append((branch, trace + (step,), depth + 1))
-        stack.extend(reversed(expansions))
+        stack.append(_children(cur, active, trace, depth, exhausted))
 
     status = SolveStatus.BUDGET_EXHAUSTED if exhausted else SolveStatus.UNSATISFIABLE
     return SolverResult(status, (), _stats(shared, reached, exhausted))

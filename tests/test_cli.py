@@ -403,6 +403,28 @@ class TestOracleVerifyCommand:
         assert err.startswith("error:") and "not a variable" in err
 
 
+    @pytest.mark.parametrize(
+        "bindings",
+        [
+            {"var(X:Nonce)": "seq(var(X:Nonce),const(n:Nonce))"},
+            {"var(X:Nonce)": "seq(var(Y:Nonce),const(n:Nonce))", "var(Y:Nonce)": "var(X:Nonce)"},
+        ],
+        ids=["self", "through"],
+    )
+    def test_cyclic_substitution_is_input_error(self, tmp_path, capsys, bindings):
+        # no substitution solves X = seq(X, n), so the trace confirms nothing
+        trace = {
+            "constraints": [{"target": "var(X:Nonce)", "term_set": ["const(n:Nonce)", "const(eps:Agent)"]}],
+            "substitution": bindings,
+        }
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(trace))
+        assert run_command(["oracle-verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "confirmed" not in captured.out
+        assert captured.err.startswith("error:") and "cyclic" in captured.err
+
+
 class TestDeepInput:
     """Input nested too deeply is an input error (exit 2), never a traceback."""
 

@@ -1,5 +1,6 @@
 """Source hygiene of the package: no unused imports, no dead private names,
-no unread local variables, no class checks against `typing` aliases."""
+no unread local variables, no class checks against `typing` aliases, no
+module-level container that a function changes."""
 
 import ast
 from pathlib import Path
@@ -97,9 +98,9 @@ def test_no_class_check_against_typing():
 
 
 def _own_nodes(func):
-    """The nodes of a function's body, without those of the functions,
-    lambdas and classes defined in it."""
-    stack = list(func.body)
+    """The nodes of a function's or a lambda's body, without those of the
+    functions, lambdas and classes defined in it."""
+    stack = list(func.body) if isinstance(func.body, list) else [func.body]
     while stack:
         node = stack.pop()
         yield node
@@ -109,7 +110,8 @@ def _own_nodes(func):
 
 def assigned_locals(func):
     """The names a function's own body assigns, augmented assignment and
-    unpacking included, less those it declares global or nonlocal."""
+    unpacking included, less those it declares global or nonlocal; an item
+    stored into ``x[i]`` or an attribute into ``x.a`` assigns no name."""
     stored, declared = set(), set()
     for node in _own_nodes(func):
         if isinstance(node, (ast.Global, ast.Nonlocal)):
@@ -117,7 +119,8 @@ def assigned_locals(func):
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.NamedExpr)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                stored.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+                names = (n for n in ast.walk(target) if isinstance(n, ast.Name))
+                stored.update(n.id for n in names if isinstance(n.ctx, ast.Store))
     return stored - declared
 
 
@@ -132,3 +135,134 @@ def test_every_local_variable_is_read():
                 reads = {n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
                 unread += [f"{name}.{func.name}: {v}" for v in sorted(assigned_locals(func) - reads - {"_"})]
     assert unread == []
+
+
+# The types of a mutable container, as a module may call them to build one.
+CONTAINER_TYPES = frozenset({"dict", "set", "list", "defaultdict", "OrderedDict", "Counter", "deque"})
+CONTAINER_DISPLAYS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+# The methods that change a dict, a set, a list or a deque in place.
+MUTATORS = frozenset(
+    {
+        "add", "append", "appendleft", "clear", "difference_update", "discard", "extend", "extendleft",
+        "insert", "intersection_update", "pop", "popitem", "remove", "reverse", "setdefault", "sort",
+        "symmetric_difference_update", "update", "__setitem__", "__delitem__",
+    }
+)
+
+
+def module_containers(tree):
+    """The names a module binds at its top level to a new dict, set or list
+    (a display, a comprehension or a call of a container type)."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            called = value.func if isinstance(value, ast.Call) else None
+            name = called.id if isinstance(called, ast.Name) else getattr(called, "attr", None)
+            if isinstance(value, CONTAINER_DISPLAYS) or name in CONTAINER_TYPES:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def function_scopes(node, bound=frozenset()):
+    """Each function and lambda under ``node``, with the names it or a
+    function around it binds: its parameters and its locals."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = child.args
+            params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a}
+            inner = bound | params | assigned_locals(child)
+            yield child, inner
+            yield from function_scopes(child, inner)
+        else:
+            yield from function_scopes(child, bound)
+
+
+def _container_name(node):
+    """The name a subscript chain such as ``x[i][j]`` starts from."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def container_mutations(tree, containers):
+    """Each place where a function changes one of ``containers`` (names of
+    the module's own scope): an item stored or deleted, a mutating method
+    called, or the name declared global to be rebound."""
+    out = []
+    for func, bound in function_scopes(tree):
+        seen = containers - bound
+        for node in _own_nodes(func):
+            if isinstance(node, ast.Global):
+                changed = sorted(seen & set(node.names))
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                changed = [_container_name(node.value)]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+                changed = [_container_name(node.func.value)]
+            else:
+                continue
+            out += [(node.lineno, getattr(func, "name", "lambda"), name) for name in changed if name in seen]
+    return [f"{func}:{line}: {name}" for line, func, name in sorted(out)]
+
+
+def test_no_function_changes_a_module_level_container():
+    # a container kept at module level and filled by calls carries work from
+    # one call, or one analysis, into the next: results would depend on what
+    # ran before, and the benchmark, which clears only the `functools`
+    # caches between items, would time work done for an earlier item
+    trees = modules()
+    own = {name: module_containers(tree) for name, tree in trees.items()}
+    changed = []
+    for name, tree in trees.items():
+        containers = set(own[name])
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in own:
+                containers.update(a.asname or a.name for a in node.names if a.name in own[node.module])
+        changed += [f"{name}.{where}" for where in container_mutations(tree, containers)]
+    assert changed == []
+
+
+def test_module_level_container_changes_are_found():
+    tree = ast.parse(
+        """
+import collections
+_CACHE = {}
+_SEEN: set = set()
+_QUEUE = collections.deque()
+_ROWS = [1]
+_FIXED = (1,)
+
+def remember(key, value):
+    _CACHE[key] = value
+    _SEEN.add(key)
+    _QUEUE.append(key)
+    _ROWS[0] += 1
+    del _CACHE[key]
+
+def shadows(_CACHE, key):
+    _CACHE[key] = 1
+    _ROWS = []
+    _ROWS.append(key)
+    f = lambda k: _SEEN.discard(k)
+
+def rebinds():
+    global _ROWS
+    _ROWS = []
+
+def reads(key):
+    return _CACHE.get(key), key in _SEEN, _FIXED[0]
+"""
+    )
+    containers = module_containers(tree)
+    assert containers == {"_CACHE", "_SEEN", "_QUEUE", "_ROWS"}
+    found = container_mutations(tree, containers)
+    assert found == [
+        "remember:10: _CACHE",
+        "remember:11: _SEEN",
+        "remember:12: _QUEUE",
+        "remember:13: _ROWS",
+        "remember:14: _CACHE",
+        "lambda:20: _SEEN",
+        "rebinds:23: _ROWS",
+    ]

@@ -27,6 +27,7 @@ from xorsleuth.terms import (
     Seq,
     Sh,
     Sort,
+    SortError,
     Substitution,
     Var,
     Xor,
@@ -198,6 +199,24 @@ class TestVerifySolution:
         cs = ConstraintSequence((Constraint(s, (ct,)),))
         assert verify_solution(cs, Substitution({B: ATTACKER}))
         assert not verify_solution(cs, Substitution({B: a}))
+
+    def test_chained_bindings_checked_at_their_resolved_values(self):
+        # X := seq(Y, na) with Y := na makes X seq(na, na), derivable from
+        # {na}; applying the bindings once would leave Y to the attacker's
+        # choice and check seq(eps, na), which {na} does not give
+        Y = Var("Y", Sort.NONCE)
+        cs = ConstraintSequence((Constraint(X, (na,)),))
+        assert verify_solution(cs, Substitution({X: Seq((Y, na)), Y: na})) is True
+        assert verify_solution(cs, Substitution({X: Seq((ATTACKER, na))})) is False
+
+    @pytest.mark.parametrize("cyclic", ["self", "through"])
+    def test_cyclic_substitution_is_an_error(self, cyclic):
+        # no substitution solves X = seq(X, na)
+        Y = Var("Y", Sort.DATA)
+        bindings = {X: Seq((X, na))} if cyclic == "self" else {X: Seq((Y, na)), Y: X}
+        cs = ConstraintSequence((Constraint(X, (na, ATTACKER)),))
+        with pytest.raises(SortError, match="cyclic"):
+            verify_solution(cs, Substitution(bindings))
 
 
 

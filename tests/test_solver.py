@@ -53,6 +53,7 @@ from xorsleuth.terms import (
     vars_of,
     vars_of_all,
 )
+from xorsleuth.unify import unify_sua
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "xorsleuth" / "fixtures"
@@ -1481,3 +1482,183 @@ class TestSubstStep:
         assert out == full_rebuild(tau, cs)
         for o, c in zip(out, cs):
             assert (o is c) == c.variables.isdisjoint(tau.domain())
+
+
+def reference_search(cs, depth0, shared):
+    """`solver._search` as it was before children were built lazily: every
+    rule site of an expanded state is applied, and all its children pushed,
+    before the first child is visited."""
+    budget, tokens, decided = shared.budget, shared.tokens, shared.decided
+    visited = set()
+    reached = set() if cs.pending is not None else {cs.origin}
+    exhausted = set()
+    stack = [(cs, (), depth0)]
+    while stack:
+        cur, trace, depth = stack.pop()
+        cur = solver.normalize_seq(cur)
+        active = solver._split_at_active(cur)
+        p = cur.pending
+        if active is None and p is not None and not p.done:
+            children = solver._place(cur)
+            if children[0].pending.done:
+                reached.add(children[0].origin)
+            stack.extend((child, trace, depth) for child in reversed(children))
+            continue
+        if active is not None and solver._ground(active[1]):
+            c = active[1]
+            more_after = active[2] or p is not None and not p.done
+            if c not in decided and more_after and depth < budget.max_depth:
+                decided[c] = None
+                status = yield c, depth
+                if status is not SolveStatus.BUDGET_EXHAUSTED:
+                    decided[c] = status is SolveStatus.SATISFIABLE
+            if decided.get(c) is False:
+                continue
+        key = solver._canonical_key(cur, tokens)
+        if key in visited:
+            continue
+        visited.add(key)
+        shared.nodes += 1
+        shared.peak_depth = max(shared.peak_depth, depth)
+        if shared.nodes > budget.max_nodes:
+            exhausted.add("node")
+            break
+        if active is None:
+            solved = cs if p is None else ConstraintSequence(p.placed, solver.EMPTY_SUBST, cur.origin)
+            stats = solver._stats(shared, reached, exhausted)
+            return solver.SolverResult(SolveStatus.SATISFIABLE, ((cur.subst, trace),), stats, solved)
+        if depth >= budget.max_depth:
+            exhausted.add("branch")
+            visited.discard(key)
+            continue
+        expansions = []
+        for rule, site in solver._rule_sites(cur, active[1]):
+            branches, complete = solver._apply(rule, site, cur, active)
+            if not complete:
+                exhausted.add("unifier")
+            if not branches:
+                continue
+            site_desc = "target" if site == TARGET_SITE else to_text(active[1].term_set[site])
+            for bi, (branch, tau) in enumerate(branches):
+                step = solver.RuleStep(rule.value, site_desc, bi, tau)
+                expansions.append((branch, trace + (step,), depth + 1))
+        stack.extend(reversed(expansions))
+    status = SolveStatus.BUDGET_EXHAUSTED if exhausted else SolveStatus.UNSATISFIABLE
+    return solver.SolverResult(status, (), solver._stats(shared, reached, exhausted))
+
+
+def eager_satisfiable(cs, budget=None):
+    """`satisfiable` with every search, nested ones included, run by
+    `reference_search`."""
+    with mock.patch.object(solver, "_search", reference_search):
+        return satisfiable(cs, budget)
+
+
+def secret_searches(names, sessions, secrets):
+    """The start state of each secret's search in `check_secrecy`, in its order."""
+    session = FreshSession()
+    bundles = [make_semibundle(load(n), sessions, session=session) for n in names]
+    iik = build_iik(bundles)
+    chosen = {c for b in bundles for v, c in b.secret_bindings if not secrets or v.name in secrets}
+    return [solver._interleavings(bundles, iik, secret) for secret in sorted(chosen, key=term_key)]
+
+
+def assert_same_search(lazy, eager):
+    """The two searches visited the same states and found the same solution;
+    the lazy one ran a subset of the eager one's unifier searches, all of
+    them when neither a solution nor the node budget cut it short."""
+    assert lazy.status is eager.status
+    assert lazy.solutions == eager.solutions
+    assert lazy.sequence == eager.sequence
+    for counter in ("nodes", "sequences", "peak_depth"):
+        assert lazy.stats[counter] == eager.stats[counter], counter
+    cut = lazy.status is SolveStatus.SATISFIABLE or "node" in eager.stats["exhausted"]
+    if cut:
+        assert set(lazy.stats["exhausted"]) <= set(eager.stats["exhausted"])
+    else:
+        assert lazy.stats["exhausted"] == eager.stats["exhausted"]
+
+
+class TestLazyChildren:
+    """The search that builds a state's children as it reaches them against
+    the one that builds them all when it expands the state."""
+
+    @pytest.mark.parametrize(
+        "names,sessions,secrets",
+        [((q,), 1, ()) for q in CORPUS]
+        + [(pair, 1, ()) for pair in itertools.combinations(CORPUS, 2)]
+        + [
+            (("p1", "p2"), 1, ("NA",)),
+            (("nslx",), 1, ()),
+            (("nslx_nslx",), 1, ()),
+            (("nslx", "p2"), 1, ()),
+            (("q1", "q3", "leak_ab"), 1, ()),
+            (("q3", "leak_ac"), 2, ()),
+            (("q5", "leak_bc"), 2, ()),
+        ],
+        ids=case_id,
+    )
+    def test_matches_the_eager_search(self, names, sessions, secrets):
+        # each secret in `check_secrecy`'s order, up to the first attack
+        for start in secret_searches(names, sessions, secrets):
+            lazy, eager = satisfiable(start), eager_satisfiable(start)
+            assert_same_search(lazy, eager)
+            if lazy.status is SolveStatus.SATISFIABLE:
+                break
+
+    def test_matches_under_small_budgets(self):
+        statuses = []
+
+        @given(mixed_sequences(), st.integers(1, 8), st.integers(1, 200))
+        @settings(max_examples=150, deadline=None)
+        def check(cs, depth, nodes):
+            budget = SolverBudget(max_depth=depth, max_nodes=nodes)
+            lazy = satisfiable(cs, budget)
+            assert_same_search(lazy, eager_satisfiable(cs, budget))
+            statuses.append("node" if "node" in lazy.stats["exhausted"] else lazy.status.value)
+
+        check()
+        # both searches cut by the node budget, and both run to the end
+        assert statuses.count("node") >= 10
+        assert statuses.count(SolveStatus.UNSATISFIABLE.value) >= 10
+
+    def test_exhausted_names_only_the_unifier_searches_run(self):
+        # `un` at X solves the constraint; `un` at eps, a later site, is
+        # never applied, so its capped unifier search is not reported
+        cs = cseq((a, IIK + (a, X)))
+        original = solver._cached_unify
+
+        def capped_at_eps(m, t):
+            unifiers, complete = original(m, t)
+            return unifiers, complete and t != ATTACKER
+
+        with mock.patch.object(solver, "_cached_unify", capped_at_eps):
+            lazy, eager = satisfiable(cs), eager_satisfiable(cs)
+        assert lazy.status is SolveStatus.SATISFIABLE
+        assert lazy.solution()[1][0].site == to_text(X)
+        assert lazy.solutions == eager.solutions
+        assert lazy.stats["exhausted"] == []
+        assert eager.stats["exhausted"] == ["unifier"]
+
+    def test_unvisited_siblings_are_not_built(self):
+        # the attack on nslx ends the search long before every site of the
+        # states on its path is applied
+        def unifier_searches(search):
+            calls = []
+
+            def counted(m, t):
+                calls.append((m, t))
+                return unify_sua(m, t)
+
+            solver._cached_unify.cache_clear()
+            with mock.patch.object(solver, "unify_sua", counted):
+                res = search(start)
+            solver._cached_unify.cache_clear()
+            return res, len(calls)
+
+        (start,) = secret_searches(("nslx",), 1, ("NA",))
+        lazy, lazy_calls = unifier_searches(satisfiable)
+        eager, eager_calls = unifier_searches(eager_satisfiable)
+        assert lazy.status is SolveStatus.SATISFIABLE
+        assert lazy.solutions == eager.solutions
+        assert lazy_calls < eager_calls
