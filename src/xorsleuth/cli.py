@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--sessions", type=int, default=1)
     p_an.add_argument("--secret", metavar="NAME", action="append", default=[])
     p_an.add_argument("--branch-budget", type=int, default=64, help="max rule applications per branch")
-    p_an.add_argument("--node-budget", type=int, default=200_000, help="max search nodes per secret, over all its interleavings")
+    p_an.add_argument("--node-budget", type=int, default=200_000, help="max search nodes of the whole analysis: every secret at every prefix")
     p_an.add_argument("--json", metavar="PATH")
     p_an.add_argument("--oracle-verify", action="store_true", help="re-check any attack with the ground oracle")
 

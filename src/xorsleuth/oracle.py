@@ -21,9 +21,11 @@ from typing import Iterable
 
 from .protocol import ATTACKER, PK_EPS
 from .terms import (
+    Const,
     PEnc,
     SEnc,
     Seq,
+    Sort,
     Substitution,
     Term,
     Var,
@@ -225,6 +227,18 @@ def derivable(goal: Term, initial: Iterable[Term], rounds: int = 6, size_cap: in
     return False if k.complete else None
 
 
+def _well_sorted(v: Var, t: Term) -> bool:
+    """The sort discipline of the binding ``v := t``: an Agent or Tag
+    variable takes only a constant or variable of its own sort; any other
+    variable takes a compound term, or a constant or variable of its own
+    sort or, when either side is of sort Data, of any sort."""
+    if v.sort in (Sort.AGENT, Sort.TAG):
+        return isinstance(t, (Const, Var)) and t.sort is v.sort
+    if isinstance(t, (Const, Var)):
+        return t.sort is v.sort or Sort.DATA in (v.sort, t.sort)
+    return True
+
+
 def verify_solution(cs, solution: Substitution, rounds: int = 6, size_cap: int = 20_000) -> bool | None:
     """Independent check of a solver solution on the original sequence.
 
@@ -239,9 +253,14 @@ def verify_solution(cs, solution: Substitution, rounds: int = 6, size_cap: int =
     The substitution is resolved first (`Substitution.close`), so a binding
     that refers to another bound variable is checked at that variable's
     value.  Bindings that refer to one another in a cycle, such as
-    ``X := seq(X, n)``, solve no constraint and raise `SortError`.
+    ``X := seq(X, n)``, solve no constraint and raise `SortError`.  A
+    resolved binding that breaks the sort discipline (`_well_sorted`), such
+    as a Nonce variable bound to an agent's name, instantiates no run of
+    the protocol, so the solution is refuted (False).
     """
     solution = solution.close()
+    if not all(_well_sorted(v, t) for v, t in solution.items()):
+        return False
     leftover: dict[Var, Term] = {}
     for c in cs.constraints:
         for t in (c.target, *c.term_set):

@@ -4,7 +4,8 @@ A constraint ``m : T`` asks whether the attacker can derive target ``m``
 from the term set ``T``.  Interleaving the strands of a semi-bundle yields
 one constraint per receive node (the attacker must supply that message from
 everything sent so far plus its initial knowledge); secrecy is checked by
-appending one artificial constraint demanding the secret itself.
+appending one artificial constraint demanding a secret itself, which may end
+the interleaving after any prefix.
 
 ``satisfiable`` reduces the first non-variable-target constraint with the
 decomposition/composition rules below plus two substitution rules: ``un``
@@ -173,11 +174,12 @@ class SolverBudget:
     """Search limits: ``max_depth`` rule applications along one path (the
     branch budget; a nested search of a ground constraint counts its depth
     from the state that started it), ``max_nodes`` states expanded in one
-    `satisfiable` call, nested searches included (in `check_secrecy`, one
-    secret's whole search over all its interleavings).  The unifier search
-    of `un`/`ksub` runs under `unify_sua`'s own configuration cap; it counts
-    as run out only where the search applied that rule site, since children
-    are built as the search reaches them (`satisfiable`)."""
+    `satisfiable` call, nested searches included (in `check_secrecy`, the
+    whole analysis: every secret at every prefix of every interleaving).
+    The unifier search of `un`/`ksub` runs under `unify_sua`'s own
+    configuration cap; it counts as run out only where the search applied
+    that rule site, since children are built as the search reaches them
+    (`satisfiable`)."""
 
     max_depth: int = 64
     max_nodes: int = 200_000
@@ -604,16 +606,22 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
 
     A state whose placed targets are all variables and which still has nodes
     to place is not a node: `_place` replaces it by its children, at the same
-    depth and with the same trace.  So one search covers every eager
-    interleaving of a secret (`check_secrecy`), and the constraints of a
-    receive-order prefix are solved once for all the interleavings that
-    share it.  Soundness: rules and `normalize_seq` act only at the active
-    constraint, and substitutions compose, so carrying a constraint from the
-    start (as a sequence given whole does) and appending it later with the
-    substitution applied lead to the same states; eager interleavings with
-    the same receive-order prefix have identical prefix constraints.  The
-    state key holds the strand positions and the pending images, so two
-    states merge only when everything they will still place agrees.
+    depth and with the same trace.  Its first children demand the secrets,
+    one each, from what has been sent so far, and a demand ends the
+    interleaving; the others place the next receive of a strand.  So one
+    search covers every secret at every prefix of every eager interleaving
+    (`check_secrecy`), each secret is offered at a prefix before any longer
+    one, and the constraints of a receive-order prefix are solved once for
+    all the secrets and interleavings that share it.  Soundness: rules and
+    `normalize_seq` act only at the active constraint, and substitutions
+    compose, so carrying a constraint from the start (as a sequence given
+    whole does) and appending it later with the substitution applied lead
+    to the same states; eager interleavings with the same receive-order
+    prefix have identical prefix constraints.  Demanding a secret only once
+    the enabled sends are placed loses no attack, since moving a send
+    earlier only grows later term sets (`_place`).  The state key holds the
+    strand positions and the pending images, so two states merge only when
+    everything they will still place agrees.
 
     Ground constraints are decided once per call.  The first time an
     undecided `_ground` constraint is active with something after it (a
@@ -658,8 +666,8 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
     unvisited sibling would have run out in.
 
     ``stats``: ``nodes`` and ``peak_depth``, nested searches included;
-    ``sequences``, the interleavings whose secret constraint the search
-    placed (a sequence given whole counts as one); ``exhausted``, the
+    ``sequences``, the prefixes at which the search placed the secrets'
+    demands (a sequence given whole counts as one); ``exhausted``, the
     budgets that ran out (`BUDGETS` order).
     """
     shared = _Shared(budget or SolverBudget())
@@ -709,7 +717,7 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
     with its depth, and is sent back the status of the nested search."""
     budget, tokens, decided = shared.budget, shared.tokens, shared.decided
     visited: set[str] = set()
-    # node ids of the interleavings whose secret constraint was placed
+    # node ids of the prefixes at which a secret's demand was placed
     reached: set[tuple[str, ...]] = set() if cs.pending is not None else {cs.origin}
     exhausted: set[str] = set()
     # one stream of states still to visit per expanded node, the deepest last
@@ -726,8 +734,8 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
         p = cur.pending
         if active is None and p is not None and not p.done:
             children = _place(cur)
-            if children[0].pending.done:
-                reached.add(children[0].origin)
+            # the first child places a secret's demand: the prefix counts
+            reached.add(children[0].origin)
             # a list: a generator would read trace and depth when resumed
             stack.append(iter([(child, trace, depth) for child in children]))
             continue
@@ -772,21 +780,26 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
 
 class _Plan:
     """What the states of one search over interleavings share: each strand's
-    id and nodes, with the demand for the secret as one more strand of a
-    single receive (node id ``sec``), placed once every other strand is
-    finished; the initial knowledge; and, per strand positions, a receive's
-    term set and the variables whose bindings the state key holds."""
+    id and nodes, then the demand for each secret, in the order given, as
+    one more strand of a single receive (node id ``sec``); the initial
+    knowledge; and, per strand positions, a receive's term set and the
+    variables whose bindings the state key holds."""
 
     __slots__ = ("ids", "nodes", "base", "_term_sets", "_watched")
 
-    def __init__(self, bundles: Sequence[SemiBundle], iik: Iik, secret: Const) -> None:
+    def __init__(self, bundles: Sequence[SemiBundle], iik: Iik, *secrets: Const) -> None:
         self.ids = tuple(sid for b in bundles for sid in b.strand_ids)
-        self.nodes: tuple[tuple[Node, ...], ...] = tuple(s.nodes for b in bundles for s in b.strands) + (
-            (Node(RECV, secret),),
+        self.nodes: tuple[tuple[Node, ...], ...] = tuple(s.nodes for b in bundles for s in b.strands) + tuple(
+            (Node(RECV, secret),) for secret in secrets
         )
         self.base = iik.sorted_terms()
         self._term_sets: dict[tuple[int, ...], tuple[Term, ...]] = {}
         self._watched: dict[tuple[int, ...], tuple[Var, ...]] = {}
+
+    def done(self, positions: tuple[int, ...]) -> bool:
+        """A secret's demand is placed at ``positions``: the interleaving
+        ends there."""
+        return any(positions[len(self.ids) :])
 
     def term_set(self, positions: tuple[int, ...]) -> tuple[Term, ...]:
         """The term set of a receive placed at ``positions``, without the
@@ -800,11 +813,11 @@ class _Plan:
     def watched(self, positions: tuple[int, ...]) -> tuple[Var, ...]:
         """The variables of the unplaced nodes and of the terms sent, in term
         order: every constraint still to be placed is built from them.  There
-        are none once the secret is placed, since nothing more is built then."""
+        are none once a secret is placed, since nothing more is built then."""
         out = self._watched.get(positions)
         if out is None:
             vs: set[Var] = set()
-            if not positions[-1]:
+            if not self.done(positions):
                 for nodes, position in zip(self.nodes, positions):
                     for i, node in enumerate(nodes):
                         if i >= position or node.sign == SEND:
@@ -815,9 +828,9 @@ class _Plan:
 
 class Pending(NamedTuple):
     """The interleaving part of a search state.  ``positions`` is the next
-    node of each strand of ``plan`` (the last strand is the secret's);
-    ``placed`` are the constraints placed so far, as the strands have them,
-    without the substitution (the attack trace reports them)."""
+    node of each strand of ``plan`` (the protocol strands, then one per
+    secret); ``placed`` are the constraints placed so far, as the strands
+    have them, without the substitution (the attack trace reports them)."""
 
     plan: _Plan
     positions: tuple[int, ...]
@@ -825,26 +838,38 @@ class Pending(NamedTuple):
 
     @property
     def done(self) -> bool:
-        """The secret's constraint is placed: nothing is left to place."""
-        return self.positions[-1] == 1
+        """A secret's demand is placed: it ends the interleaving, so
+        nothing is left to place."""
+        return self.plan.done(self.positions)
 
 
-def _interleavings(bundles: Sequence[SemiBundle], iik: Iik, secret: Const) -> ConstraintSequence:
-    """The state from which `_place` reaches every eager interleaving of the
-    bundles' strands, each ending with the demand for ``secret``."""
-    assert any(secret in b.secret_constants for b in bundles), "secret must come from a bundle"
-    plan = _Plan(bundles, iik, secret)
+def _interleavings(bundles: Sequence[SemiBundle], iik: Iik, *secrets: Const) -> ConstraintSequence:
+    """The state from which `_place` reaches every prefix of every eager
+    interleaving of the bundles' strands, each ending with the demand for
+    one of ``secrets``."""
+    assert secrets, "at least one secret"
+    assert all(any(s in b.secret_constants for b in bundles) for s in secrets), "secrets must come from a bundle"
+    plan = _Plan(bundles, iik, *secrets)
     return ConstraintSequence((), EMPTY_SUBST, (), Pending(plan, (0,) * len(plan.nodes), ()))
 
 
 def _place(cs: ConstraintSequence) -> list[ConstraintSequence]:
     """The states that follow ``cs`` by placing nodes: every enabled send at
-    once, lowest strand index first; then one child per strand whose next
-    node is a receive, in strand order, with that receive's constraint
-    appended (term set: the initial knowledge plus everything sent so far);
-    or, once every strand is finished, one child with the secret's.  The
-    appended constraint has ``cs``'s substitution applied.  This is the one
-    placement step of `satisfiable` and of `constraint_sequences`."""
+    once, lowest strand index first; then one child per secret, in the
+    plan's order, with the demand for that secret appended; then one child
+    per strand whose next node is a receive, in strand order, with that
+    receive's constraint appended.  The term set of an appended constraint
+    is the initial knowledge plus everything sent so far, with ``cs``'s
+    substitution applied.  A demand ends the interleaving (`Pending.done`),
+    so every secret is offered at every prefix, and at each prefix before
+    any longer one.  This is the one placement step of `satisfiable` and of
+    `constraint_sequences`.
+
+    Soundness of offering the demands only once the enabled sends are
+    placed: moving a send earlier only grows later term sets, the demand's
+    included, and derivability only grows with the term set, so an attack
+    on a prefix that stops short of an enabled send is an attack on the
+    prefix that places it (`constraint_sequences`)."""
     p = cs.pending
     plan, sigma = p.plan, cs.subst
     positions, ids = list(p.positions), cs.origin
@@ -854,8 +879,9 @@ def _place(cs: ConstraintSequence) -> list[ConstraintSequence]:
             i += 1
             ids += (f"{plan.ids[si]}.{i}",)
         positions[si] = i
-    last = len(plan.nodes) - 1
-    receivers = [si for si in range(last) if positions[si] < len(plan.nodes[si])] or [last]
+    strands = len(plan.ids)
+    order = (*range(strands, len(plan.nodes)), *range(strands))
+    receivers = [si for si in order if positions[si] < len(plan.nodes[si])]
     raw_set = plan.term_set(tuple(positions))
     term_set = tuple(map(sigma.apply, raw_set)) if sigma else raw_set
     children = []
@@ -866,39 +892,43 @@ def _place(cs: ConstraintSequence) -> list[ConstraintSequence]:
         raw = Constraint(term, raw_set)
         new = Constraint(sigma.apply(term), term_set) if sigma else raw
         pending = Pending(plan, after, p.placed + (raw,))
-        nid = f"{plan.ids[si]}.{i + 1}" if si < last else "sec"
+        nid = f"{plan.ids[si]}.{i + 1}" if si < strands else "sec"
         children.append(ConstraintSequence(cs.constraints + (new,), sigma, ids + (nid,), pending))
     return children
 
 
 def constraint_sequences(
-    bundles: Sequence[SemiBundle], iik: Iik, secret: Const
+    bundles: Sequence[SemiBundle], iik: Iik, *secrets: Const
 ) -> Iterator[ConstraintSequence]:
-    """One constraint sequence per distinct order of the receive nodes, with
-    every send placed as soon as it is enabled: the placement-only walk of
-    `_place`, which `satisfiable` interleaves with solving.
+    """One constraint sequence per secret and distinct prefix of a receive
+    order, with every send placed as soon as it is enabled: the
+    placement-only walk of `_place`, which `satisfiable` interleaves with
+    solving.
 
-    Each interleaving produces a constraint per receive node (term set: iik
-    plus everything sent earlier) and a final artificial constraint
-    demanding the secret from everything sent anywhere.  Only eager
+    Each sequence holds a constraint per receive node of the prefix (term
+    set: iik plus everything sent earlier), then an artificial constraint
+    demanding the secret from everything sent in the prefix.  Only eager
     interleavings are built: after each receive (and at the start), every
     strand whose next node is a send places it at once, lowest strand index
-    first; the walk branches only on which strand's receive comes next,
-    in strand order.  Interleavings inducing the same sequence are emitted
-    once, tagged with the node ids of the first witness.
+    first; the walk then offers each secret, in the order given, and
+    branches on which strand's receive comes next, in strand order.
+    Sequences induced by more than one prefix are emitted once, tagged with
+    the node ids of the first witness.
 
     Soundness: a send is enabled once its strand's earlier nodes are
     placed, so in any interleaving, every send before a receive is also
-    before it in the eager interleaving with the same receive order.  That
-    interleaving has the same receive constraints in the same order, each
-    with a superset of its term set (and the same final constraint), and
-    derivability only grows with the term set.  So every attack on some
-    interleaving is an attack on an eager one with the same substitution,
-    and a `secure` verdict over the eager sequences is sound.
+    before it in the eager interleaving with the same receive order, and
+    every send of a prefix is placed in the eager prefix that ends with the
+    same last receive.  That eager prefix has the same receive constraints
+    in the same order, each with a superset of its term set, and a demand
+    with a superset of the secret's term set, and derivability only grows
+    with the term set.  So every attack on a prefix of some interleaving is
+    an attack on an eager prefix with the same substitution, and a `secure`
+    verdict over the eager prefixes is sound.
     """
     seen: set[str] = set()
     tokens: Tokens = {}
-    stack = [_interleavings(bundles, iik, secret)]
+    stack = [_interleavings(bundles, iik, *secrets)]
     while stack:
         cs = stack.pop()
         p = cs.pending
@@ -948,9 +978,13 @@ class AttackTrace:
 
 @dataclass(frozen=True)
 class SecrecyResult:
-    """``exhausted`` names, for each secret whose search ran out of budget,
-    the budgets that ran out (`BUDGETS`); a report carries it only when the
-    verdict is inconclusive."""
+    """The verdict of one search over every secret.  ``attack`` is the
+    first attack the search reaches; it offers every secret at a prefix
+    before it extends the prefix.  ``stats.sequences`` counts the prefixes
+    at which the secrets' demands were placed.  ``exhausted`` pairs every
+    secret left undecided (all of them, since the one search that covered
+    them ran out) with the budgets that ran out (`BUDGETS`); a report
+    carries it only when the verdict is inconclusive."""
 
     verdict: str  # "secure" | "attack" | "inconclusive"
     bound: int
@@ -977,8 +1011,11 @@ def check_secrecy(protocols: Sequence[Protocol], config: AnalysisConfig | None =
 
     All protocols are instantiated into one analysis session (their fresh
     constants are mutually disjoint) and analysed together, so passing two
-    protocols is exactly the combined-execution check.  Each secret gets one
-    `satisfiable` search over all its eager interleavings (`_interleavings`).
+    protocols is exactly the combined-execution check.  One `satisfiable`
+    search covers every secret: each is demanded at every prefix of every
+    eager interleaving (`_interleavings`), so a receive that no run can
+    meet hides no attack before it, and the search ends at the first leak
+    of any secret it reaches.  The budget bounds the whole analysis.
     """
     config = config or AnalysisConfig()
     started = time.perf_counter()
@@ -1006,38 +1043,26 @@ def check_secrecy(protocols: Sequence[Protocol], config: AnalysisConfig | None =
 
     secrets = sorted({c for _, c in pairs}, key=term_key)
     names = tuple(to_text(c) for c in secrets)
-    total_nodes = 0
-    sequences = 0
-    exhausted: list[tuple[str, tuple[str, ...]]] = []
-    for secret in secrets:
-        result = satisfiable(_interleavings(bundles, iik, secret), config.budget)
-        total_nodes += result.stats["nodes"]
-        sequences += result.stats["sequences"]
-        if result.status is SolveStatus.SATISFIABLE:
-            sigma, steps = result.solution()
-            cs = result.sequence
-            keep = frozenset().union(*(c.variables for c in cs.constraints))
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            trace = AttackTrace(
-                protocols=tuple(p.name for p in protocols),
-                sessions=config.sessions,
-                secret=to_text(secret),
-                interleaving=cs.origin,
-                rules=steps,
-                substitution=sigma.restrict(keep),
-                constraints=cs.constraints,
-                elapsed_ms=elapsed_ms,
-            )
-            return SecrecyResult(
-                "attack", config.sessions, names, trace,
-                {"sequences": sequences, "nodes": total_nodes, "elapsed_ms": elapsed_ms},
-            )
-        if result.status is SolveStatus.BUDGET_EXHAUSTED:
-            exhausted.append((to_text(secret), tuple(result.stats["exhausted"])))
-    verdict = "inconclusive" if exhausted else "secure"
-    return SecrecyResult(
-        verdict, config.sessions, names, None,
-        {"sequences": sequences, "nodes": total_nodes,
-         "elapsed_ms": (time.perf_counter() - started) * 1000.0},
-        tuple(exhausted),
-    )
+    result = satisfiable(_interleavings(bundles, iik, *secrets), config.budget)
+    stats = {"sequences": result.stats["sequences"], "nodes": result.stats["nodes"]}
+    if result.status is SolveStatus.SATISFIABLE:
+        sigma, steps = result.solution()
+        cs = result.sequence
+        keep = frozenset().union(*(c.variables for c in cs.constraints))
+        stats["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
+        trace = AttackTrace(
+            protocols=tuple(p.name for p in protocols),
+            sessions=config.sessions,
+            secret=to_text(cs.constraints[-1].target),
+            interleaving=cs.origin,
+            rules=steps,
+            substitution=sigma.restrict(keep),
+            constraints=cs.constraints,
+            elapsed_ms=stats["elapsed_ms"],
+        )
+        return SecrecyResult("attack", config.sessions, names, trace, stats)
+    exhausted = ()
+    if result.status is SolveStatus.BUDGET_EXHAUSTED:
+        exhausted = tuple((name, tuple(result.stats["exhausted"])) for name in names)
+    stats["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
+    return SecrecyResult("inconclusive" if exhausted else "secure", config.sessions, names, None, stats, exhausted)

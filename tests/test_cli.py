@@ -191,6 +191,48 @@ class TestAnalyzeCommand:
         assert results["exhausted"] == [{"secret": "const(nb1:Nonce)", "budgets": ["node", "branch"]}]
         assert "const(nb1:Nonce): out of node and branch budget" in capsys.readouterr().out
 
+    def test_inconclusive_names_every_secret(self, tmp_path, capsys):
+        # one search covers both secrets, so a budget cut leaves both undecided
+        out = tmp_path / "report.json"
+        assert run_command(["analyze", fx("nslx.proto"), "--node-budget", "2", "--json", str(out)]) == 3
+        results = json.loads(out.read_text())["results"]
+        assert results["exhausted"] == [
+            {"secret": "const(na1:Nonce)", "budgets": ["node"]},
+            {"secret": "const(nb1:Nonce)", "budgets": ["node"]},
+        ]
+
+    def test_node_budget_bounds_the_whole_analysis(self, tmp_path):
+        # q1+q3 is secure in 64 nodes over both secrets, so 63 is too few
+        # although neither secret alone needs that many
+        out = tmp_path / "report.json"
+        analyze = ["analyze", fx("q1.proto"), "--combined", fx("q3.proto"), "--json", str(out)]
+        assert run_command([*analyze, "--node-budget", "64"]) == 0
+        assert json.loads(out.read_text())["results"]["stats"]["nodes"] == 64
+        assert run_command([*analyze, "--node-budget", "63"]) == 3
+
+    @pytest.mark.parametrize("blocked", ["blk", "p2t"])
+    def test_receive_nobody_meets_hides_no_attack(self, tmp_path, capsys, blocked):
+        # the secret leaks once p1 and p2 have sent; a receive that nobody
+        # can meet, in a third protocol (blk) or after p2's send (p2t), ends
+        # no run before it, so the attack stands
+        blocker = "  recv senc(X, sh(c, d))\n"
+        if blocked == "blk":
+            (tmp_path / "blk.proto").write_text("protocol blk\nvars X:Data\nrole A:\n" + blocker)
+            files = [fx("p1.proto"), fx("p2.proto"), str(tmp_path / "blk.proto")]
+        else:
+            p2 = (FIXTURES / "p2.proto").read_text()
+            p2t = p2.replace("protocol p2", "protocol p2t").replace("vars NA:Nonce", "vars NA:Nonce X:Data")
+            (tmp_path / "p2t.proto").write_text(p2t + blocker)
+            files = [fx("p1.proto"), str(tmp_path / "p2t.proto")]
+        combined = [a for f in files[1:] for a in ("--combined", f)]
+        out = tmp_path / "report.json"
+        code = run_command(["analyze", files[0], *combined, "--secret", "NA", "--oracle-verify", "--json", str(out)])
+        assert code == 1
+        assert "oracle: confirmed" in capsys.readouterr().out
+        results = json.loads(out.read_text())["results"]
+        assert results["oracle_verified"] is True
+        assert results["attack"]["interleaving"] == ["p1.A#1.1", f"{Path(files[1]).stem}.A#1.1", "sec"]
+
     def test_large_branch_budget_still_secure(self, capsys):
         # nested searches of ground constraints may nest as deep as the
         # branch budget allows; they run from a loop, so a large budget
@@ -402,6 +444,17 @@ class TestOracleVerifyCommand:
         )
         assert err.startswith("error:") and "not a variable" in err
 
+
+    def test_mis_sorted_binding_refuted(self, tmp_path, capsys):
+        # a Nonce variable takes a Nonce or Data value, never an agent's name
+        trace = {
+            "constraints": [{"target": "var(X:Nonce)", "term_set": ["const(a:Agent)"]}],
+            "substitution": {"var(X:Nonce)": "const(a:Agent)"},
+        }
+        path = tmp_path / "missorted.json"
+        path.write_text(json.dumps(trace))
+        assert run_command(["oracle-verify", str(path)]) == 1
+        assert capsys.readouterr().out == "trace NOT confirmed\n"
 
     @pytest.mark.parametrize(
         "bindings",

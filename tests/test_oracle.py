@@ -209,6 +209,34 @@ class TestVerifySolution:
         assert verify_solution(cs, Substitution({X: Seq((Y, na)), Y: na})) is True
         assert verify_solution(cs, Substitution({X: Seq((ATTACKER, na))})) is False
 
+    @pytest.mark.parametrize(
+        "sort,value,well_sorted",
+        [
+            (Sort.NONCE, na, True),
+            (Sort.NONCE, one, True),
+            (Sort.NONCE, a, False),
+            (Sort.NONCE, Seq((a, na)), True),
+            (Sort.DATA, a, True),
+            (Sort.AGENT, b, True),
+            (Sort.AGENT, one, False),
+            (Sort.AGENT, Seq((a, b)), False),
+            (Sort.TAG, Const("t", Sort.TAG), True),
+            (Sort.TAG, a, False),
+        ],
+    )
+    def test_mis_sorted_binding_refuted(self, sort, value, well_sorted):
+        # the target is derivable either way: only the sort decides
+        V = Var("V", sort)
+        cs = ConstraintSequence((Constraint(V, (value, ATTACKER)),))
+        assert verify_solution(cs, Substitution({V: value})) is well_sorted
+
+    def test_sorts_checked_at_resolved_values(self):
+        # N := Y and Y := a are each well sorted, but N's value is an agent
+        N, Y = Var("N", Sort.NONCE), Var("Y", Sort.DATA)
+        cs = ConstraintSequence((Constraint(N, (a, na)),))
+        assert verify_solution(cs, Substitution({N: Y, Y: a})) is False
+        assert verify_solution(cs, Substitution({N: Y, Y: na})) is True
+
     @pytest.mark.parametrize("cyclic", ["self", "through"])
     def test_cyclic_substitution_is_an_error(self, cyclic):
         # no substitution solves X = seq(X, na)

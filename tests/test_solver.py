@@ -1,6 +1,7 @@
 """Constraint generation, reduction rules, and the satisfiability search."""
 
 import copy
+import functools
 import gc
 import itertools
 import pickle
@@ -10,10 +11,10 @@ from typing import NamedTuple
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from xorsleuth import solver
-from xorsleuth.dsl import parse_protocol, parse_protocol_file
+from xorsleuth.dsl import ProtocolSyntaxError, parse_protocol, parse_protocol_file
 from xorsleuth.oracle import verify_solution
 from xorsleuth.protocol import ATTACKER, FreshSession, build_iik, make_semibundle
 from xorsleuth.solver import (
@@ -585,11 +586,15 @@ class TestConstraintSequences:
         sb = make_semibundle(nslx, 1, session=FreshSession())
         iik = build_iik([sb])
         secret = sorted(sb.secret_constants, key=term_key)[0]
+        recv_count = sum(1 for s in sb.strands for n in s.nodes if n.sign == "-")
+        lengths = set()
         for cs in constraint_sequences([sb], iik, secret):
-            recv_count = sum(
-                1 for s in sb.strands for n in s.nodes if n.sign == "-"
-            )
-            assert len(cs.constraints) == recv_count + 1
+            # a constraint per receive of the prefix, then the demand
+            received = [n for n in placed_nodes(sb, cs.origin) if n.sign == "-"]
+            assert [c.target for c in cs.constraints] == [n.term for n in received] + [secret]
+            lengths.add(len(cs.constraints))
+        # the secret is demanded after every prefix, complete runs included
+        assert lengths == set(range(1, recv_count + 2))
 
     def test_interleaving_count_bound(self):
         # two strands of two nodes each: at most C(4,2)=6 distinct orders
@@ -639,9 +644,13 @@ role B:
         sb = make_semibundle(nslx, 1, session=FreshSession())
         iik = build_iik([sb])
         secret = sorted(sb.secret_constants, key=term_key)[0]
-        sent = {n.term for s in sb.strands for n in s.nodes if n.sign == "+"}
+        every_send = {n.term for s in sb.strands for n in s.nodes if n.sign == "+"}
+        complete = 0
         for cs in constraint_sequences([sb], iik, secret):
+            sent = {n.term for n in placed_nodes(sb, cs.origin) if n.sign == "+"}
             assert sent <= set(cs.constraints[-1].term_set)
+            complete += sent == every_send
+        assert complete
 
     def test_duplicate_sequences_emitted_once(self):
         nslx = parse_protocol(NSLX_SRC)
@@ -652,10 +661,19 @@ role B:
         assert len(seqs) == len(set(seqs))
 
 
-def all_interleavings(bundles, iik, secret):
+def placed_nodes(bundle, origin):
+    """The nodes of ``bundle`` that the node ids of ``origin`` name, in order;
+    the demand for the secret (``sec``) is left out."""
+    nodes = dict(zip(bundle.strand_ids, (s.nodes for s in bundle.strands)))
+    return [nodes[sid][int(pos) - 1] for sid, pos in (nid.rsplit(".", 1) for nid in origin if nid != "sec")]
+
+
+def all_interleavings(bundles, iik, secret, prefixes=False):
     """The full interleaving enumeration: one constraint sequence per
-    distinct order of all strands' nodes, sends included, de-duplicated by
-    state key.  The reference for `constraint_sequences`."""
+    distinct order of all strands' nodes, sends included, ending with the
+    demand for ``secret``; with ``prefixes``, one per distinct prefix of
+    such an order, each node included, the demand placed after it.
+    De-duplicated by state key.  The reference for `constraint_sequences`."""
     strands = []
     for bundle in bundles:
         strands.extend(zip(bundle.strand_ids, (s.nodes for s in bundle.strands)))
@@ -666,13 +684,14 @@ def all_interleavings(bundles, iik, secret):
     total = sum(len(nodes) for _, nodes in strands)
 
     def walk(placed, know, acc, ids):
-        if placed == total:
+        if prefixes or placed == total:
             final = Constraint(secret, base + know)
             cs = ConstraintSequence(tuple(acc) + (final,), Substitution(), ids + ("sec",))
             key = solver._canonical_key(cs, tokens)
             if key not in seen:
                 seen.add(key)
                 yield cs
+        if placed == total:
             return
         for si, (sid, nodes) in enumerate(strands):
             i = positions[si]
@@ -769,22 +788,21 @@ role A:
     @pytest.mark.parametrize(
         "names,verdict,counters",
         [
-            (("q1",), "secure", (1, 8)),
-            (("q1", "q2"), "secure", (2, 16)),
-            (("nslx",), "attack", (1, 28)),
-            (("q3", "q5"), "secure", (2, 30)),
-            # its 48 eager sequences share receive-order prefixes: 4,884
-            # nodes when each is searched alone, and 1,890 in one search
-            # with the ground decisions patched off
-            (("q1", "q3"), "secure", (4, 94)),
+            (("q1",), "secure", (3, 10)),
+            (("q1", "q2"), "secure", (3, 13)),
+            (("nslx",), "attack", (1, 4)),
+            (("q3", "q5"), "secure", (3, 20)),
+            # one search over both secrets at every prefix; demanding each
+            # secret in its own search after complete runs only took 94
+            (("q1", "q3"), "secure", (13, 64)),
         ],
     )
     def test_search_counters_pinned(self, names, verdict, counters):
         # (sequences, nodes) move with any change to state keying, interleaving
         # de-duplication, rule order or the ground decisions (whose nested
         # states count); a change that moves them says why.
-        # `sequences` counts the interleavings whose secret constraint was
-        # reached: an interleaving whose receives cannot all be met counts none
+        # `sequences` counts the prefixes at which the secrets' demands were
+        # placed: a prefix whose receives cannot all be met counts none
         protocols = [parse_protocol_file(FIXTURES / f"{n}.proto") for n in names]
         res = check_secrecy(protocols, AnalysisConfig(sessions=1))
         assert res.verdict == verdict
@@ -840,8 +858,20 @@ role A:
 CORPUS = ("q1", "q2", "q3", "q4", "q5")
 
 
+# Protocols of the tests alone: ``echo`` leaks its secret only after its
+# receive (under a key the attacker chose), and ``blk``'s one receive is a
+# message nobody sends.
+INLINE = {
+    "echo": "protocol echo\nvars X:Data N:Nonce\nfresh N\nsecret N\nrole A:\n  recv X\n  send senc(N, X)\n",
+    "blk": "protocol blk\nvars X:Data\nrole A:\n  recv senc(X, sh(c, d))\n",
+}
+
+
 def load(name):
-    """A fixture protocol, or ``leak_xy``: one role sending the long-term key sh(x, y)."""
+    """A fixture protocol, one of `INLINE`, or ``leak_xy``: one role sending
+    the long-term key sh(x, y)."""
+    if name in INLINE:
+        return parse_protocol(INLINE[name])
     if name.startswith("leak_"):
         return parse_protocol(f"protocol {name}\nrole A:\n  send sh({name[-2]}, {name[-1]})\n")
     return parse_protocol_file(FIXTURES / f"{name}.proto")
@@ -987,6 +1017,124 @@ class TestSharedPrefixes:
         assert solver._rule_sites(bound, c) == ((RuleName.UN, c.term_set.index(a)),)
 
 
+def small_terms(depth):
+    """Message texts over a Data variable, a fresh nonce, two data constants
+    and the keys of agents c and d."""
+    atoms = st.sampled_from(["Y", "M", "m", "1"])
+    if depth == 0:
+        return atoms
+    sub = small_terms(depth - 1)
+    return st.one_of(
+        atoms,
+        st.tuples(sub, sub).map(lambda p: f"seq({p[0]}, {p[1]})"),
+        st.tuples(sub, sub).map(lambda p: f"xor({p[0]}, {p[1]})"),
+        sub.map(lambda t: f"senc({t}, sh(c, d))"),
+        sub.map(lambda t: f"penc({t}, pk(c))"),
+    )
+
+
+@st.composite
+def small_protocols(draw, secret=False):
+    """A protocol ``gen`` of one or two roles of one to three nodes each;
+    with ``secret``, its fresh nonce M is its secret."""
+    roles = draw(
+        st.lists(
+            st.lists(st.tuples(st.sampled_from(["send", "recv"]), small_terms(2)), min_size=1, max_size=3),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    body = [line for i, nodes in enumerate(roles) for line in (f"role R{i}:", *(f"  {s} {t}" for s, t in nodes))]
+    used = {tok for line in body for tok in line.replace("(", " ").replace(")", " ").replace(",", " ").split()}
+    head = ["protocol gen"]
+    if used & {"Y", "M"}:
+        head.append("vars " + " ".join(d for d in ("Y:Data", "M:Nonce") if d[0] in used))
+    if "M" in used:
+        head.append("fresh M")
+    if secret:
+        assume("M" in used)
+        head.append("secret M")
+    try:
+        return parse_protocol("\n".join(head + body) + "\n")
+    except ProtocolSyntaxError:
+        # a variable that only occurs in a cancelling XOR, as in xor(M, M)
+        assume(False)
+
+
+# (protocols, secrets) with an attack: at the first placement (p1+p2, nslx,
+# q3+leak_ac) or only after a receive (echo)
+ATTACKED = [(("p1", "p2"), ("NA",)), (("nslx",), ()), (("q3", "leak_ac"), ()), (("echo",), ())]
+
+
+def confirmed_attack(protocols, secrets):
+    res = check_secrecy(protocols, AnalysisConfig(sessions=1, secrets=secrets))
+    return res.verdict == "attack" and verify_solution(ConstraintSequence(res.attack.constraints), res.attack.substitution)
+
+
+class TestPrefixes:
+    """Each secret is demanded after every prefix of a run, in one search."""
+
+    @pytest.mark.parametrize("names,secrets", ATTACKED, ids=case_id)
+    def test_attack_stays_with_another_protocol(self, names, secrets):
+        # a protocol run beside P only adds strands and knowledge, so every
+        # prefix that leaks P's secret is still a prefix of a run of P + Q
+        assert confirmed_attack([load(n) for n in names], secrets)
+        for q in ("q1", "q2", "q3", "q4", "q5", "nslx", "nslx_other", "keyleak", "p1", "blk"):
+            if q not in names:
+                assert confirmed_attack([load(n) for n in (*names, q)], secrets), q
+
+    @given(small_protocols(), st.sampled_from(ATTACKED))
+    @settings(max_examples=60, deadline=None)
+    def test_attack_stays_with_a_generated_protocol(self, q, attacked):
+        names, secrets = attacked
+        assert confirmed_attack([load(n) for n in names] + [q], secrets)
+
+    @pytest.mark.parametrize("names,sessions,secrets", analysis_cases(full=True), ids=case_id)
+    def test_verdict_matches_every_prefix_of_every_interleaving(self, names, sessions, secrets):
+        # the reference demands each secret after every prefix of every
+        # interleaving, sends placed anywhere, each in a search of its own
+        res = check_secrecy([load(n) for n in names], AnalysisConfig(sessions=sessions, secrets=secrets))
+        every_prefix = functools.partial(all_interleavings, prefixes=True)
+        assert res.verdict == per_sequence(names, sessions, secrets, every_prefix).verdict
+
+    @given(small_protocols(secret=True))
+    @settings(max_examples=80, deadline=None)
+    def test_generated_protocol_matches_every_prefix_of_every_interleaving(self, protocol):
+        bundles = [make_semibundle(protocol, 1, session=FreshSession())]
+        iik = build_iik(bundles)
+        # each role that sends M mints a secret; one that receives M first does not
+        secrets = bundles[0].secret_constants
+        assume(secrets)
+        budget = SolverBudget(max_nodes=5_000)
+        res = check_secrecy([protocol], AnalysisConfig(sessions=1, budget=budget))
+        every_prefix = [cs for secret in secrets for cs in all_interleavings(bundles, iik, secret, prefixes=True)]
+        statuses = {satisfiable(cs, budget).status for cs in every_prefix}
+        leaks = SolveStatus.SATISFIABLE in statuses
+        assume(res.verdict != "inconclusive" and (leaks or SolveStatus.BUDGET_EXHAUSTED not in statuses))
+        assert (res.verdict == "attack") == leaks
+
+    @pytest.mark.parametrize(
+        "names,sessions,secrets",
+        analysis_cases(full=False) + [(("nslx", "q1"), 1, ()), (("nslx_nslx", "nslx_other"), 1, ())],
+        ids=case_id,
+    )
+    def test_matches_one_search_per_secret(self, names, sessions, secrets):
+        # an attack needs only its own secret's search: refuting another
+        # secret alone can take a minute (n21 in nslx+q1)
+        res = check_secrecy([load(n) for n in names], AnalysisConfig(sessions=sessions, secrets=secrets))
+        starts = {to_text(start.pending.plan.nodes[-1][0].term): start
+                  for start in secret_searches(names, sessions, secrets)}
+        assert tuple(starts) == res.secrets_checked
+        if res.verdict == "attack":
+            assert satisfiable(starts[res.attack.secret]).status is SolveStatus.SATISFIABLE
+        else:
+            assert res.verdict == "secure"
+            alone = [satisfiable(start) for start in starts.values()]
+            assert all(r.status is SolveStatus.UNSATISFIABLE for r in alone)
+            # the prefixes and the ground decisions are shared
+            assert res.stats["nodes"] <= sum(r.stats["nodes"] for r in alone)
+
+
 # A role that sends a variable it never received.
 G_SRC = """
 protocol g
@@ -1083,9 +1231,8 @@ class TestStateKey:
         monkeypatch.setattr(solver, "_canonical_key", checked)
         protocols = [parse_protocol_file(FIXTURES / f"{n}.proto") for n in names]
         res = check_secrecy(protocols, AnalysisConfig(sessions=1, secrets=secrets))
-        # one search per secret, up to the one that found an attack
-        searched = len(res.secrets_checked) if res.attack is None else res.secrets_checked.index(res.attack.secret) + 1
-        assert len(searches) == searched
+        # one search covers every secret
+        assert len(searches) == 1
         # every node is keyed; a state of a nested search may share its key
         # with one of its caller's, since each search has its own visited set
         assert len(calls) >= res.stats["nodes"]
@@ -1313,8 +1460,8 @@ class TestGroundDecisions:
         assert attack_of(decided) == attack_of(reference)
 
     def test_nested_searches_do_not_call_satisfiable(self):
-        # a wrapper of `satisfiable` (as a tracer installs) sees one call per
-        # secret, whose nodes add up to the report's
+        # a wrapper of `satisfiable` (as a tracer installs) sees the one call
+        # of the analysis, whose nodes are the report's
         calls = []
         original = solver.satisfiable
 
@@ -1325,8 +1472,8 @@ class TestGroundDecisions:
 
         with mock.patch.object(solver, "satisfiable", counted):
             res = check_secrecy([load("q1"), load("q3")], AnalysisConfig(sessions=1))
-        assert len(calls) == len(res.secrets_checked) == 2
-        assert sum(calls) == res.stats["nodes"] == 94
+        assert len(res.secrets_checked) == 2
+        assert calls == [res.stats["nodes"]] == [64]
 
     def test_matches_on_mixed_sequences(self):
         compared = []
