@@ -481,13 +481,6 @@ def _apply(
     ], complete
 
 
-def apply_rule(rule: RuleName, site: int, cs: ConstraintSequence) -> list[ConstraintSequence]:
-    """All branch results of one rule application (empty list = dead end)."""
-    active = _split_at_active(cs)
-    assert active is not None, "no active constraint"
-    return [b for b, _ in _apply(rule, site, cs, active)[0]]
-
-
 # -- search -------------------------------------------------------------------------
 
 

@@ -2,11 +2,13 @@
 
 ``unify_std`` handles the free constructors (with commutative shared keys),
 ``unify_acun`` solves pure XOR problems by Gaussian elimination over GF(2),
-and ``bsca_unify`` combines the two (Baader–Schulz, JSC 1996): it decomposes
-mixed equations through free constructors, rejecting those whose sides clash
-there, purifies what is left, searches variable identifications and theory
-splits, solves the two pure projections independently, and recombines the
-partial unifiers by closing their union (``Substitution.close``).
+and ``bsca_unify`` combines the two (Baader–Schulz, JSC 1996): it first
+decomposes every equation through free constructors and pairs the summands
+of XORs of free-headed terms (the XOR decomposition step of Liu–Lynch, CADE
+2011), rejecting equations whose sides clash there; it then purifies what is
+left, searches variable identifications and theory splits, solves the two
+pure projections independently, and recombines the partial unifiers by
+closing their union (``Substitution.close``).
 Every combined candidate is validated against the original equations, so the
 search heuristics can only cost completeness, never soundness.
 """
@@ -14,7 +16,7 @@ search heuristics can only cost completeness, never soundness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .terms import (
@@ -79,8 +81,16 @@ class Equation:
 
 @dataclass(frozen=True)
 class UnificationProblem:
+    """Equations to solve modulo SUA, the one theory ``bsca_unify`` solves.
+    A caller may still name it as a second argument; any other theory is
+    refused rather than silently solved modulo SUA."""
+
     equations: tuple[Equation, ...]
-    theory: Theory = Theory.SUA
+    theory: InitVar[Theory] = Theory.SUA
+
+    def __post_init__(self, theory: Theory) -> None:
+        if theory is not Theory.SUA:
+            raise ValueError(f"bsca_unify solves SUA problems only, not {theory.value}")
 
 
 def _as_equations(equations, default_theory: Theory) -> list[Equation]:
@@ -151,16 +161,37 @@ def _open_clash(s: Term, t: Term) -> bool:
     return False
 
 
-def _free_split(s: Term, t: Term) -> list[list[tuple[Term, Term]]]:
+def _pairable(s: Term, t: Term) -> bool:
+    """Are ``s`` and ``t`` two XORs none of whose summands is a variable?"""
+    return (
+        isinstance(s, Xor)
+        and isinstance(t, Xor)
+        and not any(isinstance(u, Var) for u in itertools.chain(s.items, t.items))
+    )
+
+
+def _free_split(s: Term, t: Term) -> tuple[list[list[tuple[Term, Term]]], bool]:
     """The systems of open pairs that the canonical equation ``s =? t``
-    reduces to through free constructors, one per alternative (two for each
-    ``sh`` pair that does not clash); an empty list when every alternative
-    clashes, which proves that ``s`` and ``t`` have no unifier.
+    reduces to through free constructors and XOR summand pairing, one per
+    alternative (two for each ``sh`` pair that does not clash, one for each
+    perfect matching of paired summands), and whether every alternative was
+    explored.  An empty list from a complete walk proves that ``s`` and
+    ``t`` have no unifier.
 
     The walk pairs the two sides from the root through ``seq``, ``senc``,
     ``penc``, ``pk`` and ``sh`` (both argument orders) with ``_decompose``,
     drops pairs of equal terms, and stops at a variable, an XOR or ``zero``
-    on either side; the pair reached there is open.  An alternative clashes:
+    on either side; the pair reached there is open.  Two XORs none of whose
+    summands is a variable are not left open but paired: once every other
+    pair of the alternative is walked, the first of their summands (ground
+    ones first, then left ones before right ones) is paired with each other
+    summand in turn, one alternative each, and the pair goes back through
+    the walk before the rest of the summands are paired the same way.  So
+    each alternative is one perfect matching of the summands, built
+    lazily, and a partial matching is dropped at its first clash.  At most
+    ``_MAX_CONFIGS`` alternatives are made by pairing in one call; a walk
+    cut there is not complete, and its systems are some of the
+    alternatives only.  An alternative clashes:
 
     - where ``_decompose`` does: different constructors, different arities
       or two different constants;
@@ -168,7 +199,9 @@ def _free_split(s: Term, t: Term) -> list[list[tuple[Term, Term]]]:
       meets a ground XOR;
     - where a free-headed term meets ``zero``;
     - where an XOR none of whose summands is a variable meets a free-headed
-      term, if it has an even number of summands, or ``zero``, if odd.
+      term, if it has an even number of summands, or ``zero``, if odd;
+    - where two XORs none of whose summands is a variable have an odd
+      number of summands between them.
 
     Soundness: normalization keeps the head of a term whose head is free,
     and so does every instance (a substitution replaces variables only), and
@@ -185,35 +218,70 @@ def _free_split(s: Term, t: Term) -> list[list[tuple[Term, Term]]]:
     pairs and never flattens, so it normalizes to ``zero`` (no summand
     left), to one free-headed term (one left) or to an XOR (more left), and
     the parity of the summand count never changes: an even count never
-    leaves one summand and an odd count never leaves none.  Each clash is
-    therefore a proof that no substitution, well sorted or not, solves the
-    alternative.  A variable or an XOR with a variable summand is left
-    open, since an instance of it can take any head.
+    leaves one summand and an odd count never leaves none.  For the same
+    reason σ unifies two XORs of free-headed summands ``u1 ⊕ … ⊕ um`` and
+    ``v1 ⊕ … ⊕ vn`` exactly when the sum of all ``m + n`` instances
+    normalizes to ``zero``, that is, when every distinct normal instance
+    among them occurs an even number of times, which holds exactly when the
+    summands split into pairs that σ makes equal modulo SUA: a perfect
+    matching of the summands (a pair may lie on one side, as two summands
+    whose instances cancel) whose pairs σ all solves.  The pairing
+    alternatives are all such matchings, and there is none when ``m + n``
+    is odd.  Each clash is therefore a proof that no substitution, well
+    sorted or not, solves the alternative.  A variable or an XOR with a
+    variable summand is left open, since an instance of it can take any
+    head, and so is a free-headed term or ``zero`` against an XOR with no
+    variable summand, if the counts allow it.
     """
     systems: list[list[tuple[Term, Term]]] = []
-    stack: list[tuple[list[tuple[Term, Term]], list[tuple[Term, Term]]]] = [([(s, t)], [])]
+    complete = True
+    paired = 0
+    # (pairs still to walk, summand pools still to pair, open pairs)
+    stack: list[tuple[list[tuple[Term, Term]], list[tuple[Term, ...]], list[tuple[Term, Term]]]] = [
+        ([(s, t)], [], [])
+    ]
     while stack:
-        todo, open_pairs = stack.pop()
-        while todo:
+        todo, pools, open_pairs = stack.pop()
+        while todo or pools:
+            if not todo:
+                pool = pools.pop()
+                paired += len(pool) - 1
+                if paired > _MAX_CONFIGS:
+                    complete = False
+                    break
+                first = pool[0]
+                for i in range(len(pool) - 1, 1, -1):
+                    rest = pool[1:i] + pool[i + 1 :]
+                    stack.append(([(first, pool[i])], [*pools, rest] if rest else list(pools), list(open_pairs)))
+                if len(pool) > 2:
+                    pools.append(pool[2:])
+                todo.append((first, pool[1]))
+                continue
             s, t = todo.pop()
             if s == t:
                 continue
             if isinstance(s, _OPEN) or isinstance(t, _OPEN):
                 if _open_clash(s, t):
                     break
-                if (s, t) not in open_pairs:
+                if _pairable(s, t):
+                    if (len(s.items) + len(t.items)) % 2:
+                        break
+                    # ground summands first: they clash with every ground
+                    # partner but an equal one, which prunes early
+                    pools.append(tuple(sorted(s.items + t.items, key=lambda u: bool(vars_of(u)))))
+                elif (s, t) not in open_pairs:
                     open_pairs.append((s, t))
                 continue
             alternatives = _decompose(s, t)
             if alternatives is None:
                 break
             for alt in alternatives[1:]:
-                stack.append((todo + alt[::-1], list(open_pairs)))
+                stack.append((todo + alt[::-1], list(pools), list(open_pairs)))
             todo.extend(alternatives[0][::-1])
         else:
             if open_pairs not in systems:
                 systems.append(open_pairs)
-    return systems
+    return systems, complete
 
 
 def unify_std(equations) -> tuple[Substitution, ...]:
@@ -650,42 +718,49 @@ def _pure_acun(eqs: Iterable[Equation]) -> bool:
     return all(is_pure(e.left, Theory.ACUN) and is_pure(e.right, Theory.ACUN) for e in eqs)
 
 
-def _split_problem(eqs: Sequence[Equation]) -> list[tuple[Equation, ...]]:
+def _split_problem(eqs: Sequence[Equation]) -> tuple[list[tuple[Equation, ...]], bool]:
     """The alternative systems that ``_free_split`` reduces the equations to
-    together: one open pair system per equation, in every combination."""
+    together, one open pair system per equation in every combination, and
+    whether every equation's walk was complete."""
     systems: list[tuple[Equation, ...]] = [()]
+    complete = True
     for e in eqs:
+        alternatives, done = _free_split(e.left, e.right)
+        complete = complete and done
         systems = [
             system + tuple(Equation(s, t, Theory.SUA) for s, t in alt)
             for system in systems
-            for alt in _free_split(e.left, e.right)
+            for alt in alternatives
         ]
-    return systems
+    return systems, complete
 
 
 def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], BscaTrace]:
     """Unifiers modulo the combined theory, with a search trace.
 
-    Pure problems are dispatched straight to the single-theory algorithms.
-    A mixed problem is first decomposed through free constructors
-    (``_free_split``): each equation becomes the open pairs below its
-    free-headed positions, in one alternative system per choice of ``sh``
-    argument order.  When every alternative clashes (see ``_free_split`` for
-    the rules and their soundness argument) the problem has no unifier; it
-    is rejected with shortcut ``clash``, no configurations tried and a
-    complete search.  This is how tagging keeps encryptions of differently
-    tagged protocols apart even when XOR sits below the tag.  Otherwise the
-    unifiers of the problem are those of its alternative systems, since a
-    substitution unifies the equations exactly when it unifies every pair
-    of some alternative.  A system without XOR goes to ``unify_std``, a pure
-    XOR one to ``unify_acun``, and the rest to the combination search
-    (``_combination``), which shares one configuration budget
-    (``_MAX_CONFIGS``) across the systems.  An equation with an XOR at the
-    root is its own only system unless its sides are equal or clash there.
-    Candidates are kept only if they satisfy the original equations modulo
-    the combined theory, and get canonical names for the variables they
-    bring in (`rename_new_vars`), whichever path found them.  A search cut
-    by a limit returns what it found with ``trace.complete`` False; a
+    Every problem is first decomposed through free constructors and XOR
+    summand pairing (``_free_split``): each equation becomes the open pairs
+    below its free-headed positions, in one alternative system per choice
+    of ``sh`` argument order and per perfect matching of the summands of two
+    XORs without variable summands.  When every alternative clashes (see
+    ``_free_split`` for the rules and their soundness argument) the problem
+    has no unifier; it is rejected with shortcut ``clash``, no
+    configurations tried and a complete search, before any theory-specific
+    search runs.  This is how tagging keeps encryptions of differently
+    tagged protocols apart even when XOR sits below the tag.  Otherwise
+    pure problems are dispatched straight to the single-theory algorithms.
+    The unifiers of a mixed problem are those of its alternative systems,
+    since a substitution unifies the equations exactly when it unifies
+    every pair of some alternative.  A system without XOR goes to
+    ``unify_std``, a pure XOR one to ``unify_acun``, and the rest to the
+    combination search (``_combination``), which shares one configuration
+    budget (``_MAX_CONFIGS``) across the systems.  An equation with an XOR
+    at the root is its own only system unless its sides are equal, clash
+    there or are paired.  Candidates are kept only if they satisfy the
+    original equations modulo the combined theory, and get canonical names
+    for the variables they bring in (`rename_new_vars`), whichever path
+    found them.  A search cut by a limit (the pairing's or the
+    combination's) returns what it found with ``trace.complete`` False; a
     completed search with no unifier is a definitive failure.
     """
     orig = [e.normalized() for e in problem.equations]
@@ -705,6 +780,10 @@ def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], B
         good.sort(key=lambda s: tuple((term_key(v), term_key(t)) for v, t in s.items()))
         return tuple(good)
 
+    systems, complete = _split_problem(orig)
+    if not systems and complete:
+        trace.shortcut = "clash"
+        return trace.unifiers, trace
     if not _has_xor(orig):
         trace.shortcut = "std"
         trace.unifiers = validated(unify_std(orig))
@@ -717,14 +796,9 @@ def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], B
             trace.sigma2 = acun_result[0]
         trace.unifiers = validated(acun_result)
         return trace.unifiers, trace
-    systems = _split_problem(orig)
-    if not systems:
-        trace.shortcut = "clash"
-        return trace.unifiers, trace
 
     found: list[Substitution] = []
     configs = 0
-    complete = True
     for system in systems:
         if not _has_xor(system):
             cands = validated(unify_std(system))
@@ -763,7 +837,7 @@ def _combination(
     and the stages of its first success.  Returns the configurations tried
     (at most ``max_configs``) and whether the search completed.
     """
-    pure = purify(UnificationProblem(system, Theory.SUA))
+    pure = purify(UnificationProblem(system))
     gamma2 = pure.equations
     if not found:
         trace.gamma1 = gamma2
@@ -865,5 +939,5 @@ def _combination(
 
 def unify_sua(m: Term, t: Term) -> tuple[tuple[Substitution, ...], bool]:
     """Unifiers of one equation modulo the combined theory, and whether the search completed."""
-    unifiers, trace = bsca_unify(UnificationProblem((Equation(m, t, Theory.SUA),), Theory.SUA))
+    unifiers, trace = bsca_unify(UnificationProblem((Equation(m, t, Theory.SUA),)))
     return unifiers, trace.complete

@@ -27,7 +27,6 @@ from xorsleuth.solver import (
     SolverBudget,
     TARGET_SITE,
     applicable_rules,
-    apply_rule,
     check_secrecy,
     constraint_sequences,
     normalize_seq,
@@ -110,6 +109,15 @@ role B:
 
 def cseq(*constraints):
     return ConstraintSequence(tuple(Constraint(m, T) for m, T in constraints))
+
+
+def apply_rule(rule, site, cs):
+    """All branch results of one rule application (an empty list is a dead
+    end): the solver's `_apply` at the active constraint, without the
+    unifiers and the completeness flag."""
+    active = solver._split_at_active(cs)
+    assert active is not None, "no active constraint"
+    return [b for b, _ in solver._apply(rule, site, cs, active)[0]]
 
 
 @st.composite

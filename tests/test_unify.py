@@ -5,7 +5,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from xorsleuth import solver, unify
@@ -67,7 +67,7 @@ W = var("W", Sort.DATA)
 
 
 def sua_problem(*pairs):
-    return UnificationProblem(tuple(Equation(s, t, Theory.SUA) for s, t in pairs), Theory.SUA)
+    return UnificationProblem(tuple(Equation(s, t, Theory.SUA) for s, t in pairs))
 
 
 class TestUnifyStd:
@@ -313,6 +313,11 @@ class TestBsca:
         for s in unifiers:
             assert equal_mod(Theory.SUA, s.apply(lhs), s.apply(rhs))
 
+    def test_problem_names_no_theory_but_sua(self):
+        assert UnificationProblem((Equation(X, c),), Theory.SUA) == sua_problem((X, c))
+        with pytest.raises(ValueError):
+            UnificationProblem((Equation(X, c),), Theory.STD)
+
     def test_trace_json_round_trip(self):
         _, trace = bsca_unify(sua_problem((seq(X, c), seq(xor(c, d), c))))
         js = trace.to_json_dict()
@@ -408,7 +413,7 @@ def outcome(problem, max_configs=unify._MAX_CONFIGS):
 def unfiltered(problem, max_configs=unify._MAX_CONFIGS):
     """``outcome`` with ``_free_split`` returning each equation unchanged, so
     that every mixed problem goes whole to the combination search."""
-    with mock.patch.object(unify, "_free_split", lambda s, t: [[(s, t)]]):
+    with mock.patch.object(unify, "_free_split", lambda s, t: ([[(s, t)]], True)):
         return outcome(problem, max_configs)
 
 
@@ -496,7 +501,7 @@ class TestFreeClash:
         ],
     )
     def test_clash_through_free_symbols(self, s, t):
-        assert unify._free_split(s, t) == [] and unify._free_split(t, s) == []
+        assert unify._free_split(s, t) == ([], True) and unify._free_split(t, s) == ([], True)
         # the search without the split finds no unifier either
         full = unfiltered(sua_problem((s, t)))
         assert full is not None and full[0] == () and full[1].complete
@@ -514,17 +519,20 @@ class TestFreeClash:
         ],
     )
     def test_no_clash_below_variables_xor_zero_or_either_sh_order(self, s, t):
-        assert unify._free_split(s, t) and unify._free_split(t, s)
+        assert unify._free_split(s, t)[0] and unify._free_split(t, s)[0]
 
     def test_split_pairs_open_positions_per_sh_order(self):
-        assert unify._free_split(senc(seq(c, xor(X, d)), sh(A, B)), senc(seq(c, Y), sh(a, b))) == [
-            [(xor(X, d), Y), (A, a), (B, b)],
-            [(xor(X, d), Y), (A, b), (B, a)],
-        ]
+        assert unify._free_split(senc(seq(c, xor(X, d)), sh(A, B)), senc(seq(c, Y), sh(a, b))) == (
+            [
+                [(xor(X, d), Y), (A, a), (B, b)],
+                [(xor(X, d), Y), (A, b), (B, a)],
+            ],
+            True,
+        )
         # the order that pairs A with b clashes at the constants
-        assert unify._free_split(senc(X, sh(A, a)), senc(Y, sh(b, a))) == [[(X, Y), (A, b)]]
+        assert unify._free_split(senc(X, sh(A, a)), senc(Y, sh(b, a))) == ([[(X, Y), (A, b)]], True)
         # a root XOR is its own only open pair
-        assert unify._free_split(xor(X, c), pk(A)) == [[(xor(X, c), pk(A))]]
+        assert unify._free_split(xor(X, c), pk(A)) == ([[(xor(X, c), pk(A))]], True)
 
     def test_tagged_xor_pair_is_decided(self):
         # the combination search alone runs out of its 20,000-configuration
@@ -542,10 +550,12 @@ class TestFreeClash:
         n11, n21 = const("n11", Sort.NONCE), const("n21", Sort.NONCE)
         lhs = senc(seq(t1, xor(seq(t1, N21), seq(t1, n11))), sh(a, b))
         rhs = senc(seq(t1, xor(seq(t1, n11), seq(t1, n21))), sh(a, b))
-        # 427 configurations for the whole equation
+        # 427 configurations for the whole equation; pairing the summands
+        # leaves N21 against n21 alone
+        assert unify._free_split(lhs, rhs) == ([[(n21, N21)]], True)
         unifiers, trace = bsca_unify(sua_problem((lhs, rhs)))
         assert unifiers == (Substitution({N21: n21}),)
-        assert trace.complete and trace.configs_tried <= 20
+        assert trace.complete and trace.configs_tried == 0
         # 88 configurations for the whole equation
         unifiers, trace = bsca_unify(sua_problem((lhs, ZERO)))
         assert (unifiers, trace.shortcut, trace.configs_tried, trace.complete) == ((), "clash", 0, True)
@@ -573,6 +583,20 @@ class TestFreeClash:
         ]
         assert cross and all(t.shortcut == "clash" and t.configs_tried == 0 for t in cross)
 
+    @pytest.mark.parametrize(
+        "s, t",
+        [
+            # free terms only: the std path would find the clash too, later
+            (seq(t1, X), seq(t5, Y)),
+            (senc(X, sh(a, b)), penc(X, pk(a))),
+            # XOR and constants only: the acun path would, too
+            (c, xor(d, e)),
+        ],
+    )
+    def test_clash_is_decided_before_the_pure_theory_paths(self, s, t):
+        unifiers, trace = bsca_unify(sua_problem((s, t)))
+        assert (unifiers, trace.shortcut, trace.configs_tried, trace.complete) == ((), "clash", 0, True)
+
     @pytest.mark.parametrize("problems", [criterion_2_problems, criterion_3_problems])
     def test_agrees_with_unfiltered_search_on_acceptance_generators(self, problems):
         clashes = [assert_agrees_with_unfiltered(sua_problem(p)) for p in problems()]
@@ -592,3 +616,109 @@ class TestFreeClash:
 @example(penc(seq(a, xor(X, a)), pk(a)), penc(xor(X, Y), pk(a)))
 def test_free_clash_agrees_with_unfiltered_search(s, t):
     assert_agrees_with_unfiltered(sua_problem((s, t)), max_configs=2000)
+
+
+# -- XOR summand pairing -------------------------------------------------------------
+
+
+def tagged(*args):
+    return seq(t1, *args)
+
+
+class TestSummandPairing:
+    def test_one_system_per_matching_that_does_not_clash(self):
+        # pairing seq(t1,X) with seq(t1,Y) leaves c against d: a clash
+        lhs, rhs = xor(tagged(X), tagged(Y)), xor(tagged(c), tagged(d))
+        assert unify._free_split(lhs, rhs) == ([[(c, X), (d, Y)], [(c, Y), (d, X)]], True)
+        unifiers, trace = bsca_unify(sua_problem((lhs, rhs)))
+        assert unifiers == (Substitution({X: c, Y: d}), Substitution({X: d, Y: c}))
+        assert (trace.shortcut, trace.configs_tried, trace.complete) == (None, 0, True)
+
+    def test_summands_of_one_side_may_cancel_each_other(self):
+        # X = Y cancels the left side, and c = d cannot cancel the right one
+        lhs, rhs = xor(tagged(X), tagged(Y)), xor(tagged(c), tagged(Z))
+        # the ground summand is paired first
+        assert unify._free_split(lhs, rhs) == ([[(c, X), (Y, Z)], [(c, Y), (X, Z)], [(c, Z), (X, Y)]], True)
+        assert unify_sua(lhs, rhs) == (
+            (Substitution({X: Y, Z: c}), Substitution({X: Z, Y: c}), Substitution({X: c, Y: Z})),
+            True,
+        )
+
+    def test_odd_summand_count_clashes(self):
+        lhs, rhs = xor(tagged(X), tagged(Y), tagged(Z)), xor(tagged(c), tagged(d))
+        assert unify._free_split(lhs, rhs) == ([], True)
+        unifiers, trace = bsca_unify(sua_problem((lhs, rhs)))
+        assert (unifiers, trace.shortcut, trace.configs_tried, trace.complete) == ((), "clash", 0, True)
+        full = unfiltered(sua_problem((lhs, rhs)))
+        assert full is None or full[0] == ()
+
+    def test_variable_summand_stays_open(self):
+        lhs, rhs = xor(tagged(X), Y), xor(tagged(c), tagged(d))
+        assert unify._free_split(lhs, rhs) == ([[(lhs, rhs)]], True)
+
+    def test_free_headed_term_against_xor_stays_open(self):
+        # criterion 1's equation keeps its purified system of five equations
+        lhs = penc(seq(one, n_a), pk(B))
+        rhs = xor(penc(seq(one, N_B), pk(a)), seq(two, A), seq(two, b))
+        assert unify._free_split(lhs, rhs) == ([[(lhs, rhs)]], True)
+
+    def test_cut_pairing_is_incomplete(self, monkeypatch):
+        xs = [var(f"X{i}", Sort.DATA) for i in range(6)]
+        cs = [const(f"c{i}", Sort.DATA) for i in range(6)]
+        lhs, rhs = xor(*map(tagged, xs)), xor(*map(tagged, cs))
+        monkeypatch.setattr(unify, "_MAX_CONFIGS", 10)
+        # 12 summands: the first summand alone has 11 partners, and 720 of
+        # the 10,395 perfect matchings give a unifier
+        assert unify._free_split(lhs, rhs) == ([], False)
+        unifiers, trace = bsca_unify(sua_problem((lhs, rhs)))
+        assert (unifiers, trace.shortcut, trace.configs_tried, trace.complete) == ((), None, 0, False)
+        assert unify_sua(lhs, rhs) == ((), False)
+        # a cut after some matchings keeps the unifiers they gave
+        monkeypatch.setattr(unify, "_MAX_CONFIGS", 200)
+        unifiers, trace = bsca_unify(sua_problem((lhs, rhs)))
+        assert unifiers and not trace.complete
+        for sigma in unifiers:
+            assert equal_mod(Theory.SUA, sigma.apply(lhs), sigma.apply(rhs))
+
+    def test_uncut_pairing_finds_every_matching(self):
+        xs = [var(f"X{i}", Sort.DATA) for i in range(4)]
+        cs = [const(f"c{i}", Sort.DATA) for i in range(4)]
+        unifiers, complete = unify_sua(xor(*map(tagged, xs)), xor(*map(tagged, cs)))
+        assert complete and len(unifiers) == 24
+        assert {frozenset(s.apply(x) for x in xs) for s in unifiers} == {frozenset(cs)}
+
+
+_summand_atoms = st.sampled_from([c, d, X, Y, N_B, xor(X, c)])
+_summands = st.one_of(
+    _summand_atoms.map(tagged),
+    st.tuples(_summand_atoms, _summand_atoms).map(lambda p: tagged(*p)),
+    _summand_atoms.map(lambda u: penc(u, pk(a))),
+)
+
+
+@st.composite
+def _xor_pairs(draw):
+    """Two XORs of free-headed summands: two summands, and two or three
+    unrelated ones or a shuffled instance of the first two."""
+    left = draw(st.lists(_summands, min_size=2, max_size=2))
+    if draw(st.booleans()):
+        right = draw(st.lists(_summands, min_size=2, max_size=3))
+    else:
+        sigma = Substitution(
+            {X: draw(st.sampled_from([c, d, Y, seq(c, d)])), N_B: draw(st.sampled_from([n_a, N_B]))}
+        )
+        right = draw(st.permutations([sigma.apply(u) for u in left]))
+    return normalize(Xor(tuple(left))), normalize(Xor(tuple(right)))
+
+
+@given(_xor_pairs())
+@settings(max_examples=60, deadline=None)
+@example((xor(tagged(X), tagged(Y)), xor(tagged(c), tagged(d))))
+@example((xor(tagged(X), tagged(N_B)), xor(tagged(n_a), tagged(xor(X, c)))))
+def test_summand_pairing_agrees_with_unfiltered_search(sides):
+    """XORs of free-headed summands on both sides, which the split pairs and
+    the whole-equation search purifies."""
+    lhs, rhs = sides
+    assume(isinstance(lhs, Xor) and isinstance(rhs, Xor) and lhs != rhs)
+    assert unify._pairable(lhs, rhs)
+    assert_agrees_with_unfiltered(sua_problem((lhs, rhs)), max_configs=500)
