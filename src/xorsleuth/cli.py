@@ -323,10 +323,7 @@ def run_command(argv: Sequence[str]) -> int:
     args = ap.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except XorsleuthError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (XorsleuthError, OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -29,11 +29,11 @@ from .terms import (
     Substitution,
     Term,
     Var,
-    Xor,
     XorsleuthError,
     ZERO,
     normalize,
     subterms,
+    summands,
     term_key,
     to_text,
     vars_of,
@@ -157,14 +157,6 @@ def dy_closure(
     return GroundKnowledge(frozenset(known), capped, complete)
 
 
-def _xor_units(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, Xor):
-        return t.items
-    if t == ZERO:
-        return ()
-    return (t,)
-
-
 def _xor_span_extract(known: set[Term], targets: set[Term]) -> list[Term]:
     """Members of the GF(2) span of `known` that are single units or targets.
 
@@ -174,7 +166,7 @@ def _xor_span_extract(known: set[Term], targets: set[Term]) -> list[Term]:
     """
     units: dict[Term, int] = {}
     for t in sorted(known, key=term_key):
-        for u in _xor_units(t):
+        for u in summands(t):
             units.setdefault(u, len(units))
 
     basis: dict[int, int] = {}  # leading-bit index -> reduced row
@@ -190,7 +182,7 @@ def _xor_span_extract(known: set[Term], targets: set[Term]) -> list[Term]:
 
     for t in sorted(known, key=term_key):
         vec = 0
-        for u in _xor_units(t):
+        for u in summands(t):
             vec ^= 1 << units[u]
         vec = reduce(vec)
         if vec:
@@ -203,7 +195,7 @@ def _xor_span_extract(known: set[Term], targets: set[Term]) -> list[Term]:
     for t in sorted(targets, key=term_key):
         if t in known:
             continue
-        tu = _xor_units(t)
+        tu = summands(t)
         if any(u not in units for u in tu):
             continue
         vec = 0
@@ -242,13 +234,16 @@ def _well_sorted(v: Var, t: Term) -> bool:
 def verify_solution(cs, solution: Substitution, rounds: int = 6, size_cap: int = 20_000) -> bool | None:
     """Independent check of a solver solution on the original sequence.
 
-    Variables the solver left unconstrained are the attacker's free choices;
-    they are instantiated with the attacker's own name before grounding.
-    True (confirmed) iff every original constraint's instantiated target is
-    derivable from its instantiated term set; False (refuted) when some
-    target is not derivable (`derivable` is False); otherwise None
-    (undecided: a truncated closure left some target open).  Only a
-    confirmation is truthy.
+    Variables the solver left unconstrained are the attacker's free choices.
+    Each is instantiated with the attacker's own atom of its sort: its name
+    ``eps:Agent`` for an Agent or Data variable, and ``eps`` of the
+    variable's sort for a Nonce, Key or Tag one.  The atoms so used join
+    every constraint's term set, since the attacker knows its own name,
+    nonces, keys and tags.  True (confirmed) iff every original
+    constraint's instantiated target is derivable from its instantiated
+    term set; False (refuted) when some target is not derivable
+    (`derivable` is False); otherwise None (undecided: a truncated closure
+    left some target open).  Only a confirmation is truthy.
 
     The substitution is resolved first (`Substitution.close`), so a binding
     that refers to another bound variable is checked at that variable's
@@ -265,12 +260,14 @@ def verify_solution(cs, solution: Substitution, rounds: int = 6, size_cap: int =
     for c in cs.constraints:
         for t in (c.target, *c.term_set):
             for v in vars_of(solution.apply(t)):
-                leftover.setdefault(v, ATTACKER)
+                if v not in leftover:
+                    leftover[v] = ATTACKER if v.sort in (Sort.AGENT, Sort.DATA) else Const(ATTACKER.name, v.sort)
     sigma = solution.compose(Substitution(leftover)) if leftover else solution
+    atoms = sorted(set(leftover.values()), key=term_key)
     outcome: bool | None = True
     for c in cs.constraints:
         goal = sigma.apply(c.target)
-        terms = [sigma.apply(t) for t in c.term_set]
+        terms = [*atoms, *(sigma.apply(t) for t in c.term_set)]
         _require_ground([goal, *terms])
         found = derivable(goal, terms, rounds, size_cap)
         if found is False:

@@ -265,13 +265,15 @@ class Iik:
         return tuple(sorted(self.terms, key=term_key))
 
 
-def build_iik(bundles: Sequence[SemiBundle], extra: Iterable[Term] = ()) -> Iik:
+def build_iik(bundles: Sequence[SemiBundle]) -> Iik:
     """Initial attacker knowledge for a set of bundles.
 
     The attacker starts with its own name, zero, every agent constant in
-    scope and all their public keys, every non-fresh constant appearing in
-    the instantiated strands, and the caller-supplied extras.  Secrets are
-    never allowed in.
+    scope and all their public keys, and every non-fresh constant appearing
+    in the instantiated strands.  Secrets are never allowed in: a secret
+    constant of one bundle that another bundle's strands use as a plain
+    constant, as a role that sends ``na1`` by name does, raises
+    `SecretInIik`.
     """
     out: set[Term] = {ATTACKER, ZERO, PK_EPS}
     all_secret: set[Const] = set()
@@ -281,8 +283,6 @@ def build_iik(bundles: Sequence[SemiBundle], extra: Iterable[Term] = ()) -> Iik:
             for s in subterms(t):
                 if isinstance(s, Const) and s not in b.fresh_constants:
                     out.add(s)
-    extras = [normalize(t) for t in extra]
-    out.update(extras)
     for t in sorted(out, key=term_key):
         if isinstance(t, Const) and t.sort is Sort.AGENT:
             out.add(normalize(Pk(t)))

@@ -356,6 +356,16 @@ def is_atom(t: Term) -> bool:
     return isinstance(t, (Var, Const))
 
 
+def summands(t: Term) -> tuple[Term, ...]:
+    """The XOR summands of a canonical term: the items of an XOR, none for
+    ``zero``, otherwise the term itself."""
+    if isinstance(t, Xor):
+        return t.items
+    if isinstance(t, Zero):
+        return ()
+    return (t,)
+
+
 def subterms(t: Term) -> frozenset[Term]:
     """Reflexive subterm closure, descending through every argument position."""
     out: set[Term] = set()

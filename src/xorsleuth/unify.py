@@ -41,6 +41,7 @@ from .terms import (
     map_term,
     normalize,
     subterms,
+    summands,
     term_key,
     to_text,
     vars_of,
@@ -93,14 +94,14 @@ class UnificationProblem:
             raise ValueError(f"bsca_unify solves SUA problems only, not {theory.value}")
 
 
-def _as_equations(equations, default_theory: Theory) -> list[Equation]:
+def _as_equations(equations) -> list[Equation]:
     out = []
     for e in equations:
         if isinstance(e, Equation):
             out.append(e.normalized())
         else:
             s, t = e
-            out.append(Equation(normalize(s), normalize(t), default_theory))
+            out.append(Equation(normalize(s), normalize(t)))
     return out
 
 
@@ -290,7 +291,7 @@ def unify_std(equations) -> tuple[Substitution, ...]:
     Commutativity of sh produces at most two branches per sh pair; results are
     pruned to most-general representatives and returned in canonical order.
     """
-    eqs = _as_equations(equations, Theory.STD)
+    eqs = _as_equations(equations)
     _reject_xor(itertools.chain.from_iterable((e.left, e.right) for e in eqs))
     problem_vars = vars_of_all(t for e in eqs for t in (e.left, e.right))
 
@@ -397,17 +398,8 @@ def _prune_to_most_general(cands: list[Substitution]) -> tuple[Substitution, ...
 # -- XOR theory -----------------------------------------------------------------
 
 
-def _acun_summands(t: Term) -> list[Term]:
-    t = normalize(t)
-    if isinstance(t, Zero):
-        return []
-    if isinstance(t, Xor):
-        return list(t.items)
-    return [t]
-
-
 def _check_pure_acun(t: Term) -> None:
-    for s in _acun_summands(t):
+    for s in summands(t):
         if not is_atom(s):
             raise NonPureAcun(f"unabstracted subterm {to_text(s)} in XOR problem")
 
@@ -418,12 +410,12 @@ def unify_acun(equations) -> tuple[Substitution, ...]:
     Sides may only contain variables, constants, zero and XOR.  Returns a
     single unifier (possibly empty) or nothing when the system is unsolvable.
     """
-    eqs = _as_equations(equations, Theory.ACUN)
+    eqs = _as_equations(equations)
     rows_syms: list[list[Term]] = []
     for e in eqs:
         _check_pure_acun(e.left)
         _check_pure_acun(e.right)
-        rows_syms.append(_acun_summands(e.left) + _acun_summands(e.right))
+        rows_syms.append([*summands(e.left), *summands(e.right)])
 
     all_syms = {s for row in rows_syms for s in row}
     variables = sorted((s for s in all_syms if isinstance(s, Var)), key=_pivot_key)
@@ -485,10 +477,13 @@ def _head_theory(t: Term) -> Theory | None:
     return None
 
 
-def is_pure(t: Term, theory: Theory) -> bool:
-    return all(
-        _head_theory(s) in (None, theory) for s in subterms(t)
-    )
+def _theory_of(eqs: Iterable[Equation]) -> Theory:
+    """The theory a system lies in: STD when no XOR or ``zero`` occurs in
+    it, ACUN when no free constructor does, and SUA (mixed) otherwise."""
+    heads = {_head_theory(s) for e in eqs for t in (e.left, e.right) for s in subterms(t)}
+    if Theory.ACUN not in heads:
+        return Theory.STD
+    return Theory.SUA if Theory.STD in heads else Theory.ACUN
 
 
 @dataclass(frozen=True)
@@ -710,14 +705,6 @@ def _subsets_by_size(items: list[Var]) -> Iterator[frozenset[Var]]:
             yield frozenset(combo)
 
 
-def _has_xor(eqs: Iterable[Equation]) -> bool:
-    return any(isinstance(s, (Xor, Zero)) for e in eqs for s in subterms(e.left) | subterms(e.right))
-
-
-def _pure_acun(eqs: Iterable[Equation]) -> bool:
-    return all(is_pure(e.left, Theory.ACUN) and is_pure(e.right, Theory.ACUN) for e in eqs)
-
-
 def _split_problem(eqs: Sequence[Equation]) -> tuple[list[tuple[Equation, ...]], bool]:
     """The alternative systems that ``_free_split`` reduces the equations to
     together, one open pair system per equation in every combination, and
@@ -747,21 +734,24 @@ def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], B
     has no unifier; it is rejected with shortcut ``clash``, no
     configurations tried and a complete search, before any theory-specific
     search runs.  This is how tagging keeps encryptions of differently
-    tagged protocols apart even when XOR sits below the tag.  Otherwise
-    pure problems are dispatched straight to the single-theory algorithms.
-    The unifiers of a mixed problem are those of its alternative systems,
-    since a substitution unifies the equations exactly when it unifies
-    every pair of some alternative.  A system without XOR goes to
-    ``unify_std``, a pure XOR one to ``unify_acun``, and the rest to the
-    combination search (``_combination``), which shares one configuration
-    budget (``_MAX_CONFIGS``) across the systems.  An equation with an XOR
-    at the root is its own only system unless its sides are equal, clash
-    there or are paired.  Candidates are kept only if they satisfy the
-    original equations modulo the combined theory, and get canonical names
-    for the variables they bring in (`rename_new_vars`), whichever path
-    found them.  A search cut by a limit (the pairing's or the
-    combination's) returns what it found with ``trace.complete`` False; a
-    completed search with no unifier is a definitive failure.
+    tagged protocols apart even when XOR sits below the tag.  Otherwise the
+    unifiers of the problem are those of its alternative systems, since a
+    substitution unifies the equations exactly when it unifies every pair
+    of some alternative, and each system is solved in its theory
+    (``_theory_of``): a free one by ``unify_std``, a pure XOR one by
+    ``unify_acun``, and a mixed one by the combination search
+    (``_combination``), which shares one configuration budget
+    (``_MAX_CONFIGS``) across the systems.  The free systems are the
+    alternatives that one ``unify_std`` call on their disjunction would
+    search, so their unifiers are pruned to the most general together.  An
+    equation with an XOR at the root is its own only system unless its
+    sides are equal, clash there or are paired.  Candidates are kept only
+    if they satisfy the original equations modulo the combined theory, and
+    get canonical names for the variables they bring in
+    (`rename_new_vars`), whichever path found them.  A search cut by a
+    limit (the pairing's or the combination's) returns what it found with
+    ``trace.complete`` False; a completed search with no unifier is a
+    definitive failure.
     """
     orig = [e.normalized() for e in problem.equations]
     orig_vars = vars_of_all(t for e in orig for t in (e.left, e.right))
@@ -784,32 +774,21 @@ def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], B
     if not systems and complete:
         trace.shortcut = "clash"
         return trace.unifiers, trace
-    if not _has_xor(orig):
-        trace.shortcut = "std"
-        trace.unifiers = validated(unify_std(orig))
-        return trace.unifiers, trace
-    if _pure_acun(orig):
-        trace.shortcut = "acun"
-        trace.gamma5_2 = tuple(orig)
-        acun_result = unify_acun(orig)
-        if acun_result:
-            trace.sigma2 = acun_result[0]
-        trace.unifiers = validated(acun_result)
-        return trace.unifiers, trace
 
     found: list[Substitution] = []
+    free: list[Substitution] = []
     configs = 0
     for system in systems:
-        if not _has_xor(system):
-            cands = validated(unify_std(system))
-        elif _pure_acun(system):
-            cands = validated(unify_acun(system))
+        theory = _theory_of(system)
+        if theory is Theory.STD:
+            free.extend(unify_std(system))
+        elif theory is Theory.ACUN:
+            found.extend(s for s in validated(unify_acun(system)) if s not in found)
         else:
             tried, done = _combination(system, _MAX_CONFIGS - configs, validated, trace, found)
             configs += tried
             complete = complete and done
-            continue
-        found.extend(s for s in cands if s not in found)
+    found.extend(s for s in validated(_prune_to_most_general(free)) if s not in found)
 
     trace.configs_tried = configs
     trace.complete = complete

@@ -179,6 +179,14 @@ class TestAnalyzeCommand:
     def test_no_secrets_usage_error(self):
         assert run_command(["analyze", fx("p1.proto")]) == 2
 
+    def test_other_protocol_sending_a_secret_usage_error(self, tmp_path, capsys):
+        # nslx's secret NA becomes na1; a protocol that sends na1 by name
+        # would put it in the attacker's initial knowledge
+        leak = tmp_path / "sendna.proto"
+        leak.write_text("protocol sendna\nrole A:\n  send na1:Nonce\n")
+        assert run_command(["analyze", fx("nslx.proto"), "--combined", str(leak)]) == 2
+        assert capsys.readouterr().err == "error: secret constants in initial knowledge: const(na1:Nonce)\n"
+
     def test_tiny_budget_inconclusive_exits_3(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = run_command(
@@ -452,6 +460,20 @@ class TestOracleVerifyCommand:
             "substitution": {"var(X:Nonce)": "const(a:Agent)"},
         }
         path = tmp_path / "missorted.json"
+        path.write_text(json.dumps(trace))
+        assert run_command(["oracle-verify", str(path)]) == 1
+        assert capsys.readouterr().out == "trace NOT confirmed\n"
+
+    def test_free_variable_takes_a_value_of_its_sort(self, tmp_path, capsys):
+        # X is left free; as a Nonce it takes the attacker's own nonce, so
+        # the key the attacker knows (eps:Agent) is not an instance of it
+        trace = {
+            "constraints": [
+                {"target": "senc(const(n:Nonce),var(X:Nonce))", "term_set": ["senc(const(n:Nonce),const(eps:Agent))"]}
+            ],
+            "substitution": {},
+        }
+        path = tmp_path / "free.json"
         path.write_text(json.dumps(trace))
         assert run_command(["oracle-verify", str(path)]) == 1
         assert capsys.readouterr().out == "trace NOT confirmed\n"

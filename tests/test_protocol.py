@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from xorsleuth.dsl import parse_protocol_file
+from xorsleuth.dsl import parse_protocol, parse_protocol_file
 from xorsleuth.protocol import (
     ATTACKER,
     AssumptionViolation,
@@ -141,10 +141,13 @@ class TestIik:
         assert normalize(pk(Const("s", Sort.AGENT))) in iik.terms
 
     def test_secret_extra_rejected(self, nslx):
-        sb = make_semibundle(nslx, 1, session=FreshSession())
+        # a second bundle whose role sends the first bundle's secret by name
+        session = FreshSession()
+        sb = make_semibundle(nslx, 1, session=session)
         secret = sorted(sb.secret_constants, key=lambda c: c.name)[0]
-        with pytest.raises(SecretInIik):
-            build_iik([sb], extra=[secret])
+        leak = parse_protocol(f"protocol leak\nrole A:\n  send {secret.name}:Nonce\n")
+        with pytest.raises(SecretInIik, match=f"const\\({secret.name}:Nonce\\)"):
+            build_iik([sb, make_semibundle(leak, 1, session=session)])
 
 
 class TestAssumptions:

@@ -13,11 +13,17 @@ from xorsleuth.dsl import parse_protocol_file
 from xorsleuth.solver import AnalysisConfig, check_secrecy
 from xorsleuth.terms import (
     ZERO,
+    PEnc,
+    Pk,
+    SEnc,
+    Seq,
+    Sh,
     Sort,
     Substitution,
     Theory,
     Var,
     Xor,
+    Zero,
     const,
     equal_mod,
     normalize,
@@ -27,6 +33,7 @@ from xorsleuth.terms import (
     senc,
     sh,
     subterms,
+    term_key,
     var,
     vars_of,
     xor,
@@ -42,6 +49,7 @@ from xorsleuth.unify import (
     is_instance_of,
     partition_to_subst,
     purify,
+    subst_well_sorted,
     unify_acun,
     unify_std,
     unify_sua,
@@ -269,15 +277,26 @@ class TestBsca:
         for eq in (Equation(lhs, rhs, Theory.SUA),):
             assert equal_mod(Theory.SUA, expected.apply(eq.left), expected.apply(eq.right))
 
-    def test_pure_std_shortcut(self):
+    def test_pure_std_problem(self):
         unifiers, trace = bsca_unify(sua_problem((seq(A, c), seq(a, c))))
-        assert trace.shortcut == "std"
         assert unifiers == (Substitution({A: a}),)
+        assert (trace.shortcut, trace.configs_tried, trace.complete) == (None, 0, True)
 
-    def test_pure_acun_shortcut(self):
+    def test_pure_acun_problem(self):
         unifiers, trace = bsca_unify(sua_problem((X, xor(c, d))))
-        assert trace.shortcut == "acun"
         assert unifiers == (Substitution({X: xor(c, d)}),)
+        assert (trace.shortcut, trace.configs_tried, trace.complete) == (None, 0, True)
+
+    def test_free_systems_pruned_together(self):
+        # each sh argument order is a free system of its own; the order
+        # that pairs A and B with a gives an instance of the other's unifier
+        assert unify_sua(sh(A, a), sh(a, B)) == ((Substitution({A: B}),), True)
+        # two sh orders times three summand matchings: six free systems with
+        # four distinct unifiers, three of them instances of the fourth
+        U, V, k = var("U", Sort.DATA), var("V", Sort.DATA), const("k", Sort.KEY)
+        lhs = seq(sh(A, a), xor(senc(U, k), senc(c, k)))
+        rhs = seq(sh(a, B), xor(senc(c, k), senc(V, k)))
+        assert unify_sua(lhs, rhs) == ((Substitution({A: B, U: V}),), True)
 
     def test_mixed_solved_through_shared_variable(self):
         # [X,c] against [c+d,c]: X must take the XOR value
@@ -722,3 +741,102 @@ def test_summand_pairing_agrees_with_unfiltered_search(sides):
     assume(isinstance(lhs, Xor) and isinstance(rhs, Xor) and lhs != rhs)
     assert unify._pairable(lhs, rhs)
     assert_agrees_with_unfiltered(sua_problem((lhs, rhs)), max_configs=500)
+
+
+# -- one route for every problem -----------------------------------------------------
+
+
+def _has(problem_or_system, heads) -> bool:
+    return any(
+        isinstance(u, heads) for e in problem_or_system for u in subterms(e.left) | subterms(e.right)
+    )
+
+
+def whole_problem_route(problem):
+    """The unifiers of the dispatch that solved a pure problem whole:
+    ``unify_std`` of an XOR-free problem and ``unify_acun`` of one without
+    free constructors, and for a mixed problem whose split leaves only free
+    systems, every system's ``unify_std`` unifiers, not pruned against each
+    other.  Well-sorted unifiers only, in canonical order, and whether the
+    problem was solved whole; ``None`` for any other problem."""
+    eqs = [e.normalized() for e in problem.equations]
+    if not _has(eqs, (Xor, Zero)):
+        found, whole = unify_std(eqs), True
+    elif not _has(eqs, (Seq, PEnc, SEnc, Pk, Sh)):
+        found, whole = unify_acun(eqs), True
+    else:
+        systems, complete = unify._split_problem(eqs)
+        if not (systems and complete) or any(_has(system, (Xor, Zero)) for system in systems):
+            return None
+        found, whole = [s for system in systems for s in unify_std(system)], False
+    kept = []
+    for s in found:
+        if subst_well_sorted(s) and s not in kept:
+            kept.append(s)
+    kept.sort(key=lambda s: tuple((term_key(v), term_key(t)) for v, t in s.items()))
+    return tuple(kept), whole
+
+
+def _is_instance(sigma: Substitution, tau: Substitution, xs) -> bool:
+    """Is ``sigma`` an instance of the idempotent ``tau`` over ``xs``?"""
+    return tau.is_idempotent() and all(
+        equal_mod(Theory.SUA, sigma.apply(tau.apply(x)), sigma.apply(x)) for x in xs
+    )
+
+
+_agents = st.sampled_from([a, b, A, B])
+
+
+def _free(kids):
+    return st.one_of(
+        st.tuples(kids, kids).map(lambda p: seq(*p)),
+        st.tuples(kids, _agents).map(lambda p: penc(p[0], pk(p[1]))),
+        st.tuples(kids, _agents, _agents).map(lambda p: senc(p[0], sh(p[1], p[2]))),
+    )
+
+
+_free_terms = st.recursive(_pool_atoms, _free, max_leaves=5)
+_acun_terms = st.lists(st.sampled_from([ZERO, c, d, e, n_a, A, X, Y, Z, N_B]), min_size=1, max_size=4).map(
+    lambda items: normalize(Xor(tuple(items)))
+)
+
+
+@st.composite
+def _sh_xor_pairs(draw):
+    """Two XORs of free-headed summands, each in a sequence behind an ``sh``
+    of agents, so that the argument orders and the summand matchings both
+    make alternative systems."""
+    lhs, rhs = draw(_xor_pairs())
+    return seq(sh(draw(_agents), draw(_agents)), lhs), seq(sh(draw(_agents), draw(_agents)), rhs)
+
+
+def _problems(sides):
+    return st.lists(sides, min_size=1, max_size=2).map(lambda pairs: sua_problem(*pairs))
+
+
+@given(
+    st.one_of(
+        _problems(st.tuples(_free_terms, _free_terms)),
+        _problems(st.tuples(_acun_terms, _acun_terms)),
+        _problems(st.one_of(_xor_pairs(), _sh_xor_pairs())),
+    )
+)
+@settings(max_examples=200, deadline=None)
+@example(sua_problem((sh(A, a), sh(a, B))))
+@example(sua_problem((seq(sh(A, a), xor(tagged(X), tagged(c))), seq(sh(a, B), xor(tagged(c), tagged(Y))))))
+def test_one_route_agrees_with_the_whole_problem_route(problem):
+    """Splitting every problem and solving each system in its theory gives
+    what solving a pure problem whole gave, and on a mixed problem that
+    splits into free systems only, the same unifiers up to instances."""
+    reference = whole_problem_route(problem)
+    assume(reference is not None)
+    expected, whole = reference
+    unifiers, trace = bsca_unify(problem)
+    assert trace.complete and trace.configs_tried == 0
+    if whole:
+        assert unifiers == expected
+        return
+    xs = frozenset().union(*(vars_of(e.left) | vars_of(e.right) for e in problem.equations))
+    for one, other in ((unifiers, expected), (expected, unifiers)):
+        for sigma in one:
+            assert any(_is_instance(sigma, tau, xs) for tau in other), f"{sigma} of {problem}"
