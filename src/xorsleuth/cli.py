@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .dsl import parse_protocol_file, render_protocol
 from .oracle import verify_solution
@@ -66,51 +66,6 @@ def _emit(envelope: dict, json_path: str | None) -> None:
         with open(json_path, "w", encoding="utf-8") as f:
             json.dump(envelope, f, indent=2)
             f.write("\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="xorsleuth",
-        description="Symbolic secrecy analysis of protocols using XOR",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p_parse = sub.add_parser("parse", help="parse protocol files and print their canonical form")
-    p_parse.add_argument("files", nargs="+")
-    p_parse.add_argument("--json", metavar="PATH")
-
-    p_ass = sub.add_parser(
-        "check-assumptions", help="check the long-term-key transmission and key-derivability assumptions"
-    )
-    p_ass.add_argument("files", nargs="+")
-    p_ass.add_argument("--json", metavar="PATH")
-
-    p_mu = sub.add_parser("check-munut", help="check non-unifiability tagging between two protocols")
-    p_mu.add_argument("file1")
-    p_mu.add_argument("file2")
-    p_mu.add_argument("--json", metavar="PATH")
-
-    p_tag = sub.add_parser("tag", help="rewrite a protocol with a tagging label")
-    p_tag.add_argument("file")
-    p_tag.add_argument("--label", required=True)
-    p_tag.add_argument("-o", "--output", metavar="PATH")
-    p_tag.add_argument("--json", metavar="PATH")
-
-    p_an = sub.add_parser("analyze", help="bounded-session secrecy analysis")
-    p_an.add_argument("file")
-    p_an.add_argument("--combined", metavar="FILE", action="append", default=[])
-    p_an.add_argument("--sessions", type=int, default=1)
-    p_an.add_argument("--secret", metavar="NAME", action="append", default=[])
-    p_an.add_argument("--branch-budget", type=int, default=64, help="max rule applications per branch")
-    p_an.add_argument("--node-budget", type=int, default=200_000, help="max search nodes of the whole analysis: every secret at every prefix")
-    p_an.add_argument("--json", metavar="PATH")
-    p_an.add_argument("--oracle-verify", action="store_true", help="re-check any attack with the ground oracle")
-
-    p_ov = sub.add_parser("oracle-verify", help="re-check a saved attack trace with the ground oracle")
-    p_ov.add_argument("trace", metavar="TRACE.json")
-    p_ov.add_argument("--json", metavar="PATH")
-
-    return ap
 
 
 def _cmd_parse(args) -> int:
@@ -308,21 +263,107 @@ def _cmd_oracle_verify(args) -> int:
     return code
 
 
-_HANDLERS = {
-    "parse": _cmd_parse,
-    "check-assumptions": _cmd_check_assumptions,
-    "check-munut": _cmd_check_munut,
-    "tag": _cmd_tag,
-    "analyze": _cmd_analyze,
-    "oracle-verify": _cmd_oracle_verify,
+class _Command(NamedTuple):
+    """One subcommand: the help line ``xorsleuth --help`` lists, the
+    handler, and its arguments as ``add_argument`` calls (see `_arg`)."""
+
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    arguments: tuple[tuple[tuple[str, ...], dict], ...]
+
+
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+_JSON = _arg("--json", metavar="PATH")
+
+_COMMANDS = {
+    "parse": _Command(
+        "parse protocol files and print their canonical form",
+        _cmd_parse,
+        (_arg("files", nargs="+"), _JSON),
+    ),
+    "check-assumptions": _Command(
+        "check the long-term-key transmission and key-derivability assumptions",
+        _cmd_check_assumptions,
+        (_arg("files", nargs="+"), _JSON),
+    ),
+    "check-munut": _Command(
+        "check non-unifiability tagging between two protocols",
+        _cmd_check_munut,
+        (_arg("file1"), _arg("file2"), _JSON),
+    ),
+    "tag": _Command(
+        "rewrite a protocol with a tagging label",
+        _cmd_tag,
+        (_arg("file"), _arg("--label", required=True), _arg("-o", "--output", metavar="PATH"), _JSON),
+    ),
+    "analyze": _Command(
+        "bounded-session secrecy analysis",
+        _cmd_analyze,
+        (
+            _arg("file"),
+            _arg("--combined", metavar="FILE", action="append", default=[]),
+            _arg("--sessions", type=int, default=1),
+            _arg("--secret", metavar="NAME", action="append", default=[]),
+            _arg("--branch-budget", type=int, default=64, help="max rule applications per branch"),
+            _arg(
+                "--node-budget",
+                type=int,
+                default=200_000,
+                help="max search nodes of the whole analysis: every secret at every prefix",
+            ),
+            _JSON,
+            _arg("--oracle-verify", action="store_true", help="re-check any attack with the ground oracle"),
+        ),
+    ),
+    "oracle-verify": _Command(
+        "re-check a saved attack trace with the ground oracle",
+        _cmd_oracle_verify,
+        (_arg("trace", metavar="TRACE.json"), _JSON),
+    ),
 }
 
 
+def _top_parser() -> argparse.ArgumentParser:
+    """The parser that picks the command and keeps every argument after it,
+    options too, for that command's parser.  Its usage, and its errors for
+    a missing or unknown command, read as those of one parser with a
+    subparser per command."""
+    ap = argparse.ArgumentParser(
+        prog="xorsleuth",
+        description="Symbolic secrecy analysis of protocols using XOR",
+        epilog="commands:\n"
+        + "".join(f"  {name:<20}{command.help}\n" for name, command in _COMMANDS.items())
+        + "\nxorsleuth COMMAND --help lists the options of COMMAND",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    ap.add_argument("command", nargs=argparse.PARSER, choices=_COMMANDS, help="the command to run, as listed below")
+    return ap
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog=f"xorsleuth {name}")
+    for flags, options in _COMMANDS[name].arguments:
+        # argparse hands a list default to the namespace as it is: give each
+        # call its own
+        ap.add_argument(*flags, **{k: v[:] if isinstance(v, list) else v for k, v in options.items()})
+    return ap
+
+
 def run_command(argv: Sequence[str]) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    # a call builds two parsers, the top-level one and its command's; what
+    # neither knows is reported by the top-level parser, as a parser with a
+    # subparser per command does
+    top = _top_parser()
+    picked, extras = top.parse_known_args(argv)
+    name, *rest = picked.command
+    args, more = _command_parser(name).parse_known_args(rest, argparse.Namespace(command=name))
+    if extras or more:
+        top.error(f"unrecognized arguments: {' '.join([*extras, *more])}")
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[name].run(args)
     except (XorsleuthError, OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -334,23 +334,32 @@ def unify_std(equations) -> tuple[Substitution, ...]:
 
 
 def match_std(pairs: Sequence[tuple[Term, Term]]) -> bool:
-    """Is there a one-way match making every pattern equal its (frozen) target?"""
+    """Is there a one-way match making every pattern equal its (frozen) target?
+
+    A target's variables are constants to the match, also where a pattern
+    variable has the same name: a pattern variable is compared with the
+    target it is bound to, never rewritten into a term that holds target
+    variables and matched again, and equal terms with variables still bind
+    each of them to itself."""
     stack: list[tuple[list[tuple[Term, Term]], dict[Var, Term]]] = [(list(pairs), {})]
     while stack:
         todo, bnd = stack.pop()
         failed = False
         while todo:
             p, t = todo.pop()
-            if bnd:
-                p = Substitution(bnd).apply(p)
-            if p == t:
-                continue
             if isinstance(p, Var):
+                if p in bnd:
+                    if bnd[p] != t:
+                        failed = True
+                        break
+                    continue
                 if not binding_ok(p, t):
                     failed = True
                     break
                 bnd = dict(bnd)
                 bnd[p] = t
+                continue
+            if p == t and not vars_of(p):
                 continue
             alternatives = _decompose(p, t)
             if alternatives is None:

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, reports, golden files, round-trips."""
 
+import argparse
 import functools
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import xorsleuth
+from xorsleuth import cli
 from xorsleuth.cli import run_command
 from xorsleuth.dsl import parse_protocol, parse_protocol_file, render_protocol
 from xorsleuth.protocol import tag_protocol
@@ -328,6 +330,175 @@ class TestReadmeExamples:
         monkeypatch.chdir(ROOT)
         run_command(command.split())
         assert capsys.readouterr().out.splitlines()[0] == expected[0]
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """One parser with a subparser per command, as the CLI built on every
+    call before it built only the parser of the command it runs."""
+    ap = argparse.ArgumentParser(
+        prog="xorsleuth",
+        description="Symbolic secrecy analysis of protocols using XOR",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p_parse = sub.add_parser("parse", help="parse protocol files and print their canonical form")
+    p_parse.add_argument("files", nargs="+")
+    p_parse.add_argument("--json", metavar="PATH")
+
+    p_ass = sub.add_parser(
+        "check-assumptions", help="check the long-term-key transmission and key-derivability assumptions"
+    )
+    p_ass.add_argument("files", nargs="+")
+    p_ass.add_argument("--json", metavar="PATH")
+
+    p_mu = sub.add_parser("check-munut", help="check non-unifiability tagging between two protocols")
+    p_mu.add_argument("file1")
+    p_mu.add_argument("file2")
+    p_mu.add_argument("--json", metavar="PATH")
+
+    p_tag = sub.add_parser("tag", help="rewrite a protocol with a tagging label")
+    p_tag.add_argument("file")
+    p_tag.add_argument("--label", required=True)
+    p_tag.add_argument("-o", "--output", metavar="PATH")
+    p_tag.add_argument("--json", metavar="PATH")
+
+    p_an = sub.add_parser("analyze", help="bounded-session secrecy analysis")
+    p_an.add_argument("file")
+    p_an.add_argument("--combined", metavar="FILE", action="append", default=[])
+    p_an.add_argument("--sessions", type=int, default=1)
+    p_an.add_argument("--secret", metavar="NAME", action="append", default=[])
+    p_an.add_argument("--branch-budget", type=int, default=64, help="max rule applications per branch")
+    p_an.add_argument("--node-budget", type=int, default=200_000, help="max search nodes of the whole analysis: every secret at every prefix")
+    p_an.add_argument("--json", metavar="PATH")
+    p_an.add_argument("--oracle-verify", action="store_true", help="re-check any attack with the ground oracle")
+
+    p_ov = sub.add_parser("oracle-verify", help="re-check a saved attack trace with the ground oracle")
+    p_ov.add_argument("trace", metavar="TRACE.json")
+    p_ov.add_argument("--json", metavar="PATH")
+
+    return ap
+
+
+COMMAND_HELP = {
+    "parse": "parse protocol files and print their canonical form",
+    "check-assumptions": "check the long-term-key transmission and key-derivability assumptions",
+    "check-munut": "check non-unifiability tagging between two protocols",
+    "tag": "rewrite a protocol with a tagging label",
+    "analyze": "bounded-session secrecy analysis",
+    "oracle-verify": "re-check a saved attack trace with the ground oracle",
+}
+
+VALID_ARGV = [
+    *(command.split("#")[0].split() for command in readme_examples()),
+    ["parse", "a.proto", "b.proto", "--json", "r.json"],
+    ["parse", "--json", "r.json", "a.proto"],
+    ["parse", "--", "-a.proto"],
+    ["check-assumptions", "--json", "r.json", "a.proto", "b.proto"],
+    ["check-munut", "a.proto", "b.proto", "--json", "r.json"],
+    ["check-munut", "--json", "r.json", "a.proto", "b.proto"],
+    ["tag", "a.proto", "--label", "t1"],
+    ["tag", "-o", "out.proto", "a.proto", "--label", "t1", "--json", "r.json"],
+    ["tag", "a.proto", "--label=t1", "--output", "out.proto"],
+    ["tag", "--label", "t1", "-oout.proto", "a.proto"],
+    ["analyze", "a.proto"],
+    [
+        "analyze", "a.proto", "--combined", "b.proto", "--combined", "c.proto", "--sessions", "2",
+        "--secret", "NA", "--secret", "NB", "--branch-budget", "5", "--node-budget", "7",
+        "--json", "r.json", "--oracle-verify",
+    ],
+    ["analyze", "--oracle-verify", "--sessions=3", "--combined", "b.proto", "--secret", "NA", "a.proto"],
+    ["analyze", "--node-budget", "9", "a.proto", "--branch-budget", "-1", "--json", "r.json"],
+    ["oracle-verify", "t.json"],
+    ["oracle-verify", "--json", "r.json", "t.json"],
+]
+
+INVALID_ARGV = [
+    [],
+    ["no-such-command"],
+    ["--json", "r.json"],
+    ["analyze"],
+    ["analyze", "a.proto", "--sessions", "x"],
+    ["analyze", "a.proto", "--bogus"],
+    ["--bogus", "parse", "a.proto"],
+    # a list of files ends at the first option
+    ["check-assumptions", "a.proto", "--json", "r.json", "b.proto"],
+    ["check-munut", "a.proto"],
+    ["tag", "a.proto"],
+    ["tag", "a.proto", "--label"],
+    ["oracle-verify", "t.json", "u.json"],
+]
+
+
+class TestArgumentParsing:
+    """The top-level parser and the command's own parser read every argv as
+    the reference parser does: the same namespace, or the same usage error."""
+
+    @staticmethod
+    def dispatched(monkeypatch, argv) -> argparse.Namespace:
+        """The namespace `run_command` hands to the command's handler."""
+        seen = []
+        for name, command in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, name, command._replace(run=lambda args: seen.append(args) or 0))
+        assert run_command(argv) == 0
+        (args,) = seen
+        return args
+
+    @pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+    def test_same_namespace(self, monkeypatch, argv):
+        expected = reference_parser().parse_args(argv)
+        assert self.dispatched(monkeypatch, argv) == expected
+
+    def test_list_defaults_are_not_shared(self, monkeypatch):
+        # a handler that appends to its namespace leaves the next call's defaults as they were
+        first = self.dispatched(monkeypatch, ["analyze", "a.proto"])
+        first.combined.append("b.proto")
+        first.secret.append("NA")
+        expected = reference_parser().parse_args(["analyze", "a.proto"])
+        assert self.dispatched(monkeypatch, ["analyze", "a.proto"]) == expected
+
+    @pytest.mark.parametrize("argv", INVALID_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_same_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as expected:
+            reference_parser().parse_args(argv)
+        expected_err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as raised:
+            run_command(argv)
+        err = capsys.readouterr().err
+        assert raised.value.code == expected.value.code == 2
+        assert err.startswith("usage: ")
+        assert err == expected_err
+
+    @pytest.mark.parametrize("name", COMMAND_HELP)
+    def test_command_help_unchanged(self, capsys, name):
+        with pytest.raises(SystemExit) as expected:
+            reference_parser().parse_args([name, "--help"])
+        expected_out = capsys.readouterr().out
+        with pytest.raises(SystemExit) as raised:
+            run_command([name, "--help"])
+        assert raised.value.code == expected.value.code == 0
+        assert capsys.readouterr().out == expected_out
+
+    def test_analyze_help_lists_every_option(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            run_command(["analyze", "--help"])
+        assert raised.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: xorsleuth analyze ")
+        for option in (
+            "--combined FILE", "--sessions SESSIONS", "--secret NAME", "--branch-budget BRANCH_BUDGET",
+            "--node-budget NODE_BUDGET", "--json PATH", "--oracle-verify",
+            "max rule applications per branch", "re-check any attack with the ground oracle",
+        ):
+            assert option in out
+
+    def test_top_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            run_command(["--help"])
+        assert raised.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: xorsleuth ")
+        listed = {tuple(line.split(None, 1)) for line in out.splitlines()}
+        assert set(COMMAND_HELP.items()) <= listed
 
 
 class TestOracleVerifyCommand:

@@ -47,6 +47,7 @@ from xorsleuth.unify import (
     bsca_unify,
     enumerate_identifications,
     is_instance_of,
+    match_std,
     partition_to_subst,
     purify,
     subst_well_sorted,
@@ -414,6 +415,20 @@ def test_is_instance_of():
     assert not is_instance_of(general, special, [X, Y])
 
 
+def test_is_instance_of_freezes_the_special_side():
+    # {X ↦ Y} is strictly more general than {N_B ↦ Y, X ↦ Y}; the Y that the
+    # special side maps X to is a constant of the match, not a pattern
+    # variable to bind to N_B afterwards
+    general = Substitution({X: Y})
+    special = Substitution({N_B: Y, X: Y})
+    assert is_instance_of(special, general, [N_B, X, Y])
+    assert not is_instance_of(general, special, [N_B, X, Y])
+    # X cannot match both X and Y
+    assert not match_std([(X, X), (X, Y)])
+    assert not match_std([(seq(X, c), seq(X, c)), (X, Y)])
+    assert match_std([(seq(X, c), seq(Y, c)), (X, Y)])
+
+
 # -- free split ----------------------------------------------------------------------
 
 t1 = const("t1", Sort.TAG)
@@ -592,13 +607,12 @@ class TestFreeClash:
         solver._cached_unify.cache_clear()
         with mock.patch.object(unify, "bsca_unify", recording):
             assert check_secrecy([q1, q5], AnalysisConfig(sessions=1)).verdict == "secure"
-        # the mixed-theory calls that pair a t1 term with a t5 term
+        # the calls that pair a t1 term with a t5 term
         cross = [
             trace
             for problem, trace in traces
             for eq in problem.equations
-            if trace.shortcut not in ("std", "acun")
-            and {t1, t5} <= subterms(eq.left) | subterms(eq.right)
+            if {t1, t5} <= subterms(eq.left) | subterms(eq.right)
         ]
         assert cross and all(t.shortcut == "clash" and t.configs_tried == 0 for t in cross)
 
@@ -734,6 +748,7 @@ def _xor_pairs(draw):
 @settings(max_examples=60, deadline=None)
 @example((xor(tagged(X), tagged(Y)), xor(tagged(c), tagged(d))))
 @example((xor(tagged(X), tagged(N_B)), xor(tagged(n_a), tagged(xor(X, c)))))
+@example((xor(penc(N_B, pk(a)), penc(X, pk(a))), xor(penc(N_B, pk(a)), penc(Y, pk(a)))))
 def test_summand_pairing_agrees_with_unfiltered_search(sides):
     """XORs of free-headed summands on both sides, which the split pairs and
     the whole-equation search purifies."""
