@@ -359,7 +359,13 @@ def run_command(argv: Sequence[str]) -> int:
     top = _top_parser()
     picked, extras = top.parse_known_args(argv)
     name, *rest = picked.command
-    args, more = _command_parser(name).parse_known_args(rest, argparse.Namespace(command=name))
+    command = _command_parser(name)
+    args, more = command.parse_known_args(rest, argparse.Namespace(command=name))
+    if more and "--" not in rest:
+        # a list of files ends at the first option, so files given after
+        # one are left over; intermixed parsing reads them, but costs a
+        # third more per call and mishandles a "--"
+        args, more = command.parse_known_intermixed_args(rest, argparse.Namespace(command=name))
     if extras or more:
         top.error(f"unrecognized arguments: {' '.join([*extras, *more])}")
     try:

@@ -44,7 +44,7 @@ from .terms import (
     vars_of,
     vars_of_all,
 )
-from .unify import ABSTRACTION_PREFIX, MixedTheoryTerm, unify_std
+from .unify import ABSTRACTION_PREFIX, unify_std
 
 ATTACKER = Const("eps", Sort.AGENT)
 PK_EPS = normalize(Pk(ATTACKER))
@@ -422,10 +422,7 @@ def _std_unifier_witness(t1: Term, t2: Term) -> Substitution | None:
     counter = itertools.count()
     a1 = _abstract_xor(t1, counter)
     a2 = _abstract_xor(t2, counter)
-    try:
-        unifiers = unify_std([(a1, a2)])
-    except MixedTheoryTerm:  # pragma: no cover - abstraction removes XOR
-        return None
+    unifiers = unify_std([(a1, a2)])
     if not unifiers:
         return None
     keep = vars_of(t1) | vars_of(t2)

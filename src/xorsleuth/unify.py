@@ -1,14 +1,18 @@
 """Unification in the free theory, the XOR theory, and their combination.
 
-``unify_std`` handles the free constructors (with commutative shared keys),
-``unify_acun`` solves pure XOR problems by Gaussian elimination over GF(2),
-and ``bsca_unify`` combines the two (Baader–Schulz, JSC 1996): it first
-decomposes every equation through free constructors and pairs the summands
-of XORs of free-headed terms (the XOR decomposition step of Liu–Lynch, CADE
-2011), rejecting equations whose sides clash there; it then purifies what is
-left, searches variable identifications and theory splits, solves the two
-pure projections independently, and recombines the partial unifiers by
-closing their union (``Substitution.close``).
+One walk, ``_free_split``, decomposes equations through the free
+constructors (with commutative shared keys) and pairs the summands of XORs
+of free-headed terms (the XOR decomposition step of Liu–Lynch, CADE 2011),
+rejecting equations whose sides clash there.  ``unify_std`` solves XOR-free
+equations by that split and a binding of one open pair at a time
+(Martelli–Montanari, TOPLAS 1982), and the instance check behind its
+pruning (``is_instance_of``) asks the same solver about frozen terms.
+``unify_acun`` solves pure XOR problems by Gaussian elimination over
+GF(2), and ``bsca_unify`` combines the two (Baader–Schulz, JSC 1996): it
+splits every problem first, then purifies what is left, searches variable
+identifications and theory splits, solves the two pure projections
+independently, and recombines the partial unifiers by closing their union
+(``Substitution.close``).
 Every combined candidate is validated against the original equations, so the
 search heuristics can only cost completeness, never soundness.
 """
@@ -128,20 +132,6 @@ def _reject_xor(terms: Iterable[Term]) -> None:
                 raise MixedTheoryTerm(f"free-theory unification given {to_text(t)}")
 
 
-def _decompose(s: Term, t: Term) -> list[list[tuple[Term, Term]]] | None:
-    """Free decomposition of ``s = t`` for two non-variable terms: the lists of
-    argument pairs to solve instead, one list per alternative (two for the
-    commutative sh), or ``None`` on a constructor clash.  Same-arity XOR nodes
-    pair their children positionally, which is sound only for ``match_std``
-    on canonical forms; ``unify_std`` rejects XOR before it gets here."""
-    ks, kt = children(s), children(t)
-    if type(s) is not type(t) or not ks or len(ks) != len(kt):
-        return None
-    if isinstance(s, Sh):
-        return [[(s.left, t.left), (s.right, t.right)], [(s.left, t.right), (s.right, t.left)]]
-    return [list(zip(ks, kt))]
-
-
 # where the split walk stops: heads that are not free constructors or constants
 _OPEN = (Var, Xor, Zero)
 
@@ -180,9 +170,11 @@ def _free_split(s: Term, t: Term) -> tuple[list[list[tuple[Term, Term]]], bool]:
     ``t`` have no unifier.
 
     The walk pairs the two sides from the root through ``seq``, ``senc``,
-    ``penc``, ``pk`` and ``sh`` (both argument orders) with ``_decompose``,
-    drops pairs of equal terms, and stops at a variable, an XOR or ``zero``
-    on either side; the pair reached there is open.  Two XORs none of whose
+    ``penc``, ``pk`` and ``sh`` (both argument orders), children left to
+    right, drops pairs of equal terms, and stops at a variable, an XOR or
+    ``zero`` on either side; the pair reached there is open, and the open
+    pairs of an alternative are listed in the order the walk reaches them,
+    each as often as it is reached.  Two XORs none of whose
     summands is a variable are not left open but paired: once every other
     pair of the alternative is walked, the first of their summands (ground
     ones first, then left ones before right ones) is paired with each other
@@ -194,8 +186,8 @@ def _free_split(s: Term, t: Term) -> tuple[list[list[tuple[Term, Term]]], bool]:
     cut there is not complete, and its systems are some of the
     alternatives only.  An alternative clashes:
 
-    - where ``_decompose`` does: different constructors, different arities
-      or two different constants;
+    - at different constructors, different arities or two different
+      constants;
     - where a free-headed term (a constructor or a constant) or ``zero``
       meets a ground XOR;
     - where a free-headed term meets ``zero``;
@@ -270,19 +262,73 @@ def _free_split(s: Term, t: Term) -> tuple[list[list[tuple[Term, Term]]], bool]:
                     # ground summands first: they clash with every ground
                     # partner but an equal one, which prunes early
                     pools.append(tuple(sorted(s.items + t.items, key=lambda u: bool(vars_of(u)))))
-                elif (s, t) not in open_pairs:
+                else:
                     open_pairs.append((s, t))
                 continue
-            alternatives = _decompose(s, t)
-            if alternatives is None:
+            ks, kt = children(s), children(t)
+            if type(s) is not type(t) or not ks or len(ks) != len(kt):
                 break
-            for alt in alternatives[1:]:
-                stack.append((todo + alt[::-1], list(pools), list(open_pairs)))
-            todo.extend(alternatives[0][::-1])
+            if isinstance(s, Sh):
+                stack.append((todo + [(s.right, t.left), (s.left, t.right)], list(pools), list(open_pairs)))
+            todo.extend(zip(reversed(ks), reversed(kt)))
         else:
             if open_pairs not in systems:
                 systems.append(open_pairs)
     return systems, complete
+
+
+def _split_problem(eqs: Sequence[Equation]) -> tuple[list[tuple[Equation, ...]], bool]:
+    """The alternative systems that ``_free_split`` reduces the equations to
+    together, one open pair system per equation in every combination, and
+    whether every equation's walk was complete."""
+    systems: list[tuple[Equation, ...]] = [()]
+    complete = True
+    for e in eqs:
+        alternatives, done = _free_split(e.left, e.right)
+        complete = complete and done
+        systems = [
+            system + tuple(Equation(s, t, Theory.SUA) for s, t in alt)
+            for system in systems
+            for alt in alternatives
+        ]
+    return systems, complete
+
+
+def _std_solutions(eqs: Sequence[Equation]) -> Iterator[Substitution]:
+    """The free-theory unifiers of XOR-free equations, one per alternative
+    that does not fail, each an idempotent substitution over the variables
+    of the equations.
+
+    Each alternative system of ``_split_problem`` holds open pairs only,
+    and in an XOR-free system every open pair has a variable side.  The
+    last pair of a system is bound: a variable against a non-variable
+    takes it, and of two variables the one that can take the other under
+    ``binding_ok`` does, the left one when both can.  The binding fails on
+    an occurs check or an ill-sorted value; otherwise it is applied to the
+    accumulated bindings and to the rest of the system, which is split
+    again.  Binding the last pair first keeps the right-to-left order of a
+    depth-first worklist, and so its choice of variable names; a pair that
+    the walk reaches twice is listed twice for the same reason, so that
+    the later one is bound first."""
+    stack = [(list(system), {}) for system in _split_problem(eqs)[0]]
+    while stack:
+        system, bnd = stack.pop()
+        if not system:
+            yield Substitution(bnd)
+            continue
+        last = system.pop()
+        s, t = last.left, last.right
+        if not isinstance(s, Var):
+            s, t = t, s
+        if isinstance(t, Var) and not binding_ok(s, t) and binding_ok(t, s):
+            s, t = t, s
+        if s in vars_of(t) or not binding_ok(s, t):
+            continue
+        upd = Substitution({s: t})
+        bnd = {v: upd.apply(u) for v, u in bnd.items()}
+        bnd[s] = t
+        rest, _ = _split_problem([Equation(upd.apply(e.left), upd.apply(e.right)) for e in system])
+        stack.extend((list(r), bnd) for r in rest)
 
 
 def unify_std(equations) -> tuple[Substitution, ...]:
@@ -294,94 +340,31 @@ def unify_std(equations) -> tuple[Substitution, ...]:
     eqs = _as_equations(equations)
     _reject_xor(itertools.chain.from_iterable((e.left, e.right) for e in eqs))
     problem_vars = vars_of_all(t for e in eqs for t in (e.left, e.right))
-
-    solutions: list[Substitution] = []
-    stack: list[tuple[list[tuple[Term, Term]], dict[Var, Term]]] = [
-        ([(e.left, e.right) for e in eqs], {})
-    ]
-    while stack:
-        todo, bnd = stack.pop()
-        failed = False
-        while todo:
-            s, t = todo.pop()
-            if bnd:
-                sub = Substitution(bnd)
-                s, t = sub.apply(s), sub.apply(t)
-            if s == t:
-                continue
-            if isinstance(s, Var) or isinstance(t, Var):
-                if not isinstance(s, Var):
-                    s, t = t, s
-                if isinstance(t, Var) and not binding_ok(s, t) and binding_ok(t, s):
-                    s, t = t, s
-                if s in vars_of(t) or not binding_ok(s, t):
-                    failed = True
-                    break
-                upd = Substitution({s: t})
-                bnd = {v: upd.apply(u) for v, u in bnd.items()}
-                bnd[s] = t
-                continue
-            alternatives = _decompose(s, t)
-            if alternatives is None:
-                failed = True
-                break
-            for alt in alternatives[1:]:
-                stack.append((todo + alt, dict(bnd)))
-            todo.extend(alternatives[0])
-        if not failed:
-            solutions.append(Substitution(bnd).restrict(problem_vars))
-    return _prune_to_most_general(solutions)
-
-
-def match_std(pairs: Sequence[tuple[Term, Term]]) -> bool:
-    """Is there a one-way match making every pattern equal its (frozen) target?
-
-    A target's variables are constants to the match, also where a pattern
-    variable has the same name: a pattern variable is compared with the
-    target it is bound to, never rewritten into a term that holds target
-    variables and matched again, and equal terms with variables still bind
-    each of them to itself."""
-    stack: list[tuple[list[tuple[Term, Term]], dict[Var, Term]]] = [(list(pairs), {})]
-    while stack:
-        todo, bnd = stack.pop()
-        failed = False
-        while todo:
-            p, t = todo.pop()
-            if isinstance(p, Var):
-                if p in bnd:
-                    if bnd[p] != t:
-                        failed = True
-                        break
-                    continue
-                if not binding_ok(p, t):
-                    failed = True
-                    break
-                bnd = dict(bnd)
-                bnd[p] = t
-                continue
-            if p == t and not vars_of(p):
-                continue
-            alternatives = _decompose(p, t)
-            if alternatives is None:
-                failed = True
-                break
-            for alt in alternatives[1:]:
-                stack.append((todo + alt, dict(bnd)))
-            todo.extend(alternatives[0])
-        if not failed:
-            return True
-    return False
+    return _prune_to_most_general([s.restrict(problem_vars) for s in _std_solutions(eqs)])
 
 
 def is_instance_of(special: Substitution, general: Substitution, over: Iterable[Var]) -> bool:
+    """Is ``special`` an instance of ``general`` over ``over``: is there a
+    substitution that turns each ``general(v)`` into ``special(v)``?
+
+    The variables of the ``special(v)`` are frozen into fresh constants of
+    their sorts, so the match cannot bind them, also where a variable of
+    the ``general(v)`` has the same name, and the question becomes whether
+    the frozen problem has a free-theory unifier."""
     pairs = [(general.apply(v), special.apply(v)) for v in over]
-    return match_std(pairs)
+    taken = {u.name for p in pairs for side in p for u in subterms(side) if isinstance(u, (Var, Const))}
+    names = _fresh_names(GROUNDING_PREFIX, taken)
+    frozen = vars_of_all(t for _, t in pairs)
+    freeze = Substitution({v: Const(next(names), v.sort) for v in sorted(frozen, key=term_key)})
+    return next(_std_solutions([Equation(p, freeze.apply(t)) for p, t in pairs]), None) is not None
 
 
 def _prune_to_most_general(cands: list[Substitution]) -> tuple[Substitution, ...]:
     if len(cands) <= 1:
         return tuple(cands)
-    over = sorted({v for s in cands for v in s.domain()}, key=term_key)
+    # every variable a candidate binds or maps to: one that no candidate
+    # binds but one maps to (Y in {X ↦ Y}) still tells candidates apart
+    over = sorted(vars_of_all(u for s in cands for v, t in s.items() for u in (v, t)), key=term_key)
     uniq: list[Substitution] = []
     for s in cands:
         if s not in uniq:
@@ -712,23 +695,6 @@ def _subsets_by_size(items: list[Var]) -> Iterator[frozenset[Var]]:
     for size in range(len(items) + 1):
         for combo in itertools.combinations(items, size):
             yield frozenset(combo)
-
-
-def _split_problem(eqs: Sequence[Equation]) -> tuple[list[tuple[Equation, ...]], bool]:
-    """The alternative systems that ``_free_split`` reduces the equations to
-    together, one open pair system per equation in every combination, and
-    whether every equation's walk was complete."""
-    systems: list[tuple[Equation, ...]] = [()]
-    complete = True
-    for e in eqs:
-        alternatives, done = _free_split(e.left, e.right)
-        complete = complete and done
-        systems = [
-            system + tuple(Equation(s, t, Theory.SUA) for s, t in alt)
-            for system in systems
-            for alt in alternatives
-        ]
-    return systems, complete
 
 
 def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], BscaTrace]:

@@ -24,6 +24,7 @@ from xorsleuth.terms import (
     Var,
     Xor,
     Zero,
+    children,
     const,
     equal_mod,
     normalize,
@@ -36,6 +37,7 @@ from xorsleuth.terms import (
     term_key,
     var,
     vars_of,
+    with_children,
     xor,
 )
 from xorsleuth.unify import (
@@ -44,10 +46,10 @@ from xorsleuth.unify import (
     NonPureAcun,
     PartitionSpaceExceeded,
     UnificationProblem,
+    binding_ok,
     bsca_unify,
     enumerate_identifications,
     is_instance_of,
-    match_std,
     partition_to_subst,
     purify,
     subst_well_sorted,
@@ -66,6 +68,8 @@ e = const("e", Sort.DATA)
 n_a = const("n_a", Sort.NONCE)
 one = const("1", Sort.DATA)
 two = const("2", Sort.DATA)
+t1 = const("t1", Sort.TAG)
+t5 = const("t5", Sort.TAG)
 A = var("A", Sort.AGENT)
 B = var("B", Sort.AGENT)
 N_B = var("N_B", Sort.NONCE)
@@ -91,10 +95,16 @@ class TestUnifyStd:
     def test_sh_two_most_general_unifiers(self):
         got = set(unify_std([(sh(A, B), sh(a, b))]))
         assert got == {Substitution({A: a, B: b}), Substitution({A: b, B: a})}
+        # no renaming of Z and W turns one into the other: A = W, B = Z
+        # with Z ≠ W is an instance of the second only
+        Zag, Wag = var("Z", Sort.AGENT), var("W", Sort.AGENT)
+        got = set(unify_std([(sh(A, B), sh(Zag, Wag))]))
+        assert got == {Substitution({A: Zag, B: Wag}), Substitution({A: Wag, B: Zag})}
 
     def test_sh_renaming_branches_pruned(self):
+        # the two argument orders give {A ↦ Z, W ↦ Z} and {A ↦ W, Z ↦ W}
         Zag, Wag = var("Z", Sort.AGENT), var("W", Sort.AGENT)
-        got = unify_std([(sh(A, B), sh(Zag, Wag))])
+        got = unify_std([(sh(A, A), sh(Zag, Wag))])
         assert len(got) == 1
 
     def test_constant_clash(self):
@@ -424,15 +434,197 @@ def test_is_instance_of_freezes_the_special_side():
     assert is_instance_of(special, general, [N_B, X, Y])
     assert not is_instance_of(general, special, [N_B, X, Y])
     # X cannot match both X and Y
-    assert not match_std([(X, X), (X, Y)])
-    assert not match_std([(seq(X, c), seq(X, c)), (X, Y)])
-    assert match_std([(seq(X, c), seq(Y, c)), (X, Y)])
+    assert not is_instance_of(Substitution({Z: X, W: Y}), Substitution({Z: X, W: X}), [Z, W])
+    assert not is_instance_of(Substitution({Z: seq(X, c), W: Y}), Substitution({Z: seq(X, c), W: X}), [Z, W])
+    assert is_instance_of(Substitution({Z: seq(Y, c), W: Y}), Substitution({Z: seq(X, c), W: X}), [Z, W])
+
+
+# -- one free walk -------------------------------------------------------------------
+
+
+def _reference_decompose(s, t):
+    """The argument pairs that a free decomposition of ``s = t`` leaves, one
+    list per alternative (two for ``sh``), or ``None`` on a clash."""
+    ks, kt = children(s), children(t)
+    if type(s) is not type(t) or not ks or len(ks) != len(kt):
+        return None
+    if isinstance(s, Sh):
+        return [[(s.left, t.left), (s.right, t.right)], [(s.left, t.right), (s.right, t.left)]]
+    return [list(zip(ks, kt))]
+
+
+def reference_match(pairs):
+    """The instance check's earlier one-way match: is there a binding of the
+    patterns' variables that makes every pattern equal its target, the
+    targets' variables standing for themselves?"""
+    stack = [(list(pairs), {})]
+    while stack:
+        todo, bnd = stack.pop()
+        failed = False
+        while todo:
+            p, t = todo.pop()
+            if isinstance(p, Var):
+                if p in bnd:
+                    if bnd[p] != t:
+                        failed = True
+                        break
+                    continue
+                if not binding_ok(p, t):
+                    failed = True
+                    break
+                bnd = dict(bnd)
+                bnd[p] = t
+                continue
+            if p == t and not vars_of(p):
+                continue
+            alternatives = _reference_decompose(p, t)
+            if alternatives is None:
+                failed = True
+                break
+            for alt in alternatives[1:]:
+                stack.append((todo + alt, dict(bnd)))
+            todo.extend(alternatives[0])
+        if not failed:
+            return True
+    return False
+
+
+def reference_is_instance_of(special, general, over):
+    return reference_match([(general.apply(v), special.apply(v)) for v in over])
+
+
+def reference_unify_std(equations):
+    """The free solver's earlier worklist: it decomposed one constructor at
+    a time and bound variables as it reached them, right to left, and
+    pruned its unifiers with the earlier match."""
+    eqs = [(normalize(s), normalize(t)) for s, t in equations]
+    problem_vars = frozenset().union(*(vars_of(s) | vars_of(t) for s, t in eqs))
+    solutions = []
+    stack = [(eqs, {})]
+    while stack:
+        todo, bnd = stack.pop()
+        failed = False
+        while todo:
+            s, t = todo.pop()
+            if bnd:
+                sub = Substitution(bnd)
+                s, t = sub.apply(s), sub.apply(t)
+            if s == t:
+                continue
+            if isinstance(s, Var) or isinstance(t, Var):
+                if not isinstance(s, Var):
+                    s, t = t, s
+                if isinstance(t, Var) and not binding_ok(s, t) and binding_ok(t, s):
+                    s, t = t, s
+                if s in vars_of(t) or not binding_ok(s, t):
+                    failed = True
+                    break
+                upd = Substitution({s: t})
+                bnd = {v: upd.apply(u) for v, u in bnd.items()}
+                bnd[s] = t
+                continue
+            alternatives = _reference_decompose(s, t)
+            if alternatives is None:
+                failed = True
+                break
+            for alt in alternatives[1:]:
+                stack.append((todo + alt, dict(bnd)))
+            todo.extend(alternatives[0])
+        if not failed:
+            solutions.append(Substitution(bnd).restrict(problem_vars))
+    with mock.patch.object(unify, "is_instance_of", reference_is_instance_of):
+        return unify._prune_to_most_general(solutions)
+
+
+T = var("T", Sort.TAG)
+N = var("N", Sort.NONCE)
+_std_agents = st.sampled_from([a, b, A, B])
+_std_atoms_by_sort = {
+    Sort.AGENT: [a, b, A, B],
+    Sort.TAG: [t1, t5, T],
+    Sort.NONCE: [n_a, N_B, N],
+    Sort.DATA: [c, X, Y, Z],
+}
+_std_atoms = st.sampled_from([u for atoms in _std_atoms_by_sort.values() for u in atoms])
+
+
+def _std(kids):
+    return st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(lambda items: seq(*items)),
+        st.tuples(kids, _std_agents).map(lambda p: penc(p[0], pk(p[1]))),
+        st.tuples(kids, _std_agents, _std_agents).map(lambda p: senc(p[0], sh(p[1], p[2]))),
+        st.tuples(_std_agents, _std_agents).map(lambda p: sh(*p)),
+    )
+
+
+_std_terms = st.recursive(_std_atoms, _std, max_leaves=6)
+
+
+@st.composite
+def _variant(draw, t):
+    """``t`` with each occurrence of a variable replaced on its own by an
+    atom of its sort (a variable of either side or a constant), or an
+    occurrence of a data variable by any term."""
+    if isinstance(t, Var):
+        atoms = st.sampled_from(_std_atoms_by_sort[t.sort])
+        return draw(st.one_of(atoms, _std_atoms, _std_terms) if t.sort is Sort.DATA else atoms)
+    return normalize(with_children(t, tuple(draw(_variant(u)) for u in children(t))))
+
+
+@st.composite
+def _std_problems(draw):
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = draw(_std_terms)
+        rhs = draw(_std_terms) if draw(st.integers(0, 3)) == 0 else draw(_variant(lhs))
+        pairs.append((lhs, rhs) if draw(st.booleans()) else (rhs, lhs))
+    return pairs
+
+
+@given(_std_problems())
+@settings(max_examples=300, deadline=None)
+# (X, Y) is reached twice, and must be bound before (X, Z), not after it
+@example([(seq(X, X, X), seq(Y, Z, Y))])
+# an agent variable against a data variable: the data variable is bound
+@example([(seq(A, c), seq(X, c))])
+# both sh orders, an agent variable on both sides
+@example([(senc(seq(A, X), sh(A, B)), senc(seq(B, Y), sh(b, A))), (X, seq(Y, c))])
+def test_free_walk_agrees_with_the_earlier_worklist(pairs):
+    """The same unifiers, with the same variable names, in the same order."""
+    assert unify_std(pairs) == reference_unify_std(pairs)
+
+
+@st.composite
+def _substitution_pairs(draw):
+    """A general substitution and either an instance of it or another
+    substitution, over a few variables; the names of both sides overlap."""
+    over = [A, N_B, X, Y]
+
+    def value(v):
+        atoms = st.sampled_from(_std_atoms_by_sort[v.sort])
+        return draw(atoms if v.sort in (Sort.AGENT, Sort.TAG) else st.one_of(atoms, _std_terms))
+
+    general = Substitution({v: value(v) for v in over if draw(st.booleans())})
+    if draw(st.booleans()):
+        theta = Substitution({v: value(v) for v in (A, B, N_B, N, X, Y, Z) if draw(st.booleans())})
+        special = Substitution({v: theta.apply(general.apply(v)) for v in over})
+    else:
+        special = Substitution({v: value(v) for v in over if draw(st.booleans())})
+    return special, general, over
+
+
+@given(_substitution_pairs())
+@settings(max_examples=300, deadline=None)
+# the special side maps X to Y, a variable the general side has too
+@example((Substitution({N_B: Y, X: Y}), Substitution({X: Y}), [N_B, X, Y]))
+@example((Substitution({X: seq(Y, c)}), Substitution({X: seq(X, c)}), [X]))
+def test_instance_check_agrees_with_the_earlier_match(case):
+    special, general, over = case
+    assert is_instance_of(special, general, over) == reference_is_instance_of(special, general, over)
 
 
 # -- free split ----------------------------------------------------------------------
 
-t1 = const("t1", Sort.TAG)
-t5 = const("t5", Sort.TAG)
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "xorsleuth" / "fixtures"
 
 
@@ -445,9 +637,18 @@ def outcome(problem, max_configs=unify._MAX_CONFIGS):
 
 
 def unfiltered(problem, max_configs=unify._MAX_CONFIGS):
-    """``outcome`` with ``_free_split`` returning each equation unchanged, so
-    that every mixed problem goes whole to the combination search."""
-    with mock.patch.object(unify, "_free_split", lambda s, t: ([[(s, t)]], True)):
+    """``outcome`` with ``_split_problem`` returning every problem with an
+    XOR or ``zero`` unchanged, so that every mixed problem goes whole to the
+    combination search.  An XOR-free problem is still split, since the free
+    solver walks through that split; its unifiers are those of the whole."""
+    split = unify._split_problem
+
+    def whole(eqs):
+        if unify._theory_of(eqs) is Theory.STD:
+            return split(eqs)
+        return [tuple(Equation(e.left, e.right, Theory.SUA) for e in eqs)], True
+
+    with mock.patch.object(unify, "_split_problem", whole):
         return outcome(problem, max_configs)
 
 
@@ -749,6 +950,9 @@ def _xor_pairs(draw):
 @example((xor(tagged(X), tagged(Y)), xor(tagged(c), tagged(d))))
 @example((xor(tagged(X), tagged(N_B)), xor(tagged(n_a), tagged(xor(X, c)))))
 @example((xor(penc(N_B, pk(a)), penc(X, pk(a))), xor(penc(N_B, pk(a)), penc(Y, pk(a)))))
+# {N_B ↦ c} and {X ↦ Y} are both most general; compared over their domains
+# alone, N_B and X, {N_B ↦ c} read as an instance of {X ↦ Y} by Y ↦ X
+@example((xor(tagged(X, N_B), tagged(X, c)), xor(tagged(Y, N_B), tagged(Y, c))))
 def test_summand_pairing_agrees_with_unfiltered_search(sides):
     """XORs of free-headed summands on both sides, which the split pairs and
     the whole-equation search purifies."""
@@ -838,6 +1042,9 @@ def _problems(sides):
 )
 @settings(max_examples=200, deadline=None)
 @example(sua_problem((sh(A, a), sh(a, B))))
+# the walk reaches (X, Y) twice; a split that kept one of them named the
+# unifier unlike the free solver: {X ↦ Y, Z ↦ Y} against {X ↦ Z, Y ↦ Z}
+@example(sua_problem((seq(X, X, X), seq(Y, Z, Y))))
 @example(sua_problem((seq(sh(A, a), xor(tagged(X), tagged(c))), seq(sh(a, B), xor(tagged(c), tagged(Y))))))
 def test_one_route_agrees_with_the_whole_problem_route(problem):
     """Splitting every problem and solving each system in its theory gives
