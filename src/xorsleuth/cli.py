@@ -352,6 +352,28 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     return ap
 
 
+def _files_after_separator(command: argparse.ArgumentParser, name: str, rest: list[str]) -> argparse.Namespace | None:
+    """``rest`` read with files allowed after an option, and every argument
+    after its first "--", if it has one, a file, even one that starts with
+    "-"; None when something is left over.  Each argument after the "--"
+    goes to intermixed parsing as a stand-in that no real argument equals
+    (an argv string holds no NUL), so it is read as a file and then put
+    back.  The options before the "--" are those the plain parse of
+    ``rest`` already read without error, so the stand-ins take no option's
+    value."""
+    cut = rest.index("--") if "--" in rest else len(rest)
+    files = {f"\0{i}": arg for i, arg in enumerate(rest[cut + 1 :])}
+    args, left = command.parse_known_intermixed_args([*rest[:cut], *files], argparse.Namespace(command=name))
+    if left:
+        return None
+    for key, value in vars(args).items():
+        if isinstance(value, list):
+            setattr(args, key, [files.get(v, v) for v in value])
+        elif isinstance(value, str):
+            setattr(args, key, files.get(value, value))
+    return args
+
+
 def run_command(argv: Sequence[str]) -> int:
     # a call builds two parsers, the top-level one and its command's; what
     # neither knows is reported by the top-level parser, as a parser with a
@@ -361,11 +383,14 @@ def run_command(argv: Sequence[str]) -> int:
     name, *rest = picked.command
     command = _command_parser(name)
     args, more = command.parse_known_args(rest, argparse.Namespace(command=name))
-    if more and "--" not in rest:
+    if more:
         # a list of files ends at the first option, so files given after
         # one are left over; intermixed parsing reads them, but costs a
-        # third more per call and mishandles a "--"
-        args, more = command.parse_known_intermixed_args(rest, argparse.Namespace(command=name))
+        # third more per call, so it runs only then.  The plain parse's
+        # leftovers, and so its error, stand unless that parse reads every argument
+        separated = _files_after_separator(command, name, rest)
+        if separated is not None:
+            args, more = separated, []
     if extras or more:
         top.error(f"unrecognized arguments: {' '.join([*extras, *more])}")
     try:

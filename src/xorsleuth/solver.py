@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
@@ -36,6 +37,7 @@ from .terms import (
     Var,
     Xor,
     XorsleuthError,
+    is_canonical_set,
     normalize,
     term_key,
     to_text,
@@ -53,7 +55,32 @@ class ConfigError(XorsleuthError):
 
 
 def _term_set(terms: Iterable[Term]) -> tuple[Term, ...]:
+    """The sorted, duplicate-free tuple of the canonical forms of ``terms``.
+    A tuple that is that already (`is_canonical_set`: every member marked
+    canonical, the members strictly ascending in `term_key` order) is
+    returned as it is, without normalizing, hashing and sorting its members
+    again: its members are distinct canonical forms, so the sorted set of
+    their canonical forms is the tuple itself.  The rules that keep the
+    active term set (`_encrypt`, `_xor_l`, the split of `normalize_seq`),
+    those that insert into it (`_with`) and `_place`, which builds each
+    receive's term set once for all its children, pass such a tuple."""
+    if type(terms) is tuple and is_canonical_set(terms):
+        return terms
     return tuple(sorted({normalize(t) for t in terms}, key=term_key))
+
+
+def _with(term_set: tuple[Term, ...], *new: Term) -> tuple[Term, ...]:
+    """The canonical term set of ``term_set + new``, where ``term_set`` is
+    canonical already (`_term_set`): the canonical form of each new term is
+    inserted at its place in `term_key` order unless it is a member
+    already, so the constructor keeps the result as it is."""
+    out = list(term_set)
+    for t in new:
+        t = normalize(t)
+        i = bisect_left(out, t)
+        if i == len(out) or out[i] != t:
+            out.insert(i, t)
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +88,9 @@ class Constraint:
     """``target : term_set``, in the one form every rule and state key
     relies on: the constructor normalizes the target and makes the term set
     the sorted, duplicate-free tuple of the canonical forms of the terms it
-    is given (`_term_set`), so constraints with the same target and the same
-    set of terms are equal.  It also computes the constraint's hash and its
+    is given (`_term_set`, which keeps a tuple that is that already as it
+    is), so constraints with the same target and the same set of terms are
+    equal.  It also computes the constraint's hash and its
     variables, from its terms': ``variables`` are those of the target and
     the term set, ``set_variables`` those of the term set.  `naming_order`
     is computed on first use and kept.  Every kept field is a function of
@@ -279,7 +307,7 @@ def _xor_split(items: Sequence[Term]) -> Iterator[tuple[Term, Term]]:
 
 def _pdec(c: Constraint, site: int) -> Branches:
     """The member gives way to its plaintext."""
-    return [(Constraint(c.target, _without(c.term_set, site) + (c.term_set[site].plain,)),)]
+    return [(Constraint(c.target, _with(_without(c.term_set, site), c.term_set[site].plain)),)]
 
 
 def _encrypt(c: Constraint, site: int) -> Branches:
@@ -288,16 +316,22 @@ def _encrypt(c: Constraint, site: int) -> Branches:
     return [(Constraint(c.target.key, T), Constraint(c.target.plain, T))]
 
 
+def _sdec_key(c: Constraint, site: int) -> Constraint:
+    """``key : rest``, the first constraint of `sdec` at ``site``: derive
+    the member's key from the other members."""
+    return Constraint(c.term_set[site].key, _without(c.term_set, site))
+
+
 def _sdec(c: Constraint, site: int) -> Branches:
     member = c.term_set[site]
-    rest = _without(c.term_set, site)
-    return [(Constraint(member.key, rest), Constraint(c.target, rest + (member.plain, member.key)))]
+    demand = _sdec_key(c, site)
+    return [(demand, Constraint(c.target, _with(demand.term_set, member.plain, member.key)))]
 
 
 def _xor_r(c: Constraint, site: int) -> Branches:
     rest_T = _without(c.term_set, site)
     return [
-        (Constraint(remainder, rest_T), Constraint(c.target, rest_T + (child,)))
+        (Constraint(remainder, rest_T), Constraint(c.target, _with(rest_T, child)))
         for remainder, child in _xor_split(c.term_set[site].items)
     ]
 
@@ -457,7 +491,8 @@ def _apply(
     branch list is not a proof of absence).  ``active`` is the sequence split
     at its active constraint (`_split_at_active`).  The variables a unifier
     brings in (in neither unified term) are named without knowledge of the
-    state, so they are renamed apart from it (`_names`)."""
+    state, so they are renamed apart from it (`_names`).  A `un` or `ksub`
+    site without a unifier returns before any of that: it has no branch."""
     prefix, c, suffix = active
     row = _RULES[rule]
     if row.decompose is not None:
@@ -468,6 +503,8 @@ def _apply(
     (m, t), rewritten = row.substitute(c, site, prefix, suffix)
     # every unifier of m = m is an instance of the identity
     unifiers, complete = ((Substitution(),), True) if m == t else _cached_unify(m, t)
+    if not unifiers:
+        return [], complete
     pair = vars_of(m) | vars_of(t)
     if any(not vars_of_all(u for _, u in tau.items()) <= pair for tau in unifiers):
         taken = _names(cs)
@@ -656,7 +693,11 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
     at once.  Only ``exhausted`` can differ: it names ``unifier`` only for
     a unifier search that the explored part of the tree ran, so a search
     that a solution or the node budget ended may leave out one that an
-    unvisited sibling would have run out in.
+    unvisited sibling would have run out in.  A child that would be dropped
+    as soon as it is taken off the stack is not built at all: an `sdec`
+    site whose key constraint is decided dead yields nothing (`_children`
+    has the soundness argument), so the states visited and the counts are
+    unchanged and only fewer states are normalized.
 
     ``stats``: ``nodes`` and ``peak_depth``, nested searches included;
     ``sequences``, the prefixes at which the search placed the secrets'
@@ -689,12 +730,37 @@ def _children(
     trace: tuple[RuleStep, ...],
     depth: int,
     exhausted: set[str],
+    decided: dict[Constraint, bool | None],
 ) -> Iterator[_Child]:
     """The children of the expanded state ``cur``, in search order: the
     branches of each of its rule sites (`_rule_sites`) in turn.  A site is
     applied only when the search asks for its first child, and a unifier
-    search it runs that hits its budget adds ``unifier`` to ``exhausted``."""
+    search it runs that hits its budget adds ``unifier`` to ``exhausted``.
+
+    An `sdec` site whose key constraint ``key : rest`` (`_sdec_key`) is
+    ``decided`` underivable is not applied: its one child is one that
+    `_search` would drop before keying it.  Soundness: ``cur`` is
+    normalized, so the targets before its active constraint are variables
+    and the active term set is clean (`normalize_seq`).  In the child, the
+    key constraint comes first after those targets, and ``rest`` is part of
+    the clean term set, so `normalize_seq` leaves it as it is and it is the
+    child's active constraint.  It is in ``decided``, so it is ground, and
+    the child's own constraint follows it, so `_search` looks it up and
+    drops the child without counting, keying or expanding it.  The child
+    would be taken off the stack right after this site is applied, and a
+    False decision never changes, so the lookup here sees what that one
+    would see: the states visited, their order, the counts and the traces
+    are unchanged.  Only ground constraints are decided, so a key with a
+    variable is not looked up, and a decided constraint's target is
+    neither a variable nor a sequence (those never become active), so a
+    site whose key is one is always applied."""
     for rule, site in _rule_sites(cur, active[1]):
+        if (
+            rule is RuleName.SDEC
+            and not vars_of(active[1].term_set[site].key)
+            and decided.get(_sdec_key(active[1], site)) is False
+        ):
+            continue
         branches, complete = _apply(rule, site, cur, active)
         if not complete:
             exhausted.add("unifier")
@@ -762,7 +828,7 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
             exhausted.add("branch")
             visited.discard(key)
             continue
-        stack.append(_children(cur, active, trace, depth, exhausted))
+        stack.append(_children(cur, active, trace, depth, exhausted, decided))
 
     status = SolveStatus.BUDGET_EXHAUSTED if exhausted else SolveStatus.UNSATISFIABLE
     return SolverResult(status, (), _stats(shared, reached, exhausted))
@@ -876,7 +942,7 @@ def _place(cs: ConstraintSequence) -> list[ConstraintSequence]:
     order = (*range(strands, len(plan.nodes)), *range(strands))
     receivers = [si for si in order if positions[si] < len(plan.nodes[si])]
     raw_set = plan.term_set(tuple(positions))
-    term_set = tuple(map(sigma.apply, raw_set)) if sigma else raw_set
+    term_set = _term_set(map(sigma.apply, raw_set)) if sigma else raw_set
     children = []
     for si in receivers:
         i = positions[si]

@@ -18,6 +18,7 @@ canonical term again costs one field read.
 from __future__ import annotations
 
 import enum
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable
@@ -313,6 +314,21 @@ def normalize(t: Term) -> Term:
     built by hand is always reduced.
     """
     return t if t._canon else map_term(t, _normalize_node, _is_canonical)
+
+
+_marked_canonical = operator.attrgetter("_canon")
+_order_key = operator.attrgetter("_key")
+
+
+def is_canonical_set(terms: tuple[Term, ...]) -> bool:
+    """Whether ``terms`` is already the sorted, duplicate-free tuple of the
+    canonical forms of its members: every member is marked canonical (see
+    ``normalize``) and the members are strictly ascending in `term_key`
+    order, so they are distinct.  A canonical member that no ``normalize``
+    call has marked yet gives False, never a wrong True."""
+    return all(map(_marked_canonical, terms)) and all(
+        map(operator.lt, map(_order_key, terms), map(_order_key, terms[1:]))
+    )
 
 
 # -- convenience constructors (always canonical) ------------------------------

@@ -20,10 +20,11 @@ search heuristics can only cost completeness, never soundness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .terms import (
+    EMPTY_SUBST,
     Const,
     PEnc,
     Pk,
@@ -637,7 +638,10 @@ def _invert_grounding(grounding: Substitution):
 
 @dataclass
 class BscaTrace:
-    """Record of the combination search; stages are from the first success."""
+    """Record of the combination search; stages are from the first success.
+    The substitutions default to the one shared ``EMPTY_SUBST``: a
+    substitution is never changed in place, and the search replaces a
+    field rather than extending it, so no trace sees another's."""
 
     gamma1: tuple[Equation, ...] = ()
     gamma2: tuple[Equation, ...] = ()
@@ -647,11 +651,11 @@ class BscaTrace:
     gamma4_2: tuple[Equation, ...] = ()
     v1: tuple[Var, ...] = ()
     v2: tuple[Var, ...] = ()
-    beta: Substitution = field(default_factory=Substitution)
+    beta: Substitution = EMPTY_SUBST
     gamma5_1: tuple[Equation, ...] = ()
     gamma5_2: tuple[Equation, ...] = ()
-    sigma1: Substitution = field(default_factory=Substitution)
-    sigma2: Substitution = field(default_factory=Substitution)
+    sigma1: Substitution = EMPTY_SUBST
+    sigma2: Substitution = EMPTY_SUBST
     unifiers: tuple[Substitution, ...] = ()
     configs_tried: int = 0
     complete: bool = True
@@ -708,8 +712,12 @@ def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], B
     ``_free_split`` for the rules and their soundness argument) the problem
     has no unifier; it is rejected with shortcut ``clash``, no
     configurations tried and a complete search, before any theory-specific
-    search runs.  This is how tagging keeps encryptions of differently
-    tagged protocols apart even when XOR sits below the tag.  Otherwise the
+    search runs and before any of the bookkeeping the candidates need (the
+    variables of the equations, the validation against them): the split
+    reads the normalized equations alone, so a clash comes back with the
+    same trace either way, only sooner.  This is how tagging keeps
+    encryptions of differently tagged protocols apart even when XOR sits
+    below the tag.  Otherwise the
     unifiers of the problem are those of its alternative systems, since a
     substitution unifies the equations exactly when it unifies every pair
     of some alternative, and each system is solved in its theory
@@ -729,8 +737,12 @@ def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], B
     definitive failure.
     """
     orig = [e.normalized() for e in problem.equations]
-    orig_vars = vars_of_all(t for e in orig for t in (e.left, e.right))
+    systems, complete = _split_problem(orig)
     trace = BscaTrace()
+    if not systems and complete:
+        trace.shortcut = "clash"
+        return trace.unifiers, trace
+    orig_vars = vars_of_all(t for e in orig for t in (e.left, e.right))
 
     def validated(cands: Iterable[Substitution]) -> tuple[Substitution, ...]:
         good = []
@@ -744,11 +756,6 @@ def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], B
                     good.append(s)
         good.sort(key=lambda s: tuple((term_key(v), term_key(t)) for v, t in s.items()))
         return tuple(good)
-
-    systems, complete = _split_problem(orig)
-    if not systems and complete:
-        trace.shortcut = "clash"
-        return trace.unifiers, trace
 
     found: list[Substitution] = []
     free: list[Substitution] = []

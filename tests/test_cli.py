@@ -454,6 +454,25 @@ class TestArgumentParsing:
         args = self.dispatched(monkeypatch, [command, "a.proto", "--json", "r.json", "b.proto"])
         assert args.files == ["a.proto", "b.proto"] and args.json == "r.json"
 
+    @pytest.mark.parametrize(
+        "argv,files",
+        [
+            (["check-assumptions", "q1.proto", "--json", "r.json", "--", "q2.proto"], ["q1.proto", "q2.proto"]),
+            (["parse", "a.proto", "--json", "r.json", "--", "-odd.proto"], ["a.proto", "-odd.proto"]),
+            (
+                ["parse", "a.proto", "--json", "r.json", "b.proto", "--", "-c.proto", "--"],
+                ["a.proto", "b.proto", "-c.proto", "--"],
+            ),
+        ],
+        ids=" ".join,
+    )
+    def test_files_may_follow_an_option_and_a_separator(self, monkeypatch, argv, files):
+        # after a "--" every argument is a file, even one that starts with
+        # "-"; the reference parser rejects these argvs too, so the
+        # namespace is stated here
+        expected = argparse.Namespace(command=argv[0], files=files, json="r.json")
+        assert self.dispatched(monkeypatch, argv) == expected
+
     def test_list_defaults_are_not_shared(self, monkeypatch):
         # a handler that appends to its namespace leaves the next call's defaults as they were
         first = self.dispatched(monkeypatch, ["analyze", "a.proto"])

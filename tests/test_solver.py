@@ -311,6 +311,80 @@ class TestConstraintFields:
         assert c != (na, (a,)) and c != na
 
 
+@st.composite
+def raw_terms(draw, depth=2):
+    """Terms as the constructors build them, canonical or not: XORs of any
+    order, nested, with repeats and zero, and sh arguments in either order."""
+    base = st.sampled_from([a, b, na, X, A, ZERO])
+    if depth == 0:
+        return draw(base)
+    sub = raw_terms(depth=depth - 1)
+    agent = st.sampled_from([a, b, A])
+    return draw(
+        st.one_of(
+            base,
+            st.lists(sub, min_size=1, max_size=3).map(lambda items: Xor(tuple(items))),
+            st.tuples(agent, agent).map(lambda p: Sh(*p)),
+            st.tuples(sub, sub).map(lambda p: SEnc(*p)),
+            st.tuples(sub, sub).map(Seq),
+        )
+    )
+
+
+def canonical_set(terms):
+    """The term set a constraint over ``terms`` holds, by definition."""
+    return tuple(sorted({normalize(t) for t in terms}, key=term_key))
+
+
+class TestCanonicalTermSets:
+    """The constructor keeps a term set that is canonical already, and the
+    rules that add members insert them into the sorted rest; both must give
+    what canonicalizing the whole set gives."""
+
+    @given(st.lists(raw_terms(), max_size=6), st.sampled_from([list, tuple, canonical_set]))
+    @example([a, a], tuple)
+    @example([Sh(b, a), a], tuple)
+    @example([Xor((na, a)), a], tuple)
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_gives_the_canonical_set(self, terms, given_as):
+        expected = canonical_set(terms)
+        members = given_as(terms)
+        assert Constraint(a, members).term_set == expected
+        if given_as is canonical_set:
+            # already canonical: kept as it is
+            assert Constraint(a, members).term_set is members
+
+    @given(st.lists(raw_terms(), max_size=5), st.lists(raw_terms(), min_size=1, max_size=2), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_insertion_is_the_canonical_set(self, rest, new, data):
+        rest = canonical_set(rest)
+        if rest and data.draw(st.booleans()):
+            # a new member that the rest holds already
+            new = [*new, data.draw(st.sampled_from(rest))]
+        out = solver._with(rest, *new)
+        assert out == canonical_set(rest + tuple(new))
+        assert Constraint(a, out).term_set is out
+
+    @given(any_constraints())
+    @settings(max_examples=200, deadline=None)
+    def test_rules_give_the_constraints_built_from_lists(self, c):
+        T = list(c.term_set)
+        for site, t in enumerate(T):
+            rest = T[:site] + T[site + 1 :]
+            if isinstance(t, SEnc):
+                expected = [(Constraint(t.key, rest), Constraint(c.target, rest + [t.plain, t.key]))]
+                assert solver._sdec(c, site) == expected
+            if isinstance(t, PEnc):
+                assert solver._pdec(c, site) == [(Constraint(c.target, rest + [t.plain]),)]
+            if isinstance(t, Xor):
+                expected = []
+                for j, child in enumerate(t.items):
+                    others = t.items[:j] + t.items[j + 1 :]
+                    remainder = Xor(others) if len(others) > 1 else others[0]
+                    expected.append((Constraint(remainder, rest), Constraint(c.target, rest + [child])))
+                assert solver._xor_r(c, site) == expected
+
+
 class TestApplicableRules:
     def test_senc_target_listed(self):
         cs = cseq((SEnc(na, k), (a,)))
@@ -867,11 +941,16 @@ CORPUS = ("q1", "q2", "q3", "q4", "q5")
 
 
 # Protocols of the tests alone: ``echo`` leaks its secret only after its
-# receive (under a key the attacker chose), and ``blk``'s one receive is a
-# message nobody sends.
+# receive (under a key the attacker chose), ``blk``'s one receive is a
+# message nobody sends, and ``seqkey`` encrypts under a sequence with a
+# long-term key in it and under a variable, keys no ground decision covers.
 INLINE = {
     "echo": "protocol echo\nvars X:Data N:Nonce\nfresh N\nsecret N\nrole A:\n  recv X\n  send senc(N, X)\n",
     "blk": "protocol blk\nvars X:Data\nrole A:\n  recv senc(X, sh(c, d))\n",
+    "seqkey": (
+        "protocol seqkey\nvars N:Nonce M:Nonce X:Data\nfresh N M\nsecret N\n"
+        "role A:\n  send senc(N, seq(M, sh(a, b)))\n  recv X\n  send senc(M, X)\n"
+    ),
 }
 
 
@@ -1750,6 +1829,10 @@ class TestLazyChildren:
             (("q1", "q3", "leak_ab"), 1, ()),
             (("q3", "leak_ac"), 2, ()),
             (("q5", "leak_bc"), 2, ()),
+            # `sdec` keys that are variables or sequences, whose sites are never skipped
+            (("echo",), 2, ()),
+            (("seqkey",), 1, ()),
+            (("seqkey",), 2, ()),
         ],
         ids=case_id,
     )
@@ -1794,6 +1877,44 @@ class TestLazyChildren:
         assert lazy.solutions == eager.solutions
         assert lazy.stats["exhausted"] == []
         assert eager.stats["exhausted"] == ["unifier"]
+
+    def test_dead_key_site_yields_no_child(self):
+        # `sdec` at senc(na, sh(a, b)) first demands sh(a, b) from the rest
+        member = SEnc(na, normalize(Sh(a, b)))
+        cs = normalize_seq(cseq((na, IIK + (member,))))
+        active = solver._split_at_active(cs)
+        key = Constraint(member.key, IIK)
+        assert solver._sdec_key(active[1], active[1].term_set.index(member)) == key
+
+        def rules(decided):
+            return [steps[-1].rule for _, steps, _ in solver._children(cs, active, (), 0, set(), decided)]
+
+        every = rules({})
+        assert every[0] == "sdec"
+        # undecided, or decided derivable: the site is applied
+        assert rules({key: None}) == rules({key: True}) == every
+        # decided underivable: the site yields nothing, every other site the same
+        assert rules({key: False}) == [r for r in every if r != "sdec"]
+
+    def test_skipped_children_are_never_normalized(self):
+        # a skipped `sdec` child is one the search would take off the stack,
+        # normalize and drop: the lazy search normalizes fewer states than
+        # the eager one, which builds every child, and visits the same ones
+        def normalized(search, start):
+            calls = []
+
+            def counted(cs):
+                calls.append(cs)
+                return normalize_seq(cs)
+
+            with mock.patch.object(solver, "normalize_seq", counted):
+                return search(start), len(calls)
+
+        (start,) = secret_searches(("q1", "q3"), 1, ("N2",))
+        lazy, lazy_calls = normalized(satisfiable, start)
+        eager, eager_calls = normalized(eager_satisfiable, start)
+        assert_same_search(lazy, eager)
+        assert lazy_calls < eager_calls
 
     def test_unvisited_siblings_are_not_built(self):
         # the attack on nslx ends the search long before every site of the

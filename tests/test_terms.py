@@ -28,6 +28,7 @@ from xorsleuth.terms import (
     equal_mod,
     from_text,
     interms,
+    is_canonical_set,
     is_interm,
     normalize,
     penc,
@@ -348,6 +349,18 @@ def test_normalize_reduces_raw_nodes_over_canonical_children(t1, t2, x, y):
         assert normalize(n) is n
         # the same tree with no canonical marks anywhere normalizes alike
         assert n == normalize(copy.deepcopy(raw))
+
+
+@given(st.lists(_raw_terms, max_size=5))
+@settings(max_examples=300)
+def test_canonical_set_is_recognized_by_its_marks(ts):
+    canonical = tuple(sorted({normalize(t) for t in ts}, key=term_key))
+    assert is_canonical_set(canonical)
+    # a tuple it accepts is its own canonical set
+    if is_canonical_set(tuple(ts)):
+        assert tuple(ts) == canonical
+    # unmarked compound members, canonical as they are, are not taken on trust
+    assert is_canonical_set(copy.deepcopy(canonical)) == all(not children(t) for t in canonical)
 
 
 @given(_raw_terms, _raw_terms)

@@ -795,6 +795,31 @@ class TestFreeClash:
         unifiers, trace = bsca_unify(sua_problem((lhs, ZERO)))
         assert (unifiers, trace.shortcut, trace.configs_tried, trace.complete) == ((), "clash", 0, True)
 
+    def test_clash_trace_is_the_record_of_a_search_that_ran_nothing(self):
+        # a clash is answered before any other bookkeeping, and its trace is
+        # the one a clash gave when the bookkeeping came first
+        unifiers, trace = bsca_unify(sua_problem((senc(seq(t1, X), sh(a, b)), senc(seq(t5, Y), sh(a, b)))))
+        assert unifiers == ()
+        assert trace.to_json_dict() == {
+            "shortcut": "clash",
+            "gamma1": [],
+            "gamma2": [],
+            "var_idp": [],
+            "gamma3": [],
+            "gamma4_1": [],
+            "gamma4_2": [],
+            "v1": [],
+            "v2": [],
+            "beta": {},
+            "gamma5_1": [],
+            "gamma5_2": [],
+            "sigma1": {},
+            "sigma2": {},
+            "unifiers": [],
+            "configs_tried": 0,
+            "complete": True,
+        }
+
     def test_q1_q5_tag_clash_call_reports_clash(self):
         traces = []
         real = unify.bsca_unify
