@@ -375,12 +375,18 @@ def _files_after_separator(command: argparse.ArgumentParser, name: str, rest: li
 
 
 def run_command(argv: Sequence[str]) -> int:
-    # a call builds two parsers, the top-level one and its command's; what
-    # neither knows is reported by the top-level parser, as a parser with a
-    # subparser per command does
-    top = _top_parser()
-    picked, extras = top.parse_known_args(argv)
-    name, *rest = picked.command
+    # a call builds its command's parser, and the top-level one only for
+    # help, a missing or unknown command, or an error; what neither knows is
+    # reported by the top-level parser, as a parser with a subparser per
+    # command does.  When the first argument names a command, the top-level
+    # parser would hand that command and everything after it on, with
+    # nothing left over, so the command is read off directly
+    if argv and argv[0] in _COMMANDS:
+        extras: list[str] = []
+        name, *rest = argv
+    else:
+        picked, extras = _top_parser().parse_known_args(argv)
+        name, *rest = picked.command
     command = _command_parser(name)
     args, more = command.parse_known_args(rest, argparse.Namespace(command=name))
     if more:
@@ -392,7 +398,7 @@ def run_command(argv: Sequence[str]) -> int:
         if separated is not None:
             args, more = separated, []
     if extras or more:
-        top.error(f"unrecognized arguments: {' '.join([*extras, *more])}")
+        _top_parser().error(f"unrecognized arguments: {' '.join([*extras, *more])}")
     try:
         return _COMMANDS[name].run(args)
     except (XorsleuthError, OSError, json.JSONDecodeError, KeyError, ValueError) as e:

@@ -22,7 +22,8 @@ also guarantees the reserved ``#v``/``#c`` name spaces can never be written.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .protocol import Node, Protocol, Strand
 from .terms import (
@@ -58,48 +59,41 @@ class DuplicateRole(ProtocolSyntaxError):
     pass
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'ident', '(', ')', ',', ':', 'eof'
     value: str
     line: int
     col: int
 
 
+# One token at a time, blanks skipped: an identifier (``\w`` is exactly
+# ``str.isalnum()`` or ``_``), a punctuation mark, the start of a comment,
+# or any other non-blank character, which is an error.
+_TOKEN = re.compile(r"(\w+)|([(),:])|(#)|[^ \t\r]")
+
+
 def _lex(text: str) -> list[_Token]:
+    """The tokens of ``text``, ending in ``eof``, with 1-based line and
+    column numbers; a column counts characters.  Only ``\n`` ends a line.
+    A comment runs to the end of its line, and ``eof`` after a comment on
+    the last line takes the column of its ``#``."""
     toks: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "(),:":
-            toks.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            start = i
-            startcol = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            toks.append(_Token("ident", text[start:i], line, startcol))
-            continue
-        raise ProtocolSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
+    line, end = 0, 0
+    for line, src in enumerate(text.split("\n"), 1):
+        end = len(src)
+        for m in _TOKEN.finditer(src):
+            group = m.lastindex
+            if group == 1:
+                toks.append(_Token("ident", m.group(), line, m.start() + 1))
+            elif group == 2:
+                ch = m.group()
+                toks.append(_Token(ch, ch, line, m.start() + 1))
+            elif group == 3:
+                end = m.start()
+                break
+            else:
+                raise ProtocolSyntaxError(f"unexpected character {m.group()!r}", line, m.start() + 1)
+    toks.append(_Token("eof", "", line, end + 1))
     return toks
 
 

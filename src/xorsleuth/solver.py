@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -54,6 +55,9 @@ class ConfigError(XorsleuthError):
 # -- constraint sequences ----------------------------------------------------------
 
 
+_hash_of = operator.attrgetter("_hash")
+
+
 def _term_set(terms: Iterable[Term]) -> tuple[Term, ...]:
     """The sorted, duplicate-free tuple of the canonical forms of ``terms``.
     A tuple that is that already (`is_canonical_set`: every member marked
@@ -83,33 +87,36 @@ def _with(term_set: tuple[Term, ...], *new: Term) -> tuple[Term, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Constraint:
     """``target : term_set``, in the one form every rule and state key
     relies on: the constructor normalizes the target and makes the term set
     the sorted, duplicate-free tuple of the canonical forms of the terms it
     is given (`_term_set`, which keeps a tuple that is that already as it
     is), so constraints with the same target and the same set of terms are
-    equal.  It also computes the constraint's hash and its
-    variables, from its terms': ``variables`` are those of the target and
-    the term set, ``set_variables`` those of the term set.  `naming_order`
-    is computed on first use and kept.  Every kept field is a function of
-    the two parts, so equal constraints never disagree on one, and a copy
-    or a pickle, which goes through the constructor, recomputes them."""
+    equal.  It also computes the constraint's hash and its variables, from
+    its terms' cached ones, and sets every field once: ``variables`` are
+    those of the target and the term set, ``set_variables`` those of the
+    term set.  `naming_order` is computed on first use and kept.  Every
+    kept field is a function of the two parts, so equal constraints never
+    disagree on one, and a copy or a pickle, which goes through the
+    constructor, recomputes them."""
 
     __slots__ = ("target", "term_set", "variables", "set_variables", "_hash", "_naming")
     target: Term
     term_set: tuple[Term, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, target: Term, term_set: Iterable[Term]) -> None:
+        target = normalize(target)
+        term_set = _term_set(term_set)
+        set_vars = vars_of_all(term_set)
+        target_vars = vars_of(target)
         init = object.__setattr__
-        init(self, "target", normalize(self.target))
-        init(self, "term_set", _term_set(self.term_set))
-        set_vars = vars_of_all(self.term_set)
-        target_vars = vars_of(self.target)
+        init(self, "target", target)
+        init(self, "term_set", term_set)
         init(self, "set_variables", set_vars)
         init(self, "variables", set_vars if target_vars <= set_vars else target_vars | set_vars)
-        init(self, "_hash", hash((self.target, self.term_set)))
+        init(self, "_hash", hash((target._hash, tuple(map(_hash_of, term_set)))))
         init(self, "_naming", None)
 
     def __eq__(self, other: object) -> bool:
@@ -316,16 +323,18 @@ def _encrypt(c: Constraint, site: int) -> Branches:
     return [(Constraint(c.target.key, T), Constraint(c.target.plain, T))]
 
 
-def _sdec_key(c: Constraint, site: int) -> Constraint:
-    """``key : rest``, the first constraint of `sdec` at ``site``: derive
-    the member's key from the other members."""
-    return Constraint(c.term_set[site].key, _without(c.term_set, site))
+def _sdec_key(c: Constraint, site: int) -> tuple[Term, tuple[Term, ...]]:
+    """``(key, rest)``, the parts of `sdec`'s first constraint at ``site``:
+    derive the member's key from the other members.  Both are canonical as
+    they are (a subterm of a canonical term, and a canonical term set less
+    one member), so they are the parts of the constraint they make."""
+    return c.term_set[site].key, _without(c.term_set, site)
 
 
 def _sdec(c: Constraint, site: int) -> Branches:
     member = c.term_set[site]
-    demand = _sdec_key(c, site)
-    return [(demand, Constraint(c.target, _with(demand.term_set, member.plain, member.key)))]
+    key, rest = _sdec_key(c, site)
+    return [(Constraint(key, rest), Constraint(c.target, _with(rest, member.plain, member.key)))]
 
 
 def _xor_r(c: Constraint, site: int) -> Branches:
@@ -593,12 +602,18 @@ def _ground(c: Constraint) -> bool:
     return not c.variables
 
 
+# The parts of a ground constraint, mapped to whether it is derivable.
+Decisions = dict[tuple[Term, tuple[Term, ...]], bool | None]
+
+
 class _Shared:
     """What the searches of one `satisfiable` call share: the budget, the
     token table (`_canonical_key`), the node count and peak depth, and the
-    table of ground constraints (`_ground`): ``decided`` maps one whose
-    nested search has started to whether it is derivable, or to None while
-    that search runs and after a budget cut it."""
+    table of ground constraints (`_ground`): ``decided`` maps the parts
+    ``(target, term_set)`` of one whose nested search has started to
+    whether it is derivable, or to None while that search runs and after a
+    budget cut it.  Keyed by the parts, it answers a constraint that is not
+    built yet (`_children`)."""
 
     __slots__ = ("budget", "tokens", "nodes", "peak_depth", "decided")
 
@@ -607,7 +622,7 @@ class _Shared:
         self.tokens: Tokens = {}
         self.nodes = 0
         self.peak_depth = 0
-        self.decided: dict[Constraint, bool | None] = {}
+        self.decided: Decisions = {}
 
 
 # A search yields (ground constraint, depth) to have it decided by a nested
@@ -730,7 +745,7 @@ def _children(
     trace: tuple[RuleStep, ...],
     depth: int,
     exhausted: set[str],
-    decided: dict[Constraint, bool | None],
+    decided: Decisions,
 ) -> Iterator[_Child]:
     """The children of the expanded state ``cur``, in search order: the
     branches of each of its rule sites (`_rule_sites`) in turn.  A site is
@@ -750,8 +765,12 @@ def _children(
     would be taken off the stack right after this site is applied, and a
     False decision never changes, so the lookup here sees what that one
     would see: the states visited, their order, the counts and the traces
-    are unchanged.  Only ground constraints are decided, so a key with a
-    variable is not looked up, and a decided constraint's target is
+    are unchanged.  The lookup builds no constraint: ``decided`` is keyed
+    by a constraint's parts, and ``key`` (a subterm of a canonical member)
+    and ``rest`` (a canonical term set less one member, still sorted and
+    duplicate-free) are canonical as they are, so they are the parts the
+    child's constraint has.  Only ground constraints are decided, so a key
+    with a variable is not looked up, and a decided constraint's target is
     neither a variable nor a sequence (those never become active), so a
     site whose key is one is always applied."""
     for rule, site in _rule_sites(cur, active[1]):
@@ -801,12 +820,13 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
         if active is not None and _ground(active[1]):
             c = active[1]
             more_after = active[2] or p is not None and not p.done
-            if c not in decided and more_after and depth < budget.max_depth:
-                decided[c] = None
+            parts = c.target, c.term_set
+            if parts not in decided and more_after and depth < budget.max_depth:
+                decided[parts] = None
                 status = yield c, depth
                 if status is not SolveStatus.BUDGET_EXHAUSTED:
-                    decided[c] = status is SolveStatus.SATISFIABLE
-            if decided.get(c) is False:
+                    decided[parts] = status is SolveStatus.SATISFIABLE
+            if decided.get(parts) is False:
                 continue
         key = _canonical_key(cur, tokens)
         if key in visited:

@@ -8,11 +8,12 @@ commutative argument lists (XOR children, shared-key arguments) are sorted
 under a fixed total order on terms.  Two terms are equal modulo the supported
 equational theories exactly when their canonical forms coincide.
 
-Each term computes its order key, its hash and its variable set once, when it
-is built, from those of its children; equality, hashing, ``term_key`` and
-``vars_of`` only read them.  ``to_text`` renders a term once and keeps the
-text, and ``normalize`` marks what it returns as canonical, so normalizing a
-canonical term again costs one field read.
+Each term's constructor computes its order key, its hash and its variable
+set once, from those of its children, and sets them with its fields in one
+pass; equality, hashing, ``term_key`` and ``vars_of`` only read them.
+``to_text`` renders a term once and keeps the text, and ``normalize`` marks
+what it returns as canonical, so normalizing a canonical term again costs
+one field read.
 """
 
 from __future__ import annotations
@@ -60,20 +61,17 @@ class Term:
     and zero always; compound terms once ``normalize`` has returned them).
     Both are functions of the term's value, so equal terms never disagree
     on them except by one being set later.
+
+    Each constructor sets its fields and these five once, from its
+    arguments and its children's cached fields; the rank is the class's
+    entry in ``_RANK``.  The classes are frozen dataclasses built with
+    ``init=False``, so fields, ``repr`` and ``FrozenInstanceError`` stay
+    theirs, and ``object.__setattr__`` is the one way in.  Their methods
+    use no zero-argument ``super()``: ``slots=True`` replaces the class, and
+    that form would still name the one it replaced.
     """
 
     __slots__ = ("_key", "_hash", "_vars", "_text", "_canon")
-
-    def __post_init__(self) -> None:
-        kids = children(self)
-        rank = _RANK[type(self)]
-        payload = f"{self.name}:{self.sort.value}" if isinstance(self, (Var, Const)) else ""
-        init = object.__setattr__
-        init(self, "_key", (rank, len(kids), payload, tuple(c._key for c in kids)))
-        init(self, "_hash", hash((rank, payload, tuple(c._hash for c in kids))))
-        init(self, "_vars", None if isinstance(self, Var) else vars_of_all(kids))
-        init(self, "_text", None)
-        init(self, "_canon", isinstance(self, (Var, Const, Zero)))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -93,7 +91,9 @@ class Term:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-_term = dataclass(frozen=True, eq=False, slots=True)
+_term = dataclass(frozen=True, eq=False, slots=True, init=False)
+_order_key = operator.attrgetter("_key")
+_hash_of = operator.attrgetter("_hash")
 
 
 @_term
@@ -101,21 +101,64 @@ class Var(Term):
     name: str
     sort: Sort
 
+    def __init__(self, name: str, sort: Sort) -> None:
+        rank = _RANK[Var]
+        payload = f"{name}:{sort._value_}"
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "sort", sort)
+        init(self, "_key", (rank, 0, payload, ()))
+        init(self, "_hash", hash((rank, payload, ())))
+        init(self, "_vars", None)
+        init(self, "_text", None)
+        init(self, "_canon", True)
+
 
 @_term
 class Const(Term):
     name: str
     sort: Sort
 
+    def __init__(self, name: str, sort: Sort) -> None:
+        rank = _RANK[Const]
+        payload = f"{name}:{sort._value_}"
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "sort", sort)
+        init(self, "_key", (rank, 0, payload, ()))
+        init(self, "_hash", hash((rank, payload, ())))
+        init(self, "_vars", _NO_VARS)
+        init(self, "_text", None)
+        init(self, "_canon", True)
+
 
 @_term
 class Zero(Term):
     """The XOR unit element."""
 
+    def __init__(self) -> None:
+        rank = _RANK[Zero]
+        init = object.__setattr__
+        init(self, "_key", (rank, 0, "", ()))
+        init(self, "_hash", hash((rank, "", ())))
+        init(self, "_vars", _NO_VARS)
+        init(self, "_text", None)
+        init(self, "_canon", True)
+
 
 @_term
 class Seq(Term):
     items: tuple[Term, ...]
+
+    def __init__(self, items: tuple[Term, ...]) -> None:
+        rank = _RANK[Seq]
+        init = object.__setattr__
+        init(self, "items", items)
+        init(self, "_key", (rank, len(items), "", tuple(map(_order_key, items))))
+        init(self, "_hash", hash((rank, "", tuple(map(_hash_of, items)))))
+        init(self, "_vars", vars_of_all(items))
+        init(self, "_text", None)
+        init(self, "_canon", False)
 
 
 @_term
@@ -123,16 +166,48 @@ class PEnc(Term):
     plain: Term
     key: Term
 
+    def __init__(self, plain: Term, key: Term) -> None:
+        rank = _RANK[PEnc]
+        init = object.__setattr__
+        init(self, "plain", plain)
+        init(self, "key", key)
+        init(self, "_key", (rank, 2, "", (plain._key, key._key)))
+        init(self, "_hash", hash((rank, "", (plain._hash, key._hash))))
+        init(self, "_vars", vars_of_all((plain, key)))
+        init(self, "_text", None)
+        init(self, "_canon", False)
+
 
 @_term
 class SEnc(Term):
     plain: Term
     key: Term
 
+    def __init__(self, plain: Term, key: Term) -> None:
+        rank = _RANK[SEnc]
+        init = object.__setattr__
+        init(self, "plain", plain)
+        init(self, "key", key)
+        init(self, "_key", (rank, 2, "", (plain._key, key._key)))
+        init(self, "_hash", hash((rank, "", (plain._hash, key._hash))))
+        init(self, "_vars", vars_of_all((plain, key)))
+        init(self, "_text", None)
+        init(self, "_canon", False)
+
 
 @_term
 class Pk(Term):
     agent: Term
+
+    def __init__(self, agent: Term) -> None:
+        rank = _RANK[Pk]
+        init = object.__setattr__
+        init(self, "agent", agent)
+        init(self, "_key", (rank, 1, "", (agent._key,)))
+        init(self, "_hash", hash((rank, "", (agent._hash,))))
+        init(self, "_vars", vars_of_all((agent,)))
+        init(self, "_text", None)
+        init(self, "_canon", False)
 
 
 @_term
@@ -140,10 +215,31 @@ class Sh(Term):
     left: Term
     right: Term
 
+    def __init__(self, left: Term, right: Term) -> None:
+        rank = _RANK[Sh]
+        init = object.__setattr__
+        init(self, "left", left)
+        init(self, "right", right)
+        init(self, "_key", (rank, 2, "", (left._key, right._key)))
+        init(self, "_hash", hash((rank, "", (left._hash, right._hash))))
+        init(self, "_vars", vars_of_all((left, right)))
+        init(self, "_text", None)
+        init(self, "_canon", False)
+
 
 @_term
 class Xor(Term):
     items: tuple[Term, ...]
+
+    def __init__(self, items: tuple[Term, ...]) -> None:
+        rank = _RANK[Xor]
+        init = object.__setattr__
+        init(self, "items", items)
+        init(self, "_key", (rank, len(items), "", tuple(map(_order_key, items))))
+        init(self, "_hash", hash((rank, "", tuple(map(_hash_of, items)))))
+        init(self, "_vars", vars_of_all(items))
+        init(self, "_text", None)
+        init(self, "_canon", False)
 
 
 @dataclass(frozen=True)
@@ -212,7 +308,9 @@ def vars_of_all(terms: Iterable[Term]) -> frozenset[Var]:
     covers the others, so ground terms share one empty set."""
     out = _NO_VARS
     for t in terms:
-        vs = vars_of(t)
+        vs = t._vars
+        if vs is None:
+            vs = frozenset((t,))
         if not vs <= out:
             out = out | vs if out else vs
     return out
@@ -317,7 +415,6 @@ def normalize(t: Term) -> Term:
 
 
 _marked_canonical = operator.attrgetter("_canon")
-_order_key = operator.attrgetter("_key")
 
 
 def is_canonical_set(terms: tuple[Term, ...]) -> bool:

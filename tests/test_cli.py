@@ -1,14 +1,19 @@
 """Command-line behavior: exit codes, reports, golden files, round-trips."""
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xorsleuth
 from xorsleuth import cli
@@ -524,6 +529,88 @@ class TestArgumentParsing:
         assert out.startswith("usage: xorsleuth ")
         listed = {tuple(line.split(None, 1)) for line in out.splitlines()}
         assert set(COMMAND_HELP.items()) <= listed
+
+
+def through_top_parser(argv) -> argparse.Namespace:
+    """`run_command`'s reading of ``argv`` when every call built the
+    top-level parser and let it pick the command."""
+    top = cli._top_parser()
+    picked, extras = top.parse_known_args(argv)
+    name, *rest = picked.command
+    command = cli._command_parser(name)
+    args, more = command.parse_known_args(rest, argparse.Namespace(command=name))
+    if more:
+        separated = cli._files_after_separator(command, name, rest)
+        if separated is not None:
+            args, more = separated, []
+    if extras or more:
+        top.error(f"unrecognized arguments: {' '.join([*extras, *more])}")
+    return args
+
+
+def outcome(read, argv):
+    """What ``read`` makes of ``argv``: the namespace the handler gets or
+    the exit code, and what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = read(argv)
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def dispatched_by_run_command(argv):
+    seen = []
+    def record(args):
+        seen.append(args)
+        return 0
+
+    with mock.patch.dict(cli._COMMANDS, {name: c._replace(run=record) for name, c in cli._COMMANDS.items()}):
+        run_command(argv)
+    (args,) = seen
+    return args
+
+
+_ARGV_PIECES = st.sampled_from(
+    [
+        *COMMAND_HELP, "a.proto", "b.proto", "-x.proto", "-", "--", "-h", "--help", "--json", "r.json",
+        "--json=r.json", "--label", "t1", "-o", "-oout.proto", "--sessions", "2", "--sessions=x",
+        "--combined", "--secret", "NA", "--oracle-verify", "--node-budget", "--bogus", "--js", "-x",
+    ]
+)
+
+
+class TestCommandFirst:
+    """An argv that starts with a command is read without the top-level
+    parser, which would hand that command and everything after it on."""
+
+    @given(st.sampled_from(list(COMMAND_HELP)), st.lists(_ARGV_PIECES, max_size=8))
+    @settings(max_examples=400, deadline=None)
+    def test_top_parser_hands_everything_on(self, name, rest):
+        argv = [name, *rest]
+        picked, extras = cli._top_parser().parse_known_args(argv)
+        assert picked.command == argv and extras == []
+
+    @given(st.sampled_from(list(COMMAND_HELP)), st.lists(_ARGV_PIECES, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_same_namespace_exit_code_and_output(self, name, rest):
+        argv = [name, *rest]
+        assert outcome(dispatched_by_run_command, argv) == outcome(through_top_parser, argv)
+
+    @pytest.mark.parametrize(
+        "argv", [*VALID_ARGV, *(argv for argv in INVALID_ARGV if argv and argv[0] in COMMAND_HELP)], ids=" ".join
+    )
+    def test_same_on_the_fixed_argvs(self, argv):
+        assert outcome(dispatched_by_run_command, argv) == outcome(through_top_parser, argv)
+
+    def test_top_parser_is_built_only_when_needed(self):
+        with mock.patch.object(cli, "_top_parser", wraps=cli._top_parser) as top:
+            dispatched_by_run_command(["analyze", "a.proto", "--sessions", "2"])
+            assert top.call_count == 0
+            for argv in (["--help"], ["no-such-command"], ["analyze", "a.proto", "--bogus"]):
+                outcome(dispatched_by_run_command, argv)
+            assert top.call_count == 3
 
 
 class TestOracleVerifyCommand:

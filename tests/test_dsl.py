@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorsleuth import dsl
 from xorsleuth.dsl import (
     DuplicateRole,
     ProtocolSyntaxError,
@@ -155,6 +156,80 @@ class TestErrors:
             parse_protocol(text)
         except (ProtocolSyntaxError, SortError):
             pass
+
+
+def reference_lex(text):
+    """The DSL lexer as a loop over characters, before it lexed each line
+    with one regular expression: (kind, value, line, column) per token."""
+    toks = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in "(),:":
+            toks.append((ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isalnum() or ch == "_":
+            start = i
+            startcol = col
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+                col += 1
+            toks.append(("ident", text[start:i], line, startcol))
+            continue
+        raise ProtocolSyntaxError(f"unexpected character {ch!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def lexed(lex, text):
+    """The tokens of ``text`` as plain tuples, or the text of the error."""
+    try:
+        return [tuple(t) for t in lex(text)]
+    except ProtocolSyntaxError as e:
+        return str(e)
+
+
+_LEX_PIECES = st.sampled_from(
+    ["role", "A", "x_1", "_", "é", "x²", "Ünï", "9", "(", ")", ",", ":", "#", "# note ", " ", "\t", "\r", "\n",
+     "\r\n", "\x0b", "\x0c", "\xa0", "!", "-", "'", "·", "\u2028"]
+)
+
+
+class TestLexer:
+    """The regular-expression lexer against the character loop it replaced."""
+
+    @given(st.one_of(st.lists(_LEX_PIECES, max_size=30).map("".join), st.text(max_size=40)))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_character_loop(self, text):
+        assert lexed(dsl._lex, text) == lexed(reference_lex, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\n", "a # trailing", "a\n# last line", "a\n  #", "(a, b)\n\tx:Agent", "a\x0bb", "ab²\n é!", "#\n#"],
+    )
+    def test_matches_on_edge_cases(self, text):
+        assert lexed(dsl._lex, text) == lexed(reference_lex, text)
+
+    def test_fixtures_lex_alike(self):
+        for f in sorted(FIXTURES.glob("*.proto")):
+            text = f.read_text(encoding="utf-8")
+            assert lexed(dsl._lex, text) == lexed(reference_lex, text), f.name
 
 
 class TestRoundTrip:

@@ -1610,7 +1610,7 @@ class TestGroundDecisions:
         # the two states, and the start of the one nested search
         assert asked.count(dead) == 3
         assert [start for start, _ in searches].count(ConstraintSequence((dead,))) == 1
-        assert table.decided[dead] is False
+        assert table.decided[dead.target, dead.term_set] is False
         with without_ground_decisions():
             assert satisfiable(cs).status is SolveStatus.UNSATISFIABLE
 
@@ -1630,11 +1630,11 @@ class TestGroundDecisions:
         assert res.stats["exhausted"] == reference.stats["exhausted"] == ["branch"]
         assert searches[1:] == [(ConstraintSequence((first,)), 0)]
         # started, and left undecided
-        assert table.decided[first] is None
+        assert table.decided[first.target, first.term_set] is None
         # within the default budget the nested search decides it, and the
         # search finds the solution of the one without decisions
         res, table, _ = recorded(cs)
-        assert table.decided[first] is True
+        assert table.decided[first.target, first.term_set] is True
         with without_ground_decisions():
             reference = satisfiable(cs)
         assert res.status is SolveStatus.SATISFIABLE
@@ -1741,12 +1741,13 @@ def reference_search(cs, depth0, shared):
         if active is not None and solver._ground(active[1]):
             c = active[1]
             more_after = active[2] or p is not None and not p.done
-            if c not in decided and more_after and depth < budget.max_depth:
-                decided[c] = None
+            parts = c.target, c.term_set
+            if parts not in decided and more_after and depth < budget.max_depth:
+                decided[parts] = None
                 status = yield c, depth
                 if status is not SolveStatus.BUDGET_EXHAUSTED:
-                    decided[c] = status is SolveStatus.SATISFIABLE
-            if decided.get(c) is False:
+                    decided[parts] = status is SolveStatus.SATISFIABLE
+            if decided.get(parts) is False:
                 continue
         key = solver._canonical_key(cur, tokens)
         if key in visited:
@@ -1883,8 +1884,10 @@ class TestLazyChildren:
         member = SEnc(na, normalize(Sh(a, b)))
         cs = normalize_seq(cseq((na, IIK + (member,))))
         active = solver._split_at_active(cs)
-        key = Constraint(member.key, IIK)
-        assert solver._sdec_key(active[1], active[1].term_set.index(member)) == key
+        demand = Constraint(member.key, IIK)
+        # the parts of the constraint `sdec` demands, as `decided` keys them
+        key = solver._sdec_key(active[1], active[1].term_set.index(member))
+        assert key == (demand.target, demand.term_set)
 
         def rules(decided):
             return [steps[-1].rule for _, steps, _ in solver._children(cs, active, (), 0, set(), decided)]

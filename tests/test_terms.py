@@ -1,6 +1,7 @@
 """Term algebra: canonical forms, equality oracle, orders, substitutions."""
 
 import copy
+import dataclasses
 import itertools
 import pickle
 
@@ -8,10 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorsleuth import terms
+from xorsleuth.solver import Constraint
 from xorsleuth.terms import (
     EMPTY_SUBST,
     ZERO,
+    Const,
     PEnc,
+    Pk,
+    SEnc,
     Seq,
     Sh,
     Sort,
@@ -22,6 +28,7 @@ from xorsleuth.terms import (
     Theory,
     Var,
     Xor,
+    Zero,
     apply_subst,
     children,
     const,
@@ -420,3 +427,106 @@ def test_copies_keep_key_hash_and_vars(t):
 def test_vars_of_matches_subterms(t):
     n = normalize(t)
     assert vars_of(n) == {s for s in subterms(n) if isinstance(s, Var)}
+
+
+# -- constructors ------------------------------------------------------------------
+
+
+def reference_vars_of_all(ts):
+    out = frozenset()
+    for t in ts:
+        vs = vars_of(t)
+        if not vs <= out:
+            out = out | vs if out else vs
+    return out
+
+
+def reference_fields(t):
+    """The cached fields of ``t`` as a shared ``__post_init__`` computed
+    them, before each class set them in its own constructor: (key, hash,
+    variables, canonical mark)."""
+    kids = children(t)
+    rank = terms._RANK[type(t)]
+    payload = f"{t.name}:{t.sort.value}" if isinstance(t, (Var, Const)) else ""
+    return (
+        (rank, len(kids), payload, tuple(term_key(k) for k in kids)),
+        hash((rank, payload, tuple(hash(k) for k in kids))),
+        None if isinstance(t, Var) else reference_vars_of_all(kids),
+        isinstance(t, (Var, Const, Zero)),
+    )
+
+
+def rebuilt(t):
+    """A new node with ``t``'s fields, through the constructor."""
+    return type(t)(*(getattr(t, f.name) for f in dataclasses.fields(t)))
+
+
+def nodes(t):
+    out = [t]
+    for k in children(t):
+        out += nodes(k)
+    return out
+
+
+_raw_with_every_class = st.one_of(
+    _raw_terms,
+    st.tuples(_raw_terms, _agents, _agents).map(lambda p: SEnc(p[0], Sh(p[1], p[2]))),
+    st.tuples(_raw_terms, _agents).map(lambda p: Seq((p[0], Pk(p[1]), Xor((p[0], p[0], ZERO))))),
+)
+
+
+@given(_raw_with_every_class)
+@settings(max_examples=300)
+def test_constructors_match_the_reference_formulas(t):
+    for n in nodes(t) + nodes(normalize(t)):
+        fresh = rebuilt(n)
+        assert (fresh._key, fresh._hash, fresh._vars, fresh._canon) == reference_fields(n)
+        assert fresh._text is None
+        # a built node keeps its key, hash and variables; only the marks set later may differ
+        assert (n._key, n._hash, n._vars) == reference_fields(n)[:3]
+
+
+_ONE_OF_EACH = [X, c, ZERO, Seq((c, X)), PEnc(c, pk(a)), SEnc(X, c), Pk(a), Sh(a, b), Xor((c, X))]
+
+
+def test_every_class_matches_the_reference_formulas():
+    assert {type(t) for t in _ONE_OF_EACH} == set(terms._RANK)
+    for t in _ONE_OF_EACH:
+        fresh = rebuilt(t)
+        assert (fresh._key, fresh._hash, fresh._vars, fresh._canon) == reference_fields(t)
+
+
+@pytest.mark.parametrize("t", [t for t in _ONE_OF_EACH if t != ZERO], ids=lambda t: type(t).__name__)
+def test_fields_are_frozen(t):
+    # zero, the one class without fields, has none to assign
+    for f in dataclasses.fields(t):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, f.name, c)
+
+
+def test_constraint_fields_are_frozen():
+    con = Constraint(X, [c, a])
+    for name in ("target", "term_set", "variables", "_hash"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(con, name, c)
+
+
+@pytest.mark.parametrize("t", _ONE_OF_EACH, ids=lambda t: type(t).__name__)
+def test_copies_go_through_the_constructor(t):
+    # the original's text and canonical mark are set later; a copy built
+    # by the constructor starts without them, as a node built anew does
+    to_text(t)
+    normalize(t)
+    for dup in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert dup == t and dup is not t
+        assert (dup._key, dup._hash, dup._vars, dup._canon) == reference_fields(dup)
+        assert dup._text is None
+
+
+def test_constraint_copies_go_through_the_constructor():
+    con = Constraint(Xor((c, X)), [Sh(b, a), X, c])
+    con.naming_order()
+    for dup in (copy.deepcopy(con), pickle.loads(pickle.dumps(con))):
+        assert dup == con and hash(dup) == hash(con)
+        assert dup._naming is None
+        assert (dup.variables, dup.set_variables) == (con.variables, con.set_variables)
