@@ -48,7 +48,13 @@ def _sha256(path: str) -> str:
 
 
 def _file_inputs(paths: Sequence[str]) -> dict[str, str]:
-    return {os.path.basename(p): _sha256(p) for p in paths}
+    """The sha256 of each input file, keyed by its base name, or by the path
+    as given when another path with the same base name is among them."""
+    names = [os.path.basename(p) for p in paths]
+    given: dict[str, set[str]] = {}
+    for name, p in zip(names, paths):
+        given.setdefault(name, set()).add(p)
+    return {(name if len(given[name]) == 1 else p): _sha256(p) for name, p in zip(names, paths)}
 
 
 def _envelope(command: str, inputs: dict[str, str], config: dict, results, exit_code: int) -> dict:
@@ -64,8 +70,7 @@ def _envelope(command: str, inputs: dict[str, str], config: dict, results, exit_
 def _emit(envelope: dict, json_path: str | None) -> None:
     if json_path:
         with open(json_path, "w", encoding="utf-8") as f:
-            json.dump(envelope, f, indent=2)
-            f.write("\n")
+            f.write(json.dumps(envelope, indent=2) + "\n")
 
 
 def _cmd_parse(args) -> int:

@@ -45,7 +45,7 @@ from .terms import (
     vars_of,
     vars_of_all,
 )
-from .unify import rename_new_vars, unify_sua
+from .unify import rename_new_vars, shape_clash, unify_sua
 
 
 class ConfigError(XorsleuthError):
@@ -298,7 +298,6 @@ def _cached_unify(m: Term, t: Term) -> tuple[tuple[Substitution, ...], bool]:
 
 Constraints = tuple[Constraint, ...]
 Branches = list[Constraints]
-Rewrite = tuple[tuple[Term, Term], Constraints]
 
 
 def _without(term_set: Sequence[Term], i: int) -> tuple[Term, ...]:
@@ -350,27 +349,29 @@ def _xor_l(c: Constraint, site: int) -> Branches:
     return [(Constraint(rest, T), Constraint(child, T)) for rest, child in _xor_split(c.target.items)]
 
 
-def _un(c: Constraint, site: int, prefix: Constraints, suffix: Constraints) -> Rewrite:
+def _un(c: Constraint, site: int) -> tuple[Term, Term]:
     """Unify the target with the member; the active constraint is discharged."""
-    return (c.target, c.term_set[site]), prefix + suffix
+    return c.target, c.term_set[site]
 
 
-def _ksub(c: Constraint, site: int, prefix: Constraints, suffix: Constraints) -> Rewrite:
+def _ksub(c: Constraint, site: int) -> tuple[Term, Term]:
     """Key the member's encryption to the attacker; every constraint stays."""
-    return (c.term_set[site].key, PK_EPS), prefix + (c,) + suffix
+    return c.term_set[site].key, PK_EPS
 
 
 class _Rule(NamedTuple):
     """Where a rule applies: at the target, or at each term-set member, when
     the term there is a ``head`` (and ``guard`` holds of it, if given).  Its
     step: ``decompose`` gives the constraints that replace the active one,
-    one tuple per branch; ``substitute`` gives the pair to unify and the
-    constraints that each unifier rewrites."""
+    one tuple per branch; ``pair`` gives the two terms to unify, and each
+    unifier rewrites the other constraints and, if ``keep``, the active
+    one."""
 
     at_target: bool
     head: type
     decompose: Callable[[Constraint, int], Branches] | None = None
-    substitute: Callable[[Constraint, int, Constraints, Constraints], Rewrite] | None = None
+    pair: Callable[[Constraint, int], tuple[Term, Term]] | None = None
+    keep: bool = False
     guard: Callable[[Term], bool] | None = None
 
 
@@ -383,8 +384,8 @@ _RULES: dict[RuleName, _Rule] = {
     RuleName.SDEC: _Rule(False, SEnc, _sdec),
     RuleName.XOR_R: _Rule(False, Xor, _xor_r),
     RuleName.XOR_L: _Rule(True, Xor, _xor_l),
-    RuleName.UN: _Rule(False, Term, substitute=_un),
-    RuleName.KSUB: _Rule(False, PEnc, substitute=_ksub, guard=lambda t: t.key != PK_EPS),
+    RuleName.UN: _Rule(False, Term, pair=_un),
+    RuleName.KSUB: _Rule(False, PEnc, pair=_ksub, keep=True, guard=lambda t: t.key != PK_EPS),
 }
 
 
@@ -509,11 +510,12 @@ def _apply(
             (ConstraintSequence(prefix + new + suffix, cs.subst, cs.origin, cs.pending), None)
             for new in row.decompose(c, site)
         ], True
-    (m, t), rewritten = row.substitute(c, site, prefix, suffix)
+    m, t = row.pair(c, site)
     # every unifier of m = m is an instance of the identity
     unifiers, complete = ((Substitution(),), True) if m == t else _cached_unify(m, t)
     if not unifiers:
         return [], complete
+    rewritten = prefix + (c,) + suffix if row.keep else prefix + suffix
     pair = vars_of(m) | vars_of(t)
     if any(not vars_of_all(u for _, u in tau.items()) <= pair for tau in unifiers):
         taken = _names(cs)
@@ -710,9 +712,12 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
     that a solution or the node budget ended may leave out one that an
     unvisited sibling would have run out in.  A child that would be dropped
     as soon as it is taken off the stack is not built at all: an `sdec`
-    site whose key constraint is decided dead yields nothing (`_children`
-    has the soundness argument), so the states visited and the counts are
-    unchanged and only fewer states are normalized.
+    site whose key constraint is decided dead yields nothing, and neither
+    does a `un` or `ksub` site whose two terms cannot unify by their shape
+    alone (`shape_clash`), which is answered without `_apply` or
+    `_cached_unify` (`_children` has the soundness arguments), so the
+    states visited and the counts are unchanged and only fewer states are
+    normalized and fewer unifier searches run.
 
     ``stats``: ``nodes`` and ``peak_depth``, nested searches included;
     ``sequences``, the prefixes at which the search placed the secrets'
@@ -772,19 +777,35 @@ def _children(
     child's constraint has.  Only ground constraints are decided, so a key
     with a variable is not looked up, and a decided constraint's target is
     neither a variable nor a sequence (those never become active), so a
-    site whose key is one is always applied."""
-    for rule, site in _rule_sites(cur, active[1]):
+    site whose key is one is always applied.
+
+    A `un` or `ksub` site whose pair `shape_clash` rejects is not applied
+    either: both terms are ground and different, or free-headed with
+    different constructors at the root.  Soundness: that pair has no
+    unifier modulo SUA (`shape_clash` has the argument), so `unify_sua`
+    would return none from a complete search, and `_apply` would return no
+    branch and leave ``exhausted`` as it is.  Skipping the site does the
+    same, only without the call and the lookup in `_cached_unify`: the
+    states visited, their order, the counts and the traces are
+    unchanged.  (Only two ground XORs with hundreds of summands between
+    them could run out `unify_sua`'s pairing budget; there the skip gives
+    the answer that search would leave open, and no ``unifier`` cut.)"""
+    c = active[1]
+    for rule, site in _rule_sites(cur, c):
+        row = _RULES[rule]
+        if row.pair is not None and shape_clash(*row.pair(c, site)):
+            continue
         if (
             rule is RuleName.SDEC
-            and not vars_of(active[1].term_set[site].key)
-            and decided.get(_sdec_key(active[1], site)) is False
+            and not vars_of(c.term_set[site].key)
+            and decided.get(_sdec_key(c, site)) is False
         ):
             continue
         branches, complete = _apply(rule, site, cur, active)
         if not complete:
             exhausted.add("unifier")
         if branches:
-            site_desc = "target" if site == TARGET_SITE else to_text(active[1].term_set[site])
+            site_desc = "target" if site == TARGET_SITE else to_text(c.term_set[site])
             for bi, (branch, tau) in enumerate(branches):
                 yield branch, trace + (RuleStep(rule.value, site_desc, bi, tau),), depth + 1
 

@@ -153,6 +153,29 @@ def _open_clash(s: Term, t: Term) -> bool:
     return False
 
 
+def shape_clash(s: Term, t: Term) -> bool:
+    """Is it plain from the shape of the canonical terms ``s`` and ``t``
+    alone that ``s =? t`` has no unifier modulo SUA?  It is when both are
+    ground and different, or when both are free-headed (neither a variable,
+    an XOR nor ``zero``) with different constructors at the root.  False
+    decides nothing.
+
+    Soundness: a ground term is its own only instance, and canonical forms
+    are unique (``normalize``), so two canonical ground terms are equal
+    modulo SUA only when they are identical.  Normalization keeps the head
+    of a free-headed term, and so does every instance of it, since a
+    substitution replaces variables only; two free-headed terms with
+    different constructors at the root therefore have no instances equal
+    modulo SUA (the first clash rule of ``_free_split``).  Either way no
+    substitution, well sorted or not, unifies the pair, so ``unify_sua``
+    has none to find: a caller may answer such a pair with no unifier and
+    a complete search without calling it."""
+    sv, tv = s._vars, t._vars
+    if sv is not None and tv is not None and not sv and not tv:
+        return s != t
+    return type(s) is not type(t) and not isinstance(s, _OPEN) and not isinstance(t, _OPEN)
+
+
 def _pairable(s: Term, t: Term) -> bool:
     """Are ``s`` and ``t`` two XORs none of whose summands is a variable?"""
     return (

@@ -111,6 +111,44 @@ class TestCheckMunut:
         assert json.loads(out.read_text()) == json.loads((GOLDEN / golden).read_text())
 
 
+class TestReportInputs:
+    """The ``inputs`` of a report: one sha256 per file analyzed."""
+
+    @staticmethod
+    def same_named(tmp_path):
+        """Two different files, both named x.proto."""
+        paths = []
+        for d, fixture in (("a", "q1.proto"), ("b", "q2.proto")):
+            (tmp_path / d).mkdir()
+            path = tmp_path / d / "x.proto"
+            path.write_text(Path(fx(fixture)).read_text())
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("command", ["analyze", "check-munut"])
+    def test_same_named_files_keep_their_own_hashes(self, tmp_path, command):
+        first, second = self.same_named(tmp_path)
+        out = tmp_path / "report.json"
+        argv = [first, "--combined", second] if command == "analyze" else [first, second]
+        assert run_command([command, *argv, "--json", str(out)]) == 0
+        inputs = json.loads(out.read_text())["inputs"]
+        assert inputs == {first: cli._sha256(first), second: cli._sha256(second)}
+        assert inputs[first] != inputs[second]
+
+    def test_unique_base_names_stay_the_keys(self, tmp_path):
+        first, second = self.same_named(tmp_path)
+        inputs = cli._file_inputs([first, fx("q3.proto"), second, fx("q3.proto")])
+        assert list(inputs) == [first, "q3.proto", second]
+
+    def test_report_is_written_as_the_indented_dump(self, tmp_path):
+        out = tmp_path / "report.json"
+        env = cli._envelope("parse", {"x.proto": "00"}, {"n": [1, 2.5, None]}, [{"é": True}, []], 0)
+        cli._emit(env, str(out))
+        expected = io.StringIO()
+        json.dump(env, expected, indent=2)
+        assert out.read_text(encoding="utf-8") == expected.getvalue() + "\n"
+
+
 class TestTagCommand:
     def test_tag_to_stdout_matches_library(self, capsys):
         assert run_command(["tag", fx("nslx.proto"), "--label", "t1"]) == 0

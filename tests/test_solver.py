@@ -53,7 +53,7 @@ from xorsleuth.terms import (
     vars_of,
     vars_of_all,
 )
-from xorsleuth.unify import unify_sua
+from xorsleuth.unify import shape_clash, unify_sua
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "xorsleuth" / "fixtures"
@@ -1721,7 +1721,10 @@ class TestSubstStep:
 def reference_search(cs, depth0, shared):
     """`solver._search` as it was before children were built lazily: every
     rule site of an expanded state is applied, and all its children pushed,
-    before the first child is visited."""
+    before the first child is visited.  It is also the unfiltered
+    reference: every site goes through `_apply`, so neither a dead-key
+    `sdec` site nor a `un` or `ksub` site that `shape_clash` decides is
+    skipped."""
     budget, tokens, decided = shared.budget, shared.tokens, shared.decided
     visited = set()
     reached = set() if cs.pending is not None else {cs.origin}
@@ -1941,3 +1944,86 @@ class TestLazyChildren:
         assert lazy.status is SolveStatus.SATISFIABLE
         assert lazy.solutions == eager.solutions
         assert lazy_calls < eager_calls
+
+
+# The analyses of the benchmark's `corpus` and `attacks` workloads
+# (perfbench/workloads.py), whose seed orders them and changes none.
+WORKLOAD_ANALYSES = (
+    [((q,), 1, ()) for q in CORPUS]
+    + [(pair, 1, ()) for pair in itertools.combinations(CORPUS, 2)]
+    + [
+        (("p1", "p2"), 1, ("NA",)),
+        (("nslx",), 1, ()),
+        (("nslx_nslx",), 1, ()),
+        (("nslx", "p2"), 1, ()),
+        (("q1", "leak_ab"), 1, ()),
+        (("q3", "leak_ac"), 1, ()),
+        (("q5", "leak_bc"), 1, ()),
+        (("q1", "q3", "leak_ab"), 1, ()),
+        (("q1", "q5", "leak_bc"), 1, ()),
+        (("q5", "leak_bc"), 2, ()),
+        (("q3", "leak_ac"), 2, ()),
+        (("q2", "leak_ab"), 1, ()),
+        (("q4", "leak_ac"), 1, ()),
+    ]
+)
+
+
+class TestShapeDecidedSites:
+    """`un` and `ksub` sites whose pair `shape_clash` decides are answered
+    in `_children`, without `_apply` and the unifier."""
+
+    def test_decided_sites_never_reach_the_unifier_cache(self):
+        # na against ground members, and ksub of pk(a) against pk(eps):
+        # every site is decided, so the state has no child and no lookup
+        member = normalize(PEnc(nb, normalize(Pk(a))))
+        cs = normalize_seq(cseq((na, IIK + (nb, member))))
+        active = solver._split_at_active(cs)
+        sites = solver._rule_sites(cs, active[1])
+        assert {rule for rule, _ in sites} == {RuleName.UN, RuleName.KSUB}
+        with mock.patch.object(solver, "_cached_unify", side_effect=AssertionError("unifier reached")) as cached:
+            assert list(solver._children(cs, active, (), 0, set(), {})) == []
+        cached.assert_not_called()
+        # applied, each of them has no branch and a complete search
+        assert all(solver._apply(rule, site, cs, active) == ([], True) for rule, site in sites)
+
+    def test_search_sends_the_unifier_only_undecided_pairs(self):
+        def unified(search, start):
+            pairs = []
+            original = solver._cached_unify
+
+            def recording(m, t):
+                pairs.append((m, t))
+                return original(m, t)
+
+            with mock.patch.object(solver, "_cached_unify", recording):
+                return search(start), pairs
+
+        (start,) = secret_searches(("q1", "q3"), 1, ("N2",))
+        lazy, lazy_pairs = unified(satisfiable, start)
+        eager, eager_pairs = unified(eager_satisfiable, start)
+        assert_same_search(lazy, eager)
+        assert lazy.status is SolveStatus.UNSATISFIABLE
+        # the search ran to its end: it asked about every undecided pair
+        # that the unfiltered one asked about, and about no other
+        decided = {pair for pair in eager_pairs if shape_clash(*pair)}
+        assert decided and not any(shape_clash(*pair) for pair in lazy_pairs)
+        assert set(lazy_pairs) == set(eager_pairs) - decided
+
+    def test_decided_pairs_of_the_workloads_have_no_unifier(self):
+        # every pair a `un` or `ksub` site of these searches gives
+        pairs = set()
+
+        def recording(m, t):
+            pairs.add((m, t))
+            return shape_clash(m, t)
+
+        with mock.patch.object(solver, "shape_clash", recording):
+            for names, sessions, secrets in WORKLOAD_ANALYSES:
+                check_secrecy([load(n) for n in names], AnalysisConfig(sessions=sessions, secrets=secrets))
+        decided = [pair for pair in pairs if shape_clash(*pair)]
+        ground = [pair for pair in decided if not vars_of(pair[0]) and not vars_of(pair[1])]
+        # both kinds are met: two ground terms, and a clash at the root
+        assert ground and len(ground) < len(decided)
+        for m, t in decided:
+            assert unify_sua(m, t) == ((), True), (to_text(m), to_text(t))

@@ -877,6 +877,79 @@ def test_free_clash_agrees_with_unfiltered_search(s, t):
     assert_agrees_with_unfiltered(sua_problem((s, t)), max_configs=2000)
 
 
+# -- the shape decision --------------------------------------------------------------
+
+_ground_atoms = st.sampled_from([a, b, c, d, n_a, ZERO, pk(a), sh(a, b)])
+_shape_atoms = st.sampled_from([a, b, c, d, n_a, ZERO, pk(a), sh(a, b), pk(A), sh(A, b), A, X, Y, N_B])
+# ground terms alone, so that many pairs are two ground terms, and mixed ones
+_shape_terms = st.one_of(
+    st.recursive(_ground_atoms, _mixed, max_leaves=5),
+    st.recursive(_shape_atoms, _mixed, max_leaves=5),
+)
+
+
+class TestShapeClash:
+    @pytest.mark.parametrize(
+        "s, t",
+        [
+            # two different ground terms, whatever their heads
+            (c, d),
+            (senc(c, sh(a, b)), senc(d, sh(a, b))),
+            (xor(c, d), xor(c, n_a)),
+            (xor(c, d), c),
+            (ZERO, xor(c, d)),
+            (ZERO, pk(a)),
+            (sh(a, b), sh(b, b)),
+            # two free-headed terms with different constructors at the root
+            (seq(c, X), penc(X, pk(a))),
+            (pk(A), senc(X, sh(a, b))),
+            (sh(A, b), c),
+            (const("k", Sort.KEY), pk(A)),
+        ],
+    )
+    def test_decided_pairs_have_no_unifier(self, s, t):
+        assert unify.shape_clash(s, t) and unify.shape_clash(t, s)
+        assert unify_sua(s, t) == ((), True) and unify_sua(t, s) == ((), True)
+
+    @pytest.mark.parametrize(
+        "s, t",
+        [
+            # equal terms unify by the identity
+            (c, c),
+            (senc(c, sh(a, b)), senc(c, sh(a, b))),
+            # a variable, an XOR or zero with a variable in the pair
+            (X, c),
+            (xor(X, c), d),
+            (ZERO, xor(X, c)),
+            (ZERO, seq(c, X)),
+            # the same constructor at the root with a variable below it
+            (seq(c, X), seq(d, Y)),
+            (pk(A), pk(a)),
+            (senc(X, sh(a, b)), senc(c, sh(a, b))),
+        ],
+    )
+    def test_other_pairs_are_left_to_the_unifier(self, s, t):
+        # (zero, seq(c, X)) and (seq(c, X), seq(d, Y)) have no unifier
+        # either: False decides nothing
+        assert not unify.shape_clash(s, t) and not unify.shape_clash(t, s)
+
+
+@given(_shape_terms, _shape_terms)
+@settings(max_examples=300, deadline=None)
+def test_shape_clash_agrees_with_the_unifier(s, t):
+    """Every pair the shape decides is one that ``unify_sua`` answers with
+    no unifier and a complete search, which the free walk rejects, and on
+    which the whole-equation search finds nothing either."""
+    clash = unify.shape_clash(s, t)
+    assert clash == unify.shape_clash(t, s)
+    if not clash:
+        return
+    assert unify_sua(s, t) == ((), True)
+    assert unify._free_split(s, t) == ([], True)
+    full = unfiltered(sua_problem((s, t)), max_configs=2000)
+    assert full is None or full[0] == ()
+
+
 # -- XOR summand pairing -------------------------------------------------------------
 
 
