@@ -207,16 +207,22 @@ def _cmd_analyze(args) -> int:
     return code
 
 
-def _trace_term(value, where: str) -> Term:
+def _trace_term(value, where: str, parsed: dict[str, Term]) -> Term:
+    """The term a trace writes as ``value``; ``parsed`` holds the terms
+    already read from the same trace, by text."""
     if not isinstance(value, str):
         raise XorsleuthError(f"{where} must be a term in text form, not {type(value).__name__}")
-    return from_text(value)
+    term = parsed.get(value)
+    if term is None:
+        term = parsed[value] = from_text(value)
+    return term
 
 
 def _load_trace(path: str) -> ConstraintSequence:
     """The constraints and substitution of a saved attack trace: a report of
     ``analyze --json``, its ``results`` or its ``attack`` object.  A trace of
-    any other shape is an input error."""
+    any other shape is an input error.  Each distinct term text is parsed
+    once, since a trace repeats its term sets from constraint to constraint."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     for key in ("results", "attack"):
@@ -226,22 +232,24 @@ def _load_trace(path: str) -> ConstraintSequence:
         raise XorsleuthError(f"{path}: no attack trace found in file")
     if not (isinstance(doc["constraints"], list) and doc["constraints"]):
         raise XorsleuthError(f"{path}: constraints must be a non-empty list")
+    parsed: dict[str, Term] = {}
     constraints = []
     for i, c in enumerate(doc["constraints"]):
         if not (isinstance(c, dict) and isinstance(c.get("term_set"), list)):
             raise XorsleuthError(f"{path}: constraint {i} must be an object with a term_set list")
-        target = _trace_term(c.get("target"), f"{path}: target of constraint {i}")
-        term_set = tuple(_trace_term(t, f"{path}: term set of constraint {i}") for t in c["term_set"])
+        target = _trace_term(c.get("target"), f"{path}: target of constraint {i}", parsed)
+        where = f"{path}: term set of constraint {i}"
+        term_set = tuple(_trace_term(t, where, parsed) for t in c["term_set"])
         constraints.append(Constraint(target, term_set))
     bindings = doc.get("substitution", {})
     if not isinstance(bindings, dict):
         raise XorsleuthError(f"{path}: substitution must be an object")
     subst = {}
     for v, t in bindings.items():
-        var = from_text(v)
+        var = _trace_term(v, f"{path}: substitution key", parsed)
         if not isinstance(var, Var):
             raise XorsleuthError(f"{path}: substitution binds {v}, which is not a variable")
-        subst[var] = _trace_term(t, f"{path}: binding of {v}")
+        subst[var] = _trace_term(t, f"{path}: binding of {v}", parsed)
     return ConstraintSequence(tuple(constraints), Substitution(subst))
 
 

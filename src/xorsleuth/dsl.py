@@ -37,8 +37,8 @@ from .terms import (
     XorsleuthError,
     SortError,
     Zero,
+    _normalize_node,
     children,
-    normalize,
 )
 
 _SORTS = {s.value: s for s in Sort}
@@ -66,10 +66,13 @@ class _Token(NamedTuple):
     col: int
 
 
-# One token at a time, blanks skipped: an identifier (``\w`` is exactly
-# ``str.isalnum()`` or ``_``), a punctuation mark, the start of a comment,
-# or any other non-blank character, which is an error.
-_TOKEN = re.compile(r"(\w+)|([(),:])|(#)|[^ \t\r]")
+# One scan of the whole text, blanks skipped by the search itself: an
+# identifier (``\w`` is exactly ``str.isalnum()`` or ``_``), a punctuation
+# mark, a line break, a comment (``.`` stops at a line break), or any other
+# non-blank character, which is an error.
+_TOKEN = re.compile(r"(\w+)|([(),:])|(\n)|(#.*)|[^ \t\r]")
+# builds a ``_Token`` from a tuple in C, without its Python-level ``__new__``
+_token = tuple.__new__
 
 
 def _lex(text: str) -> list[_Token]:
@@ -78,38 +81,61 @@ def _lex(text: str) -> list[_Token]:
     A comment runs to the end of its line, and ``eof`` after a comment on
     the last line takes the column of its ``#``."""
     toks: list[_Token] = []
-    line, end = 0, 0
-    for line, src in enumerate(text.split("\n"), 1):
-        end = len(src)
-        for m in _TOKEN.finditer(src):
-            group = m.lastindex
-            if group == 1:
-                toks.append(_Token("ident", m.group(), line, m.start() + 1))
-            elif group == 2:
-                ch = m.group()
-                toks.append(_Token(ch, ch, line, m.start() + 1))
-            elif group == 3:
-                end = m.start()
-                break
-            else:
-                raise ProtocolSyntaxError(f"unexpected character {m.group()!r}", line, m.start() + 1)
-    toks.append(_Token("eof", "", line, end + 1))
+    append = toks.append
+    # a column is a character's offset less that of the last line break
+    line, base = 1, -1
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            append(_token(_Token, ("ident", m.group(), line, m.start() - base)))
+        elif group == 2:
+            ch = m.group()
+            append(_token(_Token, (ch, ch, line, m.start() - base)))
+        elif group == 3:
+            line += 1
+            base = m.start()
+        elif group is None:
+            raise ProtocolSyntaxError(f"unexpected character {m.group()!r}", line, m.start() - base)
+        # group 4, a comment, makes no token
+    # no token holds a '#', so the last line's first one starts its comment
+    end = text.find("#", base + 1)
+    append(_token(_Token, ("eof", "", line, (len(text) if end < 0 else end) - base)))
     return toks
 
 
-# Raw syntax tree for terms: sorts of constants are resolved in a second
-# pass, after every occurrence has been seen.
-_Ast = tuple
+def _expected(t: _Token, what: str) -> ProtocolSyntaxError:
+    return ProtocolSyntaxError(f"expected {what}, found {t.value or 'end of file'!r}", t.line, t.col)
 
 
 class _Parser:
+    """One protocol's parse.  Declarations read tokens through ``peek``,
+    ``next`` and ``expect``; terms read them by index.
+
+    A term is parsed into ``ids``, which gives each distinct term of the
+    roles an id, its position in the dict: an atom is keyed by its name
+    (case tells a variable from a constant, and ``zero`` is neither), a
+    compound term by its constructor's name and its children's ids, which
+    come before it.  The sorts of constants are gathered as the terms are
+    parsed and settled after the whole file is, so a syntax error anywhere
+    is reported before a sort conflict; then each key is built once, in
+    id order, canonical as it is built."""
+
     def __init__(self, text: str):
         self.toks = _lex(text)
         self.pos = 0
         self.var_sorts: dict[str, Sort] = {}
+        self.ids: dict[str | tuple, int] = {}
+        # each annotated constant's first annotation, the first annotation
+        # that differs from it, and each constant's first pk/sh-argument
+        # occurrence, all in source order
+        self.annotated: dict[str, Sort] = {}
+        self.conflict: SortError | None = None
+        self.agent_at: dict[str, _Token] = {}
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        # only a token after an identifier is looked ahead at, so the index
+        # never passes ``eof``
+        return self.toks[self.pos + ahead]
 
     def next(self) -> _Token:
         t = self.toks[self.pos]
@@ -120,13 +146,13 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Token:
         t = self.next()
         if t.kind != kind:
-            raise ProtocolSyntaxError(f"expected {what}, found {t.value or 'end of file'!r}", t.line, t.col)
+            raise _expected(t, what)
         return t
 
     def expect_keyword(self, word: str) -> _Token:
         t = self.next()
         if t.kind != "ident" or t.value != word:
-            raise ProtocolSyntaxError(f"expected {word!r}, found {t.value or 'end of file'!r}", t.line, t.col)
+            raise _expected(t, repr(word))
         return t
 
     def at_keyword(self, *words: str) -> bool:
@@ -135,14 +161,18 @@ class _Parser:
 
     # -- declarations ------------------------------------------------------
 
-    def parse_sort(self) -> Sort:
-        t = self.expect("ident", "a sort name")
-        if t.value not in _SORTS:
+    def sort_at(self, i: int) -> Sort:
+        """The sort that token ``i`` names."""
+        t = self.toks[i]
+        if t.kind != "ident":
+            raise _expected(t, "a sort name")
+        sort = _SORTS.get(t.value)
+        if sort is None:
             raise ProtocolSyntaxError(
                 f"unknown sort {t.value!r} (expected one of {', '.join(sorted(_SORTS))})",
                 t.line, t.col,
             )
-        return _SORTS[t.value]
+        return sort
 
     def parse_vars_decl(self):
         self.expect_keyword("vars")
@@ -154,8 +184,9 @@ class _Parser:
                 raise ProtocolSyntaxError(
                     f"variable names start upper-case: {name!r}", name_tok.line, name_tok.col
                 )
-            self.expect(":", "':'")
-            sort = self.parse_sort()
+            self.next()  # the ':' the loop looked ahead at
+            sort = self.sort_at(self.pos)
+            self.pos += 1
             if name in self.var_sorts and self.var_sorts[name] is not sort:
                 raise SortError(
                     f"{name_tok.line}:{name_tok.col}: variable {name} redeclared "
@@ -182,39 +213,52 @@ class _Parser:
 
     # -- terms --------------------------------------------------------------
 
-    def parse_term(self) -> _Ast:
-        t = self.expect("ident", "a term")
-        name = t.value
-        if name == "zero":
-            return ("zero", t)
+    def parse_term(self, i: int, agent: bool = False) -> tuple[int, int]:
+        """The term whose first token is ``toks[i]``: its id in ``ids`` and
+        the index of the token after it.  ``agent`` marks a pk/sh argument."""
+        toks = self.toks
+        t = toks[i]
+        kind, name, line, col = t
+        if kind != "ident":
+            raise _expected(t, "a term")
+        ids = self.ids
+        # ``t`` is an identifier, so a token follows it
+        follow = toks[i + 1].kind
         ctor = CONSTRUCTOR_NAMED.get(name)
         if ctor is not None:
-            self.expect("(", "'('")
-            args = [self.parse_term()]
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.parse_term())
-            self.expect(")", "')'")
-            if ctor.arity is None and len(args) < 2:
-                raise ProtocolSyntaxError(f"{name} needs at least two arguments", t.line, t.col)
-            if ctor.arity not in (None, len(args)):
-                raise ProtocolSyntaxError(
-                    f"{name} takes exactly {ctor.arity} argument(s), got {len(args)}", t.line, t.col
-                )
-            return (name, t, tuple(args))
+            if follow != "(":
+                raise _expected(toks[i + 1], "'('")
+            in_agent = ctor.agent_args
+            kid, i = self.parse_term(i + 2, in_agent)
+            key = [name, kid]
+            while toks[i].kind == ",":
+                kid, i = self.parse_term(i + 1, in_agent)
+                key.append(kid)
+            if toks[i].kind != ")":
+                raise _expected(toks[i], "')'")
+            arity = len(key) - 1
+            if ctor.arity is None and arity < 2:
+                raise ProtocolSyntaxError(f"{name} needs at least two arguments", line, col)
+            if ctor.arity not in (None, arity):
+                raise ProtocolSyntaxError(f"{name} takes exactly {ctor.arity} argument(s), got {arity}", line, col)
+            return ids.setdefault(tuple(key), len(ids)), i + 1
+        if name == "zero":
+            return ids.setdefault(name, len(ids)), i + 1
         if name[0].isupper():
-            if self.peek().kind == ":":
-                raise ProtocolSyntaxError(
-                    f"variable sorts are declared in vars, not inline: {name!r}", t.line, t.col
-                )
+            if follow == ":":
+                raise ProtocolSyntaxError(f"variable sorts are declared in vars, not inline: {name!r}", line, col)
             if name not in self.var_sorts:
-                raise UndeclaredIdentifier(f"undeclared variable {name!r}", t.line, t.col)
-            return ("var", t)
-        annotation = None
-        if self.peek().kind == ":":
-            self.next()
-            annotation = self.parse_sort()
-        return ("const", t, annotation)
+                raise UndeclaredIdentifier(f"undeclared variable {name!r}", line, col)
+            return ids.setdefault(name, len(ids)), i + 1
+        if agent:
+            self.agent_at.setdefault(name, t)
+        if follow == ":":
+            sort = self.sort_at(i + 2)
+            first = self.annotated.setdefault(name, sort)
+            if first is not sort and self.conflict is None:
+                self.conflict = SortError(f"{line}:{col}: constant {name!r} annotated both {first.value} and {sort.value}")
+            i += 2
+        return ids.setdefault(name, len(ids)), i + 1
 
     # -- protocol ----------------------------------------------------------
 
@@ -232,7 +276,9 @@ class _Parser:
             else:
                 secret += self.parse_name_list("secret")
 
-        roles: list[tuple[str, list[tuple[str, _Ast]]]] = []
+        # per step: its sign, its term's id and first token, and the first
+        # id its parse gave out
+        roles: list[tuple[str, list[tuple[str, int, _Token, int]]]] = []
         seen_roles = set()
         while self.at_keyword("role"):
             self.next()
@@ -241,10 +287,12 @@ class _Parser:
                 raise DuplicateRole(f"role {rt.value!r} defined twice", rt.line, rt.col)
             seen_roles.add(rt.value)
             self.expect(":", "':'")
-            steps: list[tuple[str, _Ast]] = []
+            steps: list[tuple[str, int, _Token, int]] = []
             while self.at_keyword("send", "recv"):
-                sign = self.next().value
-                steps.append(("+" if sign == "send" else "-", self.parse_term()))
+                sign = "+" if self.next().value == "send" else "-"
+                first_id, tok = len(self.ids), self.toks[self.pos]
+                root, self.pos = self.parse_term(self.pos)
+                steps.append((sign, root, tok, first_id))
             if not steps:
                 t = self.peek()
                 raise ProtocolSyntaxError("role needs at least one send/recv step", t.line, t.col)
@@ -256,17 +304,10 @@ class _Parser:
         if t.kind != "eof":
             raise ProtocolSyntaxError(f"unexpected {t.value!r} after last role", t.line, t.col)
 
-        const_sorts = self._resolve_const_sorts(roles)
-        built_roles = []
-        for rn, steps in roles:
-            nodes = []
-            for sign, ast in steps:
-                try:
-                    nodes.append(Node(sign, normalize(self._build(ast, const_sorts))))
-                except SortError as e:
-                    tok = ast[1]
-                    raise SortError(f"{tok.line}:{tok.col}: {e}") from None
-            built_roles.append((rn, Strand(tuple(nodes))))
+        built = self._build(self._const_sorts(), [step for _, steps in roles for step in steps])
+        built_roles = [
+            (rn, Strand(tuple(Node(sign, built[root]) for sign, root, _, _ in steps))) for rn, steps in roles
+        ]
         fresh_vars = [Var(n, self.var_sorts[n]) for n in dict.fromkeys(fresh)]
         secret_vars = [Var(n, self.var_sorts[n]) for n in dict.fromkeys(secret)]
         try:
@@ -274,55 +315,45 @@ class _Parser:
         except ValueError as e:
             raise ProtocolSyntaxError(str(e), 1, 1) from None
 
-    def _resolve_const_sorts(self, roles) -> dict[str, Sort]:
-        annotated: dict[str, Sort] = {}
-        agent_position: set[str] = set()
-        # preorder, left to right, so the first conflicting annotation in
-        # source order is the one reported
-        stack: list[tuple[_Ast, bool]] = [
-            (ast, False) for _, steps in reversed(roles) for _, ast in reversed(steps)
-        ]
-        while stack:
-            ast, in_agent_pos = stack.pop()
-            head = ast[0]
-            if head == "const":
-                tok, ann = ast[1], ast[2]
-                if ann is not None:
-                    prev = annotated.get(tok.value)
-                    if prev is not None and prev is not ann:
-                        raise SortError(
-                            f"{tok.line}:{tok.col}: constant {tok.value!r} annotated "
-                            f"both {prev.value} and {ann.value}"
-                        )
-                    annotated[tok.value] = ann
-                if in_agent_pos:
-                    agent_position.add(tok.value)
-            elif head in CONSTRUCTOR_NAMED:
-                stack.extend((a, CONSTRUCTOR_NAMED[head].agent_args) for a in reversed(ast[2]))
-
-        out: dict[str, Sort] = {}
-        for name in agent_position:
-            ann = annotated.get(name)
+    def _const_sorts(self) -> dict[str, Sort]:
+        """The sort of every constant that is not Data: Agent when it is a
+        pk/sh argument, else its annotation.  Raises the first conflicting
+        annotation in source order; failing that, the constant whose first
+        pk/sh-argument occurrence comes first among those annotated other
+        than Agent, at that occurrence."""
+        if self.conflict is not None:
+            raise self.conflict
+        for name, tok in self.agent_at.items():
+            ann = self.annotated.get(name)
             if ann is not None and ann is not Sort.AGENT:
                 raise SortError(
-                    f"constant {name!r} is used as a pk/sh argument but annotated {ann.value}"
+                    f"{tok.line}:{tok.col}: constant {name!r} is used as a pk/sh argument but annotated {ann.value}"
                 )
-            out[name] = Sort.AGENT
-        for name, ann in annotated.items():
-            out.setdefault(name, ann)
-        return out
+        return {**self.annotated, **dict.fromkeys(self.agent_at, Sort.AGENT)}
 
-    def _build(self, ast: _Ast, const_sorts: dict[str, Sort]) -> Term:
-        head = ast[0]
-        if head == "zero":
-            return ZERO
-        if head == "var":
-            name = ast[1].value
-            return Var(name, self.var_sorts[name])
-        if head == "const":
-            name = ast[1].value
-            return Const(name, const_sorts.get(name, Sort.DATA))
-        return CONSTRUCTOR_NAMED[head].make(tuple(self._build(a, const_sorts) for a in ast[2]))
+    def _build(self, const_sorts: dict[str, Sort], steps: list[tuple[str, int, _Token, int]]) -> list[Term]:
+        """The term of each key of ``ids``, in id order, each node made
+        canonical from its canonical children.  A term that breaks the sort
+        discipline is reported at the first token of the step whose parse
+        gave it its id: ids follow the source, so the first term to fail
+        is the first a step-by-step build would meet."""
+        built: list[Term] = []
+        append = built.append
+        var_sorts = self.var_sorts
+        try:
+            for key in self.ids:
+                if type(key) is tuple:
+                    append(_normalize_node(CONSTRUCTOR_NAMED[key[0]].make(tuple(map(built.__getitem__, key[1:])))))
+                elif key == "zero":
+                    append(ZERO)
+                elif key[0].isupper():
+                    append(Var(key, var_sorts[key]))
+                else:
+                    append(Const(key, const_sorts.get(key, Sort.DATA)))
+        except SortError as e:
+            tok = next(tok for _, _, tok, first_id in reversed(steps) if first_id <= len(built))
+            raise SortError(f"{tok.line}:{tok.col}: {e}") from None
+        return built
 
 
 def parse_protocol(text: str) -> Protocol:

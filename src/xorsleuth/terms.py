@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import operator
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable
@@ -662,28 +663,31 @@ def from_text(text: str) -> Term:
     return normalize(term)
 
 
+# A whole atom, ``var(...)`` or ``const(...)`` (its text runs to the first
+# ``)``), or else the head of a term: everything before the next ``(``,
+# ``)`` or ``,``.
+_ATOM_OR_HEAD = re.compile(r"(var|const)\(([^)]*)\)|([^(),]*)")
+
+
 def _parse_term(s: str, pos: int) -> tuple[Term, int]:
-    head = ""
-    while pos < len(s) and s[pos] not in "(),":
-        head += s[pos]
-        pos += 1
+    m = _ATOM_OR_HEAD.match(s, pos)
+    head = m.group(3)
+    pos = m.end()
+    if head is None:
+        inner = m.group(2)
+        name, colon, sort_name = inner.rpartition(":")
+        if not colon or sort_name not in _SORT_BY_NAME or not name:
+            raise TermTextError(f"malformed atom {inner!r}")
+        cls = Var if m.group(1) == "var" else Const
+        return cls(name, _SORT_BY_NAME[sort_name]), pos
     if head == "zero":
         return ZERO, pos
     if pos >= len(s) or s[pos] != "(":
         raise TermTextError(f"expected '(' after {head!r} at offset {pos}")
-    pos += 1
     if head in ("var", "const"):
-        inner = ""
-        while pos < len(s) and s[pos] != ")":
-            inner += s[pos]
-            pos += 1
-        if pos >= len(s):
-            raise TermTextError("unterminated atom")
-        name, colon, sort_name = inner.rpartition(":")
-        if not colon or sort_name not in _SORT_BY_NAME or not name:
-            raise TermTextError(f"malformed atom {inner!r}")
-        cls = Var if head == "var" else Const
-        return cls(name, _SORT_BY_NAME[sort_name]), pos + 1
+        # an atom's text would have matched whole
+        raise TermTextError("unterminated atom")
+    pos += 1
     args: list[Term] = []
     while True:
         arg, pos = _parse_term(s, pos)

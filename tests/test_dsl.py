@@ -1,6 +1,11 @@
 """Protocol text format: parsing, sort inference, rendering, round-trips."""
 
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +20,18 @@ from xorsleuth.dsl import (
     parse_protocol_file,
     render_protocol,
 )
+from xorsleuth.protocol import Node, Protocol, Strand
 from xorsleuth.terms import (
+    CONSTRUCTOR_NAMED,
     CONSTRUCTORS,
+    ZERO,
     Const,
     Sort,
     SortError,
     TermTextError,
     Var,
     from_text,
+    is_constant_name,
     normalize,
     to_text,
 )
@@ -80,6 +89,23 @@ class TestParsing:
     def test_zero_keyword(self):
         p = parse_protocol("protocol x\nrole A:\n send xor(a, zero, zero)\n")
         assert to_text(p.node_terms()[0]) == "const(a:Data)"
+
+    def test_a_term_written_twice_is_one_object(self):
+        p = parse_protocol_file(FIXTURES / "q1.proto")
+        (_, a), (_, b) = p.roles
+        # A's send is B's receive, and A's receive B's send
+        assert a.nodes[0].term is b.nodes[0].term
+        assert a.nodes[1].term is b.nodes[1].term
+        # and the shared key is one object inside both
+        assert a.nodes[0].term.key is a.nodes[1].term.key
+
+    def test_terms_are_canonical_as_built(self):
+        p = parse_protocol("protocol x\nrole A:\n send seq(xor(b, a), sh(e, d), xor(a, xor(a, c)))\n")
+        t = p.node_terms()[0]
+        assert t._canon and all(c._canon for c in t.items)
+        assert to_text(t) == (
+            "seq(xor(const(a:Data),const(b:Data)),sh(const(d:Agent),const(e:Agent)),const(c:Data))"
+        )
 
 
 class TestErrors:
@@ -157,6 +183,35 @@ class TestErrors:
         except (ProtocolSyntaxError, SortError):
             pass
 
+    def test_sort_conflict_names_the_first_agent_position_not_the_first_annotation(self):
+        text = "protocol x\nrole A:\n send seq(bob:Tag, sh(alice, bob), pk(alice), alice:Nonce)\nrole B:\n recv pk(a:Key)\n"
+        with pytest.raises(SortError) as exc:
+            parse_protocol(text)
+        assert str(exc.value) == "3:23: constant 'alice' is used as a pk/sh argument but annotated Nonce"
+
+    def test_sort_conflict_does_not_depend_on_hash_order(self):
+        # the conflicts used to be read off a set of names, whose order
+        # follows the hash seed: 'alice' under seeds 0-5, 'bob' under 6-7
+        text = "protocol x\nrole A:\n send seq(pk(alice), pk(bob), alice:Nonce, bob:Tag)\n"
+        code = (
+            "import sys\n"
+            "from xorsleuth.dsl import parse_protocol\n"
+            "try:\n"
+            "    parse_protocol(sys.stdin.read())\n"
+            "except Exception as e:\n"
+            "    print(type(e).__name__, e)\n"
+        )
+        package_root = str(Path(dsl.__file__).resolve().parent.parent)
+        messages = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", code], input=text, capture_output=True, text=True, env=env, check=True
+            )
+            messages.add(proc.stdout.strip())
+        assert messages == {"SortError 3:14: constant 'alice' is used as a pk/sh argument but annotated Nonce"}
+
 
 def reference_lex(text):
     """The DSL lexer as a loop over characters, before it lexed each line
@@ -230,6 +285,335 @@ class TestLexer:
         for f in sorted(FIXTURES.glob("*.proto")):
             text = f.read_text(encoding="utf-8")
             assert lexed(dsl._lex, text) == lexed(reference_lex, text), f.name
+
+
+# -- the parser as it was: a syntax tree, then sorts, then terms ---------------
+
+
+class _RefToken(NamedTuple):
+    kind: str
+    value: str
+    line: int
+    col: int
+
+
+class _ReferenceParser:
+    """The DSL parser before terms were parsed by index and built shared:
+    a raw syntax tree with a token per node, a walk over it that resolves
+    the sorts of constants, then one term per occurrence, normalized per
+    step.  A pk/sh argument whose constant is annotated other than Agent
+    is reported at its first such occurrence, constants in source order."""
+
+    def __init__(self, text):
+        self.toks = [_RefToken(*t) for t in reference_lex(text)]
+        self.pos = 0
+        self.var_sorts = {}
+
+    def peek(self, ahead=0):
+        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+
+    def next(self):
+        t = self.toks[self.pos]
+        if t.kind != "eof":
+            self.pos += 1
+        return t
+
+    def expect(self, kind, what):
+        t = self.next()
+        if t.kind != kind:
+            raise ProtocolSyntaxError(f"expected {what}, found {t.value or 'end of file'!r}", t.line, t.col)
+        return t
+
+    def expect_keyword(self, word):
+        t = self.next()
+        if t.kind != "ident" or t.value != word:
+            raise ProtocolSyntaxError(f"expected {word!r}, found {t.value or 'end of file'!r}", t.line, t.col)
+        return t
+
+    def at_keyword(self, *words):
+        t = self.peek()
+        return t.kind == "ident" and t.value in words
+
+    def parse_sort(self):
+        t = self.expect("ident", "a sort name")
+        sorts = {s.value: s for s in Sort}
+        if t.value not in sorts:
+            raise ProtocolSyntaxError(
+                f"unknown sort {t.value!r} (expected one of {', '.join(sorted(sorts))})", t.line, t.col
+            )
+        return sorts[t.value]
+
+    def parse_vars_decl(self):
+        self.expect_keyword("vars")
+        pairs = 0
+        while self.peek().kind == "ident" and self.peek(1).kind == ":":
+            name_tok = self.next()
+            name = name_tok.value
+            if not name[0].isupper():
+                raise ProtocolSyntaxError(f"variable names start upper-case: {name!r}", name_tok.line, name_tok.col)
+            self.expect(":", "':'")
+            sort = self.parse_sort()
+            if name in self.var_sorts and self.var_sorts[name] is not sort:
+                raise SortError(
+                    f"{name_tok.line}:{name_tok.col}: variable {name} redeclared "
+                    f"with sort {sort.value}, was {self.var_sorts[name].value}"
+                )
+            self.var_sorts[name] = sort
+            pairs += 1
+        if pairs == 0:
+            t = self.peek()
+            raise ProtocolSyntaxError("vars needs at least one NAME:Sort pair", t.line, t.col)
+
+    def parse_name_list(self, decl):
+        self.expect_keyword(decl)
+        names = []
+        while self.peek().kind == "ident" and self.peek().value[0].isupper():
+            t = self.next()
+            if t.value not in self.var_sorts:
+                raise UndeclaredIdentifier(f"{decl} lists undeclared variable {t.value!r}", t.line, t.col)
+            names.append(t.value)
+        if not names:
+            t = self.peek()
+            raise ProtocolSyntaxError(f"{decl} needs at least one variable name", t.line, t.col)
+        return names
+
+    def parse_term(self):
+        t = self.expect("ident", "a term")
+        name = t.value
+        if name == "zero":
+            return ("zero", t)
+        ctor = CONSTRUCTOR_NAMED.get(name)
+        if ctor is not None:
+            self.expect("(", "'('")
+            args = [self.parse_term()]
+            while self.peek().kind == ",":
+                self.next()
+                args.append(self.parse_term())
+            self.expect(")", "')'")
+            if ctor.arity is None and len(args) < 2:
+                raise ProtocolSyntaxError(f"{name} needs at least two arguments", t.line, t.col)
+            if ctor.arity not in (None, len(args)):
+                raise ProtocolSyntaxError(f"{name} takes exactly {ctor.arity} argument(s), got {len(args)}", t.line, t.col)
+            return (name, t, tuple(args))
+        if name[0].isupper():
+            if self.peek().kind == ":":
+                raise ProtocolSyntaxError(f"variable sorts are declared in vars, not inline: {name!r}", t.line, t.col)
+            if name not in self.var_sorts:
+                raise UndeclaredIdentifier(f"undeclared variable {name!r}", t.line, t.col)
+            return ("var", t)
+        annotation = None
+        if self.peek().kind == ":":
+            self.next()
+            annotation = self.parse_sort()
+        return ("const", t, annotation)
+
+    def parse_protocol(self):
+        self.expect_keyword("protocol")
+        name = self.expect("ident", "a protocol name").value
+        fresh, secret = [], []
+        while self.at_keyword("vars", "fresh", "secret"):
+            word = self.peek().value
+            if word == "vars":
+                self.parse_vars_decl()
+            elif word == "fresh":
+                fresh += self.parse_name_list("fresh")
+            else:
+                secret += self.parse_name_list("secret")
+        roles, seen_roles = [], set()
+        while self.at_keyword("role"):
+            self.next()
+            rt = self.expect("ident", "a role name")
+            if rt.value in seen_roles:
+                raise DuplicateRole(f"role {rt.value!r} defined twice", rt.line, rt.col)
+            seen_roles.add(rt.value)
+            self.expect(":", "':'")
+            steps = []
+            while self.at_keyword("send", "recv"):
+                sign = self.next().value
+                steps.append(("+" if sign == "send" else "-", self.parse_term()))
+            if not steps:
+                t = self.peek()
+                raise ProtocolSyntaxError("role needs at least one send/recv step", t.line, t.col)
+            roles.append((rt.value, steps))
+        if not roles:
+            t = self.peek()
+            raise ProtocolSyntaxError("protocol needs at least one role", t.line, t.col)
+        t = self.peek()
+        if t.kind != "eof":
+            raise ProtocolSyntaxError(f"unexpected {t.value!r} after last role", t.line, t.col)
+
+        const_sorts = self._resolve_const_sorts(roles)
+        built_roles = []
+        for rn, steps in roles:
+            nodes = []
+            for sign, ast in steps:
+                try:
+                    nodes.append(Node(sign, normalize(self._build(ast, const_sorts))))
+                except SortError as e:
+                    tok = ast[1]
+                    raise SortError(f"{tok.line}:{tok.col}: {e}") from None
+            built_roles.append((rn, Strand(tuple(nodes))))
+        fresh_vars = [Var(n, self.var_sorts[n]) for n in dict.fromkeys(fresh)]
+        secret_vars = [Var(n, self.var_sorts[n]) for n in dict.fromkeys(secret)]
+        try:
+            return Protocol.make(name, built_roles, fresh_vars, secret_vars)
+        except ValueError as e:
+            raise ProtocolSyntaxError(str(e), 1, 1) from None
+
+    def _resolve_const_sorts(self, roles):
+        annotated = {}
+        agent_position = {}  # name -> its first pk/sh-argument token, in preorder
+        stack = [(ast, False) for _, steps in reversed(roles) for _, ast in reversed(steps)]
+        while stack:
+            ast, in_agent_pos = stack.pop()
+            head = ast[0]
+            if head == "const":
+                tok, ann = ast[1], ast[2]
+                if ann is not None:
+                    prev = annotated.get(tok.value)
+                    if prev is not None and prev is not ann:
+                        raise SortError(
+                            f"{tok.line}:{tok.col}: constant {tok.value!r} annotated both {prev.value} and {ann.value}"
+                        )
+                    annotated[tok.value] = ann
+                if in_agent_pos:
+                    agent_position.setdefault(tok.value, tok)
+            elif head in CONSTRUCTOR_NAMED:
+                stack.extend((a, CONSTRUCTOR_NAMED[head].agent_args) for a in reversed(ast[2]))
+        out = {}
+        for name, tok in agent_position.items():
+            ann = annotated.get(name)
+            if ann is not None and ann is not Sort.AGENT:
+                raise SortError(
+                    f"{tok.line}:{tok.col}: constant {name!r} is used as a pk/sh argument but annotated {ann.value}"
+                )
+            out[name] = Sort.AGENT
+        for name, ann in annotated.items():
+            out.setdefault(name, ann)
+        return out
+
+    def _build(self, ast, const_sorts):
+        head = ast[0]
+        if head == "zero":
+            return ZERO
+        if head == "var":
+            name = ast[1].value
+            return Var(name, self.var_sorts[name])
+        if head == "const":
+            name = ast[1].value
+            return Const(name, const_sorts.get(name, Sort.DATA))
+        return CONSTRUCTOR_NAMED[head].make(tuple(self._build(a, const_sorts) for a in ast[2]))
+
+
+def reference_parse(text):
+    return _ReferenceParser(text).parse_protocol()
+
+
+def parsed(parse, text):
+    """The protocol ``text`` parses to, or the type and text of the error."""
+    try:
+        return parse(text)
+    except (ProtocolSyntaxError, SortError) as e:
+        return type(e), str(e)
+
+
+_FIXTURE_TEXTS = {f.name: f.read_text(encoding="utf-8") for f in sorted(FIXTURES.glob("*.proto"))}
+# a token's text and where it starts, comments skipped
+_TOKEN_SPANS = re.compile(r"#.*|(\w+|[(),:])")
+_SORT_NAMES = sorted(s.value for s in Sort) + ["Widget"]
+
+
+_KEYWORDS = {"protocol", "vars", "fresh", "secret", "role", "send", "recv"}
+
+
+@st.composite
+def edited_fixtures(draw):
+    """A fixture's text with one drawn edit: a token deleted, duplicated,
+    or swapped with the next, or a constant's annotation changed, added or
+    removed."""
+    text = _FIXTURE_TEXTS[draw(st.sampled_from(sorted(_FIXTURE_TEXTS)))]
+    spans = [m.span(1) for m in _TOKEN_SPANS.finditer(text) if m.group(1)]
+    constants = [
+        k for k, (s, e) in enumerate(spans[2:-2], 2) if is_constant_name(text[s:e]) and text[s:e] not in _KEYWORDS
+    ]
+    edit = draw(st.sampled_from(["delete", "duplicate", "swap", "annotate", "annotate"]))
+    if edit == "annotate" and constants:
+        k = draw(st.sampled_from(constants))
+        s, e = spans[k]
+        sort = draw(st.sampled_from(_SORT_NAMES + [""]))
+        if text[slice(*spans[k + 1])] == ":":
+            # change the sort after the ':', or drop the annotation
+            return text[:e] + (f":{sort}" if sort else "") + text[spans[k + 2][1]:]
+        return text[:e] + f":{sort or 'Data'}" + text[e:]
+    k = draw(st.integers(0, len(spans) - 2))
+    (s, e), (s2, e2) = spans[k], spans[k + 1]
+    if edit == "delete":
+        return text[:s] + text[e:]
+    if edit == "duplicate":
+        return text[:e] + " " + text[s:e] + text[e:]
+    return text[:s] + text[s2:e2] + text[e:s2] + text[s:e] + text[e2:]
+
+
+class TestAgainstReferenceParser:
+    """The one-scan parser against the parser it replaced: an equal
+    protocol, or an error of the same type with the same text."""
+
+    def test_fixtures(self):
+        for name, text in _FIXTURE_TEXTS.items():
+            p = parse_protocol(text)
+            assert p == reference_parse(text), name
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_blobs(self, blob):
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        assert parsed(parse_protocol, text) == parsed(reference_parse, text)
+
+    @given(edited_fixtures())
+    @settings(max_examples=600, deadline=None)
+    def test_edited_fixtures(self, text):
+        assert parsed(parse_protocol, text) == parsed(reference_parse, text)
+
+    @given(st.lists(edited_fixtures(), min_size=2, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_roles_of_edited_fixtures_together(self, texts):
+        # the roles of several fixtures in one file, under their variable
+        # declarations: terms shared across fixtures, and sort conflicts
+        # between them
+        decls, roles = ["protocol x"], []
+        for k, t in enumerate(texts):
+            head, _, body = t.partition("\nrole ")
+            decls += [line for line in head.split("\n") if line.startswith("vars ")]
+            roles.append(re.sub(r"^role (\w+)", rf"role r{k}_\1", "role " + body, flags=re.M))
+        text = "\n".join(decls + roles)
+        assert parsed(parse_protocol, text) == parsed(reference_parse, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a sort conflict, then a syntax error: the syntax error wins
+            "protocol x\nrole A:\n send seq(k:Key, k:Tag)\n send pk(\n",
+            "protocol x\nrole A:\n send pk(a:Key)\nrole B:\n recv b c\n",
+            "protocol x\nrole A:\n send pk(a:Key)\n send pk(N)\n",
+            # a sort conflict, then a term that breaks the sort discipline
+            "protocol x\nvars N:Nonce\nrole A:\n send seq(k:Key, k:Tag)\n send pk(N)\n",
+            # terms that break it, shared and not
+            "protocol x\nvars N:Nonce\nrole A:\n send seq(a, pk(N))\n send sh(a, seq(a, b))\n",
+            "protocol x\nvars N:Nonce\nrole A:\n send a\n send seq(b, pk(N))\nrole B:\n recv pk(N)\n",
+            "protocol x\nvars N:Nonce\nrole A:\n send seq(a, b)\n send seq(a, b)\n send pk(zero)\n",
+            "protocol x\nvars N:Nonce\nrole A:\n send seq(N, b)\n recv pk(N)\n",
+            # two conflicts of each kind
+            "protocol x\nrole A:\n send seq(k:Key, j:Tag, k:Tag, j:Key)\n",
+            "protocol x\nrole A:\n send seq(pk(b), sh(a, c), c:Key, a:Tag, b:Data)\n",
+        ],
+    )
+    def test_error_precedence(self, text):
+        got = parsed(parse_protocol, text)
+        assert not isinstance(got, Protocol)
+        assert got == parsed(reference_parse, text)
 
 
 class TestRoundTrip:

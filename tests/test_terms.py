@@ -223,6 +223,52 @@ class TestTextForm:
             with pytest.raises((TermTextError, SortError)):
                 from_text(bad)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("", "expected '(' after '' at offset 0"),
+            ("var(X)", "malformed atom 'X'"),
+            ("seq()", "expected '(' after '' at offset 4"),
+            ("pk(const(a:Agent)", "unterminated term"),
+            ("frob(zero)", "unknown constructor 'frob' with 1 arguments"),
+            ("zero,zero", "trailing input at offset 4: ',zero'"),
+            ("const(a:Agent", "unterminated atom"),
+            ("var,zero", "expected '(' after 'var' at offset 3"),
+            ("seq(zero;zero)", "expected '(' after 'zero;zero' at offset 13"),
+            ("seq(zero,zero(", "unexpected character '(' at offset 13"),
+            ("const(:Data)", "malformed atom ':Data'"),
+            ("var(a:Widget)", "malformed atom 'a:Widget'"),
+        ],
+    )
+    def test_garbage_messages(self, bad, message):
+        with pytest.raises(TermTextError) as exc:
+            from_text(bad)
+        assert str(exc.value) == message
+
+    def test_atom_text_runs_to_the_first_paren_and_its_sort_follows_the_last_colon(self):
+        assert from_text("const(a:b(c,d:Data)") == Const("a:b(c,d", Sort.DATA)
+        assert from_text("seq(var(x:y:Key),zero)") == seq(Var("x:y", Sort.KEY), ZERO)
+
+    @given(
+        st.one_of(
+            st.text(max_size=40),
+            st.lists(
+                st.sampled_from(
+                    ["var(", "const(", "seq(", "xor(", "pk(", "sh(", "senc(", "penc(", "zero", ",", ")", "(",
+                     ":", "Agent", "Nonce", "Data", "a", "X", "var", "frob(", " ", "a:Agent)", "X:Nonce)"]
+                ),
+                max_size=16,
+            ).map("".join),
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_arbitrary_text_raises_only_text_or_sort_errors(self, text):
+        try:
+            t = from_text(text)
+        except (TermTextError, SortError):
+            return
+        assert from_text(to_text(t)) == t
+
 
 # -- independent ACUN oracle: closure under the four identities -----------------
 #
