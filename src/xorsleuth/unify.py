@@ -383,6 +383,11 @@ def is_instance_of(special: Substitution, general: Substitution, over: Iterable[
     return next(_std_solutions([Equation(p, freeze.apply(t)) for p, t in pairs]), None) is not None
 
 
+def _unifier_key(s: Substitution) -> tuple:
+    """The canonical order of unifiers: by their bindings, in term order."""
+    return tuple((term_key(v), term_key(t)) for v, t in s.items())
+
+
 def _prune_to_most_general(cands: list[Substitution]) -> tuple[Substitution, ...]:
     if len(cands) <= 1:
         return tuple(cands)
@@ -393,7 +398,7 @@ def _prune_to_most_general(cands: list[Substitution]) -> tuple[Substitution, ...
     for s in cands:
         if s not in uniq:
             uniq.append(s)
-    uniq.sort(key=lambda s: tuple((term_key(v), term_key(t)) for v, t in s.items()))
+    uniq.sort(key=_unifier_key)
     # keep s unless another candidate is strictly more general, or an
     # equivalent one (mutual instances, i.e. a renaming) was already kept
     kept: list[Substitution] = []
@@ -767,7 +772,7 @@ def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], B
         return trace.unifiers, trace
     orig_vars = vars_of_all(t for e in orig for t in (e.left, e.right))
 
-    def validated(cands: Iterable[Substitution]) -> tuple[Substitution, ...]:
+    def validated(cands: Iterable[Substitution]) -> list[Substitution]:
         good = []
         for s in cands:
             s = s.restrict(orig_vars)
@@ -777,8 +782,7 @@ def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], B
                 s = rename_new_vars(s, orig_vars, {v.name for v in orig_vars})
                 if s not in good:
                     good.append(s)
-        good.sort(key=lambda s: tuple((term_key(v), term_key(t)) for v, t in s.items()))
-        return tuple(good)
+        return good
 
     found: list[Substitution] = []
     free: list[Substitution] = []
@@ -797,7 +801,7 @@ def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], B
 
     trace.configs_tried = configs
     trace.complete = complete
-    found.sort(key=lambda s: tuple((term_key(v), term_key(t)) for v, t in s.items()))
+    found.sort(key=_unifier_key)
     trace.unifiers = tuple(found)
     return trace.unifiers, trace
 
@@ -811,15 +815,18 @@ def _combination(
 ) -> tuple[int, bool]:
     """The Baader–Schulz combination search on one mixed system.
 
-    The system is purified; identifications are enumerated over the
-    variables of XOR equations (identity partition first), single-theory
+    The system is purified, and the identifications of the variables of
+    its XOR equations are drawn one at a time, identity partition first;
+    over ``_IDENTIFICATION_LIMIT`` such variables, only the identity
+    partition is tried and the search is not complete.  Single-theory
     variables are assigned their forced component, and for each
     configuration the two pure systems are solved and each pair of their
     unifiers is recombined: merged, composed with the identification and
-    closed.  Each recombined unifier that ``validated`` keeps is added to ``found``; until
-    ``found`` holds one, ``trace`` takes this system's purified equations,
-    and the stages of its first success.  Returns the configurations tried
-    (at most ``max_configs``) and whether the search completed.
+    closed.  Each recombined unifier that ``validated`` keeps is added to
+    ``found``; until ``found`` holds one, ``trace`` takes this system's
+    purified equations, and the stages of its first success.  Returns the
+    configurations tried (at most ``max_configs``) and whether the search
+    completed; one cut by that budget did not.
     """
     pure = purify(UnificationProblem(system))
     gamma2 = pure.equations
@@ -830,23 +837,12 @@ def _combination(
     acun_vars = sorted(
         vars_of_all(t for e in gamma2 if e.theory is Theory.ACUN for t in (e.left, e.right)), key=term_key
     )
-    complete = True
-    try:
-        partitions: Iterable[Partition] = list(
-            enumerate_identifications(acun_vars)
-        )
-    except PartitionSpaceExceeded:
-        partitions = [tuple((v,) for v in acun_vars)]
-        complete = False
-
+    complete = len(acun_vars) <= _IDENTIFICATION_LIMIT
+    partitions = enumerate_identifications(acun_vars) if complete else [tuple((v,) for v in acun_vars)]
     taken = {u.name for e in gamma2 for u in subterms(e.left) | subterms(e.right) if isinstance(u, Const)}
-    failed_pure: set[tuple] = set()
     configs = 0
-    stop = False
 
     for partition in partitions:
-        if stop:
-            break
         ident = partition_to_subst(partition)
         if ident is None:
             continue
@@ -859,37 +855,22 @@ def _combination(
 
         for to_v2 in _subsets_by_size(shared):
             if configs >= max_configs:
-                complete = False
-                stop = True
-                break
+                return configs, False
             configs += 1
             v1 = sorted((std_vars - acun_now) | (set(shared) - to_v2), key=term_key)
             v2 = sorted((acun_now - std_vars) | to_v2, key=term_key)
-            beta_bindings: dict[Var, Term] = {}
+            # each variable solved in the other theory is a fresh constant there
             names = _fresh_names(GROUNDING_PREFIX, taken)
-            for v in sorted(set(v1) & acun_now, key=term_key):
-                beta_bindings[v] = Const(next(names), v.sort)
-            for v in sorted(set(v2) & std_vars, key=term_key):
-                beta_bindings[v] = Const(next(names), v.sort)
-            beta = Substitution(beta_bindings)
+            grounded = sorted(set(v1) & acun_now, key=term_key) + sorted(set(v2) & std_vars, key=term_key)
+            beta = Substitution({v: Const(next(names), v.sort) for v in grounded})
             g51 = _apply_to_eqs(beta.restrict(v2), g41)
             g52 = _apply_to_eqs(beta.restrict(v1), g42)
 
-            sig = (g51, g52)
-            if sig in failed_pure:
-                continue
             sigma2s = unify_acun(g52)
             if not sigma2s:
-                failed_pure.add(sig)
                 continue
-            sigma1s = unify_std(g51)
-            if not sigma1s:
-                failed_pure.add(sig)
-                continue
-
             unground = _invert_grounding(beta)
-            produced = False
-            for sigma1 in sigma1s:
+            for sigma1 in unify_std(g51):
                 for sigma2 in sigma2s:
                     # σ1 binds only V1 variables and σ2 only V2 ones
                     merged = Substitution({v: unground(t) for v, t in (*sigma1.items(), *sigma2.items())})
@@ -900,7 +881,6 @@ def _combination(
                         # non-agent value into a pk/sh position: no unifier
                         continue
                     for cand in validated([full]):
-                        produced = True
                         if not found:
                             trace.var_idp = partition
                             trace.gamma3 = gamma3
@@ -915,8 +895,6 @@ def _combination(
                             trace.sigma2 = sigma2
                         if cand not in found:
                             found.append(cand)
-            if not produced:
-                failed_pure.add(sig)
 
     return configs, complete
 

@@ -326,6 +326,38 @@ class TestBsca:
         unifiers, trace = bsca_unify(sua_problem((lhs, rhs)))
         assert unifiers == () and not trace.complete
 
+    def test_identifications_are_drawn_lazily(self, monkeypatch):
+        # ten XOR variables, X0..X8 and the abstraction of seq(a, Y), have
+        # Bell(10) = 115,975 identifications; the budget reaches a few
+        drawn = [0]
+        every = unify.enumerate_identifications
+
+        def counting(variables):
+            for partition in every(variables):
+                drawn[0] += 1
+                yield partition
+
+        monkeypatch.setattr(unify, "_MAX_CONFIGS", 50)
+        monkeypatch.setattr(unify, "enumerate_identifications", counting)
+        xs = [var(f"X{i}", Sort.DATA) for i in range(9)]
+        _, trace = bsca_unify(sua_problem((xor(*xs, seq(a, Y)), c)))
+        assert (trace.configs_tried, trace.complete) == (50, False)
+        assert 0 < drawn[0] <= trace.configs_tried
+
+    def test_identification_limit_tries_the_identity_partition_only(self):
+        # thirteen XOR variables, X0..X11 and the abstraction of seq(a, Y):
+        # over the limit, so only the identity partition is tried, in its
+        # two configurations (the abstraction variable solved in either
+        # theory), and the search is not complete
+        xs = [var(f"X{i}", Sort.DATA) for i in range(12)]
+        lhs = xor(*xs, seq(a, Y))
+        unifiers, trace = bsca_unify(sua_problem((lhs, c)))
+        assert len(xs) + 1 > unify._IDENTIFICATION_LIMIT
+        assert (trace.configs_tried, trace.complete) == (2, False)
+        assert unifiers and all(len(block) == 1 for block in trace.var_idp)
+        for sigma in unifiers:
+            assert equal_mod(Theory.SUA, sigma.apply(lhs), c)
+
     def test_agent_variable_never_bound_to_xor(self):
         unifiers, _ = bsca_unify(sua_problem((A, xor(c, d))))
         assert unifiers == ()
@@ -1070,13 +1102,14 @@ def _has(problem_or_system, heads) -> bool:
 
 
 def whole_problem_route(problem):
-    """The unifiers of the dispatch that solved a pure problem whole:
+    """The unifiers of the dispatch that solved a pure problem whole, once
+    pairs of equal terms are dropped, as the split drops them:
     ``unify_std`` of an XOR-free problem and ``unify_acun`` of one without
     free constructors, and for a mixed problem whose split leaves only free
     systems, every system's ``unify_std`` unifiers, not pruned against each
     other.  Well-sorted unifiers only, in canonical order, and whether the
     problem was solved whole; ``None`` for any other problem."""
-    eqs = [e.normalized() for e in problem.equations]
+    eqs = [e for e in (e.normalized() for e in problem.equations) if e.left != e.right]
     if not _has(eqs, (Xor, Zero)):
         found, whole = unify_std(eqs), True
     elif not _has(eqs, (Seq, PEnc, SEnc, Pk, Sh)):
@@ -1144,6 +1177,9 @@ def _problems(sides):
 # unifier unlike the free solver: {X ↦ Y, Z ↦ Y} against {X ↦ Z, Y ↦ Z}
 @example(sua_problem((seq(X, X, X), seq(Y, Z, Y))))
 @example(sua_problem((seq(sh(A, a), xor(tagged(X), tagged(c))), seq(sh(a, B), xor(tagged(c), tagged(Y))))))
+# once zero =? zero is dropped the problem is XOR-free: solved whole as an
+# XOR problem instead, it named the unifier {N_B ↦ X}, not {X ↦ N_B}
+@example(sua_problem((ZERO, ZERO), (X, N_B)))
 def test_one_route_agrees_with_the_whole_problem_route(problem):
     """Splitting every problem and solving each system in its theory gives
     what solving a pure problem whole gave, and on a mixed problem that
