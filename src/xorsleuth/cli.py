@@ -412,9 +412,11 @@ def run_command(argv: Sequence[str]) -> int:
             args, more = separated, []
     if extras or more:
         _top_parser().error(f"unrecognized arguments: {' '.join([*extras, *more])}")
+    # input errors only: a KeyError or ValueError from inside a layer is a
+    # fault of the program, not of its input, and keeps its traceback
     try:
         return _COMMANDS[name].run(args)
-    except (XorsleuthError, OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (XorsleuthError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -311,7 +311,7 @@ class _Parser:
         fresh_vars = [Var(n, self.var_sorts[n]) for n in dict.fromkeys(fresh)]
         secret_vars = [Var(n, self.var_sorts[n]) for n in dict.fromkeys(secret)]
         try:
-            return Protocol.make(name, built_roles, fresh_vars, secret_vars)
+            return Protocol(name, built_roles, fresh_vars, secret_vars)
         except ValueError as e:
             raise ProtocolSyntaxError(str(e), 1, 1) from None
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 from .terms import (
     ZERO,
@@ -35,7 +35,6 @@ from .terms import (
     Zero,
     interms,
     is_constant_name,
-    is_interm,
     map_term,
     normalize,
     subterms,
@@ -63,12 +62,16 @@ class LabelCollision(XorsleuthError):
 
 @dataclass(frozen=True)
 class Node:
+    """A signed message; the term is held in canonical form, which on an
+    already canonical term costs one field read (see ``normalize``)."""
+
     sign: str  # SEND or RECV
     term: Term
 
     def __post_init__(self):
         if self.sign not in (SEND, RECV):
             raise ValueError(f"node sign must be '+' or '-', got {self.sign!r}")
+        object.__setattr__(self, "term", normalize(self.term))
 
 
 @dataclass(frozen=True)
@@ -78,41 +81,42 @@ class Strand:
     def terms(self) -> tuple[Term, ...]:
         return tuple(n.term for n in self.nodes)
 
+    def map(self, f: Callable[[Term], Term]) -> "Strand":
+        """The strand with ``f`` applied to every node's term, signs kept."""
+        return Strand(tuple(Node(n.sign, f(n.term)) for n in self.nodes))
+
 
 @dataclass(frozen=True)
 class Protocol:
+    """Named roles and the declared fresh and secret variables.  The
+    constructor takes the roles as any sequence of ``(name, strand)`` pairs
+    and the variables as any iterables, and rejects a duplicate role name, a
+    secret variable that is not fresh and a declared variable that no role
+    uses, with a `ValueError`."""
+
     name: str
     roles: tuple[tuple[str, Strand], ...]
-    fresh_vars: frozenset[Var]
-    secret_vars: frozenset[Var]
+    fresh_vars: frozenset[Var] = frozenset()
+    secret_vars: frozenset[Var] = frozenset()
 
-    @staticmethod
-    def make(
-        name: str,
-        roles: Sequence[tuple[str, Strand]],
-        fresh_vars: Iterable[Var] = (),
-        secret_vars: Iterable[Var] = (),
-    ) -> "Protocol":
-        roles = tuple(
-            (rn, Strand(tuple(Node(n.sign, normalize(n.term)) for n in strand.nodes)))
-            for rn, strand in roles
-        )
+    def __post_init__(self):
+        fresh, secret = frozenset(self.fresh_vars), frozenset(self.secret_vars)
+        init = object.__setattr__
+        init(self, "roles", tuple(self.roles))
+        init(self, "fresh_vars", fresh)
+        init(self, "secret_vars", secret)
         seen = set()
-        for rn, _ in roles:
+        for rn, _ in self.roles:
             if rn in seen:
                 raise ValueError(f"duplicate role {rn!r}")
             seen.add(rn)
-        fresh = frozenset(fresh_vars)
-        secret = frozenset(secret_vars)
         if not secret <= fresh:
             extra = ", ".join(sorted(v.name for v in secret - fresh))
             raise ValueError(f"secret variables must be fresh: {extra}")
-        declared = Protocol(name, roles, fresh, secret)
-        missing = (fresh | secret) - declared.variables()
+        missing = fresh - self.variables()
         if missing:
             names = ", ".join(sorted(v.name for v in missing))
             raise ValueError(f"declared variables never used: {names}")
-        return declared
 
     def node_terms(self) -> tuple[Term, ...]:
         return tuple(t for _, strand in self.roles for t in strand.terms())
@@ -140,15 +144,11 @@ def rename_apart(p: Protocol) -> Protocol:
     """Rename every variable of the protocol with a prime: ``NA`` becomes ``NA'``."""
     ren = {v: Var(v.name + "'", v.sort) for v in p.variables()}
     s = Substitution(ren)
-    roles = tuple(
-        (rn, Strand(tuple(Node(n.sign, s.apply(n.term)) for n in strand.nodes)))
-        for rn, strand in p.roles
-    )
     return Protocol(
         p.name,
-        roles,
-        frozenset(ren.get(v, v) for v in p.fresh_vars),
-        frozenset(ren.get(v, v) for v in p.secret_vars),
+        tuple((rn, strand.map(s.apply)) for rn, strand in p.roles),
+        (ren.get(v, v) for v in p.fresh_vars),
+        (ren.get(v, v) for v in p.secret_vars),
     )
 
 
@@ -241,7 +241,7 @@ def make_semibundle(
                     bindings[v] = Var(f"{v.name}{k}", v.sort)
             s = Substitution(bindings)
             ids.append(f"{p.name}.{role_name}#{i}")
-            strands.append(Strand(tuple(Node(n.sign, s.apply(n.term)) for n in role_strand.nodes)))
+            strands.append(role_strand.map(s.apply))
             insts.append((role_name, s))
 
     return SemiBundle(
@@ -257,15 +257,7 @@ def make_semibundle(
 # -- initial attacker knowledge ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Iik:
-    terms: frozenset[Term]
-
-    def sorted_terms(self) -> tuple[Term, ...]:
-        return tuple(sorted(self.terms, key=term_key))
-
-
-def build_iik(bundles: Sequence[SemiBundle]) -> Iik:
+def build_iik(bundles: Sequence[SemiBundle]) -> frozenset[Term]:
     """Initial attacker knowledge for a set of bundles.
 
     The attacker starts with its own name, zero, every agent constant in
@@ -290,7 +282,7 @@ def build_iik(bundles: Sequence[SemiBundle]) -> Iik:
     if leaked:
         raise SecretInIik(f"secret constants in initial knowledge: "
                           f"{', '.join(to_text(t) for t in leaked)}")
-    return Iik(frozenset(out))
+    return frozenset(out)
 
 
 # -- structural assumptions ---------------------------------------------------------
@@ -340,30 +332,20 @@ def check_assumptions(p: Protocol) -> AssumptionReport:
     interior part of any encryption key that also occurs as an interior term
     of a role message.
     """
-    violations: list[AssumptionViolation] = []
-    node_terms = p.node_terms()
+    inside = {t: interms(t) for t in p.node_terms()}
     ltks = p.long_term_keys()
-    for t in node_terms:
-        for l in ltks:
-            if is_interm(l, t):
-                violations.append(
-                    AssumptionViolation(1, t, l, "long-term key travels inside a message")
-                )
+    violations = [
+        AssumptionViolation(1, t, l, "long-term key travels inside a message")
+        for t, parts in inside.items()
+        for l in ltks
+        if l in parts
+    ]
     for e in enc_subterms(p):
-        key = e.key  # type: ignore[union-attr]
-        for x in sorted(interms(key), key=term_key):
-            for t in node_terms:
-                if is_interm(x, t):
-                    violations.append(
-                        AssumptionViolation(
-                            2, t, x, f"part of the key of {to_text(e)} travels inside a message"
-                        )
-                    )
-    uniq: list[AssumptionViolation] = []
-    for v in sorted(violations, key=lambda v: (v.assumption, term_key(v.term), term_key(v.witness))):
-        if v not in uniq:
-            uniq.append(v)
-    return AssumptionReport(p.name, ltks, tuple(uniq))
+        detail = f"part of the key of {to_text(e)} travels inside a message"
+        for x in sorted(interms(e.key), key=term_key):  # type: ignore[union-attr]
+            violations.extend(AssumptionViolation(2, t, x, detail) for t, parts in inside.items() if x in parts)
+    violations.sort(key=lambda v: (v.assumption, term_key(v.term), term_key(v.witness)))
+    return AssumptionReport(p.name, ltks, tuple(dict.fromkeys(violations)))
 
 
 # -- cross-protocol non-unifiability -------------------------------------------------
@@ -493,11 +475,8 @@ def tag_protocol(p: Protocol, label: Const | str) -> Protocol:
         if isinstance(t, (PEnc, SEnc)):
             return type(t)(prepend(t.plain), t.key)
         if isinstance(t, Xor):
-            return normalize(Xor(tuple(prepend(c) for c in t.items)))
+            return Xor(tuple(prepend(c) for c in t.items))
         return t
 
-    roles = tuple(
-        (rn, Strand(tuple(Node(n.sign, normalize(map_term(n.term, add_tags))) for n in strand.nodes)))
-        for rn, strand in p.roles
-    )
+    roles = tuple((rn, strand.map(lambda t: map_term(t, add_tags))) for rn, strand in p.roles)
     return Protocol(f"{p.name}_{tag.name}", roles, p.fresh_vars, p.secret_vars)

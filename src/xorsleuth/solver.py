@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
-from .protocol import PK_EPS, RECV, SEND, Iik, Node, SemiBundle, build_iik, make_semibundle, FreshSession, Protocol
+from .protocol import PK_EPS, RECV, SEND, Node, SemiBundle, build_iik, make_semibundle, FreshSession, Protocol
 from .terms import (
     EMPTY_SUBST,
     Const,
@@ -887,12 +887,12 @@ class _Plan:
 
     __slots__ = ("ids", "nodes", "base", "_term_sets", "_watched")
 
-    def __init__(self, bundles: Sequence[SemiBundle], iik: Iik, *secrets: Const) -> None:
+    def __init__(self, bundles: Sequence[SemiBundle], iik: frozenset[Term], *secrets: Const) -> None:
         self.ids = tuple(sid for b in bundles for sid in b.strand_ids)
         self.nodes: tuple[tuple[Node, ...], ...] = tuple(s.nodes for b in bundles for s in b.strands) + tuple(
             (Node(RECV, secret),) for secret in secrets
         )
-        self.base = iik.sorted_terms()
+        self.base = tuple(sorted(iik, key=term_key))
         self._term_sets: dict[tuple[int, ...], tuple[Term, ...]] = {}
         self._watched: dict[tuple[int, ...], tuple[Var, ...]] = {}
 
@@ -943,7 +943,7 @@ class Pending(NamedTuple):
         return self.plan.done(self.positions)
 
 
-def _interleavings(bundles: Sequence[SemiBundle], iik: Iik, *secrets: Const) -> ConstraintSequence:
+def _interleavings(bundles: Sequence[SemiBundle], iik: frozenset[Term], *secrets: Const) -> ConstraintSequence:
     """The state from which `_place` reaches every prefix of every eager
     interleaving of the bundles' strands, each ending with the demand for
     one of ``secrets``."""
@@ -998,7 +998,7 @@ def _place(cs: ConstraintSequence) -> list[ConstraintSequence]:
 
 
 def constraint_sequences(
-    bundles: Sequence[SemiBundle], iik: Iik, *secrets: Const
+    bundles: Sequence[SemiBundle], iik: frozenset[Term], *secrets: Const
 ) -> Iterator[ConstraintSequence]:
     """One constraint sequence per secret and distinct prefix of a receive
     order, with every send placed as soon as it is enabled: the

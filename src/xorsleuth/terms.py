@@ -513,10 +513,6 @@ def interms(t: Term) -> frozenset[Term]:
     return frozenset(out)
 
 
-def is_interm(x: Term, t: Term) -> bool:
-    return normalize(x) in interms(normalize(t))
-
-
 def equal_mod(theory: Theory, t1: Term, t2: Term) -> bool:
     """Equality modulo the theory.
 

@@ -394,11 +394,7 @@ def _prune_to_most_general(cands: list[Substitution]) -> tuple[Substitution, ...
     # every variable a candidate binds or maps to: one that no candidate
     # binds but one maps to (Y in {X ↦ Y}) still tells candidates apart
     over = sorted(vars_of_all(u for s in cands for v, t in s.items() for u in (v, t)), key=term_key)
-    uniq: list[Substitution] = []
-    for s in cands:
-        if s not in uniq:
-            uniq.append(s)
-    uniq.sort(key=_unifier_key)
+    uniq = sorted(dict.fromkeys(cands), key=_unifier_key)
     # keep s unless another candidate is strictly more general, or an
     # equivalent one (mutual instances, i.e. a renaming) was already kept
     kept: list[Substitution] = []
@@ -772,19 +768,19 @@ def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], B
         return trace.unifiers, trace
     orig_vars = vars_of_all(t for e in orig for t in (e.left, e.right))
 
-    def validated(cands: Iterable[Substitution]) -> list[Substitution]:
-        good = []
+    def validated(cands: Iterable[Substitution]) -> dict[Substitution, None]:
+        good = {}
         for s in cands:
             s = s.restrict(orig_vars)
             if not subst_well_sorted(s):
                 continue
             if all(equal_mod(Theory.SUA, s.apply(e.left), s.apply(e.right)) for e in orig):
                 s = rename_new_vars(s, orig_vars, {v.name for v in orig_vars})
-                if s not in good:
-                    good.append(s)
+                good[s] = None
         return good
 
-    found: list[Substitution] = []
+    # insertion-ordered sets: `Substitution` hashes its bindings
+    found: dict[Substitution, None] = {}
     free: list[Substitution] = []
     configs = 0
     for system in systems:
@@ -792,17 +788,16 @@ def bsca_unify(problem: UnificationProblem) -> tuple[tuple[Substitution, ...], B
         if theory is Theory.STD:
             free.extend(unify_std(system))
         elif theory is Theory.ACUN:
-            found.extend(s for s in validated(unify_acun(system)) if s not in found)
+            found.update(validated(unify_acun(system)))
         else:
             tried, done = _combination(system, _MAX_CONFIGS - configs, validated, trace, found)
             configs += tried
             complete = complete and done
-    found.extend(s for s in validated(_prune_to_most_general(free)) if s not in found)
+    found.update(validated(_prune_to_most_general(free)))
 
     trace.configs_tried = configs
     trace.complete = complete
-    found.sort(key=_unifier_key)
-    trace.unifiers = tuple(found)
+    trace.unifiers = tuple(sorted(found, key=_unifier_key))
     return trace.unifiers, trace
 
 
@@ -811,7 +806,7 @@ def _combination(
     max_configs: int,
     validated,
     trace: BscaTrace,
-    found: list[Substitution],
+    found: dict[Substitution, None],
 ) -> tuple[int, bool]:
     """The Baader–Schulz combination search on one mixed system.
 
@@ -893,8 +888,7 @@ def _combination(
                             trace.gamma5_2 = g52
                             trace.sigma1 = sigma1
                             trace.sigma2 = sigma2
-                        if cand not in found:
-                            found.append(cand)
+                        found[cand] = None
 
     return configs, complete
 

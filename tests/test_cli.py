@@ -842,6 +842,44 @@ class TestDeepInput:
         assert "error: input nested too deeply" in capsys.readouterr().err
 
 
+class TestInputErrors:
+    """Bad input exits 2 with an error line; a fault inside a layer is no
+    input error and propagates."""
+
+    def test_internal_key_error_propagates(self, monkeypatch):
+        def broken(protocols, config):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "check_secrecy", broken)
+        with pytest.raises(KeyError, match="internal"):
+            run_command(["analyze", fx("nslx.proto")])
+
+    def test_non_utf8_protocol_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.proto"
+        path.write_bytes("protocol p\nrole A:\n  send caf\u00e9\n".encode("latin-1"))
+        assert run_command(["parse", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_malformed_json_trace(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        path.write_text('{"constraints": [{"target": "const(a:Data)"')
+        assert run_command(["oracle-verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle-verify", "{missing}.json"],
+            ["analyze", fx("nslx.proto"), "--combined", "{missing}.proto"],
+            ["check-munut", fx("q1.proto"), "{missing}.proto"],
+        ],
+    )
+    def test_missing_file(self, tmp_path, capsys, argv):
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        assert run_command(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestInstalledScript:
     def test_console_entry_point(self):
         # the subprocess imports the same package as this process, installed or not

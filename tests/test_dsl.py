@@ -448,7 +448,7 @@ class _ReferenceParser:
             nodes = []
             for sign, ast in steps:
                 try:
-                    nodes.append(Node(sign, normalize(self._build(ast, const_sorts))))
+                    nodes.append(Node(sign, self._build(ast, const_sorts)))
                 except SortError as e:
                     tok = ast[1]
                     raise SortError(f"{tok.line}:{tok.col}: {e}") from None
@@ -456,7 +456,7 @@ class _ReferenceParser:
         fresh_vars = [Var(n, self.var_sorts[n]) for n in dict.fromkeys(fresh)]
         secret_vars = [Var(n, self.var_sorts[n]) for n in dict.fromkeys(secret)]
         try:
-            return Protocol.make(name, built_roles, fresh_vars, secret_vars)
+            return Protocol(name, built_roles, fresh_vars, secret_vars)
         except ValueError as e:
             raise ProtocolSyntaxError(str(e), 1, 1) from None
 

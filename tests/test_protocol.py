@@ -25,7 +25,9 @@ from xorsleuth.protocol import (
 from xorsleuth.terms import (
     ZERO,
     Const,
+    Sh,
     Sort,
+    Xor,
     XorsleuthError,
     apply_subst,
     const,
@@ -52,29 +54,69 @@ def nslx():
     return load("nslx")
 
 
+def unchecked(name, roles, fresh=(), secret=()):
+    """A protocol value that skipped the constructor and so its checks."""
+    p = object.__new__(Protocol)
+    object.__setattr__(p, "name", name)
+    object.__setattr__(p, "roles", tuple(roles))
+    object.__setattr__(p, "fresh_vars", frozenset(fresh))
+    object.__setattr__(p, "secret_vars", frozenset(secret))
+    return p
+
+
 class TestProtocolType:
     def test_duplicate_role_rejected(self):
         strand = Strand((Node("+", const("x")),))
-        with pytest.raises(ValueError):
-            Protocol.make("p", [("A", strand), ("A", strand)])
+        with pytest.raises(ValueError, match="^duplicate role 'A'$"):
+            Protocol("p", [("A", strand), ("A", strand)])
 
     def test_secret_must_be_fresh(self):
         n = var("N", Sort.NONCE)
         strand = Strand((Node("+", n),))
-        with pytest.raises(ValueError):
-            Protocol.make("p", [("A", strand)], fresh_vars=[], secret_vars=[n])
+        with pytest.raises(ValueError, match="^secret variables must be fresh: N$"):
+            Protocol("p", [("A", strand)], fresh_vars=[], secret_vars=[n])
 
     def test_declared_fresh_var_must_occur(self):
         n = var("N", Sort.NONCE)
         m = var("M", Sort.NONCE)
         strand = Strand((Node("+", n),))
-        with pytest.raises(ValueError):
-            Protocol.make("p", [("A", strand)], fresh_vars=[n, m])
+        with pytest.raises(ValueError, match="^declared variables never used: M$"):
+            Protocol("p", [("A", strand)], fresh_vars=[n, m])
 
     def test_node_terms_are_normalized(self):
         t = xor(const("c"), const("c"))
-        p = Protocol.make("p", [("A", Strand((Node("+", seq(t, const("d"))),)))])
+        p = Protocol("p", [("A", Strand((Node("+", seq(t, const("d"))),)))])
         assert p.node_terms() == (seq(ZERO, const("d")),)
+
+    def test_node_holds_canonical_form_of_raw_term(self):
+        c = const("c")
+        a, b = Const("a", Sort.AGENT), Const("b", Sort.AGENT)
+        assert Node("+", Xor((c, c))).term is ZERO
+        node = Node("-", Sh(b, a))
+        assert node.term == sh(a, b) and (node.term.left, node.term.right) == (a, b)
+        assert normalize(node.term) is node.term
+
+    def test_constructor_takes_any_sequence_and_iterables(self):
+        n = var("N", Sort.NONCE)
+        strand = Strand((Node("+", n),))
+        p = Protocol("p", [("A", strand)], [n], iter([n]))
+        assert p == Protocol("p", (("A", strand),), frozenset({n}), frozenset({n}))
+        assert isinstance(p.roles, tuple) and isinstance(p.secret_vars, frozenset)
+
+    def test_tagged_and_renamed_protocols_are_checked(self):
+        strand = Strand((Node("+", senc(const("m"), const("k"))),))
+        with pytest.raises(ValueError, match="^duplicate role 'A'$"):
+            tag_protocol(unchecked("p", [("A", strand), ("A", strand)]), "t")
+        n = var("N", Sort.NONCE)
+        with pytest.raises(ValueError, match="^secret variables must be fresh: N'$"):
+            rename_apart(unchecked("p", [("A", Strand((Node("+", n),)))], secret=[n]))
+
+    def test_strand_map_keeps_signs_and_normalizes(self):
+        c, d = const("c"), const("d")
+        strand = Strand((Node("+", c), Node("-", d)))
+        mapped = strand.map(lambda t: Xor((t, d)))
+        assert [n.sign for n in mapped.nodes] == ["+", "-"]
+        assert mapped.terms() == (xor(c, d), ZERO)
 
 
 class TestSemiBundle:
@@ -119,26 +161,26 @@ class TestSemiBundle:
 class TestIik:
     def test_empty_bundles(self):
         iik = build_iik([])
-        assert iik.terms == frozenset({ATTACKER, ZERO, normalize(pk(ATTACKER))})
+        assert iik == frozenset({ATTACKER, ZERO, normalize(pk(ATTACKER))})
 
     def test_nslx_bundle_contents(self, nslx):
         sb = make_semibundle(nslx, 2, session=FreshSession())
         iik = build_iik([sb])
-        names = {to_text(t) for t in iik.terms}
+        names = {to_text(t) for t in iik}
         for expected in (
             "const(a1:Agent)", "const(b1:Agent)", "const(eps:Agent)", "zero",
             "pk(const(a1:Agent))", "pk(const(b1:Agent))", "pk(const(eps:Agent))",
         ):
             assert expected in names
-        assert not (iik.terms & sb.secret_constants)
+        assert not (iik & sb.secret_constants)
 
     def test_non_fresh_constants_included(self):
         p2 = load("p2")
         sb = make_semibundle(p2, 1, session=FreshSession())
         iik = build_iik([sb])
-        assert const("1") in iik.terms
-        assert Const("a", Sort.AGENT) in iik.terms
-        assert normalize(pk(Const("s", Sort.AGENT))) in iik.terms
+        assert const("1") in iik
+        assert Const("a", Sort.AGENT) in iik
+        assert normalize(pk(Const("s", Sort.AGENT))) in iik
 
     def test_secret_extra_rejected(self, nslx):
         # a second bundle whose role sends the first bundle's secret by name
@@ -171,12 +213,12 @@ class TestAssumptions:
 
     def test_key_inside_own_plaintext_flagged(self):
         k = var("K", Sort.KEY)
-        p = Protocol.make("leaky", [("A", Strand((Node("+", senc(seq(k, const("c")), k)),)))])
+        p = Protocol("leaky", [("A", Strand((Node("+", senc(seq(k, const("c")), k)),)))])
         rep = check_assumptions(p)
         assert any(v.assumption == 2 for v in rep.violations)
 
     def test_using_shared_key_in_key_position_is_fine(self):
-        p = Protocol.make(
+        p = Protocol(
             "ok",
             [("A", Strand((Node("+", senc(const("m"), sh(Const("a", Sort.AGENT), Const("b", Sort.AGENT)))),)))],
         )
@@ -197,7 +239,7 @@ class TestEncSubterms:
 
     def test_nested_encryptions_both_found(self):
         inner = senc(const("a"), const("k1"))
-        p = Protocol.make("n", [("A", Strand((Node("+", senc(inner, const("k2"))),)))])
+        p = Protocol("n", [("A", Strand((Node("+", senc(inner, const("k2"))),)))])
         assert set(enc_subterms(p)) == {normalize(inner), normalize(senc(inner, const("k2")))}
 
     def test_no_encryption(self):
@@ -294,7 +336,7 @@ class TestTagProtocol:
         )
 
     def test_atom_plaintext_wrapped(self):
-        p = Protocol.make("w", [("A", Strand((Node("+", penc(const("m"), pk(Const("b", Sort.AGENT)))),)))])
+        p = Protocol("w", [("A", Strand((Node("+", penc(const("m"), pk(Const("b", Sort.AGENT)))),)))])
         tagged = tag_protocol(p, "t")
         assert to_text(tagged.node_terms()[0]) == (
             "penc(seq(const(t:Tag),const(m:Data)),pk(const(b:Agent)))"

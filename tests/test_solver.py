@@ -759,7 +759,7 @@ def all_interleavings(bundles, iik, secret, prefixes=False):
     strands = []
     for bundle in bundles:
         strands.extend(zip(bundle.strand_ids, (s.nodes for s in bundle.strands)))
-    base = iik.sorted_terms()
+    base = tuple(sorted(iik, key=term_key))
     seen = set()
     tokens = {}
     positions = [0] * len(strands)

@@ -36,7 +36,6 @@ from xorsleuth.terms import (
     from_text,
     interms,
     is_canonical_set,
-    is_interm,
     normalize,
     penc,
     pk,
@@ -140,11 +139,11 @@ class TestSubterms:
 
     def test_interms_enter_xor(self):
         t = xor(seq(c, na), d)
-        assert is_interm(na, t) and is_interm(seq(c, na), t)
+        assert na in interms(t) and seq(c, na) in interms(t)
 
     def test_interm_reflexive(self):
-        assert is_interm(pk(B), pk(B))
-        assert not is_interm(B, pk(B))
+        assert pk(B) in interms(pk(B))
+        assert B not in interms(pk(B))
 
     def test_interms_subset_of_subterms(self):
         t = penc(xor(seq(c, na), d), sh(a, b))
