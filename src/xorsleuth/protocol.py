@@ -158,22 +158,35 @@ def rename_apart(p: Protocol) -> Protocol:
 class FreshSession:
     """Name source for one analysis session.
 
-    Constants minted for different bundles within a session never collide:
-    each base name carries a counter that keeps increasing across bundles.
+    Each base name carries a counter that keeps increasing across bundles,
+    and a minted constant skips every name minted before in the session and
+    every constant name written in the protocol being instantiated, so it
+    is new to both.  Strand ids are numbered per protocol name and role
+    across the session, so two copies of one protocol get distinct ids.
     """
 
     def __init__(self) -> None:
         self._per_base: dict[str, int] = {}
+        self._minted: set[str] = set()
+        self._per_role: dict[tuple[str, str], int] = {}
         self._strand_ordinal = 0
 
-    def next_const(self, base: str, sort: Sort) -> Const:
+    def next_const(self, base: str, sort: Sort, written: frozenset[str]) -> Const:
+        """A constant named ``base`` and the next counter value whose name is
+        neither minted already nor in ``written``."""
         n = self._per_base.get(base, 0) + 1
+        while (name := f"{base}{n}") in self._minted or name in written:
+            n += 1
         self._per_base[base] = n
-        return Const(f"{base}{n}", sort)
+        self._minted.add(name)
+        return Const(name, sort)
 
-    def next_strand(self) -> int:
+    def next_strand(self, protocol: str, role: str) -> tuple[int, str]:
+        """The next strand's ordinal in the session and its id, ``role`` of
+        ``protocol`` and a count per protocol name and role."""
         self._strand_ordinal += 1
-        return self._strand_ordinal
+        n = self._per_role[protocol, role] = self._per_role.get((protocol, role), 0) + 1
+        return self._strand_ordinal, f"{protocol}.{role}#{n}"
 
 
 @dataclass(frozen=True)
@@ -203,6 +216,7 @@ def make_semibundle(
     if sessions_per_role < 1:
         raise ValueError("sessions_per_role must be at least 1")
     session = session or FreshSession()
+    written = frozenset(s.name for t in p.node_terms() for s in subterms(t) if isinstance(s, Const))
 
     ids: list[str] = []
     strands: list[Strand] = []
@@ -222,16 +236,16 @@ def make_semibundle(
         for node in role_strand.nodes:
             for v in vars_of(node.term):
                 first_sign.setdefault(v, node.sign)
-        for i in range(1, sessions_per_role + 1):
-            k = session.next_strand()
+        for _ in range(sessions_per_role):
+            k, strand_id = session.next_strand(p.name, role_name)
             bindings: dict[Var, Term] = {}
             if identity is not None:
-                bindings[identity] = session.next_const(role_name.lower(), Sort.AGENT)
+                bindings[identity] = session.next_const(role_name.lower(), Sort.AGENT, written)
             for v in sorted(role_vars, key=term_key):
                 if v == identity:
                     continue
                 if v in p.fresh_vars and first_sign[v] == SEND:
-                    c = session.next_const(v.name.lower(), v.sort)
+                    c = session.next_const(v.name.lower(), v.sort, written)
                     bindings[v] = c
                     fresh_consts.add(c)
                     if v in p.secret_vars:
@@ -240,7 +254,7 @@ def make_semibundle(
                 else:
                     bindings[v] = Var(f"{v.name}{k}", v.sort)
             s = Substitution(bindings)
-            ids.append(f"{p.name}.{role_name}#{i}")
+            ids.append(strand_id)
             strands.append(role_strand.map(s.apply))
             insts.append((role_name, s))
 

@@ -8,9 +8,10 @@ commutative argument lists (XOR children, shared-key arguments) are sorted
 under a fixed total order on terms.  Two terms are equal modulo the supported
 equational theories exactly when their canonical forms coincide.
 
-Each term's constructor computes its order key, its hash and its variable
-set once, from those of its children, and sets them with its fields in one
-pass; equality, hashing, ``term_key`` and ``vars_of`` only read them.
+A term keeps its arguments once, as one tuple, and one constructor serves
+each shape of term.  The order key, hash and variable set of every compound
+term are computed once, by one function, from those of its arguments;
+equality, hashing, ``term_key``, ``vars_of`` and ``children`` only read them.
 ``to_text`` renders a term once and keeps the text, and ``normalize`` marks
 what it returns as canonical, so normalizing a canonical term again costs
 one field read.
@@ -53,26 +54,32 @@ class Theory(enum.Enum):
 class Term:
     """Base of the term constructors below.
 
-    ``_key`` is the total order key (constructor rank, arity, atom payload,
-    child keys), ``_hash`` a hash of the same data built from the children's
-    hashes, and ``_vars`` the variables of a compound term (``None`` on a
-    variable, whose own one-element set would be a reference cycle).
-    ``_text`` is the canonical text, set by the first ``to_text`` call, and
-    ``_canon`` is true when the term is known to be in canonical form (atoms
-    and zero always; compound terms once ``normalize`` has returned them).
-    Both are functions of the term's value, so equal terms never disagree
-    on them except by one being set later.
+    ``_args`` is the term's arguments as one tuple: ``()`` for atoms and
+    zero, the ``items`` tuple itself for sequences and XOR, and the fields in
+    order otherwise.  ``_key`` is the total order key (constructor rank,
+    arity, atom payload, argument keys), ``_hash`` a hash of the same data
+    built from the arguments' hashes, and ``_vars`` the variables of a
+    compound term (``None`` on a variable, whose own one-element set would
+    be a reference cycle).  ``_text`` is the canonical text, set by the
+    first ``to_text`` call, and ``_canon`` is true when the term is known to
+    be in canonical form (atoms and zero always; compound terms once
+    ``normalize`` has returned them).  Both are functions of the term's
+    value, so equal terms never disagree on them except by one being set
+    later.
 
-    Each constructor sets its fields and these five once, from its
-    arguments and its children's cached fields; the rank is the class's
-    entry in ``_RANK``.  The classes are frozen dataclasses built with
-    ``init=False``, so fields, ``repr`` and ``FrozenInstanceError`` stay
-    theirs, and ``object.__setattr__`` is the one way in.  Their methods
-    use no zero-argument ``super()``: ``slots=True`` replaces the class, and
-    that form would still name the one it replaced.
+    A constructor sets the class's fields, then ``_init_compound`` sets
+    ``_args`` and the five other slots once from the arguments (an atom's
+    constructor sets them from its name and sort); the rank is the class's
+    entry in ``_RANK``.  ``Var`` and ``Const``, ``Seq`` and ``Xor``, ``PEnc``
+    and ``SEnc`` each share one constructor.  The classes are frozen
+    dataclasses built with ``init=False``, so fields, ``repr`` and
+    ``FrozenInstanceError`` stay theirs, and ``object.__setattr__`` is the
+    one way in.  Their methods use no zero-argument ``super()``:
+    ``slots=True`` replaces the class, and that form would still name the
+    one it replaced.
     """
 
-    __slots__ = ("_key", "_hash", "_vars", "_text", "_canon")
+    __slots__ = ("_args", "_key", "_hash", "_vars", "_text", "_canon")
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -97,22 +104,50 @@ _order_key = operator.attrgetter("_key")
 _hash_of = operator.attrgetter("_hash")
 
 
+def _init_compound(t: Term, args: tuple[Term, ...]) -> None:
+    """Set the arguments of a compound term or zero, and the cached fields
+    computed from them."""
+    rank = _RANK[type(t)]
+    init = object.__setattr__
+    init(t, "_args", args)
+    init(t, "_key", (rank, len(args), "", tuple(map(_order_key, args))))
+    init(t, "_hash", hash((rank, "", tuple(map(_hash_of, args)))))
+    init(t, "_vars", vars_of_all(args))
+    init(t, "_text", None)
+    init(t, "_canon", False)
+
+
+def _init_atom(self: "Var | Const", name: str, sort: Sort) -> None:
+    rank = _RANK[type(self)]
+    payload = f"{name}:{sort._value_}"
+    init = object.__setattr__
+    init(self, "name", name)
+    init(self, "sort", sort)
+    init(self, "_args", ())
+    init(self, "_key", (rank, 0, payload, ()))
+    init(self, "_hash", hash((rank, payload, ())))
+    init(self, "_vars", None if type(self) is Var else _NO_VARS)
+    init(self, "_text", None)
+    init(self, "_canon", True)
+
+
+def _init_items(self: "Seq | Xor", items: tuple[Term, ...]) -> None:
+    object.__setattr__(self, "items", items)
+    _init_compound(self, items)
+
+
+def _init_enc(self: "PEnc | SEnc", plain: Term, key: Term) -> None:
+    object.__setattr__(self, "plain", plain)
+    object.__setattr__(self, "key", key)
+    _init_compound(self, (plain, key))
+
+
 @_term
 class Var(Term):
     name: str
     sort: Sort
 
-    def __init__(self, name: str, sort: Sort) -> None:
-        rank = _RANK[Var]
-        payload = f"{name}:{sort._value_}"
-        init = object.__setattr__
-        init(self, "name", name)
-        init(self, "sort", sort)
-        init(self, "_key", (rank, 0, payload, ()))
-        init(self, "_hash", hash((rank, payload, ())))
-        init(self, "_vars", None)
-        init(self, "_text", None)
-        init(self, "_canon", True)
+    __init__ = _init_atom
 
 
 @_term
@@ -120,17 +155,7 @@ class Const(Term):
     name: str
     sort: Sort
 
-    def __init__(self, name: str, sort: Sort) -> None:
-        rank = _RANK[Const]
-        payload = f"{name}:{sort._value_}"
-        init = object.__setattr__
-        init(self, "name", name)
-        init(self, "sort", sort)
-        init(self, "_key", (rank, 0, payload, ()))
-        init(self, "_hash", hash((rank, payload, ())))
-        init(self, "_vars", _NO_VARS)
-        init(self, "_text", None)
-        init(self, "_canon", True)
+    __init__ = _init_atom
 
 
 @_term
@@ -138,28 +163,15 @@ class Zero(Term):
     """The XOR unit element."""
 
     def __init__(self) -> None:
-        rank = _RANK[Zero]
-        init = object.__setattr__
-        init(self, "_key", (rank, 0, "", ()))
-        init(self, "_hash", hash((rank, "", ())))
-        init(self, "_vars", _NO_VARS)
-        init(self, "_text", None)
-        init(self, "_canon", True)
+        _init_compound(self, ())
+        object.__setattr__(self, "_canon", True)
 
 
 @_term
 class Seq(Term):
     items: tuple[Term, ...]
 
-    def __init__(self, items: tuple[Term, ...]) -> None:
-        rank = _RANK[Seq]
-        init = object.__setattr__
-        init(self, "items", items)
-        init(self, "_key", (rank, len(items), "", tuple(map(_order_key, items))))
-        init(self, "_hash", hash((rank, "", tuple(map(_hash_of, items)))))
-        init(self, "_vars", vars_of_all(items))
-        init(self, "_text", None)
-        init(self, "_canon", False)
+    __init__ = _init_items
 
 
 @_term
@@ -167,16 +179,7 @@ class PEnc(Term):
     plain: Term
     key: Term
 
-    def __init__(self, plain: Term, key: Term) -> None:
-        rank = _RANK[PEnc]
-        init = object.__setattr__
-        init(self, "plain", plain)
-        init(self, "key", key)
-        init(self, "_key", (rank, 2, "", (plain._key, key._key)))
-        init(self, "_hash", hash((rank, "", (plain._hash, key._hash))))
-        init(self, "_vars", vars_of_all((plain, key)))
-        init(self, "_text", None)
-        init(self, "_canon", False)
+    __init__ = _init_enc
 
 
 @_term
@@ -184,16 +187,7 @@ class SEnc(Term):
     plain: Term
     key: Term
 
-    def __init__(self, plain: Term, key: Term) -> None:
-        rank = _RANK[SEnc]
-        init = object.__setattr__
-        init(self, "plain", plain)
-        init(self, "key", key)
-        init(self, "_key", (rank, 2, "", (plain._key, key._key)))
-        init(self, "_hash", hash((rank, "", (plain._hash, key._hash))))
-        init(self, "_vars", vars_of_all((plain, key)))
-        init(self, "_text", None)
-        init(self, "_canon", False)
+    __init__ = _init_enc
 
 
 @_term
@@ -201,14 +195,8 @@ class Pk(Term):
     agent: Term
 
     def __init__(self, agent: Term) -> None:
-        rank = _RANK[Pk]
-        init = object.__setattr__
-        init(self, "agent", agent)
-        init(self, "_key", (rank, 1, "", (agent._key,)))
-        init(self, "_hash", hash((rank, "", (agent._hash,))))
-        init(self, "_vars", vars_of_all((agent,)))
-        init(self, "_text", None)
-        init(self, "_canon", False)
+        object.__setattr__(self, "agent", agent)
+        _init_compound(self, (agent,))
 
 
 @_term
@@ -217,30 +205,16 @@ class Sh(Term):
     right: Term
 
     def __init__(self, left: Term, right: Term) -> None:
-        rank = _RANK[Sh]
-        init = object.__setattr__
-        init(self, "left", left)
-        init(self, "right", right)
-        init(self, "_key", (rank, 2, "", (left._key, right._key)))
-        init(self, "_hash", hash((rank, "", (left._hash, right._hash))))
-        init(self, "_vars", vars_of_all((left, right)))
-        init(self, "_text", None)
-        init(self, "_canon", False)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        _init_compound(self, (left, right))
 
 
 @_term
 class Xor(Term):
     items: tuple[Term, ...]
 
-    def __init__(self, items: tuple[Term, ...]) -> None:
-        rank = _RANK[Xor]
-        init = object.__setattr__
-        init(self, "items", items)
-        init(self, "_key", (rank, len(items), "", tuple(map(_order_key, items))))
-        init(self, "_hash", hash((rank, "", tuple(map(_hash_of, items)))))
-        init(self, "_vars", vars_of_all(items))
-        init(self, "_text", None)
-        init(self, "_canon", False)
+    __init__ = _init_items
 
 
 @dataclass(frozen=True)
@@ -289,10 +263,8 @@ def is_constant_name(name: str) -> bool:
 
 _RANK = {Var: 0, Const: 1, Zero: 2, **{c.cls: rank for rank, c in enumerate(CONSTRUCTORS, 3)}}
 
-_KeyType = tuple
 
-
-def term_key(t: Term) -> _KeyType:
+def term_key(t: Term) -> tuple:
     """Total order key: (constructor rank, arity, atom payload, child keys)."""
     return t._key
 
@@ -318,17 +290,8 @@ def vars_of_all(terms: Iterable[Term]) -> frozenset[Var]:
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, (Var, Const, Zero)):
-        return ()
-    if isinstance(t, (Seq, Xor)):
-        return t.items
-    if isinstance(t, (PEnc, SEnc)):
-        return (t.plain, t.key)
-    if isinstance(t, Pk):
-        return (t.agent,)
-    if isinstance(t, Sh):
-        return (t.left, t.right)
-    raise TypeError(f"not a term: {t!r}")
+    """The term's arguments in order; none for atoms and zero."""
+    return t._args
 
 
 def with_children(t: Term, kids: tuple[Term, ...]) -> Term:
@@ -396,8 +359,7 @@ def _reduce_node(t: Term) -> Term:
     return t
 
 
-def _is_canonical(t: Term) -> bool:
-    return t._canon
+_marked_canonical = operator.attrgetter("_canon")
 
 
 def normalize(t: Term) -> Term:
@@ -412,10 +374,7 @@ def normalize(t: Term) -> Term:
     constructors leave compound terms unmarked, so a raw ``Xor`` or ``Sh``
     built by hand is always reduced.
     """
-    return t if t._canon else map_term(t, _normalize_node, _is_canonical)
-
-
-_marked_canonical = operator.attrgetter("_canon")
+    return t if t._canon else map_term(t, _normalize_node, _marked_canonical)
 
 
 def is_canonical_set(terms: tuple[Term, ...]) -> bool:
@@ -640,8 +599,7 @@ def _render(t: Term) -> str:
         return f"const({t.name}:{t.sort.value})"
     if isinstance(t, Zero):
         return "zero"
-    kids = children(t)  # raises TypeError on a non-term
-    return CONSTRUCTOR_OF_TYPE[type(t)].name + "(" + ",".join(to_text(c) for c in kids) + ")"
+    return CONSTRUCTOR_OF_TYPE[type(t)].name + "(" + ",".join(map(to_text, children(t))) + ")"
 
 
 _SORT_BY_NAME = {s.value: s for s in Sort}

@@ -224,6 +224,25 @@ class TestAnalyzeCommand:
     def test_no_secrets_usage_error(self):
         assert run_command(["analyze", fx("p1.proto")]) == 2
 
+    def test_minted_secret_skips_a_constant_the_protocol_writes(self, tmp_path, capsys):
+        # A's secret N would be minted n1, the constant B sends in the clear
+        lit = tmp_path / "lit.proto"
+        lit.write_text(
+            "protocol lit\nvars A:Agent B:Agent N:Nonce\nfresh N\nsecret N\n"
+            "role A:\n  send senc(N, sh(A, B))\n"
+            "role B:\n  recv senc(N, sh(A, B))\n  send n1:Nonce\n"
+        )
+        assert run_command(["analyze", str(lit)]) == 0
+        assert capsys.readouterr().out.startswith("secure")
+
+    def test_two_copies_of_one_protocol_get_distinct_strand_ids(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_command(["analyze", fx("nslx.proto"), "--combined", fx("nslx.proto"), "--json", str(out)]) == 1
+        interleaving = json.loads(out.read_text())["results"]["attack"]["interleaving"]
+        # two sends, one from each copy's initiator, then the secret
+        strands = [node.rsplit(".", 1)[0] for node in interleaving if node != "sec"]
+        assert len(set(strands)) == len(strands) == 2
+
     def test_other_protocol_sending_a_secret_usage_error(self, tmp_path, capsys):
         # nslx's secret NA becomes na1; a protocol that sends na1 by name
         # would put it in the attacker's initial knowledge

@@ -153,6 +153,12 @@ class TestSemiBundle:
         sb2 = make_semibundle(nslx, 1, session=session)
         assert not (sb1.fresh_constants & sb2.fresh_constants)
 
+    def test_fresh_constants_skip_names_minted_before(self):
+        # counting per base, N's 11th constant and N1's first would both be n11
+        p = parse_protocol("protocol two\nvars N:Nonce N1:Nonce\nfresh N N1\nrole A:\n  send seq(N, N1)\n")
+        sb = make_semibundle(p, 11, session=FreshSession())
+        assert len(sb.fresh_constants) == 22
+
     def test_zero_sessions_rejected(self, nslx):
         with pytest.raises(ValueError):
             make_semibundle(nslx, 0)

@@ -486,11 +486,21 @@ def reference_vars_of_all(ts):
     return out
 
 
+def reference_children(t):
+    """The arguments of ``t`` read from its dataclass fields: the items of a
+    sequence or XOR, none for an atom or zero, the fields in order otherwise."""
+    if isinstance(t, (Seq, Xor)):
+        return t.items
+    if isinstance(t, (Var, Const, Zero)):
+        return ()
+    return tuple(getattr(t, f.name) for f in dataclasses.fields(t))
+
+
 def reference_fields(t):
     """The cached fields of ``t`` as a shared ``__post_init__`` computed
-    them, before each class set them in its own constructor: (key, hash,
+    them, from its fields rather than its kept arguments: (key, hash,
     variables, canonical mark)."""
-    kids = children(t)
+    kids = reference_children(t)
     rank = terms._RANK[type(t)]
     payload = f"{t.name}:{t.sort.value}" if isinstance(t, (Var, Const)) else ""
     return (
@@ -526,6 +536,7 @@ def test_constructors_match_the_reference_formulas(t):
     for n in nodes(t) + nodes(normalize(t)):
         fresh = rebuilt(n)
         assert (fresh._key, fresh._hash, fresh._vars, fresh._canon) == reference_fields(n)
+        assert children(fresh) == reference_children(n)
         assert fresh._text is None
         # a built node keeps its key, hash and variables; only the marks set later may differ
         assert (n._key, n._hash, n._vars) == reference_fields(n)[:3]
@@ -539,6 +550,9 @@ def test_every_class_matches_the_reference_formulas():
     for t in _ONE_OF_EACH:
         fresh = rebuilt(t)
         assert (fresh._key, fresh._hash, fresh._vars, fresh._canon) == reference_fields(t)
+        assert children(fresh) == children(t) == reference_children(t)
+        # a sequence or XOR keeps its items tuple as its arguments, not a copy
+        assert not isinstance(t, (Seq, Xor)) or children(fresh) is fresh.items
 
 
 @pytest.mark.parametrize("t", [t for t in _ONE_OF_EACH if t != ZERO], ids=lambda t: type(t).__name__)
@@ -565,6 +579,7 @@ def test_copies_go_through_the_constructor(t):
     for dup in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
         assert dup == t and dup is not t
         assert (dup._key, dup._hash, dup._vars, dup._canon) == reference_fields(dup)
+        assert children(dup) == children(t) == reference_children(t)
         assert dup._text is None
 
 
