@@ -57,23 +57,12 @@ def _file_inputs(paths: Sequence[str]) -> dict[str, str]:
     return {(name if len(given[name]) == 1 else p): _sha256(p) for name, p in zip(names, paths)}
 
 
-def _envelope(command: str, inputs: dict[str, str], config: dict, results, exit_code: int) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "config": config,
-        "results": results,
-        "exit_code": exit_code,
-    }
+# what a command's handler returns after printing its text: the report's
+# inputs, config, results and exit code, which `run_command` writes
+_Report = tuple[dict[str, str], dict, object, int]
 
 
-def _emit(envelope: dict, json_path: str | None) -> None:
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(envelope, indent=2) + "\n")
-
-
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> _Report:
     results = []
     blocks = []
     for path in args.files:
@@ -88,12 +77,10 @@ def _cmd_parse(args) -> int:
             }
         )
     print("\n".join(blocks), end="")
-    env = _envelope("parse", _file_inputs(args.files), {}, results, EXIT_OK)
-    _emit(env, args.json)
-    return EXIT_OK
+    return _file_inputs(args.files), {}, results, EXIT_OK
 
 
-def _cmd_check_assumptions(args) -> int:
+def _cmd_check_assumptions(args) -> _Report:
     results = []
     worst = EXIT_OK
     for path in args.files:
@@ -105,12 +92,10 @@ def _cmd_check_assumptions(args) -> int:
             print(f"  assumption {v.assumption}: {to_text(v.witness)} — {v.detail}")
         if not report.ok():
             worst = EXIT_VIOLATED
-    env = _envelope("check-assumptions", _file_inputs(args.files), {}, results, worst)
-    _emit(env, args.json)
-    return worst
+    return _file_inputs(args.files), {}, results, worst
 
 
-def _cmd_check_munut(args) -> int:
+def _cmd_check_munut(args) -> _Report:
     p1 = parse_protocol_file(args.file1)
     p2 = parse_protocol_file(args.file2)
     report = check_munut(p1, p2)
@@ -119,14 +104,10 @@ def _cmd_check_munut(args) -> int:
     for v in report.violations:
         uni = ", ".join(f"{to_text(w)} := {to_text(t)}" for w, t in v.unifier.items())
         print(f"  condition {v.condition}: {to_text(v.left)} ~ {to_text(v.right)}  [{uni}]")
-    env = _envelope(
-        "check-munut", _file_inputs([args.file1, args.file2]), {}, report.to_json_dict(), code
-    )
-    _emit(env, args.json)
-    return code
+    return _file_inputs([args.file1, args.file2]), {}, report.to_json_dict(), code
 
 
-def _cmd_tag(args) -> int:
+def _cmd_tag(args) -> _Report:
     p = parse_protocol_file(args.file)
     tagged = tag_protocol(p, args.label)
     text = render_protocol(tagged)
@@ -135,29 +116,15 @@ def _cmd_tag(args) -> int:
             f.write(text)
     else:
         print(text, end="")
-    env = _envelope(
-        "tag",
-        _file_inputs([args.file]),
-        {"label": args.label},
-        {"protocol": tagged.name, "output": args.output or "-"},
-        EXIT_OK,
-    )
-    _emit(env, args.json)
-    return EXIT_OK
+    results = {"protocol": tagged.name, "output": args.output or "-"}
+    return _file_inputs([args.file]), {"label": args.label}, results, EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> _Report:
     paths = [args.file, *args.combined]
     protocols = [parse_protocol_file(p) for p in paths]
-    config = AnalysisConfig(
-        sessions=args.sessions,
-        secrets=tuple(args.secret),
-        budget=SolverBudget(
-            max_depth=args.branch_budget,
-            max_nodes=args.node_budget,
-        ),
-    )
-    result = check_secrecy(protocols, config)
+    budget = SolverBudget(max_depth=args.branch_budget, max_nodes=args.node_budget)
+    result = check_secrecy(protocols, AnalysisConfig(sessions=args.sessions, secrets=tuple(args.secret), budget=budget))
     results = result.to_json_dict()
 
     if result.verdict == "attack":
@@ -190,21 +157,14 @@ def _cmd_analyze(args) -> int:
         results["oracle_verified"] = confirmed
         print(f"  oracle: {_ORACLE_TEXT[confirmed]}")
 
-    env = _envelope(
-        "analyze",
-        _file_inputs(paths),
-        {
-            "sessions": args.sessions,
-            "secrets": list(args.secret),
-            "branch_budget": args.branch_budget,
-            "node_budget": args.node_budget,
-            "oracle_verify": bool(args.oracle_verify),
-        },
-        results,
-        code,
-    )
-    _emit(env, args.json)
-    return code
+    config = {
+        "sessions": args.sessions,
+        "secrets": list(args.secret),
+        "branch_budget": args.branch_budget,
+        "node_budget": args.node_budget,
+        "oracle_verify": bool(args.oracle_verify),
+    }
+    return _file_inputs(paths), config, results, code
 
 
 def _trace_term(value, where: str, parsed: dict[str, Term]) -> Term:
@@ -264,24 +224,21 @@ def _trace_digest(cs: ConstraintSequence) -> str:
     return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
 
 
-def _cmd_oracle_verify(args) -> int:
+def _cmd_oracle_verify(args) -> _Report:
     cs = _load_trace(args.trace)
     confirmed = verify_solution(cs, cs.subst)
     code = _ORACLE_EXIT[confirmed]
     print(f"trace {_ORACLE_TEXT[confirmed]}")
-    env = _envelope(
-        "oracle-verify", {os.path.basename(args.trace): _trace_digest(cs)}, {}, {"confirmed": confirmed}, code
-    )
-    _emit(env, args.json)
-    return code
+    return {os.path.basename(args.trace): _trace_digest(cs)}, {}, {"confirmed": confirmed}, code
 
 
 class _Command(NamedTuple):
     """One subcommand: the help line ``xorsleuth --help`` lists, the
-    handler, and its arguments as ``add_argument`` calls (see `_arg`)."""
+    handler, which prints the command's text and returns its report, and
+    its arguments as ``add_argument`` calls (see `_arg`)."""
 
     help: str
-    run: Callable[[argparse.Namespace], int]
+    run: Callable[[argparse.Namespace], _Report]
     arguments: tuple[tuple[tuple[str, ...], dict], ...]
 
 
@@ -413,9 +370,16 @@ def run_command(argv: Sequence[str]) -> int:
     if extras or more:
         _top_parser().error(f"unrecognized arguments: {' '.join([*extras, *more])}")
     # input errors only: a KeyError or ValueError from inside a layer is a
-    # fault of the program, not of its input, and keeps its traceback
+    # fault of the program, not of its input, and keeps its traceback.  The
+    # report is written after the handler has printed its text, so a path
+    # that cannot be written is an input error after that text
     try:
-        return _COMMANDS[name].run(args)
+        inputs, config, results, code = _COMMANDS[name].run(args)
+        if args.json:
+            report = {"command": name, "inputs": inputs, "config": config, "results": results, "exit_code": code}
+            with open(args.json, "w", encoding="utf-8") as f:
+                f.write(json.dumps(report, indent=2) + "\n")
+        return code
     except (XorsleuthError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

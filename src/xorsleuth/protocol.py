@@ -161,8 +161,12 @@ class FreshSession:
     Each base name carries a counter that keeps increasing across bundles,
     and a minted constant skips every name minted before in the session and
     every constant name written in the protocol being instantiated, so it
-    is new to both.  Strand ids are numbered per protocol name and role
-    across the session, so two copies of one protocol get distinct ids.
+    is new to both.  A received variable ``V`` of the strand with session
+    ordinal ``k`` becomes ``V{k}``, or, when a variable of that name was
+    minted before in the session (``N1`` of strand 1 and ``N`` of strand
+    11), the first of ``V{k}_1``, ``V{k}_2``, … minted by none.  Strand ids
+    are numbered per protocol name and role across the session, so two
+    copies of one protocol get distinct ids.
     """
 
     def __init__(self) -> None:
@@ -180,6 +184,16 @@ class FreshSession:
         self._per_base[base] = n
         self._minted.add(name)
         return Const(name, sort)
+
+    def next_var(self, v: Var, ordinal: int) -> Var:
+        """``v`` renamed for the strand of session ordinal ``ordinal``, to a
+        name no variable minted before in the session has."""
+        name, n = f"{v.name}{ordinal}", 0
+        while name in self._minted:
+            n += 1
+            name = f"{v.name}{ordinal}_{n}"
+        self._minted.add(name)
+        return Var(name, v.sort)
 
     def next_strand(self, protocol: str, role: str) -> tuple[int, str]:
         """The next strand's ordinal in the session and its id, ``role`` of
@@ -252,7 +266,7 @@ def make_semibundle(
                         secret_consts.add(c)
                         secret_pairs.append((v, c))
                 else:
-                    bindings[v] = Var(f"{v.name}{k}", v.sort)
+                    bindings[v] = session.next_var(v, k)
             s = Substitution(bindings)
             ids.append(strand_id)
             strands.append(role_strand.map(s.apply))

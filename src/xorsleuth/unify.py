@@ -687,7 +687,7 @@ class BscaTrace:
 
     def to_json_dict(self) -> dict:
         def eqs(es):
-            return [f"{to_text(e.left)} =?[{e.theory.value}] {to_text(e.right)}" for e in es]
+            return list(map(repr, es))
 
         return {
             "shortcut": self.shortcut,

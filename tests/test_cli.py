@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 from pathlib import Path
 
@@ -140,13 +141,50 @@ class TestReportInputs:
         inputs = cli._file_inputs([first, fx("q3.proto"), second, fx("q3.proto")])
         assert list(inputs) == [first, "q3.proto", second]
 
-    def test_report_is_written_as_the_indented_dump(self, tmp_path):
+    def test_report_is_written_as_the_indented_dump(self, tmp_path, monkeypatch):
         out = tmp_path / "report.json"
-        env = cli._envelope("parse", {"x.proto": "00"}, {"n": [1, 2.5, None]}, [{"é": True}, []], 0)
-        cli._emit(env, str(out))
+        report = ({"x.proto": "00"}, {"n": [1, 2.5, None]}, [{"é": True}, []], 1)
+        monkeypatch.setitem(cli._COMMANDS, "parse", cli._COMMANDS["parse"]._replace(run=lambda args: report))
+        assert run_command(["parse", "x.proto", "--json", str(out)]) == 1
         expected = io.StringIO()
-        json.dump(env, expected, indent=2)
-        assert out.read_text(encoding="utf-8") == expected.getvalue() + "\n"
+        inputs, config, results, code = report
+        envelope = {"command": "parse", "inputs": inputs, "config": config, "results": results, "exit_code": code}
+        json.dump(envelope, expected, indent=2)
+        assert out.read_bytes() == (expected.getvalue() + "\n").encode("utf-8")
+
+
+REPORTED_ARGV = {
+    "parse": ["parse", fx("nslx.proto")],
+    "check-assumptions": ["check-assumptions", fx("p1.proto"), fx("nslx.proto")],
+    "check-munut": ["check-munut", fx("nslx.proto"), fx("nslx.proto")],
+    "tag": ["tag", fx("nslx.proto"), "--label", "t1"],
+    "analyze": ["analyze", fx("p1.proto"), "--combined", fx("p2.proto"), "--secret", "NA", "--oracle-verify"],
+    "oracle-verify": ["oracle-verify", str(GOLDEN / "analyze_p1_p2.json")],
+}
+
+
+class TestReportPath:
+    """`run_command` writes each command's report, after its text, and
+    only when asked to."""
+
+    @pytest.mark.parametrize("name", cli._COMMANDS)
+    def test_report_names_the_command_and_its_exit_code(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.chdir(tmp_path)
+        code = run_command(REPORTED_ARGV[name])
+        text = capsys.readouterr().out
+        assert os.listdir(tmp_path) == []
+        assert run_command([*REPORTED_ARGV[name], "--json", "r.json"]) == code
+        assert capsys.readouterr().out == text
+        report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        assert list(report) == ["command", "inputs", "config", "results", "exit_code"]
+        assert (report["command"], report["exit_code"]) == (name, code)
+
+    def test_unwritable_report_path_is_input_error_after_the_text(self, tmp_path, capsys):
+        assert run_command(["parse", fx("nslx.proto"), "--json", str(tmp_path / "missing" / "r.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("protocol nslx")
+        assert captured.err.startswith("error:")
+        assert not (tmp_path / "missing").exists()
 
 
 class TestTagCommand:
@@ -489,6 +527,23 @@ INVALID_ARGV = [
 ]
 
 
+# what a dispatch stub returns in place of a command's report
+EMPTY_REPORT = ({}, {}, [], 0)
+
+
+@contextlib.contextmanager
+def in_scratch_dir():
+    """Run in an empty temporary directory, where the report of an argv
+    that names a --json path lands."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+
+
 class TestArgumentParsing:
     """The top-level parser and the command's own parser read every argv as
     the reference parser does: the same namespace, or the same usage error."""
@@ -498,8 +553,9 @@ class TestArgumentParsing:
         """The namespace `run_command` hands to the command's handler."""
         seen = []
         for name, command in cli._COMMANDS.items():
-            monkeypatch.setitem(cli._COMMANDS, name, command._replace(run=lambda args: seen.append(args) or 0))
-        assert run_command(argv) == 0
+            monkeypatch.setitem(cli._COMMANDS, name, command._replace(run=lambda args: seen.append(args) or EMPTY_REPORT))
+        with in_scratch_dir():
+            assert run_command(argv) == 0
         (args,) = seen
         return args
 
@@ -621,10 +677,11 @@ def dispatched_by_run_command(argv):
     seen = []
     def record(args):
         seen.append(args)
-        return 0
+        return EMPTY_REPORT
 
     with mock.patch.dict(cli._COMMANDS, {name: c._replace(run=record) for name, c in cli._COMMANDS.items()}):
-        run_command(argv)
+        with in_scratch_dir():
+            run_command(argv)
     (args,) = seen
     return args
 

@@ -39,6 +39,7 @@ from xorsleuth.terms import (
     sh,
     to_text,
     var,
+    vars_of_all,
     xor,
 )
 
@@ -158,6 +159,21 @@ class TestSemiBundle:
         p = parse_protocol("protocol two\nvars N:Nonce N1:Nonce\nfresh N N1\nrole A:\n  send seq(N, N1)\n")
         sb = make_semibundle(p, 11, session=FreshSession())
         assert len(sb.fresh_constants) == 22
+
+    def test_received_variables_skip_names_minted_before(self):
+        # suffixing the strand ordinal alone, N1 of strand 1 and N of strand 11 would both be N11
+        p = parse_protocol("protocol two\nvars N:Nonce N1:Nonce\nrole B:\n  recv seq(N, N1)\n  send seq(N, N1)\n")
+        sb = make_semibundle(p, 11, session=FreshSession())
+        assert len(vars_of_all(t for s in sb.strands for t in s.terms())) == 22
+        assert {v.name for v in vars_of_all(sb.strands[10].terms())} == {"N11_1", "N111"}
+
+    def test_received_variables_differ_across_protocols(self):
+        # one strand of x receives A1, as A11; the tenth strand of y receives A, whose name A11 is taken
+        x = parse_protocol("protocol x\nvars A1:Nonce\nrole R:\n  recv A1\n")
+        y = parse_protocol("protocol y\nvars A:Nonce\nrole R:\n  recv A\n")
+        session = FreshSession()
+        bundles = [make_semibundle(x, 1, session=session), make_semibundle(y, 10, session=session)]
+        assert len(vars_of_all(t for b in bundles for s in b.strands for t in s.terms())) == 11
 
     def test_zero_sessions_rejected(self, nslx):
         with pytest.raises(ValueError):
