@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .terms import (
     ZERO,
@@ -313,6 +313,124 @@ def build_iik(bundles: Sequence[SemiBundle]) -> frozenset[Term]:
     return frozenset(out)
 
 
+def _sh_terms(t: Term) -> Iterator[tuple[Term, bool]]:
+    """Every ``sh`` subterm of ``t``, with whether it is an interior term
+    (`interms`: reached through sequence items, XOR summands and
+    plaintexts only) or lies in a key position.  The arguments of ``pk``
+    and ``sh`` are atoms, so no other ``sh`` subterm exists.  This is the
+    one definition of a long-term key that travels inside a message:
+    design assumption 1 reads it through `interior_keys`, and the safe
+    keys of an analysis (`safe_keys`) read it directly."""
+    stack = [(t, True)]
+    while stack:
+        cur, inside = stack.pop()
+        if isinstance(cur, Sh):
+            yield cur, inside
+        elif isinstance(cur, (Seq, Xor)):
+            stack.extend([(item, inside) for item in cur.items])
+        elif isinstance(cur, (PEnc, SEnc)):
+            stack += ((cur.plain, inside), (cur.key, False))
+
+
+def interior_keys(t: Term) -> frozenset[Term]:
+    """The long-term keys that travel inside the message ``t``: its interior
+    ``sh`` terms (`_sh_terms`).  A key position is opaque, so a key that
+    only encrypts does not travel."""
+    return frozenset(k for k, inside in _sh_terms(t) if inside)
+
+
+def _plain_vars(t: Term) -> frozenset[Var]:
+    """The variables ``t`` holds through sequence items and encryption
+    plaintexts alone, with no XOR on the way: in the canonical form of any
+    instance of ``t``, the instance of each of them is an interior term."""
+    out: set[Var] = set()
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, Var):
+            out.add(cur)
+        elif isinstance(cur, Seq):
+            stack.extend(cur.items)
+        elif isinstance(cur, (PEnc, SEnc)):
+            stack.append(cur.plain)
+    return frozenset(out)
+
+
+def safe_keys(bundles: Sequence[SemiBundle], iik: frozenset[Term]) -> frozenset[Term]:
+    """The long-term keys that no run of ``bundles`` reveals to an attacker
+    who starts from ``iik``: every ground ``sh`` term of a node term that
+    is not in ``iik`` and travels inside no node term (`_sh_terms`).
+    The set is empty when an ``sh`` term with a variable travels inside a
+    node term (it may become any key), and when a send carries, at an
+    interior position, a variable that may take a compound value (one not
+    of sort Agent or Tag) and that no earlier receive of its strand holds
+    plainly (`_plain_vars`): a value received at a key position, under an
+    XOR or not at all may be a key, as ``keyleak``'s ``K`` is.
+
+    Soundness, the safe-keys lemma of Thayer, Herzog and Guttman that
+    Guttman and Thayer use for protocol independence through disjoint
+    encryption.  Fix a safe key ``k``, and call a set of canonical terms
+    clean when ``k`` is an interior term of none of its members.
+
+    1. What the attacker derives from a clean set has no interior ``k``,
+       so ``k`` is not derivable from it.  A sequence's items, a plaintext
+       and an XOR summand are interior terms of the term they come from.
+       What the attacker composes is a sequence, an encryption or the
+       canonical form of an XOR, whose interior terms, apart from itself,
+       are those of its items, of its plaintext, or of summands of its
+       arguments, and each summand of a canonical term is an interior term
+       of it.  The attacker never builds an ``sh`` term, and `un` derives a
+       member of the set itself.
+    2. Let σ solve the constraints placed along an interleaving, each a
+       receive (or a secret's demand) whose term set is ``iik`` and the
+       sends placed before it, under σ.  Every such term set is clean, by
+       induction along the interleaving, that is, on the attacker's first
+       derivation of ``k``.  ``iik`` holds atoms and public keys only.  A
+       send ``s`` adds the canonical form of σ(s).  Each of its interior
+       terms is the image of an interior subterm of ``s`` that is neither
+       a variable nor an XOR, or an interior term of σ(X) for a variable X
+       at an interior position of ``s``: normalizing keeps every head but
+       XOR's, and the image of an XOR is ``zero``, one summand or an XOR
+       of summands, each a summand of the image of one of its summands.
+       An image keeps its subterm's head, so it is ``k`` only if the
+       subterm is an ``sh`` term, and the ground ones differ from ``k``,
+       while none has a variable.  An Agent or Tag variable takes an atom.
+       Any other X is held plainly by an earlier receive ``r`` of the
+       strand, so σ(X) is an interior term of σ(r).  The attacker derived
+       σ(r) from a term set placed before the send, which is clean, so by
+       1 σ(X) has no interior ``k``.
+    3. Below a placed constraint, the search's rules only add to a term
+       set what is derivable from it (`pdec` and `sdec` a plaintext and a
+       key already derived, `xor_r` a summand), and a solution of a state
+       solves the constraints it descends from.  So by 1 and 2 no solution
+       of any state makes ``k`` derivable from one of its term sets.  The
+       argument holds for every solution, however the search binds its
+       variables: `un` binds to what a term set holds, and `ksub` binds
+       only a key, to ``pk(eps)``, never to an ``sh`` term.
+    """
+    strands = [s for b in bundles for s in b.strands]
+    keys: set[Term] = set()
+    travelling: set[Term] = set()
+    for t in {n.term for s in strands for n in s.nodes}:
+        for k, inside in _sh_terms(t):
+            (travelling if inside else keys).add(k)
+    if any(vars_of(k) for k in travelling):
+        return frozenset()
+    keys = {k for k in keys if not vars_of(k)} - travelling - iik
+    if not keys:
+        return frozenset()
+    for strand in strands:
+        held: frozenset[Var] = frozenset()
+        for node in strand.nodes:
+            if node.sign == RECV:
+                held |= _plain_vars(node.term)
+                continue
+            loose = {v for v in vars_of(node.term) - held if v.sort not in (Sort.AGENT, Sort.TAG)}
+            if loose and not loose.isdisjoint(interms(node.term)):
+                return frozenset()
+    return frozenset(keys)
+
+
 # -- structural assumptions ---------------------------------------------------------
 
 
@@ -361,19 +479,17 @@ def check_assumptions(p: Protocol) -> AssumptionReport:
     of a role message.
     """
     inside = {t: interms(t) for t in p.node_terms()}
-    ltks = p.long_term_keys()
     violations = [
         AssumptionViolation(1, t, l, "long-term key travels inside a message")
-        for t, parts in inside.items()
-        for l in ltks
-        if l in parts
+        for t in inside
+        for l in interior_keys(t)
     ]
     for e in enc_subterms(p):
         detail = f"part of the key of {to_text(e)} travels inside a message"
         for x in sorted(interms(e.key), key=term_key):  # type: ignore[union-attr]
             violations.extend(AssumptionViolation(2, t, x, detail) for t, parts in inside.items() if x in parts)
     violations.sort(key=lambda v: (v.assumption, term_key(v.term), term_key(v.witness)))
-    return AssumptionReport(p.name, ltks, tuple(dict.fromkeys(violations)))
+    return AssumptionReport(p.name, p.long_term_keys(), tuple(dict.fromkeys(violations)))
 
 
 # -- cross-protocol non-unifiability -------------------------------------------------

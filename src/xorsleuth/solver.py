@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
-from .protocol import PK_EPS, RECV, SEND, Node, SemiBundle, build_iik, make_semibundle, FreshSession, Protocol
+from .protocol import PK_EPS, RECV, SEND, Node, SemiBundle, build_iik, make_semibundle, safe_keys, FreshSession, Protocol
 from .terms import (
     EMPTY_SUBST,
     Const,
@@ -85,6 +85,18 @@ def _with(term_set: tuple[Term, ...], *new: Term) -> tuple[Term, ...]:
         if i == len(out) or out[i] != t:
             out.insert(i, t)
     return tuple(out)
+
+
+def _subst_set(sigma: Substitution, term_set: tuple[Term, ...]) -> tuple[Term, ...]:
+    """The canonical term set of ``sigma`` applied to the canonical
+    ``term_set``, that is ``_term_set(map(sigma.apply, term_set))``:
+    ``sigma`` maps a ground member to itself, so only the members with
+    variables are substituted, and their images are inserted into the
+    ground rest, which is canonical as it is (`_with`)."""
+    ground = tuple(t for t in term_set if not vars_of(t))
+    if len(ground) == len(term_set):
+        return term_set
+    return _with(ground, *(sigma.apply(t) for t in term_set if vars_of(t)))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -610,14 +622,17 @@ Decisions = dict[tuple[Term, tuple[Term, ...]], bool | None]
 
 class _Shared:
     """What the searches of one `satisfiable` call share: the budget, the
-    token table (`_canonical_key`), the node count and peak depth, and the
-    table of ground constraints (`_ground`): ``decided`` maps the parts
-    ``(target, term_set)`` of one whose nested search has started to
-    whether it is derivable, or to None while that search runs and after a
-    budget cut it.  Keyed by the parts, it answers a constraint that is not
-    built yet (`_children`)."""
+    token table (`_canonical_key`), the node count and peak depth, the
+    table of ground constraints (`_ground`) and the safe keys.  ``decided``
+    maps the parts ``(target, term_set)`` of a ground constraint whose
+    nested search has started to whether it is derivable, or to None while
+    that search runs and after a budget cut it.  Keyed by the parts, it
+    answers a constraint that is not built yet (`_children`).
+    ``safe_keys`` are the keys no solution makes derivable (`safe_keys`):
+    those of the plan in a search over interleavings, none for a sequence
+    given whole."""
 
-    __slots__ = ("budget", "tokens", "nodes", "peak_depth", "decided")
+    __slots__ = ("budget", "tokens", "nodes", "peak_depth", "decided", "safe_keys")
 
     def __init__(self, budget: SolverBudget) -> None:
         self.budget = budget
@@ -625,6 +640,7 @@ class _Shared:
         self.nodes = 0
         self.peak_depth = 0
         self.decided: Decisions = {}
+        self.safe_keys: frozenset[Term] = frozenset()
 
 
 # A search yields (ground constraint, depth) to have it decided by a nested
@@ -719,12 +735,33 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
     states visited and the counts are unchanged and only fewer states are
     normalized and fewer unifier searches run.
 
+    In a search over interleavings, a state whose active target is one of
+    the plan's safe keys (`safe_keys`) is dropped before anything else is
+    done with it, and so is a nested search's: no nested search of such a
+    constraint starts, and an `sdec` site whose member's key is safe yields
+    no child (`_children`).  Soundness: no solution of any state makes a
+    safe key derivable from one of its term sets (`safe_keys` has the
+    argument), so a dropped state has no solution, and neither has any
+    state below it.  The surviving states keep their depth-first order.
+    The search without the drop visits every dropped subtree and marks its
+    states visited; a later state it skips as one of them is visited here,
+    but it is a copy of a state without a solution, and so is everything
+    below it.  So when no budget ends either search, the first solution
+    found, its trace and the verdict are those of the search without the
+    drop, and only the node count moves.  A nested search decides ``m : T`` as
+    the one without the drop does whenever some state with that active
+    constraint has a solution: then no safe key is derivable from ``T``,
+    so no derivation of ``m`` passes through one.  A decision reached
+    where no such state has a solution only drops states that have none.
+
     ``stats``: ``nodes`` and ``peak_depth``, nested searches included;
     ``sequences``, the prefixes at which the search placed the secrets'
     demands (a sequence given whole counts as one); ``exhausted``, the
     budgets that ran out (`BUDGETS` order).
     """
     shared = _Shared(budget or SolverBudget())
+    if cs.pending is not None:
+        shared.safe_keys = cs.pending.plan.safe_keys
     searches = [_search(cs, 0, shared)]
     status: SolveStatus | None = None
     while True:
@@ -751,6 +788,7 @@ def _children(
     depth: int,
     exhausted: set[str],
     decided: Decisions,
+    safe: frozenset[Term] = frozenset(),
 ) -> Iterator[_Child]:
     """The children of the expanded state ``cur``, in search order: the
     branches of each of its rule sites (`_rule_sites`) in turn.  A site is
@@ -779,6 +817,11 @@ def _children(
     neither a variable nor a sequence (those never become active), so a
     site whose key is one is always applied.
 
+    An `sdec` site whose member's key is in ``safe``, the search's safe
+    keys (`_Shared`), is not applied either, by the same argument: the
+    key constraint would be the child's active constraint, and `_search`
+    drops a state whose active target is safe before it keys it.
+
     A `un` or `ksub` site whose pair `shape_clash` rejects is not applied
     either: both terms are ground and different, or free-headed with
     different constructors at the root.  Soundness: that pair has no
@@ -795,12 +838,10 @@ def _children(
         row = _RULES[rule]
         if row.pair is not None and shape_clash(*row.pair(c, site)):
             continue
-        if (
-            rule is RuleName.SDEC
-            and not vars_of(c.term_set[site].key)
-            and decided.get(_sdec_key(c, site)) is False
-        ):
-            continue
+        if rule is RuleName.SDEC:
+            key = c.term_set[site].key
+            if key in safe or not vars_of(key) and decided.get(_sdec_key(c, site)) is False:
+                continue
         branches, complete = _apply(rule, site, cur, active)
         if not complete:
             exhausted.add("unifier")
@@ -814,7 +855,7 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
     """The search of `satisfiable` from ``cs`` at depth ``depth0``, with its
     own visited set.  It yields each ground constraint it needs decided,
     with its depth, and is sent back the status of the nested search."""
-    budget, tokens, decided = shared.budget, shared.tokens, shared.decided
+    budget, tokens, decided, safe = shared.budget, shared.tokens, shared.decided, shared.safe_keys
     visited: set[str] = set()
     # node ids of the prefixes at which a secret's demand was placed
     reached: set[tuple[str, ...]] = set() if cs.pending is not None else {cs.origin}
@@ -837,6 +878,8 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
             reached.add(children[0].origin)
             # a list: a generator would read trace and depth when resumed
             stack.append(iter([(child, trace, depth) for child in children]))
+            continue
+        if active is not None and active[1].target in safe:
             continue
         if active is not None and _ground(active[1]):
             c = active[1]
@@ -869,7 +912,7 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
             exhausted.add("branch")
             visited.discard(key)
             continue
-        stack.append(_children(cur, active, trace, depth, exhausted, decided))
+        stack.append(_children(cur, active, trace, depth, exhausted, decided, safe))
 
     status = SolveStatus.BUDGET_EXHAUSTED if exhausted else SolveStatus.UNSATISFIABLE
     return SolverResult(status, (), _stats(shared, reached, exhausted))
@@ -882,10 +925,11 @@ class _Plan:
     """What the states of one search over interleavings share: each strand's
     id and nodes, then the demand for each secret, in the order given, as
     one more strand of a single receive (node id ``sec``); the initial
-    knowledge; and, per strand positions, a receive's term set and the
-    variables whose bindings the state key holds."""
+    knowledge; the keys no run reveals (`safe_keys`); and, per strand
+    positions, a receive's term set and the variables whose bindings the
+    state key holds."""
 
-    __slots__ = ("ids", "nodes", "base", "_term_sets", "_watched")
+    __slots__ = ("ids", "nodes", "base", "safe_keys", "_term_sets", "_watched")
 
     def __init__(self, bundles: Sequence[SemiBundle], iik: frozenset[Term], *secrets: Const) -> None:
         self.ids = tuple(sid for b in bundles for sid in b.strand_ids)
@@ -893,6 +937,7 @@ class _Plan:
             (Node(RECV, secret),) for secret in secrets
         )
         self.base = tuple(sorted(iik, key=term_key))
+        self.safe_keys = safe_keys(bundles, iik)
         self._term_sets: dict[tuple[int, ...], tuple[Term, ...]] = {}
         self._watched: dict[tuple[int, ...], tuple[Var, ...]] = {}
 
@@ -983,7 +1028,7 @@ def _place(cs: ConstraintSequence) -> list[ConstraintSequence]:
     order = (*range(strands, len(plan.nodes)), *range(strands))
     receivers = [si for si in order if positions[si] < len(plan.nodes[si])]
     raw_set = plan.term_set(tuple(positions))
-    term_set = _term_set(map(sigma.apply, raw_set)) if sigma else raw_set
+    term_set = _subst_set(sigma, raw_set) if sigma else raw_set
     children = []
     for si in receivers:
         i = positions[si]

@@ -312,13 +312,13 @@ class TestAnalyzeCommand:
         ]
 
     def test_node_budget_bounds_the_whole_analysis(self, tmp_path):
-        # q1+q3 is secure in 64 nodes over both secrets, so 63 is too few
+        # q1+q3 is secure in 36 nodes over both secrets, so 35 is too few
         # although neither secret alone needs that many
         out = tmp_path / "report.json"
         analyze = ["analyze", fx("q1.proto"), "--combined", fx("q3.proto"), "--json", str(out)]
-        assert run_command([*analyze, "--node-budget", "64"]) == 0
-        assert json.loads(out.read_text())["results"]["stats"]["nodes"] == 64
-        assert run_command([*analyze, "--node-budget", "63"]) == 3
+        assert run_command([*analyze, "--node-budget", "36"]) == 0
+        assert json.loads(out.read_text())["results"]["stats"]["nodes"] == 36
+        assert run_command([*analyze, "--node-budget", "35"]) == 3
 
     @pytest.mark.parametrize("blocked", ["blk", "p2t"])
     def test_receive_nobody_meets_hides_no_attack(self, tmp_path, capsys, blocked):
@@ -343,11 +343,17 @@ class TestAnalyzeCommand:
         assert results["oracle_verified"] is True
         assert results["attack"]["interleaving"] == ["p1.A#1.1", f"{Path(files[1]).stem}.A#1.1", "sec"]
 
-    def test_large_branch_budget_still_secure(self, capsys):
+    def test_large_branch_budget_still_secure(self, tmp_path, capsys):
         # nested searches of ground constraints may nest as deep as the
         # branch budget allows; they run from a loop, so a large budget
-        # cannot turn into "input nested too deeply"
-        code = run_command(["analyze", fx("q1.proto"), "--combined", fx("q3.proto"), "--branch-budget", "5000"])
+        # cannot turn into "input nested too deeply".  wrap sends q1's key
+        # sh(a, b) under sh(c, d), so sh(a, b) is not a safe key, and each
+        # demand for it is decided by nested searches
+        (tmp_path / "wrap.proto").write_text("protocol wrap\nrole A:\n  send senc(sh(a, b), sh(c, d))\n")
+        code = run_command(
+            ["analyze", fx("q1.proto"), "--combined", fx("q3.proto"), "--combined", str(tmp_path / "wrap.proto"),
+             "--branch-budget", "5000"]
+        )
         captured = capsys.readouterr()
         assert code == 0, captured.err
         assert captured.out.startswith("secure up to 1 session(s) per role")

@@ -4,6 +4,7 @@ import copy
 import functools
 import gc
 import itertools
+import json
 import pickle
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from xorsleuth import solver
 from xorsleuth.dsl import ProtocolSyntaxError, parse_protocol, parse_protocol_file
 from xorsleuth.oracle import verify_solution
-from xorsleuth.protocol import ATTACKER, FreshSession, build_iik, make_semibundle
+from xorsleuth.protocol import ATTACKER, FreshSession, build_iik, check_assumptions, make_semibundle, safe_keys
 from xorsleuth.solver import (
     AnalysisConfig,
     Constraint,
@@ -870,19 +871,19 @@ role A:
     @pytest.mark.parametrize(
         "names,verdict,counters",
         [
-            (("q1",), "secure", (3, 10)),
-            (("q1", "q2"), "secure", (3, 13)),
+            (("q1",), "secure", (3, 6)),
+            (("q1", "q2"), "secure", (3, 9)),
             (("nslx",), "attack", (1, 4)),
-            (("q3", "q5"), "secure", (3, 20)),
+            (("q3", "q5"), "secure", (3, 9)),
             # one search over both secrets at every prefix; demanding each
             # secret in its own search after complete runs only took 94
-            (("q1", "q3"), "secure", (13, 64)),
+            (("q1", "q3"), "secure", (13, 36)),
         ],
     )
     def test_search_counters_pinned(self, names, verdict, counters):
         # (sequences, nodes) move with any change to state keying, interleaving
-        # de-duplication, rule order or the ground decisions (whose nested
-        # states count); a change that moves them says why.
+        # de-duplication, rule order, the ground decisions (whose nested
+        # states count) or the safe keys; a change that moves them says why.
         # `sequences` counts the prefixes at which the secrets' demands were
         # placed: a prefix whose receives cannot all be met counts none
         protocols = [parse_protocol_file(FIXTURES / f"{n}.proto") for n in names]
@@ -944,6 +945,13 @@ CORPUS = ("q1", "q2", "q3", "q4", "q5")
 # receive (under a key the attacker chose), ``blk``'s one receive is a
 # message nobody sends, and ``seqkey`` encrypts under a sequence with a
 # long-term key in it and under a variable, keys no ground decision covers.
+# The others bear on the safe keys (`protocol.safe_keys`).  ``wrap`` sends
+# sh(a, b) under sh(c, d): sh(a, b) travels, so it is not safe, but no run
+# reveals it, and a nested search decides each demand for it dead.  The
+# rest can each hand sh(a, b) to the attacker, so beside q1 no key is
+# safe: ``shvar`` sends sh(A, b) for an agent A nobody fixes, and
+# ``xorrecv`` and ``unrecv`` send a value received under an XOR or never
+# received at all (``keyleak`` sends one received at a key position).
 INLINE = {
     "echo": "protocol echo\nvars X:Data N:Nonce\nfresh N\nsecret N\nrole A:\n  recv X\n  send senc(N, X)\n",
     "blk": "protocol blk\nvars X:Data\nrole A:\n  recv senc(X, sh(c, d))\n",
@@ -951,6 +959,10 @@ INLINE = {
         "protocol seqkey\nvars N:Nonce M:Nonce X:Data\nfresh N M\nsecret N\n"
         "role A:\n  send senc(N, seq(M, sh(a, b)))\n  recv X\n  send senc(M, X)\n"
     ),
+    "wrap": "protocol wrap\nrole A:\n  send senc(sh(a, b), sh(c, d))\n",
+    "shvar": "protocol shvar\nvars A:Agent\nrole R:\n  send sh(A, b)\n",
+    "xorrecv": "protocol xorrecv\nvars X:Data Y:Data\nrole A:\n  recv xor(X, Y)\n  send X\n",
+    "unrecv": "protocol unrecv\nvars X:Data\nrole A:\n  send X\n",
 }
 
 
@@ -1534,6 +1546,12 @@ class TestGroundDecisions:
             (("q1", "q5", "leak_bc"), 1, ()),
             (("q3", "leak_ac"), 2, ()),
             (("q5", "leak_bc"), 2, ()),
+            # the corpus's dead constraints are all safe keys, which no
+            # nested search decides: these still decide some dead
+            (("q1", "wrap"), 1, ()),
+            (("q1", "q3", "wrap"), 1, ()),
+            (("q1", "leak_ab"), 1, ()),
+            (("seqkey",), 2, ()),
         ],
         ids=case_id,
     )
@@ -1548,19 +1566,27 @@ class TestGroundDecisions:
 
     def test_nested_searches_do_not_call_satisfiable(self):
         # a wrapper of `satisfiable` (as a tracer installs) sees the one call
-        # of the analysis, whose nodes are the report's
-        calls = []
-        original = solver.satisfiable
+        # of the analysis, whose nodes are the report's.  q1+q3 starts no
+        # nested search, since its keys are safe; wrap's sh(a, b) is not,
+        # and the first demand for it in each term set starts one
+        original, original_search = solver.satisfiable, solver._search
+        for names, nodes, nested in ((("q1", "q3"), 36, False), (("q1", "q3", "wrap"), 44, True)):
+            calls, searches = [], []
 
-        def counted(cs, budget=None):
-            res = original(cs, budget)
-            calls.append(res.stats["nodes"])
-            return res
+            def counted(cs, budget=None):
+                res = original(cs, budget)
+                calls.append(res.stats["nodes"])
+                return res
 
-        with mock.patch.object(solver, "satisfiable", counted):
-            res = check_secrecy([load("q1"), load("q3")], AnalysisConfig(sessions=1))
-        assert len(res.secrets_checked) == 2
-        assert calls == [res.stats["nodes"]] == [64]
+            def search(start, depth, shared):
+                searches.append(start)
+                return original_search(start, depth, shared)
+
+            with mock.patch.object(solver, "satisfiable", counted), mock.patch.object(solver, "_search", search):
+                res = check_secrecy([load(n) for n in names], AnalysisConfig(sessions=1))
+            assert len(res.secrets_checked) == 2
+            assert calls == [res.stats["nodes"]] == [nodes]
+            assert (len(searches) > 1) is nested
 
     def test_matches_on_mixed_sequences(self):
         compared = []
@@ -1722,10 +1748,12 @@ def reference_search(cs, depth0, shared):
     """`solver._search` as it was before children were built lazily: every
     rule site of an expanded state is applied, and all its children pushed,
     before the first child is visited.  It is also the unfiltered
-    reference: every site goes through `_apply`, so neither a dead-key
-    `sdec` site nor a `un` or `ksub` site that `shape_clash` decides is
-    skipped."""
-    budget, tokens, decided = shared.budget, shared.tokens, shared.decided
+    reference: every site goes through `_apply`, so neither a dead-key or
+    safe-key `sdec` site nor a `un` or `ksub` site that `shape_clash`
+    decides is skipped.  States are dropped as `solver._search` drops them:
+    one whose active target is a safe key, and one whose active constraint
+    is decided dead."""
+    budget, tokens, decided, safe = shared.budget, shared.tokens, shared.decided, shared.safe_keys
     visited = set()
     reached = set() if cs.pending is not None else {cs.origin}
     exhausted = set()
@@ -1740,6 +1768,8 @@ def reference_search(cs, depth0, shared):
             if children[0].pending.done:
                 reached.add(children[0].origin)
             stack.extend((child, trace, depth) for child in reversed(children))
+            continue
+        if active is not None and active[1].target in safe:
             continue
         if active is not None and solver._ground(active[1]):
             c = active[1]
@@ -1837,6 +1867,8 @@ class TestLazyChildren:
             (("echo",), 2, ()),
             (("seqkey",), 1, ()),
             (("seqkey",), 2, ()),
+            # `sdec` sites whose ground key wrap's sh(a, b) is decided dead
+            (("q1", "q3", "wrap"), 1, ()),
         ],
         ids=case_id,
     )
@@ -1916,11 +1948,14 @@ class TestLazyChildren:
             with mock.patch.object(solver, "normalize_seq", counted):
                 return search(start), len(calls)
 
-        (start,) = secret_searches(("q1", "q3"), 1, ("N2",))
-        lazy, lazy_calls = normalized(satisfiable, start)
-        eager, eager_calls = normalized(eager_satisfiable, start)
-        assert_same_search(lazy, eager)
-        assert lazy_calls < eager_calls
+        # q1+q3's skipped sites have a safe key; beside wrap, q1's key
+        # sh(a, b) is not safe, and its sites are skipped once it is decided dead
+        for names in (("q1", "q3"), ("q1", "wrap")):
+            (start,) = secret_searches(names, 1, ("N2",))
+            lazy, lazy_calls = normalized(satisfiable, start)
+            eager, eager_calls = normalized(eager_satisfiable, start)
+            assert_same_search(lazy, eager)
+            assert lazy_calls < eager_calls
 
     def test_unvisited_siblings_are_not_built(self):
         # the attack on nslx ends the search long before every site of the
@@ -2027,3 +2062,150 @@ class TestShapeDecidedSites:
         assert ground and len(ground) < len(decided)
         for m, t in decided:
             assert unify_sua(m, t) == ((), True), (to_text(m), to_text(t))
+
+
+def analysis_safe_keys(names, sessions=1):
+    """The safe keys of the analysis of ``names`` (`protocol.safe_keys`)."""
+    session = FreshSession()
+    bundles = [make_semibundle(load(n), sessions, session=session) for n in names]
+    return safe_keys(bundles, build_iik(bundles))
+
+
+def without_safe_keys():
+    """The search with no key taken for safe, so no state is dropped for
+    one and every `sdec` site is applied: the reference."""
+    return mock.patch.object(solver, "safe_keys", lambda bundles, iik: frozenset())
+
+
+def as_written(res):
+    """The verdict, the secrets, the prefixes counted and the attack trace,
+    byte for byte as a report writes it, less its time."""
+    attack = res.attack and {k: v for k, v in res.attack.to_json_dict().items() if k != "elapsed_ms"}
+    return res.verdict, res.secrets_checked, res.stats["sequences"], json.dumps(attack)
+
+
+AB = normalize(Sh(a, b))
+
+# Each hands the key sh(a, b) of q1 to the attacker (see `INLINE`).
+KEY_GIVERS = ("leak_ab", "shvar", "xorrecv", "unrecv", "keyleak")
+
+
+class TestSafeKeys:
+    """Which long-term keys `safe_keys` takes for safe."""
+
+    def test_a_key_some_strand_sends_is_never_safe(self):
+        # q1's B sends the N1 it received plainly, which cannot carry a key
+        assert analysis_safe_keys(("q1",)) == {AB}
+        for names in [(q,) for q in CORPUS] + list(itertools.combinations(CORPUS, 2)):
+            for sessions in (1, 2):
+                assert AB not in analysis_safe_keys((*names, "leak_ab"), sessions)
+
+    def test_a_key_an_interior_sh_with_a_variable_may_become_is_not_safe(self):
+        assert AB not in analysis_safe_keys(("q1", "shvar"))
+        assert confirmed_attack([load("q1"), load("shvar")], ())
+
+    @pytest.mark.parametrize("giver", ["xorrecv", "unrecv", "keyleak"])
+    def test_a_key_a_sent_variable_may_carry_is_not_safe(self, giver):
+        # a value received under an XOR, never received or received at a
+        # key position may be sh(a, b), and the attacker learns it when it
+        # is sent: a safe sh(a, b) would hide the attack (keyleak) or
+        # change its trace (xorrecv, unrecv)
+        assert analysis_safe_keys(("q1", giver)) == frozenset()
+        assert confirmed_attack([load("q1"), load(giver)], ())
+
+    def test_keys_assumption_1_reports_are_never_safe(self):
+        # the checker and the safe keys read one definition of a key that
+        # travels (`protocol._sh_terms`); a reported key with a
+        # variable must not be unifiable with any safe key
+        names = sorted(f.stem for f in FIXTURES.glob("*.proto")) + ["leak_ab", "shvar"]
+        reported = kept = 0
+        for combo in [(n,) for n in names] + list(itertools.combinations(names, 2)):
+            safe = analysis_safe_keys(combo)
+            kept += bool(safe)
+            for n in combo:
+                for v in check_assumptions(load(n)).violations:
+                    if v.assumption == 1:
+                        reported += 1
+                        assert not any(unify_sua(v.witness, key)[0] for key in safe), (combo, to_text(v.witness))
+        assert reported >= 10 and kept >= 10
+
+    def test_three_protocol_leak_is_proven_secure(self):
+        # S is q3's secret under sh(a, c), which stays safe beside leak_ab;
+        # without the safe keys the search runs out of its default budget
+        res = check_secrecy([load(n) for n in ("q1", "q3", "leak_ab")], AnalysisConfig(secrets=("S",)))
+        assert res.verdict == "secure"
+        assert res.stats["nodes"] <= SolverBudget().max_nodes
+
+
+# The corpus and its pairs at one and two sessions, the `attacks` items,
+# and protocols that hand q1's key to the attacker in every way.
+PRUNING_CASES = (
+    [(names, sessions, ()) for names in [(q,) for q in CORPUS] + list(itertools.combinations(CORPUS, 2))
+     for sessions in (1, 2)]
+    + ATTACK_ITEMS
+    + [(("q1", giver), 1, ()) for giver in KEY_GIVERS]
+    + [(("p2", "keyleak"), 1, ()), (("q1", "q3", "wrap"), 1, ()), (("seqkey",), 2, ())]
+)
+
+
+class TestSafeKeyPruning:
+    """The search that drops the demands for safe keys against the one
+    that does not."""
+
+    @pytest.mark.parametrize("names,sessions,secrets", PRUNING_CASES, ids=case_id)
+    def test_matches_the_search_without_them(self, names, sessions, secrets):
+        config = AnalysisConfig(sessions=sessions, secrets=secrets)
+        pruned = check_secrecy([load(n) for n in names], config)
+        with without_safe_keys():
+            reference = check_secrecy([load(n) for n in names], config)
+        assert pruned.verdict != "inconclusive"
+        assert as_written(pruned) == as_written(reference)
+        assert pruned.stats["nodes"] <= reference.stats["nodes"]
+        if pruned.attack is not None:
+            attack = pruned.attack
+            assert verify_solution(ConstraintSequence(attack.constraints), attack.substitution)
+
+    def test_matches_on_generated_protocols(self):
+        compared = []
+
+        @given(small_protocols(secret=True), st.sampled_from([(), ("q1",), ("leak_cd",), ("wrap",), ("xorrecv",)]))
+        @settings(max_examples=80, deadline=None)
+        def check(protocol, others):
+            # each role that sends M mints a secret; one that receives M first does not
+            assume(make_semibundle(protocol, 1).secret_constants)
+            protocols = [protocol] + [load(n) for n in others]
+            config = AnalysisConfig(budget=SolverBudget(max_nodes=2_000))
+            pruned = check_secrecy(protocols, config)
+            with without_safe_keys():
+                reference = check_secrecy(protocols, config)
+            assume("inconclusive" not in (pruned.verdict, reference.verdict))
+            assert as_written(pruned) == as_written(reference)
+            compared.append(pruned.stats["nodes"] < reference.stats["nodes"])
+
+        check()
+        # draws that compared two definite verdicts; among them those that
+        # the safe keys made shorter
+        assert len(compared) >= 40
+        assert sum(compared) >= 5
+
+
+class TestPlaceTermSet:
+    def test_matches_substituting_every_member(self):
+        # `_place` substitutes only the members of a receive's term set
+        # that have variables; the result is the canonical set of every
+        # member substituted
+        original = solver._place
+        substituted = []
+
+        def checked(cs):
+            children = original(cs)
+            for child in children:
+                raw = child.pending.placed[-1].term_set
+                assert child.constraints[-1].term_set == solver._term_set(map(cs.subst.apply, raw))
+            substituted.append(bool(cs.subst) and any(map(vars_of, raw)))
+            return children
+
+        with mock.patch.object(solver, "_place", checked):
+            for names, sessions, secrets in WORKLOAD_ANALYSES:
+                check_secrecy([load(n) for n in names], AnalysisConfig(sessions=sessions, secrets=secrets))
+        assert sum(substituted) >= 10
