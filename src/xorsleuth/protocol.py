@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .terms import (
@@ -124,32 +125,24 @@ class Protocol:
     def variables(self) -> frozenset[Var]:
         return vars_of_all(self.node_terms())
 
+    @cached_property
+    def parts(self) -> frozenset[Term]:
+        """The distinct subterms of the role messages, walked once, on the
+        first read.  The value is kept on the instance outside the fields,
+        so equality, hashing and ``repr`` do not see it."""
+        return frozenset().union(*map(subterms, set(self.node_terms())))
+
+    def parts_of(self, cls: type | tuple[type, ...]) -> tuple[Term, ...]:
+        """The parts that are instances of ``cls``, in canonical order."""
+        return tuple(sorted((s for s in self.parts if isinstance(s, cls)), key=term_key))
+
     def long_term_keys(self) -> tuple[Term, ...]:
-        keys = {s for t in self.node_terms() for s in subterms(t) if isinstance(s, Sh)}
-        return tuple(sorted(keys, key=term_key))
+        return self.parts_of(Sh)
 
 
 def enc_subterms(p: Protocol) -> tuple[Term, ...]:
     """Every encrypted subterm of any role message, in canonical order."""
-    encs = {
-        s
-        for t in p.node_terms()
-        for s in subterms(t)
-        if isinstance(s, (PEnc, SEnc))
-    }
-    return tuple(sorted(encs, key=term_key))
-
-
-def rename_apart(p: Protocol) -> Protocol:
-    """Rename every variable of the protocol with a prime: ``NA`` becomes ``NA'``."""
-    ren = {v: Var(v.name + "'", v.sort) for v in p.variables()}
-    s = Substitution(ren)
-    return Protocol(
-        p.name,
-        tuple((rn, strand.map(s.apply)) for rn, strand in p.roles),
-        (ren.get(v, v) for v in p.fresh_vars),
-        (ren.get(v, v) for v in p.secret_vars),
-    )
+    return p.parts_of((PEnc, SEnc))
 
 
 # -- semi-bundles ---------------------------------------------------------------
@@ -230,7 +223,7 @@ def make_semibundle(
     if sessions_per_role < 1:
         raise ValueError("sessions_per_role must be at least 1")
     session = session or FreshSession()
-    written = frozenset(s.name for t in p.node_terms() for s in subterms(t) if isinstance(s, Const))
+    written = frozenset(s.name for s in p.parts if isinstance(s, Const))
 
     ids: list[str] = []
     strands: list[Strand] = []
@@ -556,14 +549,8 @@ def _std_unifier_witness(t1: Term, t2: Term) -> Substitution | None:
 
 
 def _xor_children(p: Protocol) -> tuple[Term, ...]:
-    out = {
-        c
-        for t in p.node_terms()
-        for s in subterms(t)
-        if isinstance(s, Xor)
-        for c in s.items
-    }
-    return tuple(sorted(out, key=term_key))
+    """Every summand of an XOR subterm of any role message, in canonical order."""
+    return tuple(sorted({c for x in p.parts_of(Xor) for c in x.items}, key=term_key))
 
 
 def check_munut(p1: Protocol, p2: Protocol) -> MunutReport:
@@ -572,18 +559,17 @@ def check_munut(p1: Protocol, p2: Protocol) -> MunutReport:
     Condition 1: no encrypted subterm of one protocol unifies (in the free
     theory, with XOR parts abstracted) with an encrypted subterm of the
     other.  Condition 2: the same for the non-XOR summands of XOR subterms.
-    Variables are renamed apart before checking; witnesses list the unifier.
+    The second protocol's parts are primed apart (``NA`` becomes ``NA'``),
+    which gives the primed protocol's parts: the renaming is injective, so
+    no summand cancels.  Witnesses list the unifier.
     """
-    q2 = rename_apart(p2)
+    prime = Substitution({v: Var(v.name + "'", v.sort) for v in p2.variables()})
     violations: list[MunutViolation] = []
-    for t1, t2 in itertools.product(enc_subterms(p1), enc_subterms(q2)):
-        w = _std_unifier_witness(t1, t2)
-        if w is not None:
-            violations.append(MunutViolation(1, t1, t2, w))
-    for u1, u2 in itertools.product(_xor_children(p1), _xor_children(q2)):
-        w = _std_unifier_witness(u1, u2)
-        if w is not None:
-            violations.append(MunutViolation(2, u1, u2, w))
+    for condition, parts in ((1, enc_subterms), (2, _xor_children)):
+        for t1, t2 in itertools.product(parts(p1), [prime.apply(t) for t in parts(p2)]):
+            w = _std_unifier_witness(t1, t2)
+            if w is not None:
+                violations.append(MunutViolation(condition, t1, t2, w))
     violations.sort(key=lambda v: (v.condition, term_key(v.left), term_key(v.right)))
     return MunutReport((p1.name, p2.name), tuple(violations))
 
@@ -606,9 +592,8 @@ def tag_protocol(p: Protocol, label: Const | str) -> Protocol:
             f"label {tag.name!r} is not a constant name: letters, digits and _, "
             "not starting upper-case, and not zero or a constructor name"
         )
-    for c in itertools.chain.from_iterable(subterms(t) for t in p.node_terms()):
-        if isinstance(c, Const) and c.name == tag.name:
-            raise LabelCollision(f"label {tag.name!r} already occurs in {p.name}")
+    if any(isinstance(c, Const) and c.name == tag.name for c in p.parts):
+        raise LabelCollision(f"label {tag.name!r} already occurs in {p.name}")
 
     def prepend(t: Term) -> Term:
         if isinstance(t, Seq):

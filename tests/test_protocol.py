@@ -1,8 +1,14 @@
 """Protocol model: semi-bundles, attacker knowledge, structural checks, tagging."""
 
+import copy
+import dataclasses
+import itertools
+import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorsleuth.dsl import parse_protocol, parse_protocol_file
 from xorsleuth.protocol import (
@@ -10,23 +16,30 @@ from xorsleuth.protocol import (
     AssumptionViolation,
     FreshSession,
     LabelCollision,
+    MunutReport,
+    MunutViolation,
     Node,
     Protocol,
     SecretInIik,
     Strand,
+    _std_unifier_witness,
+    _xor_children,
     build_iik,
     check_assumptions,
     check_munut,
     enc_subterms,
     make_semibundle,
-    rename_apart,
     tag_protocol,
 )
 from xorsleuth.terms import (
     ZERO,
     Const,
+    PEnc,
+    SEnc,
     Sh,
     Sort,
+    Substitution,
+    Var,
     Xor,
     XorsleuthError,
     apply_subst,
@@ -37,6 +50,8 @@ from xorsleuth.terms import (
     senc,
     seq,
     sh,
+    subterms,
+    term_key,
     to_text,
     var,
     vars_of_all,
@@ -104,13 +119,12 @@ class TestProtocolType:
         assert p == Protocol("p", (("A", strand),), frozenset({n}), frozenset({n}))
         assert isinstance(p.roles, tuple) and isinstance(p.secret_vars, frozenset)
 
-    def test_tagged_and_renamed_protocols_are_checked(self):
+    def test_tagged_protocols_are_checked(self):
+        # the label check reads the unchecked protocol's parts first; the
+        # constructor still rejects the tagged roles
         strand = Strand((Node("+", senc(const("m"), const("k"))),))
         with pytest.raises(ValueError, match="^duplicate role 'A'$"):
             tag_protocol(unchecked("p", [("A", strand), ("A", strand)]), "t")
-        n = var("N", Sort.NONCE)
-        with pytest.raises(ValueError, match="^secret variables must be fresh: N'$"):
-            rename_apart(unchecked("p", [("A", Strand((Node("+", n),)))], secret=[n]))
 
     def test_strand_map_keeps_signs_and_normalizes(self):
         c, d = const("c"), const("d")
@@ -305,16 +319,9 @@ class TestMunut:
         assert rep.ok()
 
     def test_corpus_pairwise_satisfied(self):
-        import itertools
-
         corpus = [load(f"q{i}") for i in range(1, 6)]
         for a, b in itertools.combinations(corpus, 2):
             assert check_munut(a, b).ok(), (a.name, b.name)
-
-    def test_rename_apart(self, nslx):
-        renamed = rename_apart(nslx)
-        assert {v.name for v in renamed.variables()} == {"A'", "B'", "NA'", "NB'"}
-        assert renamed.name == nslx.name
 
 
 class TestTagProtocol:
@@ -363,3 +370,185 @@ class TestTagProtocol:
         assert to_text(tagged.node_terms()[0]) == (
             "penc(seq(const(t:Tag),const(m:Data)),pk(const(b:Agent)))"
         )
+
+
+# -- parts against the walks they replaced -------------------------------------------
+
+FIXTURE_NAMES = sorted(f.stem for f in FIXTURES.glob("*.proto"))
+
+
+def reference_long_term_keys(p):
+    keys = {s for t in p.node_terms() for s in subterms(t) if isinstance(s, Sh)}
+    return tuple(sorted(keys, key=term_key))
+
+
+def reference_enc_subterms(p):
+    encs = {s for t in p.node_terms() for s in subterms(t) if isinstance(s, (PEnc, SEnc))}
+    return tuple(sorted(encs, key=term_key))
+
+
+def reference_xor_children(p):
+    out = {c for t in p.node_terms() for s in subterms(t) if isinstance(s, Xor) for c in s.items}
+    return tuple(sorted(out, key=term_key))
+
+
+def reference_written(p):
+    return frozenset(s.name for t in p.node_terms() for s in subterms(t) if isinstance(s, Const))
+
+
+def reference_rename_apart(p):
+    """Every variable of the protocol primed, as a whole protocol again."""
+    ren = {v: Var(v.name + "'", v.sort) for v in p.variables()}
+    s = Substitution(ren)
+    return Protocol(
+        p.name,
+        tuple((rn, strand.map(s.apply)) for rn, strand in p.roles),
+        (ren.get(v, v) for v in p.fresh_vars),
+        (ren.get(v, v) for v in p.secret_vars),
+    )
+
+
+def reference_munut(p1, p2):
+    """`check_munut` by the route it replaced: rename the whole second
+    protocol apart, then walk both protocols for each condition."""
+    q2 = reference_rename_apart(p2)
+    violations = []
+    for condition, walk in ((1, reference_enc_subterms), (2, reference_xor_children)):
+        for t1, t2 in itertools.product(walk(p1), walk(q2)):
+            w = _std_unifier_witness(t1, t2)
+            if w is not None:
+                violations.append(MunutViolation(condition, t1, t2, w))
+    violations.sort(key=lambda v: (v.condition, term_key(v.left), term_key(v.right)))
+    return MunutReport((p1.name, p2.name), tuple(violations))
+
+
+AGENT_POOL = [var("A", Sort.AGENT), var("B", Sort.AGENT), Const("a1", Sort.AGENT), Const("b", Sort.AGENT)]
+# n1 and a1 are the names `make_semibundle` would mint first for N and role A
+ATOM_POOL = [var("N", Sort.NONCE), var("X"), var("K", Sort.KEY), Const("n1", Sort.NONCE), const("m"), Const("t", Sort.TAG)]
+
+
+def drawn_terms(atoms, depth=2):
+    base = st.sampled_from(atoms + AGENT_POOL)
+    if depth == 0:
+        return base
+    sub = drawn_terms(atoms, depth - 1)
+    agent = st.sampled_from(AGENT_POOL)
+    return st.one_of(
+        base,
+        st.tuples(sub, sub).map(lambda p: seq(*p)),
+        st.tuples(sub, sub).map(lambda p: xor(*p)),
+        st.tuples(sub, st.one_of(sub, st.tuples(agent, agent).map(lambda p: sh(*p)))).map(lambda p: senc(*p)),
+        st.tuples(sub, agent).map(lambda p: penc(p[0], pk(p[1]))),
+    )
+
+
+@st.composite
+def drawn_protocols(draw, name="g", primed=False):
+    """A protocol of one or two roles, A and B, of one to three nodes each,
+    over agent, nonce, data, key and tag atoms; N is fresh and secret when
+    a role uses it.  With ``primed``, a variable may be named ``X'``, the
+    name `check_munut` gives the other protocol's ``X``."""
+    atoms = ATOM_POOL + ([var("X'")] if primed else [])
+    node = st.tuples(st.sampled_from(["+", "-"]), drawn_terms(atoms))
+    roles = draw(st.lists(st.lists(node, min_size=1, max_size=3), min_size=1, max_size=2))
+    strands = [(rn, Strand(tuple(Node(sign, t) for sign, t in nodes))) for rn, nodes in zip("AB", roles)]
+    fresh = {var("N", Sort.NONCE)} & vars_of_all(t for _, strand in strands for t in strand.terms())
+    return Protocol(name, strands, fresh, fresh)
+
+
+def fixtures_and_tagged():
+    """Every fixture and every fixture tagged, each parsed afresh and so
+    with its parts not read yet (tagging reads the parts of what it tags)."""
+    return [load(n) for n in FIXTURE_NAMES] + [tag_protocol(load(n), "t9") for n in FIXTURE_NAMES]
+
+
+def assert_parts_match_walks(p):
+    assert p.parts == frozenset().union(*(subterms(t) for t in p.node_terms()))
+    assert p.long_term_keys() == reference_long_term_keys(p)
+    assert enc_subterms(p) == reference_enc_subterms(p)
+    assert _xor_children(p) == reference_xor_children(p)
+    assert frozenset(c.name for c in p.parts_of(Const)) == reference_written(p)
+    # make_semibundle mints no constant whose name the protocol writes
+    sb = make_semibundle(p, 2, session=FreshSession())
+    minted = {t.name for _, s in sb.instantiations for _, t in s.items() if isinstance(t, Const)}
+    assert not minted & reference_written(p)
+
+
+def assert_reading_parts_is_invisible(p):
+    unread = pickle.loads(pickle.dumps(p))
+    before = (repr(p), hash(p))
+    assert "parts" not in vars(p) and "parts" not in {f.name for f in dataclasses.fields(p)}
+    p.parts  # the first read computes the parts and keeps them on the instance
+    assert "parts" in vars(p) and (repr(p), hash(p)) == before
+    for twin in (unread, copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and p == twin and hash(twin) == hash(p) and repr(twin) == repr(p)
+        assert twin.parts == p.parts
+
+
+class TestParts:
+    def test_fixtures_and_tagged_fixtures(self):
+        for p in fixtures_and_tagged():
+            assert_parts_match_walks(p)
+
+    def test_reading_parts_leaves_the_value_unchanged(self):
+        for p in fixtures_and_tagged():
+            assert_reading_parts_is_invisible(p)
+
+    @given(drawn_protocols(primed=True))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_protocols(self, p):
+        assert_reading_parts_is_invisible(p)
+        assert_parts_match_walks(p)
+
+    def test_unchecked_protocol_reads_its_parts(self):
+        strand = Strand((Node("+", senc(const("m"), const("k"))),))
+        p = unchecked("p", [("A", strand), ("A", strand)])
+        assert p.parts_of(SEnc) == (senc(const("m"), const("k")),)
+        assert_reading_parts_is_invisible(unchecked("q", [("A", strand)]))
+
+
+
+# -- check_munut against the rename-apart route ------------------------------------------
+
+
+def assert_munut_matches_reference(p, q):
+    assert check_munut(p, q).to_json_dict() == reference_munut(p, q).to_json_dict(), (p.name, q.name)
+
+
+def condition_counts(report):
+    return [sum(v.condition == c for v in report.violations) for c in (1, 2)]
+
+
+class TestMunutAgainstReference:
+    def test_every_ordered_fixture_pair(self):
+        fixtures = [load(n) for n in FIXTURE_NAMES]
+        for p, q in itertools.product(fixtures, repeat=2):
+            assert_munut_matches_reference(p, q)
+
+    @pytest.mark.parametrize("labels", [("t1x", "t2x"), ("same", "same")])
+    def test_tagged_fixture_pairs(self, labels):
+        fixtures = [load(n) for n in FIXTURE_NAMES]
+        for p, q in itertools.product(fixtures, repeat=2):
+            assert_munut_matches_reference(tag_protocol(p, labels[0]), tag_protocol(q, labels[1]))
+
+    @given(drawn_protocols("g", primed=True), drawn_protocols("h", primed=True))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_protocols(self, p, q):
+        assert_munut_matches_reference(p, q)
+        assert_munut_matches_reference(p, p)
+
+    def test_symmetric_counts_on_fixtures_and_tagged_fixtures(self):
+        protocols = fixtures_and_tagged()
+        for p, q in itertools.product(protocols, repeat=2):
+            assert condition_counts(check_munut(p, q)) == condition_counts(check_munut(q, p)), (p.name, q.name)
+
+    def test_nslx_and_q1_clash_on_summands_both_ways(self):
+        nslx, q1 = load("nslx"), load("q1")
+        assert condition_counts(check_munut(nslx, q1)) == condition_counts(check_munut(q1, nslx)) == [0, 2]
+
+    @given(drawn_protocols("g"), drawn_protocols("h"))
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_counts_on_drawn_protocols(self, p, q):
+        # with no primed names in either protocol, each direction unifies a
+        # variable-disjoint copy of the same pair of parts
+        assert condition_counts(check_munut(p, q)) == condition_counts(check_munut(q, p))
