@@ -11,6 +11,7 @@ cut before it could confirm or refute a trace).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -344,6 +345,39 @@ def _files_after_separator(command: argparse.ArgumentParser, name: str, rest: li
     return args
 
 
+class _Stdout:
+    """Standard output of the program (`main`): writes and flushes go to
+    ``stream`` until one finds the reading end of a pipe closed
+    (`BrokenPipeError`).  Then the stream's file descriptor is pointed at
+    the null device, so the rest of the text, help included, and what is
+    still buffered when the interpreter flushes at exit, go nowhere.  A
+    reader that stops reading is no input error: the command still writes
+    its ``--json`` report and ends with its own exit code."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self.stream.write(text)
+        except BrokenPipeError:
+            self._close()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self.stream.flush()
+        except BrokenPipeError:
+            self._close()
+
+    def _close(self) -> None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, self.stream.fileno())
+        finally:
+            os.close(devnull)
+
+
 def run_command(argv: Sequence[str]) -> int:
     # a call builds its command's parser, and the top-level one only for
     # help, a missing or unknown command, or an error; what neither knows is
@@ -389,7 +423,13 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    stdout = _Stdout(sys.stdout)
+    with contextlib.redirect_stdout(stdout):
+        try:
+            code = run_command(sys.argv[1:])
+        finally:
+            stdout.flush()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

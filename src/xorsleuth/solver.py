@@ -2,8 +2,10 @@
 
 A constraint ``m : T`` asks whether the attacker can derive target ``m``
 from the term set ``T``.  Interleaving the strands of a semi-bundle yields
-one constraint per receive node (the attacker must supply that message from
-everything sent so far plus its initial knowledge); secrecy is checked by
+one constraint per receive node that a send of its strand follows (the
+attacker must supply that message from everything sent so far plus its
+initial knowledge; a receive after a strand's last send adds nothing to
+what the attacker knows, so it is not placed); secrecy is checked by
 appending one artificial constraint demanding a secret itself, which may end
 the interleaving after any prefix.
 
@@ -401,21 +403,33 @@ _RULES: dict[RuleName, _Rule] = {
 }
 
 
+# (at the target?, term type) -> the rules, in `RuleName` order, that may
+# apply to a term of that type there, each with its guard
+_RULES_AT: dict[tuple[bool, type], tuple[tuple[RuleName, Callable[[Term], bool] | None], ...]] = {
+    (at_target, kind): tuple(
+        (name, rule.guard) for name, rule in _RULES.items() if rule.at_target == at_target and issubclass(kind, rule.head)
+    )
+    for at_target in (True, False)
+    for kind in Term.__subclasses__()
+}
+
+
 def applicable_rules(cs: ConstraintSequence) -> tuple[tuple[RuleName, int], ...]:
     """Every (rule, site) whose applicability predicate holds at the active
     constraint, in rule-enumeration order then site order.  Sites are term-set
-    indices; the target site is -1."""
+    indices; the target site is -1.  One pass over the target and the
+    members collects each rule's sites in site order (`_RULES_AT`), and the
+    rules are read out in their order."""
     ai = cs.active_index()
     if ai is None:
         return ()
     c = cs.constraints[ai]
-    out: list[tuple[RuleName, int]] = []
-    for name, rule in _RULES.items():
-        sites = ((TARGET_SITE, c.target),) if rule.at_target else enumerate(c.term_set)
-        out.extend(
-            (name, i) for i, t in sites if isinstance(t, rule.head) and (rule.guard is None or rule.guard(t))
-        )
-    return tuple(out)
+    sites: dict[RuleName, list[int]] = {}
+    for i, t in ((TARGET_SITE, c.target), *enumerate(c.term_set)):
+        for name, guard in _RULES_AT[i == TARGET_SITE, type(t)]:
+            if guard is None or guard(t):
+                sites.setdefault(name, []).append(i)
+    return tuple((name, i) for name in _RULES if name in sites for i in sites[name])
 
 
 def _split_at_active(cs: ConstraintSequence) -> tuple[Constraints, Constraint, Constraints] | None:
@@ -675,7 +689,12 @@ def satisfiable(cs: ConstraintSequence, budget: SolverBudget | None = None) -> S
     search covers every secret at every prefix of every eager interleaving
     (`check_secrecy`), each secret is offered at a prefix before any longer
     one, and the constraints of a receive-order prefix are solved once for
-    all the secrets and interleavings that share it.  Soundness: rules and
+    all the secrets and interleavings that share it.  A receive that no
+    send of its strand follows is never placed (`_Plan`, which has the
+    soundness argument): an attack on a prefix that places it is an attack
+    on the same prefix without it, under the same substitution, and the
+    demands are offered there.  The state key then holds fewer watched
+    variables (`_Plan.watched`), so more states merge.  Soundness: rules and
     `normalize_seq` act only at the active constraint, and substitutions
     compose, so carrying a constraint from the start (as a sequence given
     whole does) and appending it later with the substitution applied lead
@@ -921,21 +940,52 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
 # -- interleavings ------------------------------------------------------------------
 
 
+def _through_last_send(nodes: tuple[Node, ...]) -> tuple[Node, ...]:
+    """A strand's nodes up to and including its last send: the receives
+    that no send of the strand follows are cut, so a strand that never
+    sends keeps none.  `_Plan` has the soundness argument."""
+    for i in range(len(nodes), 0, -1):
+        if nodes[i - 1].sign == SEND:
+            return nodes[:i]
+    return ()
+
+
 class _Plan:
     """What the states of one search over interleavings share: each strand's
     id and nodes, then the demand for each secret, in the order given, as
     one more strand of a single receive (node id ``sec``); the initial
     knowledge; the keys no run reveals (`safe_keys`); and, per strand
     positions, a receive's term set and the variables whose bindings the
-    state key holds."""
+    state key holds.
+
+    A protocol strand keeps its nodes only up to its last send
+    (`_through_last_send`); the demands stay whole.  So `done`, `term_set`,
+    `watched`, `_place` and `_sends_originated` never see a receive that no
+    send of its strand follows, and it is never placed.  Soundness, a run
+    being any prefix of the strands: take a prefix that places such a
+    receive ``r`` (and perhaps receives after it on its strand, which no
+    send follows either), with a substitution that solves its constraints
+    and the demand.  (1) A receive adds no term to any term set, and no
+    send of its strand comes after ``r``, so every other constraint, the
+    demand included, has the same term set in the prefix without those
+    receives, which is a prefix of the strands too.  (2) The variables of
+    ``r`` belong to its own strand (`make_semibundle` renames them per
+    strand), and a secret is a fresh constant (`secret_bindings`), so no
+    demand holds them: removing ``r`` takes away its own constraint and
+    nothing else.  (3) Dropping a constraint only relaxes the system: the
+    same substitution solves what is left.  So an attack on a prefix that
+    places ``r`` is an attack on the same prefix without it, under the
+    same substitution, and `_place` offers every secret at that prefix.
+    The safe keys (`safe_keys`) still read the whole bundles, which can
+    only keep more keys unsafe."""
 
     __slots__ = ("ids", "nodes", "base", "safe_keys", "_term_sets", "_watched")
 
     def __init__(self, bundles: Sequence[SemiBundle], iik: frozenset[Term], *secrets: Const) -> None:
         self.ids = tuple(sid for b in bundles for sid in b.strand_ids)
-        self.nodes: tuple[tuple[Node, ...], ...] = tuple(s.nodes for b in bundles for s in b.strands) + tuple(
-            (Node(RECV, secret),) for secret in secrets
-        )
+        self.nodes: tuple[tuple[Node, ...], ...] = tuple(
+            _through_last_send(s.nodes) for b in bundles for s in b.strands
+        ) + tuple((Node(RECV, secret),) for secret in secrets)
         self.base = tuple(sorted(iik, key=term_key))
         self.safe_keys = safe_keys(bundles, iik)
         self._term_sets: dict[tuple[int, ...], tuple[Term, ...]] = {}
@@ -1014,7 +1064,18 @@ def _place(cs: ConstraintSequence) -> list[ConstraintSequence]:
     placed: moving a send earlier only grows later term sets, the demand's
     included, and derivability only grows with the term set, so an attack
     on a prefix that stops short of an enabled send is an attack on the
-    prefix that places it (`constraint_sequences`)."""
+    prefix that places it (`constraint_sequences`).
+
+    A receive that no send of its strand follows is never placed: the plan
+    holds each strand only up to its last send (`_Plan`).  It is the dual
+    of the eager sends: a send is placed as early as possible, and a
+    receive that enables no send is not placed at all.  Soundness: such a
+    receive adds nothing to any later term set, the demands' included; its
+    variables are its strand's own and no demand holds them; and dropping
+    its constraint only relaxes the system.  So an attack on a prefix that
+    places it is an attack on the same prefix without it, under the same
+    substitution, and that prefix is offered every secret here (`_Plan`
+    has the argument in full)."""
     p = cs.pending
     plan, sigma = p.plan, cs.subst
     positions, ids = list(p.positions), cs.origin
@@ -1058,7 +1119,9 @@ def constraint_sequences(
     first; the walk then offers each secret, in the order given, and
     branches on which strand's receive comes next, in strand order.
     Sequences induced by more than one prefix are emitted once, tagged with
-    the node ids of the first witness.
+    the node ids of the first witness.  A receive that no send of its
+    strand follows is never placed (`_Plan`), so a sequence holds a
+    constraint per receive of the prefix that a send of its strand follows.
 
     Soundness: a send is enabled once its strand's earlier nodes are
     placed, so in any interleaving, every send before a receive is also
@@ -1069,7 +1132,11 @@ def constraint_sequences(
     with a superset of the secret's term set, and derivability only grows
     with the term set.  So every attack on a prefix of some interleaving is
     an attack on an eager prefix with the same substitution, and a `secure`
-    verdict over the eager prefixes is sound.
+    verdict over the eager prefixes is sound.  Dropping the receives that no
+    send of their strand follows keeps this: such a receive adds nothing to
+    any term set, no demand holds its variables, and removing its
+    constraint only relaxes the system, so the attack is also one on the
+    eager prefix without those receives, with the same substitution.
     """
     seen: set[str] = set()
     tokens: Tokens = {}
@@ -1160,7 +1227,10 @@ def check_secrecy(protocols: Sequence[Protocol], config: AnalysisConfig | None =
     search covers every secret: each is demanded at every prefix of every
     eager interleaving (`_interleavings`), so a receive that no run can
     meet hides no attack before it, and the search ends at the first leak
-    of any secret it reaches.  The budget bounds the whole analysis.
+    of any secret it reaches.  A receive that no send of its strand follows
+    is never placed: it adds nothing to what the attacker knows, so an
+    attack on a prefix that places it is one on the same prefix without it
+    (`_Plan`).  The budget bounds the whole analysis.
     """
     config = config or AnalysisConfig()
     started = time.perf_counter()

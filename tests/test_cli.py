@@ -312,13 +312,14 @@ class TestAnalyzeCommand:
         ]
 
     def test_node_budget_bounds_the_whole_analysis(self, tmp_path):
-        # q1+q3 is secure in 36 nodes over both secrets, so 35 is too few
-        # although neither secret alone needs that many
+        # q1+q3 is secure in 12 nodes over both secrets, so 11 is too few
+        # although neither secret alone needs that many (36 nodes before
+        # the receives that no send follows were cut from the strands)
         out = tmp_path / "report.json"
         analyze = ["analyze", fx("q1.proto"), "--combined", fx("q3.proto"), "--json", str(out)]
-        assert run_command([*analyze, "--node-budget", "36"]) == 0
-        assert json.loads(out.read_text())["results"]["stats"]["nodes"] == 36
-        assert run_command([*analyze, "--node-budget", "35"]) == 3
+        assert run_command([*analyze, "--node-budget", "12"]) == 0
+        assert json.loads(out.read_text())["results"]["stats"]["nodes"] == 12
+        assert run_command([*analyze, "--node-budget", "11"]) == 3
 
     @pytest.mark.parametrize("blocked", ["blk", "p2t"])
     def test_receive_nobody_meets_hides_no_attack(self, tmp_path, capsys, blocked):
@@ -976,3 +977,49 @@ class TestInstalledScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("protocol p1")
+
+
+class TestClosedStdout:
+    """A reader that stops reading (``xorsleuth ... | head``) is no input
+    error: the command ends with its own exit code and report, and nothing
+    is written to stderr, with stdout unbuffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["parse", *[str(f) for f in sorted(FIXTURES.glob("*.proto"))] * 30, "--json", "{report}"], 0),
+            (["analyze", fx("q1.proto"), "--combined", "{leak}", "--oracle-verify", "--json", "{report}"], 1),
+            (["analyze", fx("nslx.proto"), "--node-budget", "2", "--json", "{report}"], 3),
+            (["--help"], 0),
+            (["analyze", "--help"], 0),
+        ],
+        ids=["parse", "attack", "inconclusive", "help", "command-help"],
+    )
+    def test_reader_gone_before_the_first_write(self, tmp_path, argv, code, unbuffered):
+        leak = tmp_path / "leak_ab.proto"
+        leak.write_text("protocol leak_ab\nrole A:\n  send sh(a, b)\n")
+        report = tmp_path / "report.json"
+        argv = [a.format(leak=leak, report=report) for a in argv]
+        package_root = str(Path(xorsleuth.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "xorsleuth.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == code
+        if "--json" in argv:
+            assert json.loads(report.read_text())["exit_code"] == code

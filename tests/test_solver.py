@@ -450,6 +450,29 @@ class TestApplicableRules:
         )
         assert applicable_rules(cs) == tuple(expected)
 
+    @given(st.lists(rule_terms(), max_size=6), rule_terms(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_matches_the_scan_per_rule(self, term_set, target, earlier):
+        # the earlier constraint has a variable target, so it is never active
+        cs = ConstraintSequence((Constraint(A, ()),) * earlier + (Constraint(target, term_set),))
+        assert applicable_rules(cs) == reference_applicable_rules(cs)
+
+
+def reference_applicable_rules(cs):
+    """The (rule, site) pairs found by scanning the active constraint once
+    per rule, in rule order: the reference for `applicable_rules`."""
+    ai = cs.active_index()
+    if ai is None:
+        return ()
+    c = cs.constraints[ai]
+    out = []
+    for name, rule in solver._RULES.items():
+        sites = ((TARGET_SITE, c.target),) if rule.at_target else enumerate(c.term_set)
+        out.extend(
+            (name, i) for i, t in sites if isinstance(t, rule.head) and (rule.guard is None or rule.guard(t))
+        )
+    return tuple(out)
+
 
 class TestApplyRule:
     def test_penc_splits_key_then_plain(self):
@@ -665,19 +688,33 @@ class TestConstraintSequences:
         assert cs.origin == ("p2.A#1.1", "sec")
 
     def test_one_constraint_per_recv_node(self):
+        # one constraint per placed receive that a send of its strand
+        # follows: nslx's role B ends with a receive, which is never placed
+        self.check_one_constraint_per_receive(placed=lambda nodes, i: "+" in (n.sign for n in nodes[i + 1 :]))
+
+    def test_one_constraint_per_recv_node_placing_every_receive(self):
+        with placing_every_receive():
+            self.check_one_constraint_per_receive(placed=lambda nodes, i: True)
+
+    def check_one_constraint_per_receive(self, placed):
         nslx = parse_protocol(NSLX_SRC)
         sb = make_semibundle(nslx, 1, session=FreshSession())
         iik = build_iik([sb])
         secret = sorted(sb.secret_constants, key=term_key)[0]
-        recv_count = sum(1 for s in sb.strands for n in s.nodes if n.sign == "-")
+        strands = dict(zip(sb.strand_ids, (s.nodes for s in sb.strands)))
+        receives = {(sid, i) for sid, nodes in strands.items() for i, n in enumerate(nodes) if n.sign == "-"}
+        placeable = {(sid, i) for sid, i in receives if placed(strands[sid], i)}
+        assert placeable
         lengths = set()
         for cs in constraint_sequences([sb], iik, secret):
             # a constraint per receive of the prefix, then the demand
-            received = [n for n in placed_nodes(sb, cs.origin) if n.sign == "-"]
-            assert [c.target for c in cs.constraints] == [n.term for n in received] + [secret]
+            ids = [nid.rsplit(".", 1) for nid in cs.origin if nid != "sec"]
+            received = [(sid, int(pos) - 1) for sid, pos in ids if (sid, int(pos) - 1) in receives]
+            assert set(received) <= placeable
+            assert [c.target for c in cs.constraints] == [strands[sid][i].term for sid, i in received] + [secret]
             lengths.add(len(cs.constraints))
         # the secret is demanded after every prefix, complete runs included
-        assert lengths == set(range(1, recv_count + 2))
+        assert lengths == set(range(1, len(placeable) + 2))
 
     def test_interleaving_count_bound(self):
         # two strands of two nodes each: at most C(4,2)=6 distinct orders
@@ -742,6 +779,12 @@ role B:
         secret = sorted(sb.secret_constants, key=term_key)[0]
         seqs = [tuple(cs.constraints) for cs in constraint_sequences([sb], iik, secret)]
         assert len(seqs) == len(set(seqs))
+
+
+def placing_every_receive():
+    """The search, and `constraint_sequences`, with no receive cut from the
+    strands (`solver._through_last_send`): the reference for the cut."""
+    return mock.patch.object(solver, "_through_last_send", lambda nodes: nodes)
 
 
 def placed_nodes(bundle, origin):
@@ -871,19 +914,24 @@ role A:
     @pytest.mark.parametrize(
         "names,verdict,counters",
         [
-            (("q1",), "secure", (3, 6)),
-            (("q1", "q2"), "secure", (3, 9)),
+            # q1's role A ends with a receive, which is never placed: (3, 6)
+            # while every receive was
+            (("q1",), "secure", (2, 3)),
+            (("q1", "q2"), "secure", (2, 5)),
+            # nslx's attack comes before its role B's last receive
             (("nslx",), "attack", (1, 4)),
-            (("q3", "q5"), "secure", (3, 9)),
+            (("q3", "q5"), "secure", (2, 5)),
             # one search over both secrets at every prefix; demanding each
-            # secret in its own search after complete runs only took 94
-            (("q1", "q3"), "secure", (13, 36)),
+            # secret in its own search after complete runs only took 94, and
+            # placing the receives that no send follows took (13, 36)
+            (("q1", "q3"), "secure", (5, 12)),
         ],
     )
     def test_search_counters_pinned(self, names, verdict, counters):
         # (sequences, nodes) move with any change to state keying, interleaving
         # de-duplication, rule order, the ground decisions (whose nested
-        # states count) or the safe keys; a change that moves them says why.
+        # states count), the safe keys or which receives are placed
+        # (`solver._through_last_send`); a change that moves them says why.
         # `sequences` counts the prefixes at which the secrets' demands were
         # placed: a prefix whose receives cannot all be met counts none
         protocols = [parse_protocol_file(FIXTURES / f"{n}.proto") for n in names]
@@ -952,6 +1000,11 @@ CORPUS = ("q1", "q2", "q3", "q4", "q5")
 # safe: ``shvar`` sends sh(A, b) for an agent A nobody fixes, and
 # ``xorrecv`` and ``unrecv`` send a value received under an XOR or never
 # received at all (``keyleak`` sends one received at a key position).
+# ``late``'s last receive binds X, which its strand sent earlier, further:
+# the attacker must also return X under a key it cannot use.  Cut from the
+# strand (`solver._Plan`), the receive constrains nothing, and the attack
+# (X := a constant the attacker knows, which decrypts N) is found on the
+# prefix before it.
 INLINE = {
     "echo": "protocol echo\nvars X:Data N:Nonce\nfresh N\nsecret N\nrole A:\n  recv X\n  send senc(N, X)\n",
     "blk": "protocol blk\nvars X:Data\nrole A:\n  recv senc(X, sh(c, d))\n",
@@ -963,6 +1016,10 @@ INLINE = {
     "shvar": "protocol shvar\nvars A:Agent\nrole R:\n  send sh(A, b)\n",
     "xorrecv": "protocol xorrecv\nvars X:Data Y:Data\nrole A:\n  recv xor(X, Y)\n  send X\n",
     "unrecv": "protocol unrecv\nvars X:Data\nrole A:\n  send X\n",
+    "late": (
+        "protocol late\nvars X:Data N:Nonce\nfresh N\nsecret N\n"
+        "role A:\n  recv X\n  send senc(N, X)\n  recv senc(X, sh(c, d))\n"
+    ),
 }
 
 
@@ -1046,20 +1103,50 @@ class TestEagerSends:
         ids=lambda v: "+".join(v) if isinstance(v, tuple) else str(v),
     )
     def test_every_interleaving_is_covered_by_an_eager_sequence(self, names, sessions):
-        # the soundness argument of `constraint_sequences`: the same receive
-        # targets in the same order, each with a superset of its term set
+        # the soundness arguments of `constraint_sequences` and of the cut
+        # (`solver._Plan`): every interleaving, with the receives that no
+        # send of their strand follows dropped, has an eager sequence with
+        # the same receive targets in the same order, each with a superset
+        # of its term set
+        self.check_covered(names, sessions, cut=True)
+
+    @pytest.mark.parametrize(
+        "names,sessions",
+        [(("nslx",), 1), (("q1", "q2"), 1), (("q3", "q5"), 1), (("p1", "p2"), 1), (("q5", "leak_bc"), 2)],
+        ids=lambda v: "+".join(v) if isinstance(v, tuple) else str(v),
+    )
+    def test_every_interleaving_is_covered_placing_every_receive(self, names, sessions):
+        # without the cut, an eager sequence covers every interleaving whole
+        with placing_every_receive():
+            self.check_covered(names, sessions, cut=False)
+
+    def check_covered(self, names, sessions, cut):
         session = FreshSession()
         bundles = [make_semibundle(load(n), sessions, session=session) for n in names]
         iik = build_iik(bundles)
+        strands = {sid: s.nodes for b in bundles for sid, s in zip(b.strand_ids, b.strands)}
+
+        def node_and_rest(nid):
+            sid, pos = nid.rsplit(".", 1)
+            return strands[sid][int(pos) - 1], strands[sid][int(pos) :]
+
         secrets = {c for b in bundles for c in b.secret_constants}
         for secret in sorted(secrets, key=term_key):
             eager = list(constraint_sequences(bundles, iik, secret))
+            # with the cut, no eager sequence places a receive that no send follows
+            placed = [node_and_rest(nid) for e in eager for nid in e.origin[:-1]]
+            assert not cut or all("+" in (n.sign for n in rest) for node, rest in placed if node.sign == "-")
             for cs in all_interleavings(bundles, iik, secret):
+                # a constraint per receive, then the demand (node id ``sec``)
+                received = [node_and_rest(nid)[1] for nid in cs.origin[:-1] if node_and_rest(nid)[0].sign == "-"]
+                assert len(received) + 1 == len(cs.constraints)
+                kept = [not cut or "+" in (n.sign for n in rest) for rest in received] + [True]
+                constraints = [c for keep, c in zip(kept, cs.constraints) if keep]
                 assert any(
-                    len(e.constraints) == len(cs.constraints)
+                    len(e.constraints) == len(constraints)
                     and all(
                         ec.target == c.target and set(c.term_set) <= set(ec.term_set)
-                        for ec, c in zip(e.constraints, cs.constraints)
+                        for ec, c in zip(e.constraints, constraints)
                     )
                     for e in eager
                 ), cs.origin
@@ -1568,9 +1655,10 @@ class TestGroundDecisions:
         # a wrapper of `satisfiable` (as a tracer installs) sees the one call
         # of the analysis, whose nodes are the report's.  q1+q3 starts no
         # nested search, since its keys are safe; wrap's sh(a, b) is not,
-        # and the first demand for it in each term set starts one
+        # and the first demand for it in each term set starts one.  (36 and
+        # 44 nodes while the receives that no send follows were placed.)
         original, original_search = solver.satisfiable, solver._search
-        for names, nodes, nested in ((("q1", "q3"), 36, False), (("q1", "q3", "wrap"), 44, True)):
+        for names, nodes, nested in ((("q1", "q3"), 12, False), (("q1", "q3", "wrap"), 18, True)):
             calls, searches = [], []
 
             def counted(cs, budget=None):
@@ -2209,3 +2297,95 @@ class TestPlaceTermSet:
             for names, sessions, secrets in WORKLOAD_ANALYSES:
                 check_secrecy([load(n) for n in names], AnalysisConfig(sessions=sessions, secrets=secrets))
         assert sum(substituted) >= 10
+
+
+# Every fixture, and one protocol that sends q1's key.
+SWEPT = tuple(sorted(f.stem for f in FIXTURES.glob("*.proto"))) + ("leak_ab",)
+
+def cut_cases():
+    """Each of `SWEPT` alone and in every ordered pair at one session, and
+    alone and in every unordered pair at two."""
+    return (
+        [((n,), 1) for n in SWEPT]
+        + [(pair, 1) for pair in itertools.permutations(SWEPT, 2)]
+        + [((n,), 2) for n in SWEPT]
+        + [(pair, 2) for pair in itertools.combinations(SWEPT, 2)]
+    )
+
+
+def analysis(protocols, config):
+    """`check_secrecy`, or None when no protocol has a secret to check."""
+    try:
+        return check_secrecy(protocols, config)
+    except ConfigError:
+        return None
+
+
+def assert_cut_matches(protocols, config):
+    """The search that cuts each strand after its last send against the
+    one placing every receive: the same verdict and budgets run out, never
+    more nodes, and each attack confirmed by the oracle.  Returns both."""
+    cut = analysis(protocols, config)
+    with placing_every_receive():
+        whole = analysis(protocols, config)
+    if cut is None or whole is None:
+        assert cut is whole is None
+        return cut, whole
+    assert cut.verdict == whole.verdict
+    assert cut.exhausted == whole.exhausted
+    assert cut.stats["nodes"] <= whole.stats["nodes"]
+    for res in (cut, whole):
+        if res.attack is not None:
+            attack = res.attack
+            assert verify_solution(ConstraintSequence(attack.constraints), attack.substitution) is True
+    return cut, whole
+
+
+class TestCutReceives:
+    """The search that places no receive that no send of its strand follows
+    (`solver._Plan`) against the one that places every receive."""
+
+    def test_the_cut_keeps_each_strand_through_its_last_send(self):
+        cut = solver._through_last_send
+        for name in SWEPT + ("late",):
+            for strand in make_semibundle(load(name), 1).strands:
+                kept = cut(strand.nodes)
+                assert strand.nodes[: len(kept)] == kept
+                assert all(n.sign == "-" for n in strand.nodes[len(kept) :])
+                assert not kept or kept[-1].sign == "+"
+
+    @pytest.mark.parametrize("names,sessions", cut_cases(), ids=case_id)
+    def test_matches_the_search_placing_every_receive(self, names, sessions):
+        assert_cut_matches([load(n) for n in names], AnalysisConfig(sessions=sessions))
+
+    @pytest.mark.parametrize("others", [(), ("q1",), ("nslx",)], ids=case_id)
+    def test_a_last_receive_that_binds_a_sent_variable(self, others):
+        protocols = [load(n) for n in ("late", *others)]
+        cut, _ = assert_cut_matches(protocols, AnalysisConfig(sessions=1, secrets=("N",)))
+        assert cut.verdict == "attack"
+        # the cut search never places A's last receive
+        assert "late.A#1.3" not in cut.attack.interleaving
+
+    def test_matches_on_generated_protocols(self):
+        compared = []
+
+        @given(small_protocols(secret=True), st.sampled_from([(), ("q1",), ("leak_cd",), ("echo",)]))
+        @settings(max_examples=80, deadline=None)
+        def check(protocol, others):
+            assume(make_semibundle(protocol, 1).secret_constants)
+            protocols = [protocol] + [load(n) for n in others]
+            config = AnalysisConfig(budget=SolverBudget(max_nodes=2_000))
+            cut = check_secrecy(protocols, config)
+            with placing_every_receive():
+                whole = check_secrecy(protocols, config)
+            assume("inconclusive" not in (cut.verdict, whole.verdict))
+            assert cut.verdict == whole.verdict
+            if cut.attack is not None:
+                assert verify_solution(ConstraintSequence(cut.attack.constraints), cut.attack.substitution) is True
+            compared.append(cut.stats["nodes"] < whole.stats["nodes"])
+
+        check()
+        # draws that compared two definite verdicts; among them those that
+        # the cut made shorter
+        assert len(compared) >= 40
+        assert sum(compared) >= 5
