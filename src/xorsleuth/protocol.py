@@ -119,6 +119,15 @@ class Protocol:
             names = ", ".join(sorted(v.name for v in missing))
             raise ValueError(f"declared variables never used: {names}")
 
+    def __repr__(self) -> str:
+        # the variable sets in term order: a set's own order follows how it
+        # was built and the hash seed, so a pickled copy could print apart
+        fresh, secret = (
+            f"frozenset({{{', '.join(repr(v) for v in sorted(vs, key=term_key))}}})" if vs else "frozenset()"
+            for vs in (self.fresh_vars, self.secret_vars)
+        )
+        return f"Protocol(name={self.name!r}, roles={self.roles!r}, fresh_vars={fresh}, secret_vars={secret})"
+
     def node_terms(self) -> tuple[Term, ...]:
         return tuple(t for _, strand in self.roles for t in strand.terms())
 

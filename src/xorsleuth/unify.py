@@ -327,13 +327,15 @@ def _std_solutions(eqs: Sequence[Equation]) -> Iterator[Substitution]:
     and in an XOR-free system every open pair has a variable side.  The
     last pair of a system is bound: a variable against a non-variable
     takes it, and of two variables the one that can take the other under
-    ``binding_ok`` does, the left one when both can.  The binding fails on
-    an occurs check or an ill-sorted value; otherwise it is applied to the
-    accumulated bindings and to the rest of the system, which is split
-    again.  Binding the last pair first keeps the right-to-left order of a
-    depth-first worklist, and so its choice of variable names; a pair that
-    the walk reaches twice is listed twice for the same reason, so that
-    the later one is bound first."""
+    ``binding_ok`` does.  When both can, a data variable takes a nonce or
+    key variable, so that no later pair passes a nonce to a key through it;
+    of two variables of one rank the left one takes the other.  The binding
+    fails on an occurs check or an ill-sorted value; otherwise it is
+    applied to the accumulated bindings and to the rest of the system,
+    which is split again.  Binding the last pair first keeps the
+    right-to-left order of a depth-first worklist, and so its choice of
+    variable names; a pair that the walk reaches twice is listed twice for
+    the same reason, so that the later one is bound first."""
     stack = [(list(system), {}) for system in _split_problem(eqs)[0]]
     while stack:
         system, bnd = stack.pop()
@@ -344,7 +346,7 @@ def _std_solutions(eqs: Sequence[Equation]) -> Iterator[Substitution]:
         s, t = last.left, last.right
         if not isinstance(s, Var):
             s, t = t, s
-        if isinstance(t, Var) and not binding_ok(s, t) and binding_ok(t, s):
+        if isinstance(t, Var) and (not binding_ok(s, t) or _sort_rank(t) > _sort_rank(s)) and binding_ok(t, s):
             s, t = t, s
         if s in vars_of(t) or not binding_ok(s, t):
             continue

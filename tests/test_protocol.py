@@ -500,6 +500,13 @@ class TestParts:
         assert_reading_parts_is_invisible(p)
         assert_parts_match_walks(p)
 
+    def test_repr_lists_the_declared_variables_in_term_order(self):
+        vs = [var(f"N{i}", Sort.NONCE) for i in range(12)]
+        p = Protocol("p", [("A", Strand((Node("+", seq(*vs)),)))], reversed(vs), vs[5::-2])
+        listed = [", ".join(map(repr, sorted(group, key=term_key))) for group in (vs, vs[5::-2])]
+        assert repr(p).endswith(f"fresh_vars=frozenset({{{listed[0]}}}), secret_vars=frozenset({{{listed[1]}}}))")
+        assert repr(pickle.loads(pickle.dumps(p))) == repr(p)
+
     def test_unchecked_protocol_reads_its_parts(self):
         strand = Strand((Node("+", senc(const("m"), const("k"))),))
         p = unchecked("p", [("A", strand), ("A", strand)])
@@ -545,6 +552,14 @@ class TestMunutAgainstReference:
     def test_nslx_and_q1_clash_on_summands_both_ways(self):
         nslx, q1 = load("nslx"), load("q1")
         assert condition_counts(check_munut(nslx, q1)) == condition_counts(check_munut(q1, nslx)) == [0, 2]
+
+    def test_no_clash_through_an_abstracted_zero_either_way(self):
+        # K would equal both N' and the data variable that stands for zero:
+        # no well-sorted unifier passes the nonce to the key through it
+        n, k = var("N", Sort.NONCE), var("K", Sort.KEY)
+        g = Protocol("g", [("A", Strand((Node("+", seq(n, senc(k, k))),)))], {n}, {n})
+        h = Protocol("h", [("A", Strand((Node("+", senc(n, ZERO)),)))], {n}, {n})
+        assert condition_counts(check_munut(g, h)) == condition_counts(check_munut(h, g)) == [0, 0]
 
     @given(drawn_protocols("g"), drawn_protocols("h"))
     @settings(max_examples=200, deadline=None)

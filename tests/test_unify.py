@@ -546,7 +546,9 @@ def reference_unify_std(equations):
             if isinstance(s, Var) or isinstance(t, Var):
                 if not isinstance(s, Var):
                     s, t = t, s
-                if isinstance(t, Var) and not binding_ok(s, t) and binding_ok(t, s):
+                # a data variable takes a variable of another sort
+                data_takes = isinstance(t, Var) and t.sort is Sort.DATA and s.sort is not Sort.DATA
+                if isinstance(t, Var) and (not binding_ok(s, t) or data_takes) and binding_ok(t, s):
                     s, t = t, s
                 if s in vars_of(t) or not binding_ok(s, t):
                     failed = True
@@ -621,9 +623,19 @@ def _std_problems(draw):
 @example([(seq(A, c), seq(X, c))])
 # both sh orders, an agent variable on both sides
 @example([(senc(seq(A, X), sh(A, B)), senc(seq(B, Y), sh(b, A))), (X, seq(Y, c))])
+# a nonce variable against a data variable: the data variable is bound
+@example([(N, X)])
 def test_free_walk_agrees_with_the_earlier_worklist(pairs):
     """The same unifiers, with the same variable names, in the same order."""
     assert unify_std(pairs) == reference_unify_std(pairs)
+
+
+def test_no_data_variable_passes_a_nonce_to_a_key():
+    K = var("K", Sort.KEY)
+    for pairs in ([(K, X), (X, N)], [(X, N), (K, X)], [(N, X), (X, K)], [(seq(K, K), seq(N, X))]):
+        assert unify_std(pairs) == (), pairs
+    (u,) = unify_std([(seq(K, N), seq(X, Y))])
+    assert subst_well_sorted(u) and u.apply(X) == K and u.apply(Y) == N
 
 
 @st.composite
