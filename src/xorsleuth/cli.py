@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .dsl import parse_protocol_file, render_protocol
 from .oracle import verify_solution
-from .protocol import check_assumptions, check_munut, tag_protocol
+from .protocol import Protocol, check_assumptions, check_munut, tag_protocol
 from .solver import (
     AnalysisConfig,
     Constraint,
@@ -40,22 +40,30 @@ _ORACLE_TEXT = {True: "confirmed", False: "NOT confirmed", None: "undecided (clo
 _ORACLE_EXIT = {True: EXIT_OK, False: EXIT_VIOLATED, None: EXIT_INCONCLUSIVE}
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+class _Inputs:
+    """The protocol files of one call.  Each path is read once, as bytes:
+    the parse decodes them and the report's digest is taken from them, so
+    both see the same contents."""
 
+    def __init__(self) -> None:
+        self._data: dict[str, bytes] = {}
 
-def _file_inputs(paths: Sequence[str]) -> dict[str, str]:
-    """The sha256 of each input file, keyed by its base name, or by the path
-    as given when another path with the same base name is among them."""
-    names = [os.path.basename(p) for p in paths]
-    given: dict[str, set[str]] = {}
-    for name, p in zip(names, paths):
-        given.setdefault(name, set()).add(p)
-    return {(name if len(given[name]) == 1 else p): _sha256(p) for name, p in zip(names, paths)}
+    def protocol(self, path: str) -> Protocol:
+        data = self._data.get(path)
+        if data is None:
+            with open(path, "rb") as f:
+                data = self._data[path] = f.read()
+        return parse_protocol_file(path, data)
+
+    def digests(self) -> dict[str, str]:
+        """The sha256 of each file read, in the order first read, keyed by
+        its base name, or by the path as given when another path with the
+        same base name was read."""
+        names = [os.path.basename(p) for p in self._data]
+        return {
+            (p if names.count(name) > 1 else name): hashlib.sha256(data).hexdigest()
+            for name, (p, data) in zip(names, self._data.items())
+        }
 
 
 # what a command's handler returns after printing its text: the report's
@@ -64,10 +72,11 @@ _Report = tuple[dict[str, str], dict, object, int]
 
 
 def _cmd_parse(args) -> _Report:
+    inputs = _Inputs()
     results = []
     blocks = []
     for path in args.files:
-        p = parse_protocol_file(path)
+        p = inputs.protocol(path)
         blocks.append(render_protocol(p))
         results.append(
             {
@@ -78,14 +87,15 @@ def _cmd_parse(args) -> _Report:
             }
         )
     print("\n".join(blocks), end="")
-    return _file_inputs(args.files), {}, results, EXIT_OK
+    return inputs.digests(), {}, results, EXIT_OK
 
 
 def _cmd_check_assumptions(args) -> _Report:
+    inputs = _Inputs()
     results = []
     worst = EXIT_OK
     for path in args.files:
-        p = parse_protocol_file(path)
+        p = inputs.protocol(path)
         report = check_assumptions(p)
         results.append(report.to_json_dict())
         print(f"{p.name}: assumptions {'passed' if report.ok() else 'violated'}")
@@ -93,23 +103,25 @@ def _cmd_check_assumptions(args) -> _Report:
             print(f"  assumption {v.assumption}: {to_text(v.witness)} — {v.detail}")
         if not report.ok():
             worst = EXIT_VIOLATED
-    return _file_inputs(args.files), {}, results, worst
+    return inputs.digests(), {}, results, worst
 
 
 def _cmd_check_munut(args) -> _Report:
-    p1 = parse_protocol_file(args.file1)
-    p2 = parse_protocol_file(args.file2)
+    inputs = _Inputs()
+    p1 = inputs.protocol(args.file1)
+    p2 = inputs.protocol(args.file2)
     report = check_munut(p1, p2)
     code = EXIT_OK if report.ok() else EXIT_VIOLATED
     print(f"{p1.name} / {p2.name}: munut {'satisfied' if report.ok() else 'violated'}")
     for v in report.violations:
         uni = ", ".join(f"{to_text(w)} := {to_text(t)}" for w, t in v.unifier.items())
         print(f"  condition {v.condition}: {to_text(v.left)} ~ {to_text(v.right)}  [{uni}]")
-    return _file_inputs([args.file1, args.file2]), {}, report.to_json_dict(), code
+    return inputs.digests(), {}, report.to_json_dict(), code
 
 
 def _cmd_tag(args) -> _Report:
-    p = parse_protocol_file(args.file)
+    inputs = _Inputs()
+    p = inputs.protocol(args.file)
     tagged = tag_protocol(p, args.label)
     text = render_protocol(tagged)
     if args.output:
@@ -118,12 +130,12 @@ def _cmd_tag(args) -> _Report:
     else:
         print(text, end="")
     results = {"protocol": tagged.name, "output": args.output or "-"}
-    return _file_inputs([args.file]), {"label": args.label}, results, EXIT_OK
+    return inputs.digests(), {"label": args.label}, results, EXIT_OK
 
 
 def _cmd_analyze(args) -> _Report:
-    paths = [args.file, *args.combined]
-    protocols = [parse_protocol_file(p) for p in paths]
+    inputs = _Inputs()
+    protocols = [inputs.protocol(p) for p in (args.file, *args.combined)]
     budget = SolverBudget(max_depth=args.branch_budget, max_nodes=args.node_budget)
     result = check_secrecy(protocols, AnalysisConfig(sessions=args.sessions, secrets=tuple(args.secret), budget=budget))
     results = result.to_json_dict()
@@ -165,7 +177,7 @@ def _cmd_analyze(args) -> _Report:
         "node_budget": args.node_budget,
         "oracle_verify": bool(args.oracle_verify),
     }
-    return _file_inputs(paths), config, results, code
+    return inputs.digests(), config, results, code
 
 
 def _trace_term(value, where: str, parsed: dict[str, Term]) -> Term:

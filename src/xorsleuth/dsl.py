@@ -361,9 +361,16 @@ def parse_protocol(text: str) -> Protocol:
     return _Parser(text).parse_protocol()
 
 
-def parse_protocol_file(path) -> Protocol:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_protocol(fh.read())
+def parse_protocol_file(path, data: bytes | None = None) -> Protocol:
+    """Parse the protocol in the file at ``path``; ``data``, when given, is
+    the file's contents as the caller already read them.  The bytes are
+    decoded as opening the file as UTF-8 text would: a bad byte raises the
+    same `UnicodeDecodeError`, and ``\\r\\n`` and a lone ``\\r`` end a line as
+    ``\\n`` does."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return parse_protocol(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
 
 
 # -- rendering ---------------------------------------------------------------

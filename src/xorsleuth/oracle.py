@@ -16,13 +16,13 @@ attacker compute each constraint's target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .protocol import ATTACKER, PK_EPS
 from .terms import (
     Const,
     PEnc,
+    Record,
     SEnc,
     Seq,
     Sort,
@@ -44,15 +44,18 @@ class NonGround(XorsleuthError):
     """A term that was required to be ground still contains variables."""
 
 
-@dataclass(frozen=True)
-class GroundKnowledge:
+class GroundKnowledge(Record):
     """``complete``: the closure reached its fixed point, so a term outside
     ``terms`` is not derivable; False when the size cap or the rounds cut
     it short (``capped`` tells the cap apart)."""
 
-    terms: frozenset[Term]
-    capped: bool
-    complete: bool
+    __slots__ = _fields = ("terms", "capped", "complete")
+
+    def __init__(self, terms: frozenset[Term], capped: bool, complete: bool) -> None:
+        init = object.__setattr__
+        init(self, "terms", terms)
+        init(self, "capped", capped)
+        init(self, "complete", complete)
 
     def __contains__(self, t: Term) -> bool:
         return normalize(t) in self.terms

@@ -15,15 +15,15 @@ must not have unifiable encrypted components or XOR summands.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .terms import (
     ZERO,
     Const,
     PEnc,
     Pk,
+    Record,
     SEnc,
     Seq,
     Sh,
@@ -61,23 +61,24 @@ class LabelCollision(XorsleuthError):
     """The tagging label already occurs in the protocol."""
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     """A signed message; the term is held in canonical form, which on an
     already canonical term costs one field read (see ``normalize``)."""
 
-    sign: str  # SEND or RECV
-    term: Term
+    __slots__ = _fields = ("sign", "term")
 
-    def __post_init__(self):
-        if self.sign not in (SEND, RECV):
-            raise ValueError(f"node sign must be '+' or '-', got {self.sign!r}")
-        object.__setattr__(self, "term", normalize(self.term))
+    def __init__(self, sign: str, term: Term) -> None:  # sign: SEND or RECV
+        if sign not in (SEND, RECV):
+            raise ValueError(f"node sign must be '+' or '-', got {sign!r}")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "term", normalize(term))
 
 
-@dataclass(frozen=True)
-class Strand:
-    nodes: tuple[Node, ...]
+class Strand(Record):
+    __slots__ = _fields = ("nodes",)
+
+    def __init__(self, nodes: tuple[Node, ...]) -> None:
+        object.__setattr__(self, "nodes", nodes)
 
     def terms(self) -> tuple[Term, ...]:
         return tuple(n.term for n in self.nodes)
@@ -87,23 +88,28 @@ class Strand:
         return Strand(tuple(Node(n.sign, f(n.term)) for n in self.nodes))
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(Record):
     """Named roles and the declared fresh and secret variables.  The
     constructor takes the roles as any sequence of ``(name, strand)`` pairs
     and the variables as any iterables, and rejects a duplicate role name, a
     secret variable that is not fresh and a declared variable that no role
-    uses, with a `ValueError`."""
+    uses, with a `ValueError`.  Its ``__dict__`` holds only `parts`, once
+    read."""
 
-    name: str
-    roles: tuple[tuple[str, Strand], ...]
-    fresh_vars: frozenset[Var] = frozenset()
-    secret_vars: frozenset[Var] = frozenset()
+    __slots__ = ("name", "roles", "fresh_vars", "secret_vars", "__dict__")
+    _fields = ("name", "roles", "fresh_vars", "secret_vars")
 
-    def __post_init__(self):
-        fresh, secret = frozenset(self.fresh_vars), frozenset(self.secret_vars)
+    def __init__(
+        self,
+        name: str,
+        roles: Sequence[tuple[str, Strand]],
+        fresh_vars: Iterable[Var] = frozenset(),
+        secret_vars: Iterable[Var] = frozenset(),
+    ) -> None:
+        fresh, secret = frozenset(fresh_vars), frozenset(secret_vars)
         init = object.__setattr__
-        init(self, "roles", tuple(self.roles))
+        init(self, "name", name)
+        init(self, "roles", tuple(roles))
         init(self, "fresh_vars", fresh)
         init(self, "secret_vars", secret)
         seen = set()
@@ -137,8 +143,9 @@ class Protocol:
     @cached_property
     def parts(self) -> frozenset[Term]:
         """The distinct subterms of the role messages, walked once, on the
-        first read.  The value is kept on the instance outside the fields,
-        so equality, hashing and ``repr`` do not see it."""
+        first read.  The value is kept in the instance's ``__dict__``, apart
+        from the fields, so equality, hashing, ``repr`` and copies do not
+        see it."""
         return frozenset().union(*map(subterms, set(self.node_terms())))
 
     def parts_of(self, cls: type | tuple[type, ...]) -> tuple[Term, ...]:
@@ -205,14 +212,32 @@ class FreshSession:
         return self._strand_ordinal, f"{protocol}.{role}#{n}"
 
 
-@dataclass(frozen=True)
-class SemiBundle:
-    strand_ids: tuple[str, ...]
-    strands: tuple[Strand, ...]
-    instantiations: tuple[tuple[str, Substitution], ...]
-    fresh_constants: frozenset[Const]
-    secret_constants: frozenset[Const]
-    secret_bindings: tuple[tuple[Var, Const], ...]
+class SemiBundle(Record):
+    __slots__ = _fields = (
+        "strand_ids",
+        "strands",
+        "instantiations",
+        "fresh_constants",
+        "secret_constants",
+        "secret_bindings",
+    )
+
+    def __init__(
+        self,
+        strand_ids: tuple[str, ...],
+        strands: tuple[Strand, ...],
+        instantiations: tuple[tuple[str, Substitution], ...],
+        fresh_constants: frozenset[Const],
+        secret_constants: frozenset[Const],
+        secret_bindings: tuple[tuple[Var, Const], ...],
+    ) -> None:
+        init = object.__setattr__
+        init(self, "strand_ids", strand_ids)
+        init(self, "strands", strands)
+        init(self, "instantiations", instantiations)
+        init(self, "fresh_constants", fresh_constants)
+        init(self, "secret_constants", secret_constants)
+        init(self, "secret_bindings", secret_bindings)
 
     def node_terms(self) -> tuple[Term, ...]:
         return tuple(t for s in self.strands for t in s.terms())
@@ -436,12 +461,15 @@ def safe_keys(bundles: Sequence[SemiBundle], iik: frozenset[Term]) -> frozenset[
 # -- structural assumptions ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssumptionViolation:
-    assumption: int
-    term: Term
-    witness: Term
-    detail: str
+class AssumptionViolation(Record):
+    __slots__ = _fields = ("assumption", "term", "witness", "detail")
+
+    def __init__(self, assumption: int, term: Term, witness: Term, detail: str) -> None:
+        init = object.__setattr__
+        init(self, "assumption", assumption)
+        init(self, "term", term)
+        init(self, "witness", witness)
+        init(self, "detail", detail)
 
     def to_json_dict(self) -> dict:
         return {
@@ -452,11 +480,16 @@ class AssumptionViolation:
         }
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    protocol: str
-    long_term_keys: tuple[Term, ...]
-    violations: tuple[AssumptionViolation, ...]
+class AssumptionReport(Record):
+    __slots__ = _fields = ("protocol", "long_term_keys", "violations")
+
+    def __init__(
+        self, protocol: str, long_term_keys: tuple[Term, ...], violations: tuple[AssumptionViolation, ...]
+    ) -> None:
+        init = object.__setattr__
+        init(self, "protocol", protocol)
+        init(self, "long_term_keys", long_term_keys)
+        init(self, "violations", violations)
 
     def ok(self) -> bool:
         return not self.violations
@@ -497,12 +530,15 @@ def check_assumptions(p: Protocol) -> AssumptionReport:
 # -- cross-protocol non-unifiability -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MunutViolation:
-    condition: int
-    left: Term
-    right: Term
-    unifier: Substitution
+class MunutViolation(Record):
+    __slots__ = _fields = ("condition", "left", "right", "unifier")
+
+    def __init__(self, condition: int, left: Term, right: Term, unifier: Substitution) -> None:
+        init = object.__setattr__
+        init(self, "condition", condition)
+        init(self, "left", left)
+        init(self, "right", right)
+        init(self, "unifier", unifier)
 
     def to_json_dict(self) -> dict:
         return {
@@ -513,10 +549,12 @@ class MunutViolation:
         }
 
 
-@dataclass(frozen=True)
-class MunutReport:
-    protocols: tuple[str, str]
-    violations: tuple[MunutViolation, ...]
+class MunutReport(Record):
+    __slots__ = _fields = ("protocols", "violations")
+
+    def __init__(self, protocols: tuple[str, str], violations: tuple[MunutViolation, ...]) -> None:
+        object.__setattr__(self, "protocols", protocols)
+        object.__setattr__(self, "violations", violations)
 
     def ok(self) -> bool:
         return not self.violations

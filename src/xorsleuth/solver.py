@@ -25,7 +25,6 @@ import functools
 import operator
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 from .protocol import PK_EPS, RECV, SEND, Node, SemiBundle, build_iik, make_semibundle, safe_keys, FreshSession, Protocol
@@ -33,6 +32,7 @@ from .terms import (
     EMPTY_SUBST,
     Const,
     PEnc,
+    Record,
     SEnc,
     Seq,
     Substitution,
@@ -101,8 +101,7 @@ def _subst_set(sigma: Substitution, term_set: tuple[Term, ...]) -> tuple[Term, .
     return _with(ground, *(sigma.apply(t) for t in term_set if vars_of(t)))
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Constraint:
+class Constraint(Record):
     """``target : term_set``, in the one form every rule and state key
     relies on: the constructor normalizes the target and makes the term set
     the sorted, duplicate-free tuple of the canonical forms of the terms it
@@ -117,8 +116,7 @@ class Constraint:
     constructor, recomputes them."""
 
     __slots__ = ("target", "term_set", "variables", "set_variables", "_hash", "_naming")
-    target: Term
-    term_set: tuple[Term, ...]
+    _fields = ("target", "term_set")
 
     def __init__(self, target: Term, term_set: Iterable[Term]) -> None:
         target = normalize(target)
@@ -143,9 +141,6 @@ class Constraint:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        return Constraint, (self.target, self.term_set)
-
     def naming_order(self) -> tuple[Var, ...]:
         """The variables in the order a state key names them: the target's,
         then each member's, each term's in `term_key` order, the first
@@ -165,17 +160,26 @@ class Constraint:
         return {"target": to_text(self.target), "term_set": [to_text(t) for t in self.term_set]}
 
 
-@dataclass(frozen=True)
-class ConstraintSequence:
+class ConstraintSequence(Record):
     """A search state: the constraints placed so far, the substitution
     applied to them, and the node ids of the interleaving they come from.
     ``pending`` is None for a sequence given whole; in a search over
     interleavings (`check_secrecy`) it holds what is still to be placed."""
 
-    constraints: tuple[Constraint, ...]
-    subst: Substitution = field(default_factory=Substitution)
-    origin: tuple[str, ...] = ()
-    pending: Pending | None = None
+    __slots__ = _fields = ("constraints", "subst", "origin", "pending")
+
+    def __init__(
+        self,
+        constraints: tuple[Constraint, ...],
+        subst: Substitution = EMPTY_SUBST,
+        origin: tuple[str, ...] = (),
+        pending: Pending | None = None,
+    ) -> None:
+        init = object.__setattr__
+        init(self, "constraints", constraints)
+        init(self, "subst", subst)
+        init(self, "origin", origin)
+        init(self, "pending", pending)
 
     def active_index(self) -> int | None:
         for i, c in enumerate(self.constraints):
@@ -204,12 +208,15 @@ class SolveStatus(enum.Enum):
     BUDGET_EXHAUSTED = "BudgetExhausted"
 
 
-@dataclass(frozen=True)
-class RuleStep:
-    rule: str
-    site: str
-    branch: int
-    unifier: Substitution | None = None
+class RuleStep(Record):
+    __slots__ = _fields = ("rule", "site", "branch", "unifier")
+
+    def __init__(self, rule: str, site: str, branch: int, unifier: Substitution | None = None) -> None:
+        init = object.__setattr__
+        init(self, "rule", rule)
+        init(self, "site", site)
+        init(self, "branch", branch)
+        init(self, "unifier", unifier)
 
     def to_json_dict(self) -> dict:
         d = {"rule": self.rule, "site": self.site, "branch": self.branch}
@@ -218,8 +225,7 @@ class RuleStep:
         return d
 
 
-@dataclass(frozen=True)
-class SolverBudget:
+class SolverBudget(Record):
     """Search limits: ``max_depth`` rule applications along one path (the
     branch budget; a nested search of a ground constraint counts its depth
     from the state that started it), ``max_nodes`` states expanded in one
@@ -230,23 +236,35 @@ class SolverBudget:
     that rule site, since children are built as the search reaches them
     (`satisfiable`)."""
 
-    max_depth: int = 64
-    max_nodes: int = 200_000
+    __slots__ = _fields = ("max_depth", "max_nodes")
+
+    def __init__(self, max_depth: int = 64, max_nodes: int = 200_000) -> None:
+        object.__setattr__(self, "max_depth", max_depth)
+        object.__setattr__(self, "max_nodes", max_nodes)
 
 
 # The budgets a search can run out of, as its stats name them.
 BUDGETS = ("node", "branch", "unifier")
 
 
-@dataclass(frozen=True)
-class SolverResult:
+class SolverResult(Record):
     """``sequence`` is what a solution solves: the sequence given, or the
     interleaving found (its constraints as placed, without substitution)."""
 
-    status: SolveStatus
-    solutions: tuple[tuple[Substitution, tuple[RuleStep, ...]], ...]
-    stats: dict
-    sequence: ConstraintSequence | None = None
+    __slots__ = _fields = ("status", "solutions", "stats", "sequence")
+
+    def __init__(
+        self,
+        status: SolveStatus,
+        solutions: tuple[tuple[Substitution, tuple[RuleStep, ...]], ...],
+        stats: dict,
+        sequence: ConstraintSequence | None = None,
+    ) -> None:
+        init = object.__setattr__
+        init(self, "status", status)
+        init(self, "solutions", solutions)
+        init(self, "stats", stats)
+        init(self, "sequence", sequence)
 
     def solution(self) -> tuple[Substitution, tuple[RuleStep, ...]]:
         return self.solutions[0]
@@ -1157,23 +1175,48 @@ def constraint_sequences(
 # -- secrecy ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    sessions: int = 1
-    secrets: tuple[str, ...] = ()
-    budget: SolverBudget = SolverBudget()
+class AnalysisConfig(Record):
+    __slots__ = _fields = ("sessions", "secrets", "budget")
+
+    def __init__(self, sessions: int = 1, secrets: tuple[str, ...] = (), budget: SolverBudget = SolverBudget()) -> None:
+        init = object.__setattr__
+        init(self, "sessions", sessions)
+        init(self, "secrets", secrets)
+        init(self, "budget", budget)
 
 
-@dataclass(frozen=True)
-class AttackTrace:
-    protocols: tuple[str, ...]
-    sessions: int
-    secret: str
-    interleaving: tuple[str, ...]
-    rules: tuple[RuleStep, ...]
-    substitution: Substitution
-    constraints: tuple[Constraint, ...]
-    elapsed_ms: float
+class AttackTrace(Record):
+    __slots__ = _fields = (
+        "protocols",
+        "sessions",
+        "secret",
+        "interleaving",
+        "rules",
+        "substitution",
+        "constraints",
+        "elapsed_ms",
+    )
+
+    def __init__(
+        self,
+        protocols: tuple[str, ...],
+        sessions: int,
+        secret: str,
+        interleaving: tuple[str, ...],
+        rules: tuple[RuleStep, ...],
+        substitution: Substitution,
+        constraints: tuple[Constraint, ...],
+        elapsed_ms: float,
+    ) -> None:
+        init = object.__setattr__
+        init(self, "protocols", protocols)
+        init(self, "sessions", sessions)
+        init(self, "secret", secret)
+        init(self, "interleaving", interleaving)
+        init(self, "rules", rules)
+        init(self, "substitution", substitution)
+        init(self, "constraints", constraints)
+        init(self, "elapsed_ms", elapsed_ms)
 
     def to_json_dict(self) -> dict:
         return {
@@ -1188,8 +1231,7 @@ class AttackTrace:
         }
 
 
-@dataclass(frozen=True)
-class SecrecyResult:
+class SecrecyResult(Record):
     """The verdict of one search over every secret.  ``attack`` is the
     first attack the search reaches; it offers every secret at a prefix
     before it extends the prefix.  ``stats.sequences`` counts the prefixes
@@ -1198,12 +1240,24 @@ class SecrecyResult:
     them ran out) with the budgets that ran out (`BUDGETS`); a report
     carries it only when the verdict is inconclusive."""
 
-    verdict: str  # "secure" | "attack" | "inconclusive"
-    bound: int
-    secrets_checked: tuple[str, ...]
-    attack: AttackTrace | None
-    stats: dict
-    exhausted: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    __slots__ = _fields = ("verdict", "bound", "secrets_checked", "attack", "stats", "exhausted")
+
+    def __init__(
+        self,
+        verdict: str,  # "secure" | "attack" | "inconclusive"
+        bound: int,
+        secrets_checked: tuple[str, ...],
+        attack: AttackTrace | None,
+        stats: dict,
+        exhausted: tuple[tuple[str, tuple[str, ...]], ...] = (),
+    ) -> None:
+        init = object.__setattr__
+        init(self, "verdict", verdict)
+        init(self, "bound", bound)
+        init(self, "secrets_checked", secrets_checked)
+        init(self, "attack", attack)
+        init(self, "stats", stats)
+        init(self, "exhausted", exhausted)
 
     def to_json_dict(self) -> dict:
         d = {

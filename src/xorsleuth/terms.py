@@ -23,7 +23,6 @@ import enum
 import operator
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
 from typing import Callable, Iterable
 
 
@@ -51,7 +50,49 @@ class Theory(enum.Enum):
     SUA = "SUA"
 
 
-class Term:
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in constructor order as ``_fields``, keeps
+    them in slots and sets them in its own ``__init__`` through
+    ``object.__setattr__``, the one way in.  From that tuple the base gives
+    it the rest: a ``repr`` that names each field
+    (``Var(name='X', sort=<Sort.NONCE: 'Nonce'>)``), equality and a hash
+    over the tuple of field values (a record equals only a record of its own
+    class), fields that cannot be assigned or deleted (`AttributeError`),
+    and copies and pickles that go through the constructor.  A subclass may
+    define any of these itself.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Term(Record):
     """Base of the term constructors below.
 
     ``_args`` is the term's arguments as one tuple: ``()`` for atoms and
@@ -71,12 +112,10 @@ class Term:
     ``_args`` and the five other slots once from the arguments (an atom's
     constructor sets them from its name and sort); the rank is the class's
     entry in ``_RANK``.  ``Var`` and ``Const``, ``Seq`` and ``Xor``, ``PEnc``
-    and ``SEnc`` each share one constructor.  The classes are frozen
-    dataclasses built with ``init=False``, so fields, ``repr`` and
-    ``FrozenInstanceError`` stay theirs, and ``object.__setattr__`` is the
-    one way in.  Their methods use no zero-argument ``super()``:
-    ``slots=True`` replaces the class, and that form would still name the
-    one it replaced.
+    and ``SEnc`` each share one constructor.  Each class is a `Record` with
+    its fields in slots, so ``repr``, frozen fields and copies through the
+    constructor come from there; equality and the hash are the term's own,
+    read from the cached order key and hash.
     """
 
     __slots__ = ("_args", "_key", "_hash", "_vars", "_text", "_canon")
@@ -94,12 +133,7 @@ class Term:
     def __lt__(self, other: "Term") -> bool:
         return self._key < other._key
 
-    def __reduce__(self):
-        # copies and pickles go through the constructor, which recomputes the cached fields
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-
-_term = dataclass(frozen=True, eq=False, slots=True, init=False)
 _order_key = operator.attrgetter("_key")
 _hash_of = operator.attrgetter("_hash")
 
@@ -142,67 +176,56 @@ def _init_enc(self: "PEnc | SEnc", plain: Term, key: Term) -> None:
     _init_compound(self, (plain, key))
 
 
-@_term
 class Var(Term):
-    name: str
-    sort: Sort
+    __slots__ = _fields = ("name", "sort")
 
     __init__ = _init_atom
 
 
-@_term
 class Const(Term):
-    name: str
-    sort: Sort
+    __slots__ = _fields = ("name", "sort")
 
     __init__ = _init_atom
 
 
-@_term
 class Zero(Term):
     """The XOR unit element."""
+
+    __slots__ = ()
 
     def __init__(self) -> None:
         _init_compound(self, ())
         object.__setattr__(self, "_canon", True)
 
 
-@_term
 class Seq(Term):
-    items: tuple[Term, ...]
+    __slots__ = _fields = ("items",)
 
     __init__ = _init_items
 
 
-@_term
 class PEnc(Term):
-    plain: Term
-    key: Term
+    __slots__ = _fields = ("plain", "key")
 
     __init__ = _init_enc
 
 
-@_term
 class SEnc(Term):
-    plain: Term
-    key: Term
+    __slots__ = _fields = ("plain", "key")
 
     __init__ = _init_enc
 
 
-@_term
 class Pk(Term):
-    agent: Term
+    __slots__ = _fields = ("agent",)
 
     def __init__(self, agent: Term) -> None:
         object.__setattr__(self, "agent", agent)
         _init_compound(self, (agent,))
 
 
-@_term
 class Sh(Term):
-    left: Term
-    right: Term
+    __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Term, right: Term) -> None:
         object.__setattr__(self, "left", left)
@@ -210,25 +233,27 @@ class Sh(Term):
         _init_compound(self, (left, right))
 
 
-@_term
 class Xor(Term):
-    items: tuple[Term, ...]
+    __slots__ = _fields = ("items",)
 
     __init__ = _init_items
 
 
-@dataclass(frozen=True)
-class Constructor:
+class Constructor(Record):
     """A compound constructor of the message signature, as both text forms
     (``to_text`` and the protocol DSL) write it.  ``arity`` is None for a
     variadic constructor, whose node holds its arguments as one tuple;
     ``agent_args`` marks a constructor whose every argument is an Agent
     position."""
 
-    cls: type
-    name: str
-    arity: int | None
-    agent_args: bool = False
+    __slots__ = _fields = ("cls", "name", "arity", "agent_args")
+
+    def __init__(self, cls: type, name: str, arity: int | None, agent_args: bool = False) -> None:
+        init = object.__setattr__
+        init(self, "cls", cls)
+        init(self, "name", name)
+        init(self, "arity", arity)
+        init(self, "agent_args", agent_args)
 
     def make(self, args: tuple[Term, ...]) -> Term:
         """The node with these arguments (not normalized)."""

@@ -20,7 +20,6 @@ search heuristics can only cost completeness, never soundness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .terms import (
@@ -28,6 +27,7 @@ from .terms import (
     Const,
     PEnc,
     Pk,
+    Record,
     SEnc,
     Seq,
     Sh,
@@ -72,11 +72,14 @@ class PartitionSpaceExceeded(XorsleuthError):
     """Too many variables to enumerate identifications."""
 
 
-@dataclass(frozen=True)
-class Equation:
-    left: Term
-    right: Term
-    theory: Theory = Theory.SUA
+class Equation(Record):
+    __slots__ = _fields = ("left", "right", "theory")
+
+    def __init__(self, left: Term, right: Term, theory: Theory = Theory.SUA) -> None:
+        init = object.__setattr__
+        init(self, "left", left)
+        init(self, "right", right)
+        init(self, "theory", theory)
 
     def normalized(self) -> "Equation":
         return Equation(normalize(self.left), normalize(self.right), self.theory)
@@ -85,18 +88,17 @@ class Equation:
         return f"{to_text(self.left)} =?[{self.theory.value}] {to_text(self.right)}"
 
 
-@dataclass(frozen=True)
-class UnificationProblem:
+class UnificationProblem(Record):
     """Equations to solve modulo SUA, the one theory ``bsca_unify`` solves.
-    A caller may still name it as a second argument; any other theory is
-    refused rather than silently solved modulo SUA."""
+    A caller may still name it as the second argument, which is not kept;
+    any other theory is refused rather than silently solved modulo SUA."""
 
-    equations: tuple[Equation, ...]
-    theory: InitVar[Theory] = Theory.SUA
+    __slots__ = _fields = ("equations",)
 
-    def __post_init__(self, theory: Theory) -> None:
+    def __init__(self, equations: tuple[Equation, ...], theory: Theory = Theory.SUA) -> None:
         if theory is not Theory.SUA:
             raise ValueError(f"bsca_unify solves SUA problems only, not {theory.value}")
+        object.__setattr__(self, "equations", equations)
 
 
 def _as_equations(equations) -> list[Equation]:
@@ -505,10 +507,12 @@ def _theory_of(eqs: Iterable[Equation]) -> Theory:
     return Theory.SUA if Theory.STD in heads else Theory.ACUN
 
 
-@dataclass(frozen=True)
-class PurifyResult:
-    equations: tuple[Equation, ...]
-    abstraction: tuple[tuple[Var, Term], ...]
+class PurifyResult(Record):
+    __slots__ = _fields = ("equations", "abstraction")
+
+    def __init__(self, equations: tuple[Equation, ...], abstraction: tuple[tuple[Var, Term], ...]) -> None:
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "abstraction", abstraction)
 
 
 def purify(problem: UnificationProblem) -> PurifyResult:
@@ -662,30 +666,74 @@ def _invert_grounding(grounding: Substitution):
 # -- combined search ---------------------------------------------------------------
 
 
-@dataclass
-class BscaTrace:
+class BscaTrace(Record):
     """Record of the combination search; stages are from the first success.
     The substitutions default to the one shared ``EMPTY_SUBST``: a
     substitution is never changed in place, and the search replaces a
-    field rather than extending it, so no trace sees another's."""
+    field rather than extending it, so no trace sees another's.  Unlike
+    the other records, a trace is filled in as the search goes, so its
+    fields can be assigned and it has no hash."""
 
-    gamma1: tuple[Equation, ...] = ()
-    gamma2: tuple[Equation, ...] = ()
-    var_idp: Partition = ()
-    gamma3: tuple[Equation, ...] = ()
-    gamma4_1: tuple[Equation, ...] = ()
-    gamma4_2: tuple[Equation, ...] = ()
-    v1: tuple[Var, ...] = ()
-    v2: tuple[Var, ...] = ()
-    beta: Substitution = EMPTY_SUBST
-    gamma5_1: tuple[Equation, ...] = ()
-    gamma5_2: tuple[Equation, ...] = ()
-    sigma1: Substitution = EMPTY_SUBST
-    sigma2: Substitution = EMPTY_SUBST
-    unifiers: tuple[Substitution, ...] = ()
-    configs_tried: int = 0
-    complete: bool = True
-    shortcut: str | None = None
+    __slots__ = _fields = (
+        "gamma1",
+        "gamma2",
+        "var_idp",
+        "gamma3",
+        "gamma4_1",
+        "gamma4_2",
+        "v1",
+        "v2",
+        "beta",
+        "gamma5_1",
+        "gamma5_2",
+        "sigma1",
+        "sigma2",
+        "unifiers",
+        "configs_tried",
+        "complete",
+        "shortcut",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        gamma1: tuple[Equation, ...] = (),
+        gamma2: tuple[Equation, ...] = (),
+        var_idp: Partition = (),
+        gamma3: tuple[Equation, ...] = (),
+        gamma4_1: tuple[Equation, ...] = (),
+        gamma4_2: tuple[Equation, ...] = (),
+        v1: tuple[Var, ...] = (),
+        v2: tuple[Var, ...] = (),
+        beta: Substitution = EMPTY_SUBST,
+        gamma5_1: tuple[Equation, ...] = (),
+        gamma5_2: tuple[Equation, ...] = (),
+        sigma1: Substitution = EMPTY_SUBST,
+        sigma2: Substitution = EMPTY_SUBST,
+        unifiers: tuple[Substitution, ...] = (),
+        configs_tried: int = 0,
+        complete: bool = True,
+        shortcut: str | None = None,
+    ) -> None:
+        self.gamma1 = gamma1
+        self.gamma2 = gamma2
+        self.var_idp = var_idp
+        self.gamma3 = gamma3
+        self.gamma4_1 = gamma4_1
+        self.gamma4_2 = gamma4_2
+        self.v1 = v1
+        self.v2 = v2
+        self.beta = beta
+        self.gamma5_1 = gamma5_1
+        self.gamma5_2 = gamma5_2
+        self.sigma1 = sigma1
+        self.sigma2 = sigma2
+        self.unifiers = unifiers
+        self.configs_tried = configs_tried
+        self.complete = complete
+        self.shortcut = shortcut
 
     def to_json_dict(self) -> dict:
         def eqs(es):

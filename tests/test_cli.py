@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -133,13 +134,42 @@ class TestReportInputs:
         argv = [first, "--combined", second] if command == "analyze" else [first, second]
         assert run_command([command, *argv, "--json", str(out)]) == 0
         inputs = json.loads(out.read_text())["inputs"]
-        assert inputs == {first: cli._sha256(first), second: cli._sha256(second)}
+        assert inputs == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (first, second)}
         assert inputs[first] != inputs[second]
 
     def test_unique_base_names_stay_the_keys(self, tmp_path):
         first, second = self.same_named(tmp_path)
-        inputs = cli._file_inputs([first, fx("q3.proto"), second, fx("q3.proto")])
-        assert list(inputs) == [first, "q3.proto", second]
+        inputs = cli._Inputs()
+        for path in (first, fx("q3.proto"), second, fx("q3.proto")):
+            inputs.protocol(path)
+        assert list(inputs.digests()) == [first, "q3.proto", second]
+
+    @pytest.mark.parametrize("command", ["analyze", "check-munut"])
+    def test_each_file_is_read_once_per_call(self, tmp_path, monkeypatch, command):
+        # one read serves the parse and the digest, also of a file given twice
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        out = tmp_path / "report.json"
+        q1 = fx("q1.proto")
+        argv = [q1, "--combined", q1] if command == "analyze" else [q1, q1]
+        monkeypatch.setattr("builtins.open", counting_open)
+        run_command([command, *argv, "--json", str(out)])
+        monkeypatch.undo()
+        assert opened.count(q1) == 1
+        digest = hashlib.sha256(Path(q1).read_bytes()).hexdigest()
+        assert json.loads(out.read_text())["inputs"] == {"q1.proto": digest}
+
+    def test_a_crlf_file_is_digested_as_it_is_on_disk(self, tmp_path):
+        path = tmp_path / "q1.proto"
+        path.write_bytes(Path(fx("q1.proto")).read_bytes().replace(b"\n", b"\r\n"))
+        out = tmp_path / "report.json"
+        assert run_command(["parse", str(path), "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["inputs"] == {"q1.proto": hashlib.sha256(path.read_bytes()).hexdigest()}
 
     def test_report_is_written_as_the_indented_dump(self, tmp_path, monkeypatch):
         out = tmp_path / "report.json"

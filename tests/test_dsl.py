@@ -669,3 +669,35 @@ def _atoms(t):
     from xorsleuth.terms import subterms
 
     return [s for s in subterms(t) if isinstance(s, Const)]
+
+
+class TestFileDecoding:
+    """A protocol file reads as opening it as UTF-8 text does."""
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_crlf_and_lone_cr_files_parse_as_the_lf_file(self, tmp_path, newline):
+        for name in ("nslx", "q1"):
+            lf = (FIXTURES / f"{name}.proto").read_bytes()
+            assert b"\r" not in lf
+            path = tmp_path / f"{name}.proto"
+            path.write_bytes(lf.replace(b"\n", newline))
+            want = parse_protocol_file(FIXTURES / f"{name}.proto")
+            assert parse_protocol_file(path) == want
+            assert parse_protocol_file(path, path.read_bytes()) == want
+            assert parse_protocol_file(path) == parse_protocol(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"protocol p\nrole A:\n  send caf\xe9\n", b"protocol p\n# \xe2\x82", b"protocol p\n\x80"],
+        ids=["latin1", "truncated", "stray"],
+    )
+    def test_a_bad_byte_raises_what_reading_it_as_text_raises(self, tmp_path, data):
+        path = tmp_path / "bad.proto"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as want:
+            with open(path, encoding="utf-8") as f:
+                f.read()
+        for args in ((path,), (path, data)):
+            with pytest.raises(UnicodeDecodeError) as got:
+                parse_protocol_file(*args)
+            assert str(got.value) == str(want.value)

@@ -1,8 +1,12 @@
 """Source hygiene of the package: no unused imports, no dead private names,
 no unread local variables, no class checks against `typing` aliases, no
-module-level container that a function changes."""
+module-level container that a function changes, and no import of
+`dataclasses` or `inspect`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xorsleuth"
@@ -266,3 +270,41 @@ def reads(key):
         "lambda:20: _SEEN",
         "rebinds:23: _ROWS",
     ]
+
+
+def imported_modules(tree):
+    """The modules a module imports, by their full names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module)
+        elif isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+# `dataclasses` generates and compiles the methods of every class it builds
+# when the module is imported, and it loads `inspect`, which loads `ast`,
+# `dis` and `tokenize`: together about 25 ms of every CLI process's start
+# (Python 3.11, 2-vCPU container), more than the package's other import work
+SLOW_TO_IMPORT = ("dataclasses", "inspect")
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    found = sorted(
+        f"{name}: {module}"
+        for name, tree in modules().items()
+        for module in imported_modules(tree)
+        if module.split(".")[0] in SLOW_TO_IMPORT
+    )
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh process without site hooks (-S), which could import either
+    code = "import sys, xorsleuth.cli; print(sorted(m for m in sys.argv[1:] if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *SLOW_TO_IMPORT], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

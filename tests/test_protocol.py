@@ -1,7 +1,6 @@
 """Protocol model: semi-bundles, attacker knowledge, structural checks, tagging."""
 
 import copy
-import dataclasses
 import itertools
 import pickle
 from pathlib import Path
@@ -477,7 +476,7 @@ def assert_parts_match_walks(p):
 def assert_reading_parts_is_invisible(p):
     unread = pickle.loads(pickle.dumps(p))
     before = (repr(p), hash(p))
-    assert "parts" not in vars(p) and "parts" not in {f.name for f in dataclasses.fields(p)}
+    assert "parts" not in vars(p) and "parts" not in type(p)._fields
     p.parts  # the first read computes the parts and keeps them on the instance
     assert "parts" in vars(p) and (repr(p), hash(p)) == before
     for twin in (unread, copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):

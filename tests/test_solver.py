@@ -6,7 +6,6 @@ import gc
 import itertools
 import json
 import pickle
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -1177,8 +1176,9 @@ class TestSharedPrefixes:
         p = state.pending
         placed = {v for c in state.constraints for t in (c.target, *c.term_set) for v in vars_of(t)}
         (free, *_) = [v for v in p.plan.watched(p.positions) if v not in placed]
-        moved = replace(state, pending=p._replace(positions=children[0].pending.positions))
-        bound = replace(state, subst=Substitution({free: ATTACKER}))
+        positions = children[0].pending.positions
+        moved = ConstraintSequence(state.constraints, state.subst, state.origin, p._replace(positions=positions))
+        bound = ConstraintSequence(state.constraints, Substitution({free: ATTACKER}), state.origin, state.pending)
         assert moved.constraints == bound.constraints == state.constraints
         tokens = {}
         keys = {solver._canonical_key(cs, tokens) for cs in (state, moved, bound)}
