@@ -86,7 +86,9 @@ def dy_closure(
     rebuilds compound terms from known parts.  ``compose_targets`` restricts
     which compound terms construction may produce — the standard normal-form
     argument: a derivation of a goal only ever needs to build subterms of the
-    goal or of the initial knowledge.
+    goal or of the initial knowledge.  Both the initial terms and the
+    targets must be ground (`NonGround` otherwise): a goal with a variable
+    is no question this closure can answer.
 
     The XOR rule is computed algebraically: the terms derivable by XOR alone
     are exactly the GF(2) span of the knowledge over its non-XOR units, and
@@ -94,33 +96,85 @@ def dy_closure(
     that are single units or target subterms can matter to any later step.
     This keeps the closure polynomial where enumerating pairwise sums is
     exponential in the number of units.
+
+    The closure is incremental.  The terms that arrived in a round
+    (``recent``; at first the initial knowledge) are brought in at the start
+    of the next round, and only they: each one's XOR summands get a bit in
+    the unit index (``units``) and its vector is reduced into the basis
+    (``basis``, leading bit -> row), so that the basis spans exactly the
+    vectors of ``known``; and a ciphertext is filed under its key
+    (``ciphertexts``), so that decryption visits only new ciphertexts and
+    those whose key is new.  The construction targets are sorted once and
+    dropped as they become known (``unbuilt``), and a round tests only the
+    units and targets not yet known against the basis.
+
+    A round makes the same ``add`` calls in the same order as one that
+    rescans all of ``known``, so a round the size cap cuts is cut at the
+    same term and ``terms``, ``capped`` and ``complete`` are the same:
+
+    - decomposition reads only ``recent``, in `term_key` order;
+    - decryption opens the ciphertexts ``c`` in ``known`` with ``c.key`` in
+      ``known`` and ``c`` or ``c.key`` in ``recent``: a new ciphertext whose
+      key is known, or one filed under a key that just arrived.  That is the
+      same set, and it is visited in `term_key` order;
+    - whether a vector lies in the span of ``known`` depends on the row
+      space alone, not on the order the rows were reduced in or on which bit
+      each unit got, so the same units and targets are found in the span;
+    - those are added in `term_key` order, and construction visits the
+      targets not yet known in `term_key` order, as a full rescan does.
     """
     known: set[Term] = {normalize(t) for t in initial}
     _require_ground(known)
     known.add(ZERO)
+    roots = [normalize(t) for t in compose_targets]
+    _require_ground(roots)
     targets: set[Term] = set()
-    for t in compose_targets:
-        targets.update(subterms(normalize(t)))
+    for t in roots:
+        targets.update(subterms(t))
+    unbuilt = sorted(targets, key=term_key)  # targets not yet known
+    units: dict[Term, int] = {}  # non-XOR unit -> bit
+    basis: dict[int, int] = {}  # leading bit -> reduced row
+    ciphertexts: dict[Term, list[SEnc]] = {}  # known ciphertexts by key
     capped = False
     complete = False
-    recent: set[Term] = set(known)  # arrived in the last round, not yet decomposed
+    recent: set[Term] = set(known)  # arrived in the last round, not yet brought in
+    frontier: set[Term] = set()
+
+    def reduce(vec: int) -> int:
+        while vec:
+            row = basis.get(vec.bit_length() - 1)
+            if row is None:
+                return vec
+            vec ^= row
+        return 0
+
+    def add(t: Term) -> None:
+        t = normalize(t)
+        if t not in known:
+            frontier.add(t)
+            if len(known) + len(frontier) > size_cap:
+                raise _Full
 
     for _ in range(rounds):
         if len(known) > size_cap:
             capped = True
             break
-        frontier: set[Term] = set()
-
-        def add(t: Term) -> None:
-            t = normalize(t)
-            if t not in known:
-                frontier.add(t)
-                if len(known) + len(frontier) > size_cap:
-                    raise _Full
+        arrived = sorted(recent, key=term_key)
+        for t in arrived:
+            vec = 0
+            for u in summands(t):
+                vec ^= 1 << units.setdefault(u, len(units))
+            vec = reduce(vec)
+            if vec:
+                basis[vec.bit_length() - 1] = vec
+            if isinstance(t, SEnc):
+                ciphertexts.setdefault(t.key, []).append(t)
+        unbuilt = [t for t in unbuilt if t not in recent]
+        frontier = set()
 
         try:
             # decomposition of what just arrived
-            for t in sorted(recent, key=term_key):
+            for t in arrived:
                 if isinstance(t, Seq):
                     for item in t.items:
                         add(item)
@@ -128,23 +182,30 @@ def dy_closure(
                     add(t.plain)
             # symmetric decryption: a new ciphertext with a known key, or a
             # new key unlocking an old ciphertext
-            for t in sorted(known, key=term_key):
-                if isinstance(t, SEnc) and (t in recent or t.key in recent) and t.key in known:
-                    add(t.plain)
+            opened = {t for t in arrived if isinstance(t, SEnc) and t.key in known}
+            for t in arrived:
+                opened.update(ciphertexts.get(t, ()))
+            for t in sorted(opened, key=term_key):
+                add(t.plain)
 
-            # XOR of known terms
-            for t in _xor_span_extract(known, targets):
+            # XOR of known terms: units and targets in the span
+            spanned = [u for u, bit in units.items() if u not in known and not reduce(1 << bit)]
+            for t in unbuilt:
+                tu = summands(t)
+                if all(u in units for u in tu):
+                    vec = 0
+                    for u in tu:
+                        vec ^= 1 << units[u]
+                    if not reduce(vec):
+                        spanned.append(t)
+            for t in sorted(spanned, key=term_key):
                 add(t)
 
             # construction of compound terms from known parts
-            for t in sorted(targets, key=term_key):
-                if t in known:
-                    continue
+            for t in unbuilt:
                 if isinstance(t, Seq) and all(i in known for i in t.items):
                     add(t)
-                elif isinstance(t, SEnc) and t.plain in known and t.key in known:
-                    add(t)
-                elif isinstance(t, PEnc) and t.plain in known and t.key in known:
+                elif isinstance(t, (SEnc, PEnc)) and t.plain in known and t.key in known:
                     add(t)
         except _Full:
             capped = True
@@ -158,55 +219,6 @@ def dy_closure(
             break
 
     return GroundKnowledge(frozenset(known), capped, complete)
-
-
-def _xor_span_extract(known: set[Term], targets: set[Term]) -> list[Term]:
-    """Members of the GF(2) span of `known` that are single units or targets.
-
-    Every known term is a bit-vector over the distinct non-XOR units occurring
-    in the knowledge; Gaussian elimination gives the row space, and a
-    candidate is derivable by XOR alone iff its vector reduces to zero.
-    """
-    units: dict[Term, int] = {}
-    for t in sorted(known, key=term_key):
-        for u in summands(t):
-            units.setdefault(u, len(units))
-
-    basis: dict[int, int] = {}  # leading-bit index -> reduced row
-
-    def reduce(vec: int) -> int:
-        while vec:
-            lead = vec.bit_length() - 1
-            row = basis.get(lead)
-            if row is None:
-                return vec
-            vec ^= row
-        return 0
-
-    for t in sorted(known, key=term_key):
-        vec = 0
-        for u in summands(t):
-            vec ^= 1 << units[u]
-        vec = reduce(vec)
-        if vec:
-            basis[vec.bit_length() - 1] = vec
-
-    out: list[Term] = []
-    for u, idx in units.items():
-        if u not in known and reduce(1 << idx) == 0:
-            out.append(u)
-    for t in sorted(targets, key=term_key):
-        if t in known:
-            continue
-        tu = summands(t)
-        if any(u not in units for u in tu):
-            continue
-        vec = 0
-        for u in tu:
-            vec ^= 1 << units[u]
-        if reduce(vec) == 0:
-            out.append(t)
-    return sorted(out, key=term_key)
 
 
 def derivable(goal: Term, initial: Iterable[Term], rounds: int = 6, size_cap: int = 20_000) -> bool | None:
@@ -259,18 +271,27 @@ def verify_solution(cs, solution: Substitution, rounds: int = 6, size_cap: int =
     solution = solution.close()
     if not all(_well_sorted(v, t) for v, t in solution.items()):
         return False
+    # each distinct term once: the closed solution first, then the attacker's
+    # atoms for the variables it leaves; applying the two in turn is applying
+    # their composition, since a closed solution's images hold no variable
+    # of its domain
+    image: dict[Term, Term] = {}
     leftover: dict[Var, Term] = {}
     for c in cs.constraints:
         for t in (c.target, *c.term_set):
-            for v in vars_of(solution.apply(t)):
-                if v not in leftover:
-                    leftover[v] = ATTACKER if v.sort in (Sort.AGENT, Sort.DATA) else Const(ATTACKER.name, v.sort)
-    sigma = solution.compose(Substitution(leftover)) if leftover else solution
+            if t not in image:
+                u = image[t] = solution.apply(t)
+                for v in vars_of(u):
+                    if v not in leftover:
+                        leftover[v] = ATTACKER if v.sort in (Sort.AGENT, Sort.DATA) else Const(ATTACKER.name, v.sort)
+    if leftover:
+        free = Substitution(leftover)
+        image = {t: free.apply(u) for t, u in image.items()}
     atoms = sorted(set(leftover.values()), key=term_key)
     outcome: bool | None = True
     for c in cs.constraints:
-        goal = sigma.apply(c.target)
-        terms = [*atoms, *(sigma.apply(t) for t in c.term_set)]
+        goal = image[c.target]
+        terms = [*atoms, *(image[t] for t in c.term_set)]
         _require_ground([goal, *terms])
         found = derivable(goal, terms, rounds, size_cap)
         if found is False:

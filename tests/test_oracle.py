@@ -1,22 +1,30 @@
 """Ground derivation closure and solver cross-validation."""
 
+import functools
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_solver import ATTACK_ANALYSES, load
+from xorsleuth import oracle
 from xorsleuth.oracle import (
+    GroundKnowledge,
     NonGround,
+    _well_sorted,
     derivable,
     dy_closure,
     verify_solution,
 )
-from xorsleuth.protocol import ATTACKER
+from xorsleuth.protocol import ATTACKER, PK_EPS
 from xorsleuth.solver import (
+    AnalysisConfig,
     Constraint,
     ConstraintSequence,
     SolveStatus,
     SolverBudget,
+    check_secrecy,
     satisfiable,
 )
 from xorsleuth.terms import (
@@ -33,6 +41,8 @@ from xorsleuth.terms import (
     Xor,
     ZERO,
     normalize,
+    subterms,
+    summands,
     term_key,
     to_text,
     vars_of,
@@ -121,6 +131,14 @@ class TestClosure:
     def test_non_ground_rejected(self):
         with pytest.raises(NonGround):
             dy_closure([X], [])
+
+    def test_non_ground_goal_rejected(self):
+        # a goal with a variable is no question the closure answers: it is
+        # not refuted, and no closure of it is complete
+        with pytest.raises(NonGround):
+            derivable(X, [a])
+        with pytest.raises(NonGround):
+            dy_closure([a], [Seq((a, X))])
 
     def test_deterministic(self):
         targets = [Xor((a, b)), Seq((a, s))]
@@ -347,3 +365,288 @@ class TestAgreement:
                 )
         else:
             pytest.fail("budget exhausted on an agreement-corpus instance")
+
+
+# -- the closure and `verify_solution` against their earlier, rescanning forms --
+
+
+class _ReferenceFull(Exception):
+    pass
+
+
+def reference_dy_closure(initial, compose_targets, rounds=6, size_cap=20_000):
+    """`dy_closure` as it was before it kept its basis across rounds: every
+    round rescans all of ``known``, sorting it for decryption and twice in
+    `reference_xor_span_extract`, and reduces every row afresh."""
+    known = {normalize(t) for t in initial}
+    for t in known:
+        if vars_of(t):
+            raise NonGround(to_text(t))
+    known.add(ZERO)
+    targets = set()
+    for t in compose_targets:
+        targets.update(subterms(normalize(t)))
+    capped = False
+    complete = False
+    recent = set(known)
+
+    for _ in range(rounds):
+        if len(known) > size_cap:
+            capped = True
+            break
+        frontier = set()
+
+        def add(t):
+            t = normalize(t)
+            if t not in known:
+                frontier.add(t)
+                if len(known) + len(frontier) > size_cap:
+                    raise _ReferenceFull
+
+        try:
+            for t in sorted(recent, key=term_key):
+                if isinstance(t, Seq):
+                    for item in t.items:
+                        add(item)
+                elif isinstance(t, PEnc) and t.key == PK_EPS:
+                    add(t.plain)
+            for t in sorted(known, key=term_key):
+                if isinstance(t, SEnc) and (t in recent or t.key in recent) and t.key in known:
+                    add(t.plain)
+            for t in reference_xor_span_extract(known, targets):
+                add(t)
+            for t in sorted(targets, key=term_key):
+                if t in known:
+                    continue
+                if isinstance(t, Seq) and all(i in known for i in t.items):
+                    add(t)
+                elif isinstance(t, SEnc) and t.plain in known and t.key in known:
+                    add(t)
+                elif isinstance(t, PEnc) and t.plain in known and t.key in known:
+                    add(t)
+        except _ReferenceFull:
+            capped = True
+
+        if not frontier:
+            complete = not capped
+            break
+        known |= frontier
+        recent = frontier
+        if capped:
+            break
+
+    return GroundKnowledge(frozenset(known), capped, complete)
+
+
+def reference_xor_span_extract(known, targets):
+    """Members of the GF(2) span of `known` that are single units or targets,
+    from a basis built afresh."""
+    units = {}
+    for t in sorted(known, key=term_key):
+        for u in summands(t):
+            units.setdefault(u, len(units))
+
+    basis = {}
+
+    def reduce(vec):
+        while vec:
+            lead = vec.bit_length() - 1
+            row = basis.get(lead)
+            if row is None:
+                return vec
+            vec ^= row
+        return 0
+
+    for t in sorted(known, key=term_key):
+        vec = 0
+        for u in summands(t):
+            vec ^= 1 << units[u]
+        vec = reduce(vec)
+        if vec:
+            basis[vec.bit_length() - 1] = vec
+
+    out = []
+    for u, idx in units.items():
+        if u not in known and reduce(1 << idx) == 0:
+            out.append(u)
+    for t in sorted(targets, key=term_key):
+        if t in known:
+            continue
+        tu = summands(t)
+        if any(u not in units for u in tu):
+            continue
+        vec = 0
+        for u in tu:
+            vec ^= 1 << units[u]
+        if reduce(vec) == 0:
+            out.append(t)
+    return sorted(out, key=term_key)
+
+
+def reference_derivable(goal, initial, rounds=6, size_cap=20_000):
+    goal = normalize(goal)
+    initial = [normalize(t) for t in initial]
+    k = reference_dy_closure(initial, [goal, *initial], rounds, size_cap)
+    if goal in k:
+        return True
+    return False if k.complete else None
+
+
+def reference_verify_solution(cs, solution, rounds=6, size_cap=20_000):
+    """`verify_solution` as it was before it substituted each distinct term
+    once: the leftover scan applies the solution, and every constraint's
+    terms are then instantiated by its composition with the attacker's atoms;
+    the closures are `reference_dy_closure`'s."""
+    solution = solution.close()
+    if not all(_well_sorted(v, t) for v, t in solution.items()):
+        return False
+    leftover = {}
+    for c in cs.constraints:
+        for t in (c.target, *c.term_set):
+            for v in vars_of(solution.apply(t)):
+                if v not in leftover:
+                    leftover[v] = ATTACKER if v.sort in (Sort.AGENT, Sort.DATA) else Const(ATTACKER.name, v.sort)
+    sigma = solution.compose(Substitution(leftover)) if leftover else solution
+    atoms = sorted(set(leftover.values()), key=term_key)
+    outcome = True
+    for c in cs.constraints:
+        goal = sigma.apply(c.target)
+        terms = [*atoms, *(sigma.apply(t) for t in c.term_set)]
+        for t in (goal, *terms):
+            if vars_of(t):
+                raise NonGround(to_text(t))
+        found = reference_derivable(goal, terms, rounds, size_cap)
+        if found is False:
+            return False
+        if found is None:
+            outcome = None
+    return outcome
+
+
+def assert_same_closure(initial, targets, rounds=6, size_cap=20_000):
+    got = dy_closure(initial, targets, rounds, size_cap)
+    want = reference_dy_closure(initial, targets, rounds, size_cap)
+    assert (got.terms, got.capped, got.complete) == (want.terms, want.capped, want.complete)
+
+
+@functools.lru_cache(maxsize=None)
+def attack_traces():
+    """Each analysis's attack as `analyze --oracle-verify` checks it."""
+    traces = []
+    for names, sessions, secrets in ATTACK_ANALYSES:
+        result = check_secrecy([load(n) for n in names], AnalysisConfig(sessions=sessions, secrets=secrets))
+        assert result.verdict == "attack", names
+        traces.append(ConstraintSequence(result.attack.constraints, result.attack.substitution))
+    return tuple(traces)
+
+
+def trace_closures(cs, rounds=6, size_cap=20_000):
+    """The arguments of every closure `verify_solution` runs on the trace."""
+    calls = []
+    real = oracle.dy_closure
+
+    def recording(initial, compose_targets, rounds, size_cap):
+        initial, compose_targets = tuple(initial), tuple(compose_targets)
+        calls.append((initial, compose_targets, rounds, size_cap))
+        return real(initial, compose_targets, rounds, size_cap)
+
+    with mock.patch.object(oracle, "dy_closure", recording):
+        verify_solution(cs, cs.subst, rounds, size_cap)
+    return calls
+
+
+ATOMS = (a, b, s, one, ATTACKER)
+KEYS = (k, k2, normalize(Xor((k, k2))), normalize(Xor((k, one))))
+PUBLIC_KEYS = (PK_EPS, normalize(Pk(a)))
+
+
+def drawn_terms():
+    """Ground terms built from seq, senc, penc and xor over a few atoms and
+    keys, with symmetric keys that may be XOR sums or compound terms and
+    public keys that include the attacker's own."""
+    leaves = st.sampled_from(ATOMS + KEYS)
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=1, max_size=3).map(lambda items: normalize(Seq(tuple(items)))),
+            st.tuples(inner, st.one_of(st.sampled_from(KEYS), inner)).map(lambda pair: normalize(SEnc(*pair))),
+            st.tuples(inner, st.sampled_from(PUBLIC_KEYS)).map(lambda pair: normalize(PEnc(*pair))),
+            st.lists(inner, min_size=2, max_size=3).map(lambda items: normalize(Xor(tuple(items)))),
+        ),
+        max_leaves=8,
+    )
+
+
+@st.composite
+def drawn_knowledge(draw):
+    """A few drawn terms and some of their subterms, so that keys, XOR
+    partners and parts of sequences are often known beside the terms that
+    hold them."""
+    terms = draw(st.lists(drawn_terms(), min_size=1, max_size=4))
+    parts = sorted({p for t in terms for p in subterms(t)}, key=term_key)
+    return terms + draw(st.lists(st.sampled_from(parts), max_size=4))
+
+
+class TestClosureAgainstReference:
+    """The incremental closure makes the same `add` calls in the same order
+    as the rescanning one, so it reaches the same terms and is cut by the
+    size cap at the same term."""
+
+    @given(
+        drawn_knowledge(),
+        st.lists(drawn_terms(), max_size=3),
+        # `derivable` makes the initial terms targets; without them, units
+        # found in the span are not all targets
+        st.booleans(),
+        st.integers(0, 6),
+        # mostly caps near the size of a small closure, so that rounds are cut
+        st.one_of(st.integers(1, 12), st.integers(1, 40), st.just(20_000)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_drawn_sets(self, initial, goals, with_initial, rounds, size_cap):
+        assert_same_closure(initial, [*goals, *initial] if with_initial else goals, rounds, size_cap)
+
+    def test_cap_cuts_the_span_in_term_order(self):
+        # s gets its bit in round 1, a only in round 2, when both enter the
+        # span; the cap keeps one of them, and it is a, the first in term
+        # order, though s has the lower bit
+        initial = [normalize(Xor((s, k2))), Seq((k2, normalize(Xor((a, k2)))))]
+        know = dy_closure(initial, [], size_cap=5)
+        assert know.capped and a in know and s not in know
+        assert_same_closure(initial, [], size_cap=5)
+
+    @pytest.mark.parametrize("rounds,size_cap", [(6, 20_000), (1, 20_000), (2, 20_000), (6, 1), (6, 12), (6, 40)])
+    def test_attack_trace_closures(self, rounds, size_cap):
+        calls = [call for cs in attack_traces() for call in trace_closures(cs, rounds, size_cap)]
+        assert len(calls) >= len(ATTACK_ANALYSES)
+        for call in calls:
+            assert_same_closure(*call)
+
+
+NEVER = Const("never", Sort.NONCE)
+
+
+def with_last_target(cs, target):
+    *head, last = cs.constraints
+    return ConstraintSequence((*head, Constraint(target, last.term_set)), cs.subst)
+
+
+class TestVerifyAgainstReference:
+    """`verify_solution` gives its earlier form's three-valued answer."""
+
+    @pytest.mark.parametrize("i", range(len(ATTACK_ANALYSES)))
+    def test_attack_traces(self, i):
+        cs = attack_traces()[i]
+        assert verify_solution(cs, cs.subst) is reference_verify_solution(cs, cs.subst) is True
+        never = with_last_target(cs, NEVER)
+        assert verify_solution(never, never.subst) is reference_verify_solution(never, never.subst) is False
+        for bounds in ({"rounds": 1}, {"size_cap": 1}):
+            for trace in (cs, never):
+                assert verify_solution(trace, trace.subst, **bounds) is reference_verify_solution(
+                    trace, trace.subst, **bounds
+                )
+
+    def test_bounds_leave_some_trace_undecided(self):
+        # the comparison above meets None, not only True and False
+        answers = {reference_verify_solution(cs, cs.subst, size_cap=1) for cs in attack_traces()}
+        assert None in answers
