@@ -335,6 +335,133 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     return ap
 
 
+class _Spec(NamedTuple):
+    """One argument of a command's table as `_read_table` reads it: the
+    attributes of the argparse action that the same ``add_argument`` call
+    makes.  ``action`` is "store", "append" or "store_true"."""
+
+    dest: str
+    option_strings: tuple[str, ...]
+    action: str
+    nargs: str | int | None
+    const: object
+    default: object
+    type: Callable[[str], object] | None
+    required: bool
+
+
+# the ``add_argument`` keywords `_spec` models; metavar and help only name
+# and describe an argument, so they change no reading
+_SPEC_KEYS = frozenset({"action", "nargs", "default", "type", "required", "metavar", "help"})
+
+
+def _spec(flags: tuple[str, ...], options: dict) -> _Spec | None:
+    """The reading of one ``add_argument`` call, or None for a kind of
+    argument that `_read_table` does not read: any other keyword (choices,
+    const, dest, ...), another action, nargs or type, a typed positional,
+    or a string default, which argparse may convert or suppress."""
+    action = options.get("action", "store")
+    nargs = options.get("nargs")
+    kind = options.get("type")
+    if not _SPEC_KEYS.issuperset(options) or kind not in (None, int) or isinstance(options.get("default"), str):
+        return None
+    if len(flags) == 1 and not flags[0].startswith("-"):
+        if action != "store" or nargs not in (None, "+") or kind or "required" in options:
+            return None
+        return _Spec(flags[0], (), action, nargs, None, options.get("default"), None, True)
+    if action not in ("store", "append", "store_true") or nargs is not None or (action == "store_true" and kind):
+        return None
+    long = [f for f in flags if f.startswith("--")]
+    dest = (long or flags)[0].lstrip("-").replace("-", "_")
+    required = options.get("required", False)
+    if action == "store_true":
+        return _Spec(dest, flags, action, 0, True, options.get("default", False), None, required)
+    return _Spec(dest, flags, action, None, None, options.get("default"), kind, required)
+
+
+def _read_table(name: str, rest: list[str]) -> argparse.Namespace | None:
+    """``rest`` read straight from the table of command ``name``, with no
+    parser, or None to hand it to the command's parser.
+
+    It reads an argv only when each argument is an exact option string of
+    the command, the value after a valued option, or a positional, where
+    no value or positional starts with "-", every int value is one that
+    ``int`` accepts, every required option is given and there are as many
+    positionals as the command takes (one or more for a last "+" one).
+    Everything else goes back: "-h"/"--help", "--", "--opt=value",
+    abbreviations, "-oPATH", negative numbers, a missing value, a bad int,
+    a missing required argument, too many positionals, and any command
+    with an argument that `_spec` does not model.
+
+    argparse reads every argv taken here into the same namespace.  It
+    classes an argument as an option only when it starts with "-", and
+    looks an option string up exactly before it tries "=", abbreviations
+    or negative numbers; so each exact option string here is that option,
+    and each argument that does not start with "-" ("" too) is a value or
+    a positional.  An option with nargs None takes exactly the next
+    argument, which here is a non-option, converts it with its type and
+    stores or appends it; store_true takes none.  The arguments left over
+    are the positionals in argv order.  Between two options, argparse
+    gives them to the next unfilled positionals one each; when a last "+"
+    positional is followed by an option and more files, the plain parse
+    leaves those files over and the intermixed retry of
+    `_files_after_separator` reads every positional in argv order, the
+    last "+" one taking the rest, as here.  No error is raised on either
+    side: every required argument is given and nothing is left over.
+    Each dest starts at its default and the namespace at ``command``, as
+    on the parser's route, and a list default is a new list per call, as
+    `_command_parser` makes it."""
+    args = argparse.Namespace(command=name)
+    options: dict[str, _Spec] = {}
+    positionals: list[_Spec] = []
+    required = set()
+    for flags, given in _COMMANDS[name].arguments:
+        spec = _spec(flags, given)
+        if spec is None:
+            return None
+        setattr(args, spec.dest, spec.default[:] if isinstance(spec.default, list) else spec.default)
+        if not flags[0].startswith("-"):
+            positionals.append(spec)
+            continue
+        options.update(dict.fromkeys(flags, spec))
+        if spec.required:
+            required.add(spec.option_strings)
+    values = []
+    argv = iter(rest)
+    for arg in argv:
+        if not arg.startswith("-"):
+            values.append(arg)
+            continue
+        spec = options.get(arg)
+        if spec is None:
+            return None
+        required.discard(spec.option_strings)
+        if spec.action == "store_true":
+            setattr(args, spec.dest, spec.const)
+            continue
+        value = next(argv, "-")
+        if value.startswith("-"):
+            return None
+        if spec.type is not None:
+            try:
+                value = spec.type(value)
+            except ValueError:
+                return None
+        if spec.action == "append":
+            getattr(args, spec.dest).append(value)
+        else:
+            setattr(args, spec.dest, value)
+    # a last "+" positional takes every value after those of the others
+    if positionals and positionals[-1].nargs == "+" and len(values) >= len(positionals):
+        cut = len(positionals) - 1
+        values[cut:] = [values[cut:]]
+    if required or len(values) != len(positionals) or any(s.nargs for s in positionals[:-1]):
+        return None
+    for spec, value in zip(positionals, values):
+        setattr(args, spec.dest, value)
+    return args
+
+
 def _files_after_separator(command: argparse.ArgumentParser, name: str, rest: list[str]) -> argparse.Namespace | None:
     """``rest`` read with files allowed after an option, and every argument
     after its first "--", if it has one, a file, even one that starts with
@@ -391,8 +518,10 @@ class _Stdout:
 
 
 def run_command(argv: Sequence[str]) -> int:
-    # a call builds its command's parser, and the top-level one only for
-    # help, a missing or unknown command, or an error; what neither knows is
+    # a call reads its command's arguments from the table (`_read_table`)
+    # and builds the command's parser only for help, an error or a spelling
+    # the table reader hands back, and the top-level one only for help, a
+    # missing or unknown command, or an error; what neither parser knows is
     # reported by the top-level parser, as a parser with a subparser per
     # command does.  When the first argument names a command, the top-level
     # parser would hand that command and everything after it on, with
@@ -403,16 +532,18 @@ def run_command(argv: Sequence[str]) -> int:
     else:
         picked, extras = _top_parser().parse_known_args(argv)
         name, *rest = picked.command
-    command = _command_parser(name)
-    args, more = command.parse_known_args(rest, argparse.Namespace(command=name))
-    if more:
-        # a list of files ends at the first option, so files given after
-        # one are left over; intermixed parsing reads them, but costs a
-        # third more per call, so it runs only then.  The plain parse's
-        # leftovers, and so its error, stand unless that parse reads every argument
-        separated = _files_after_separator(command, name, rest)
-        if separated is not None:
-            args, more = separated, []
+    args, more = _read_table(name, rest), []
+    if args is None:
+        command = _command_parser(name)
+        args, more = command.parse_known_args(rest, argparse.Namespace(command=name))
+        if more:
+            # a list of files ends at the first option, so files given after
+            # one are left over; intermixed parsing reads them, but costs a
+            # third more per call, so it runs only then.  The plain parse's
+            # leftovers, and so its error, stand unless that parse reads every argument
+            separated = _files_after_separator(command, name, rest)
+            if separated is not None:
+                args, more = separated, []
     if extras or more:
         _top_parser().error(f"unrecognized arguments: {' '.join([*extras, *more])}")
     # input errors only: a KeyError or ValueError from inside a layer is a

@@ -547,6 +547,25 @@ VALID_ARGV = [
     ["analyze", "--node-budget", "9", "a.proto", "--branch-budget", "-1", "--json", "r.json"],
     ["oracle-verify", "t.json"],
     ["oracle-verify", "--json", "r.json", "t.json"],
+    # the shapes of the benchmark's calls
+    [
+        "analyze", "a.proto", "--combined", "b.proto", "--sessions", "2", "--secret", "NA", "--oracle-verify",
+        "--json", "r.json",
+    ],
+    ["analyze", "a.proto", "--combined", "b.proto", "--json", "r.json"],
+    ["analyze", "a.proto", "--sessions", "1", "--json", "r.json"],
+    ["check-assumptions", "a.proto", "--json", "r.json"],
+    ["oracle-verify", "t.json", "--json", "r.json"],
+]
+
+# the `VALID_ARGV` entries that `cli._read_table` hands to the command's
+# parser: a "--", an "=" value, a glued short option or a negative number
+HANDED_BACK = [
+    ["parse", "--", "-a.proto"],
+    ["tag", "a.proto", "--label=t1", "--output", "out.proto"],
+    ["tag", "--label", "t1", "-oout.proto", "a.proto"],
+    ["analyze", "--oracle-verify", "--sessions=3", "--combined", "b.proto", "--secret", "NA", "a.proto"],
+    ["analyze", "--node-budget", "9", "a.proto", "--branch-budget", "-1", "--json", "r.json"],
 ]
 
 INVALID_ARGV = [
@@ -728,8 +747,34 @@ _ARGV_PIECES = st.sampled_from(
         *COMMAND_HELP, "a.proto", "b.proto", "-x.proto", "-", "--", "-h", "--help", "--json", "r.json",
         "--json=r.json", "--label", "t1", "-o", "-oout.proto", "--sessions", "2", "--sessions=x",
         "--combined", "--secret", "NA", "--oracle-verify", "--node-budget", "--bogus", "--js", "-x",
+        # the spellings at the edge of what `cli._read_table` reads
+        "", "-1", "-5", "3", "--sessions=2", "--combined=b.proto", "--secret=NB", "--label=t2", "--sess",
+        "--oracle", "-r.json", "a b.proto", " -y", "--output", "o.proto",
     ]
 )
+
+
+# values that `cli._read_table` takes, values it hands back ("-1", "-"), and
+# ints that `int` reads in more than one spelling
+_VALUES = st.sampled_from(["a.proto", "b.proto", "", "3", "0", "+4", "1_0", " 7 ", "a b.proto", " -y", "x", "-1", "-"])
+
+
+@st.composite
+def table_argvs(draw) -> list[str]:
+    """An argv of a command built from its table: each option none to two
+    times with a value, about as many positionals as the command takes,
+    all in any order."""
+    name = draw(st.sampled_from(list(COMMAND_HELP)))
+    parts = []
+    for flags, options in cli._COMMANDS[name].arguments:
+        if not flags[0].startswith("-"):
+            count = draw(st.integers(1, 3) if options.get("nargs") == "+" else st.sampled_from([1, 1, 1, 0, 2]))
+            parts += [[draw(_VALUES)] for _ in range(count)]
+            continue
+        for _ in range(draw(st.integers(0, 2))):
+            flag = draw(st.sampled_from(flags))
+            parts.append([flag] if options.get("action") == "store_true" else [flag, draw(_VALUES)])
+    return [name, *(arg for part in draw(st.permutations(parts)) for arg in part)]
 
 
 class TestCommandFirst:
@@ -749,6 +794,11 @@ class TestCommandFirst:
         argv = [name, *rest]
         assert outcome(dispatched_by_run_command, argv) == outcome(through_top_parser, argv)
 
+    @given(table_argvs())
+    @settings(max_examples=300, deadline=None)
+    def test_same_on_argvs_built_from_the_table(self, argv):
+        assert outcome(dispatched_by_run_command, argv) == outcome(through_top_parser, argv)
+
     @pytest.mark.parametrize(
         "argv", [*VALID_ARGV, *(argv for argv in INVALID_ARGV if argv and argv[0] in COMMAND_HELP)], ids=" ".join
     )
@@ -762,6 +812,69 @@ class TestCommandFirst:
             for argv in (["--help"], ["no-such-command"], ["analyze", "a.proto", "--bogus"]):
                 outcome(dispatched_by_run_command, argv)
             assert top.call_count == 3
+
+    def test_command_parser_is_built_only_when_needed(self):
+        # an argv the table reader takes builds no parser at all; help, an
+        # error or a spelling it hands back builds the command's parser once
+        with mock.patch.object(cli, "_command_parser", wraps=cli._command_parser) as command:
+            for argv in VALID_ARGV:
+                if argv not in HANDED_BACK:
+                    dispatched_by_run_command(argv)
+            assert command.call_count == 0
+        for argv in [
+            *HANDED_BACK, ["analyze", "--help"], ["analyze", "a.proto", "--sessions=2"],
+            ["analyze", "a.proto", "--sessions", "x"],
+        ]:
+            with mock.patch.object(cli, "_command_parser", wraps=cli._command_parser) as command:
+                outcome(dispatched_by_run_command, argv)
+            assert command.call_count == 1, argv
+
+
+class TestTableReader:
+    """`cli._read_table` reads a command's arguments from its table as the
+    command's parser would build them."""
+
+    @staticmethod
+    def spec_of(action: argparse.Action) -> cli._Spec:
+        kinds = {
+            argparse._StoreAction: "store", argparse._AppendAction: "append", argparse._StoreTrueAction: "store_true"
+        }
+        kind = kinds.get(type(action), type(action).__name__)
+        return cli._Spec(
+            action.dest, tuple(action.option_strings), kind, action.nargs, action.const, action.default, action.type,
+            action.required,
+        )
+
+    @pytest.mark.parametrize("name", COMMAND_HELP)
+    def test_model_equals_the_parsers_actions(self, name):
+        actions = [a for a in cli._command_parser(name)._actions if not isinstance(a, argparse._HelpAction)]
+        model = [cli._spec(flags, options) for flags, options in cli._COMMANDS[name].arguments]
+        assert model == [self.spec_of(a) for a in actions]
+        assert all(a.choices is None for a in actions)
+
+    @pytest.mark.parametrize(
+        "flags,options",
+        [
+            (("--mode",), {"choices": ["a", "b"]}),
+            (("file",), {"nargs": "?"}),
+            (("files",), {"nargs": "*"}),
+            (("--pair",), {"nargs": 2}),
+            (("--flag",), {"action": "store_const", "const": 1}),
+            (("--level",), {"const": 3, "nargs": "?"}),
+            (("--count",), {"action": "count"}),
+            (("--ratio",), {"type": float}),
+            (("--sessions",), {"type": int, "default": "1"}),
+            (("--into",), {"dest": "target"}),
+            (("n",), {"type": int}),
+        ],
+        ids=repr,
+    )
+    def test_unmodeled_kinds_are_not_read(self, monkeypatch, flags, options):
+        assert cli._spec(flags, options) is None
+        command = cli._COMMANDS["analyze"]
+        widened = command._replace(arguments=(*command.arguments, (flags, options)))
+        monkeypatch.setitem(cli._COMMANDS, "analyze", widened)
+        assert cli._read_table("analyze", ["a.proto"]) is None
 
 
 class TestOracleVerifyCommand:
