@@ -600,6 +600,35 @@ def _xor_children(p: Protocol) -> tuple[Term, ...]:
     return tuple(sorted({c for x in p.parts_of(Xor) for c in x.items}, key=term_key))
 
 
+# where the free-shape walk stops: munut treats every XOR part as a variable
+_OPAQUE = (Var, Xor, Zero)
+
+
+def _free_clash(s: Term, t: Term) -> bool:
+    """Do ``s`` and ``t`` clash in their free skeletons, with variables, XOR
+    and ``zero`` opaque?  The walk pairs the children of ``seq``, ``senc``,
+    ``penc`` and ``pk`` left to right, takes ``sh`` in both argument orders,
+    and reports a clash at a different constructor, a different arity or
+    two different constants.  An opaque position on either side decides
+    nothing: False means the pair is open, not that it unifies.
+
+    This is not ``unify.shape_clash`` or ``unify._free_split``: those follow
+    SUA and pair the summands of ground XORs, which munut never looks into
+    (``senc(xor(a, b), k)`` against ``senc(xor(c, d), k)`` clashes modulo
+    SUA, but its abstraction unifies)."""
+    if s == t or isinstance(s, _OPAQUE) or isinstance(t, _OPAQUE):
+        return False
+    ks, kt = s._args, t._args
+    # a different constructor or arity, or (with no arguments) two different constants
+    if type(s) is not type(t) or len(ks) != len(kt) or not ks:
+        return True
+    if type(s) is Sh:
+        return (_free_clash(ks[0], kt[0]) or _free_clash(ks[1], kt[1])) and (
+            _free_clash(ks[0], kt[1]) or _free_clash(ks[1], kt[0])
+        )
+    return any(map(_free_clash, ks, kt))
+
+
 def check_munut(p1: Protocol, p2: Protocol) -> MunutReport:
     """Do the two protocols keep their encrypted parts and XOR summands apart?
 
@@ -609,14 +638,33 @@ def check_munut(p1: Protocol, p2: Protocol) -> MunutReport:
     The second protocol's parts are primed apart (``NA`` becomes ``NA'``),
     which gives the primed protocol's parts: the renaming is injective, so
     no summand cancels.  Witnesses list the unifier.
+
+    Each pair is first decided by ``_free_clash`` on the unprimed parts; only
+    an open pair is primed (the renaming is built at the first one) and
+    handed to ``_std_unifier_witness``.  Soundness of skipping a clashing
+    pair: abstraction replaces only maximal XOR/``zero`` subterms by fresh
+    variables, and priming renames variables injectively, which moves only
+    XOR summands and ``sh`` arguments in the canonical form.  So the
+    abstracted primed pair has the same free skeleton as the raw pair above
+    every opaque position of the walk.  The free constructors are injective
+    (``sh`` up to argument order) and two different constants never unify,
+    so a clash there leaves ``unify_std`` no unifier and the witness is
+    None.  The walk never reads a variable's name, so priming cannot change
+    its answer.  The witness runs on open pairs exactly as before, so the
+    report, ``#v`` numbers included, is the one the unpruned route gives.
     """
-    prime = Substitution({v: Var(v.name + "'", v.sort) for v in p2.variables()})
+    prime: Substitution | None = None
     violations: list[MunutViolation] = []
     for condition, parts in ((1, enc_subterms), (2, _xor_children)):
-        for t1, t2 in itertools.product(parts(p1), [prime.apply(t) for t in parts(p2)]):
-            w = _std_unifier_witness(t1, t2)
+        for t1, t2 in itertools.product(parts(p1), parts(p2)):
+            if _free_clash(t1, t2):
+                continue
+            if prime is None:
+                prime = Substitution({v: Var(v.name + "'", v.sort) for v in p2.variables()})
+            right = prime.apply(t2)
+            w = _std_unifier_witness(t1, right)
             if w is not None:
-                violations.append(MunutViolation(condition, t1, t2, w))
+                violations.append(MunutViolation(condition, t1, right, w))
     violations.sort(key=lambda v: (v.condition, term_key(v.left), term_key(v.right)))
     return MunutReport((p1.name, p2.name), tuple(violations))
 

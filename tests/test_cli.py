@@ -105,6 +105,8 @@ class TestCheckMunut:
         [
             (("nslx.proto", "nslx.proto"), "munut_untagged.json"),
             (("nslx_nslx.proto", "nslx_other.proto"), "munut_tagged.json"),
+            # its condition-2 witnesses hold the primed right-hand parts
+            (("nslx.proto", "q1.proto"), "munut_nslx_q1.json"),
         ],
     )
     def test_golden_report(self, tmp_path, files, golden):

@@ -4,11 +4,13 @@ import copy
 import itertools
 import pickle
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorsleuth import protocol
 from xorsleuth.dsl import parse_protocol, parse_protocol_file
 from xorsleuth.protocol import (
     ATTACKER,
@@ -21,6 +23,7 @@ from xorsleuth.protocol import (
     Protocol,
     SecretInIik,
     Strand,
+    _free_clash,
     _std_unifier_witness,
     _xor_children,
     build_iik,
@@ -56,6 +59,7 @@ from xorsleuth.terms import (
     vars_of_all,
     xor,
 )
+from xorsleuth.unify import _free_split
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "xorsleuth" / "fixtures"
 
@@ -566,3 +570,84 @@ class TestMunutAgainstReference:
         # with no primed names in either protocol, each direction unifies a
         # variable-disjoint copy of the same pair of parts
         assert condition_counts(check_munut(p, q)) == condition_counts(check_munut(q, p))
+
+
+# -- the free-shape check in front of the witness -------------------------------------
+
+
+def primed(t):
+    return Substitution({v: Var(v.name + "'", v.sort) for v in vars_of_all([t])}).apply(t)
+
+
+def shape_terms():
+    """Terms drawn like `drawn_terms`, with ``zero`` among the atoms and
+    ``sh`` and ``pk`` over agent variables and constants also at the top."""
+    agent = st.sampled_from(AGENT_POOL)
+    return st.one_of(
+        drawn_terms(ATOM_POOL + [ZERO]),
+        st.tuples(agent, agent).map(lambda p: sh(*p)),
+        agent.map(pk),
+    )
+
+
+def one_part(name, t):
+    return Protocol(name, [("A", Strand((Node("+", t),)))])
+
+
+class TestMunutShapeCheck:
+    @given(shape_terms(), shape_terms())
+    @settings(max_examples=400, deadline=None)
+    def test_a_clash_has_no_witness(self, t1, t2):
+        if _free_clash(t1, t2):
+            assert _std_unifier_witness(t1, t2) is None
+            assert _std_unifier_witness(t1, primed(t2)) is None
+        # the walk reads no variable name
+        assert _free_clash(t1, primed(t2)) == _free_clash(t1, t2)
+
+    def test_an_xor_under_encryption_stays_open(self):
+        # modulo SUA the two ground XORs never meet; with XOR parts
+        # abstracted they do, and munut reports that
+        a, b, c, d, k = (const(n) for n in "abcdk")
+        left, right = senc(xor(a, b), k), senc(xor(c, d), k)
+        assert _free_split(left, right) == ([], True)
+        assert not _free_clash(left, right)
+        report = check_munut(one_part("g", left), one_part("h", right))
+        assert [(v.condition, v.left, v.right, v.unifier) for v in report.violations] == [
+            (1, left, right, Substitution())
+        ]
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            (senc(ZERO, const("k")), senc(seq(const("m"), const("n")), const("k"))),
+            (sh(var("A", Sort.AGENT), Const("b", Sort.AGENT)), sh(Const("c", Sort.AGENT), var("D", Sort.AGENT))),
+            (seq(var("X"), const("m")), seq(const("n"), var("Y"))),
+        ],
+    )
+    def test_open_pairs(self, left, right):
+        assert not _free_clash(left, right) and not _free_clash(right, left)
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            (senc(var("X"), const("k")), penc(var("X"), pk(var("A", Sort.AGENT)))),
+            (seq(var("X"), var("Y")), seq(var("X"), var("Y"), var("Z"))),
+            (seq(Const("t1", Sort.TAG), var("X")), seq(Const("t2", Sort.TAG), var("X"))),
+            (const("m"), Const("m", Sort.NONCE)),
+            (sh(Const("a", Sort.AGENT), Const("b", Sort.AGENT)), sh(Const("c", Sort.AGENT), var("A", Sort.AGENT))),
+        ],
+    )
+    def test_clashing_pairs(self, left, right):
+        assert _free_clash(left, right) and _free_clash(right, left)
+        assert _std_unifier_witness(left, right) is None
+
+    def test_corpus_pairs_clash_without_priming_or_witness(self):
+        corpus = [load(f"q{i}") for i in range(1, 6)]
+        nslx, q1 = load("nslx"), load("q1")
+        with mock.patch.object(protocol, "_std_unifier_witness", wraps=_std_unifier_witness) as witness:
+            with mock.patch.object(Substitution, "apply", autospec=True, side_effect=Substitution.apply) as apply:
+                for p, q in itertools.combinations(corpus, 2):
+                    assert check_munut(p, q).ok(), (p.name, q.name)
+                assert (witness.call_count, apply.call_count) == (0, 0)
+                assert condition_counts(check_munut(nslx, q1)) == [0, 2]
+        assert witness.call_count > 0
