@@ -28,7 +28,7 @@ from .solver import (
     SolverBudget,
     check_secrecy,
 )
-from .terms import Substitution, Term, Var, XorsleuthError, from_text, to_text
+from .terms import Substitution, Term, Var, XorsleuthError, _read_term, to_text
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -182,12 +182,12 @@ def _cmd_analyze(args) -> _Report:
 
 def _trace_term(value, where: str, parsed: dict[str, Term]) -> Term:
     """The term a trace writes as ``value``; ``parsed`` holds the terms
-    already read from the same trace, by text."""
+    and subterms already read from the same trace, by text."""
     if not isinstance(value, str):
         raise XorsleuthError(f"{where} must be a term in text form, not {type(value).__name__}")
     term = parsed.get(value)
     if term is None:
-        term = parsed[value] = from_text(value)
+        term = _read_term(value, parsed)
     return term
 
 
@@ -195,7 +195,8 @@ def _load_trace(path: str) -> ConstraintSequence:
     """The constraints and substitution of a saved attack trace: a report of
     ``analyze --json``, its ``results`` or its ``attack`` object.  A trace of
     any other shape is an input error.  Each distinct term text is parsed
-    once, since a trace repeats its term sets from constraint to constraint."""
+    once, and each distinct subterm built once, since a trace repeats its
+    term sets from constraint to constraint."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     for key in ("results", "attack"):

@@ -37,7 +37,7 @@ from .terms import (
     XorsleuthError,
     SortError,
     Zero,
-    _normalize_node,
+    _canonical_node,
     children,
 )
 
@@ -66,50 +66,68 @@ class _Token(NamedTuple):
     col: int
 
 
-# One scan of the whole text, blanks skipped by the search itself: an
-# identifier (``\w`` is exactly ``str.isalnum()`` or ``_``), a punctuation
-# mark, a line break, a comment (``.`` stops at a line break), or any other
-# non-blank character, which is an error.
-_TOKEN = re.compile(r"(\w+)|([(),:])|(\n)|(#.*)|[^ \t\r]")
+# One scan of the whole text, blanks skipped by the search itself.  Its one
+# group is a token: an identifier (``\w`` is exactly ``str.isalnum()`` or
+# ``_``) or any other non-blank character, a punctuation mark or an error.
+# A line break or a comment (``.`` stops at a line break) matches outside
+# the group.
+_TOKEN = re.compile(r"(\w+|[^ \t\r\n#])|\n|#.*")
+# true of the joined tokens of a text that holds no bad character and no
+# non-ASCII word character
+_PLAIN = re.compile(r"[\w(),:]*", re.ASCII).fullmatch
+_PUNCTUATION = frozenset("(),:")
+# the tokens that are no identifier: punctuation and ``eof``
+_NOT_IDENT = _PUNCTUATION | {""}
 # builds a ``_Token`` from a tuple in C, without its Python-level ``__new__``
 _token = tuple.__new__
 
 
+def _tokens(text: str) -> list[str]:
+    """The tokens of ``text`` as strings, ending in ``eof``, which is ``""``.
+    A bad character raises the error `_lex` reports for it."""
+    toks = list(filter(None, _TOKEN.findall(text)))
+    toks.append("")
+    if not _PLAIN("".join(toks)):
+        # `_lex` raises at a bad character; non-ASCII word characters it
+        # reads as the scan above did
+        _lex(text)
+    return toks
+
+
 def _lex(text: str) -> list[_Token]:
-    """The tokens of ``text``, ending in ``eof``, with 1-based line and
-    column numbers; a column counts characters.  Only ``\n`` ends a line.
-    A comment runs to the end of its line, and ``eof`` after a comment on
-    the last line takes the column of its ``#``."""
+    """The tokens of `_tokens`, with their kinds and 1-based line and column
+    numbers; a column counts characters.  Only ``\n`` ends a line.  A
+    comment runs to the end of its line, and ``eof`` after a comment on the
+    last line takes the column of its ``#``.  A parse needs positions only
+    to report an error, so only an error runs this."""
     toks: list[_Token] = []
     append = toks.append
     # a column is a character's offset less that of the last line break
     line, base = 1, -1
     for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        if group == 1:
-            append(_token(_Token, ("ident", m.group(), line, m.start() - base)))
-        elif group == 2:
-            ch = m.group()
-            append(_token(_Token, (ch, ch, line, m.start() - base)))
-        elif group == 3:
-            line += 1
-            base = m.start()
-        elif group is None:
-            raise ProtocolSyntaxError(f"unexpected character {m.group()!r}", line, m.start() - base)
-        # group 4, a comment, makes no token
+        value = m.group(1)
+        if value is None:
+            # a comment makes no token
+            if m.group() == "\n":
+                line += 1
+                base = m.start()
+        elif value in _PUNCTUATION:
+            append(_token(_Token, (value, value, line, m.start() - base)))
+        elif value[0] == "_" or value[0].isalnum():
+            append(_token(_Token, ("ident", value, line, m.start() - base)))
+        else:
+            raise ProtocolSyntaxError(f"unexpected character {value!r}", line, m.start() - base)
     # no token holds a '#', so the last line's first one starts its comment
     end = text.find("#", base + 1)
     append(_token(_Token, ("eof", "", line, (len(text) if end < 0 else end) - base)))
     return toks
 
 
-def _expected(t: _Token, what: str) -> ProtocolSyntaxError:
-    return ProtocolSyntaxError(f"expected {what}, found {t.value or 'end of file'!r}", t.line, t.col)
-
-
 class _Parser:
-    """One protocol's parse.  Declarations read tokens through ``peek``,
-    ``next`` and ``expect``; terms read them by index.
+    """One protocol's parse, over the token strings of `_tokens`.
+    Declarations read them at ``pos``; terms read them by index.  Each
+    error looks its token's line and column up in `_lex`, which lexes the
+    text again, so a parse that succeeds never works out a position.
 
     A term is parsed into ``ids``, which gives each distinct term of the
     roles an id, its position in the dict: an atom is keyed by its name
@@ -121,94 +139,95 @@ class _Parser:
     id order, canonical as it is built."""
 
     def __init__(self, text: str):
-        self.toks = _lex(text)
+        self.text = text
+        self.toks = _tokens(text)
         self.pos = 0
         self.var_sorts: dict[str, Sort] = {}
         self.ids: dict[str | tuple, int] = {}
         # each annotated constant's first annotation, the first annotation
-        # that differs from it, and each constant's first pk/sh-argument
-        # occurrence, all in source order
+        # that differs from it (the constant's token index and both sorts),
+        # and each constant's first pk/sh-argument occurrence, all in source
+        # order
         self.annotated: dict[str, Sort] = {}
-        self.conflict: SortError | None = None
-        self.agent_at: dict[str, _Token] = {}
+        self.conflict: tuple[int, Sort, Sort] | None = None
+        self.agent_at: dict[str, int] = {}
 
-    def peek(self, ahead: int = 0) -> _Token:
-        # only a token after an identifier is looked ahead at, so the index
-        # never passes ``eof``
-        return self.toks[self.pos + ahead]
+    # -- errors: only they need a token's position ----------------------------
 
-    def next(self) -> _Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def where(self, i: int) -> str:
+        t = _lex(self.text)[i]
+        return f"{t.line}:{t.col}"
 
-    def expect(self, kind: str, what: str) -> _Token:
-        t = self.next()
-        if t.kind != kind:
-            raise _expected(t, what)
-        return t
+    def error(self, i: int, message: str, cls: type = ProtocolSyntaxError) -> ProtocolSyntaxError:
+        t = _lex(self.text)[i]
+        return cls(message, t.line, t.col)
 
-    def expect_keyword(self, word: str) -> _Token:
-        t = self.next()
-        if t.kind != "ident" or t.value != word:
-            raise _expected(t, repr(word))
-        return t
-
-    def at_keyword(self, *words: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.value in words
+    def expected(self, i: int, what: str) -> ProtocolSyntaxError:
+        return self.error(i, f"expected {what}, found {self.toks[i] or 'end of file'!r}")
 
     # -- declarations ------------------------------------------------------
 
+    def expect(self, value: str, what: str) -> None:
+        """Pass the next token, which must be ``value``."""
+        i = self.pos
+        if self.toks[i] != value:
+            raise self.expected(i, what)
+        self.pos = i + 1
+
+    def expect_ident(self, what: str) -> str:
+        """Pass the next token, an identifier, and return it."""
+        i = self.pos
+        name = self.toks[i]
+        if name in _NOT_IDENT:
+            raise self.expected(i, what)
+        self.pos = i + 1
+        return name
+
     def sort_at(self, i: int) -> Sort:
         """The sort that token ``i`` names."""
-        t = self.toks[i]
-        if t.kind != "ident":
-            raise _expected(t, "a sort name")
-        sort = _SORTS.get(t.value)
+        name = self.toks[i]
+        sort = _SORTS.get(name)
         if sort is None:
-            raise ProtocolSyntaxError(
-                f"unknown sort {t.value!r} (expected one of {', '.join(sorted(_SORTS))})",
-                t.line, t.col,
-            )
+            if name in _NOT_IDENT:
+                raise self.expected(i, "a sort name")
+            raise self.error(i, f"unknown sort {name!r} (expected one of {', '.join(sorted(_SORTS))})")
         return sort
 
     def parse_vars_decl(self):
-        self.expect_keyword("vars")
+        self.expect("vars", "'vars'")
+        toks = self.toks
         pairs = 0
-        while self.peek().kind == "ident" and self.peek(1).kind == ":":
-            name_tok = self.next()
-            name = name_tok.value
+        # only a token after an identifier is looked ahead at, so the index
+        # never passes ``eof``
+        while toks[self.pos] not in _NOT_IDENT and toks[self.pos + 1] == ":":
+            i = self.pos
+            name = toks[i]
             if not name[0].isupper():
-                raise ProtocolSyntaxError(
-                    f"variable names start upper-case: {name!r}", name_tok.line, name_tok.col
-                )
-            self.next()  # the ':' the loop looked ahead at
-            sort = self.sort_at(self.pos)
-            self.pos += 1
+                raise self.error(i, f"variable names start upper-case: {name!r}")
+            sort = self.sort_at(i + 2)
+            self.pos = i + 3
             if name in self.var_sorts and self.var_sorts[name] is not sort:
                 raise SortError(
-                    f"{name_tok.line}:{name_tok.col}: variable {name} redeclared "
-                    f"with sort {sort.value}, was {self.var_sorts[name].value}"
+                    f"{self.where(i)}: variable {name} redeclared with sort {sort.value}, was {self.var_sorts[name].value}"
                 )
             self.var_sorts[name] = sort
             pairs += 1
         if pairs == 0:
-            t = self.peek()
-            raise ProtocolSyntaxError("vars needs at least one NAME:Sort pair", t.line, t.col)
+            raise self.error(self.pos, "vars needs at least one NAME:Sort pair")
 
     def parse_name_list(self, decl: str) -> list[str]:
-        self.expect_keyword(decl)
+        self.expect(decl, repr(decl))
+        toks = self.toks
         names = []
-        while self.peek().kind == "ident" and self.peek().value[0].isupper():
-            t = self.next()
-            if t.value not in self.var_sorts:
-                raise UndeclaredIdentifier(f"{decl} lists undeclared variable {t.value!r}", t.line, t.col)
-            names.append(t.value)
+        # no punctuation mark, nor ``eof``, is upper-case
+        while toks[self.pos][:1].isupper():
+            name = toks[self.pos]
+            if name not in self.var_sorts:
+                raise self.error(self.pos, f"{decl} lists undeclared variable {name!r}", UndeclaredIdentifier)
+            names.append(name)
+            self.pos += 1
         if not names:
-            t = self.peek()
-            raise ProtocolSyntaxError(f"{decl} needs at least one variable name", t.line, t.col)
+            raise self.error(self.pos, f"{decl} needs at least one variable name")
         return names
 
     # -- terms --------------------------------------------------------------
@@ -217,99 +236,102 @@ class _Parser:
         """The term whose first token is ``toks[i]``: its id in ``ids`` and
         the index of the token after it.  ``agent`` marks a pk/sh argument."""
         toks = self.toks
-        t = toks[i]
-        kind, name, line, col = t
-        if kind != "ident":
-            raise _expected(t, "a term")
+        name = toks[i]
+        if name in _NOT_IDENT:
+            raise self.expected(i, "a term")
         ids = self.ids
-        # ``t`` is an identifier, so a token follows it
-        follow = toks[i + 1].kind
+        # ``name`` is an identifier, so a token follows it
+        follow = toks[i + 1]
         ctor = CONSTRUCTOR_NAMED.get(name)
         if ctor is not None:
             if follow != "(":
-                raise _expected(toks[i + 1], "'('")
+                raise self.expected(i + 1, "'('")
             in_agent = ctor.agent_args
-            kid, i = self.parse_term(i + 2, in_agent)
+            kid, j = self.parse_term(i + 2, in_agent)
             key = [name, kid]
-            while toks[i].kind == ",":
-                kid, i = self.parse_term(i + 1, in_agent)
+            while toks[j] == ",":
+                kid, j = self.parse_term(j + 1, in_agent)
                 key.append(kid)
-            if toks[i].kind != ")":
-                raise _expected(toks[i], "')'")
+            if toks[j] != ")":
+                raise self.expected(j, "')'")
             arity = len(key) - 1
             if ctor.arity is None and arity < 2:
-                raise ProtocolSyntaxError(f"{name} needs at least two arguments", line, col)
+                raise self.error(i, f"{name} needs at least two arguments")
             if ctor.arity not in (None, arity):
-                raise ProtocolSyntaxError(f"{name} takes exactly {ctor.arity} argument(s), got {arity}", line, col)
-            return ids.setdefault(tuple(key), len(ids)), i + 1
+                raise self.error(i, f"{name} takes exactly {ctor.arity} argument(s), got {arity}")
+            return ids.setdefault(tuple(key), len(ids)), j + 1
         if name == "zero":
             return ids.setdefault(name, len(ids)), i + 1
         if name[0].isupper():
             if follow == ":":
-                raise ProtocolSyntaxError(f"variable sorts are declared in vars, not inline: {name!r}", line, col)
+                raise self.error(i, f"variable sorts are declared in vars, not inline: {name!r}")
             if name not in self.var_sorts:
-                raise UndeclaredIdentifier(f"undeclared variable {name!r}", line, col)
+                raise self.error(i, f"undeclared variable {name!r}", UndeclaredIdentifier)
             return ids.setdefault(name, len(ids)), i + 1
         if agent:
-            self.agent_at.setdefault(name, t)
+            self.agent_at.setdefault(name, i)
         if follow == ":":
             sort = self.sort_at(i + 2)
             first = self.annotated.setdefault(name, sort)
             if first is not sort and self.conflict is None:
-                self.conflict = SortError(f"{line}:{col}: constant {name!r} annotated both {first.value} and {sort.value}")
-            i += 2
+                self.conflict = (i, first, sort)
+            return ids.setdefault(name, len(ids)), i + 3
         return ids.setdefault(name, len(ids)), i + 1
 
     # -- protocol ----------------------------------------------------------
 
     def parse_protocol(self) -> Protocol:
-        self.expect_keyword("protocol")
-        name = self.expect("ident", "a protocol name").value
+        toks = self.toks
+        self.expect("protocol", "'protocol'")
+        name = self.expect_ident("a protocol name")
         fresh: list[str] = []
         secret: list[str] = []
-        while self.at_keyword("vars", "fresh", "secret"):
-            word = self.peek().value
+        while True:
+            word = toks[self.pos]
             if word == "vars":
                 self.parse_vars_decl()
             elif word == "fresh":
                 fresh += self.parse_name_list("fresh")
-            else:
+            elif word == "secret":
                 secret += self.parse_name_list("secret")
+            else:
+                break
 
-        # per step: its sign, its term's id and first token, and the first
-        # id its parse gave out
-        roles: list[tuple[str, list[tuple[str, int, _Token, int]]]] = []
+        # per step: its sign, its term's id and first token index, and the
+        # first id its parse gave out
+        roles: list[tuple[str, list[tuple[str, int, int, int]]]] = []
         seen_roles = set()
-        while self.at_keyword("role"):
-            self.next()
-            rt = self.expect("ident", "a role name")
-            if rt.value in seen_roles:
-                raise DuplicateRole(f"role {rt.value!r} defined twice", rt.line, rt.col)
-            seen_roles.add(rt.value)
+        while toks[self.pos] == "role":
+            self.pos += 1
+            role = self.expect_ident("a role name")
+            if role in seen_roles:
+                raise self.error(self.pos - 1, f"role {role!r} defined twice", DuplicateRole)
+            seen_roles.add(role)
             self.expect(":", "':'")
-            steps: list[tuple[str, int, _Token, int]] = []
-            while self.at_keyword("send", "recv"):
-                sign = "+" if self.next().value == "send" else "-"
-                first_id, tok = len(self.ids), self.toks[self.pos]
-                root, self.pos = self.parse_term(self.pos)
-                steps.append((sign, root, tok, first_id))
+            steps: list[tuple[str, int, int, int]] = []
+            while toks[self.pos] in ("send", "recv"):
+                sign = "+" if toks[self.pos] == "send" else "-"
+                i = self.pos + 1
+                first_id = len(self.ids)
+                root, self.pos = self.parse_term(i)
+                steps.append((sign, root, i, first_id))
             if not steps:
-                t = self.peek()
-                raise ProtocolSyntaxError("role needs at least one send/recv step", t.line, t.col)
-            roles.append((rt.value, steps))
+                raise self.error(self.pos, "role needs at least one send/recv step")
+            roles.append((role, steps))
         if not roles:
-            t = self.peek()
-            raise ProtocolSyntaxError("protocol needs at least one role", t.line, t.col)
-        t = self.peek()
-        if t.kind != "eof":
-            raise ProtocolSyntaxError(f"unexpected {t.value!r} after last role", t.line, t.col)
+            raise self.error(self.pos, "protocol needs at least one role")
+        if toks[self.pos]:
+            raise self.error(self.pos, f"unexpected {toks[self.pos]!r} after last role")
 
         built = self._build(self._const_sorts(), [step for _, steps in roles for step in steps])
         built_roles = [
             (rn, Strand(tuple(Node(sign, built[root]) for sign, root, _, _ in steps))) for rn, steps in roles
         ]
-        fresh_vars = [Var(n, self.var_sorts[n]) for n in dict.fromkeys(fresh)]
-        secret_vars = [Var(n, self.var_sorts[n]) for n in dict.fromkeys(secret)]
+        # the variables that the roles use are built already; one that no
+        # role uses is built for the error `Protocol` raises
+        ids = self.ids
+        fresh_vars = [built[ids[n]] if n in ids else Var(n, self.var_sorts[n]) for n in fresh]
+        secret_vars = [built[ids[n]] if n in ids else Var(n, self.var_sorts[n]) for n in secret]
         try:
             return Protocol(name, built_roles, fresh_vars, secret_vars)
         except ValueError as e:
@@ -322,16 +344,17 @@ class _Parser:
         pk/sh-argument occurrence comes first among those annotated other
         than Agent, at that occurrence."""
         if self.conflict is not None:
-            raise self.conflict
-        for name, tok in self.agent_at.items():
+            i, first, sort = self.conflict
+            raise SortError(f"{self.where(i)}: constant {self.toks[i]!r} annotated both {first.value} and {sort.value}")
+        for name, i in self.agent_at.items():
             ann = self.annotated.get(name)
             if ann is not None and ann is not Sort.AGENT:
                 raise SortError(
-                    f"{tok.line}:{tok.col}: constant {name!r} is used as a pk/sh argument but annotated {ann.value}"
+                    f"{self.where(i)}: constant {name!r} is used as a pk/sh argument but annotated {ann.value}"
                 )
         return {**self.annotated, **dict.fromkeys(self.agent_at, Sort.AGENT)}
 
-    def _build(self, const_sorts: dict[str, Sort], steps: list[tuple[str, int, _Token, int]]) -> list[Term]:
+    def _build(self, const_sorts: dict[str, Sort], steps: list[tuple[str, int, int, int]]) -> list[Term]:
         """The term of each key of ``ids``, in id order, each node made
         canonical from its canonical children.  A term that breaks the sort
         discipline is reported at the first token of the step whose parse
@@ -343,7 +366,7 @@ class _Parser:
         try:
             for key in self.ids:
                 if type(key) is tuple:
-                    append(_normalize_node(CONSTRUCTOR_NAMED[key[0]].make(tuple(map(built.__getitem__, key[1:])))))
+                    append(_canonical_node(CONSTRUCTOR_NAMED[key[0]], tuple(map(built.__getitem__, key[1:]))))
                 elif key == "zero":
                     append(ZERO)
                 elif key[0].isupper():
@@ -351,8 +374,8 @@ class _Parser:
                 else:
                     append(Const(key, const_sorts.get(key, Sort.DATA)))
         except SortError as e:
-            tok = next(tok for _, _, tok, first_id in reversed(steps) if first_id <= len(built))
-            raise SortError(f"{tok.line}:{tok.col}: {e}") from None
+            i = next(i for _, _, i, first_id in reversed(steps) if first_id <= len(built))
+            raise SortError(f"{self.where(i)}: {e}") from None
         return built
 
 

@@ -55,8 +55,8 @@ class Record:
 
     A subclass lists its fields in constructor order as ``_fields``, keeps
     them in slots and sets them in its own ``__init__`` through
-    ``object.__setattr__``, the one way in.  From that tuple the base gives
-    it the rest: a ``repr`` that names each field
+    ``object.__setattr__`` or the slot's own setter, the only ways in.  From
+    that tuple the base gives it the rest: a ``repr`` that names each field
     (``Var(name='X', sort=<Sort.NONCE: 'Nonce'>)``), equality and a hash
     over the tuple of field values (a record equals only a record of its own
     class), fields that cannot be assigned or deleted (`AttributeError`),
@@ -104,9 +104,9 @@ class Term(Record):
     be a reference cycle).  ``_text`` is the canonical text, set by the
     first ``to_text`` call, and ``_canon`` is true when the term is known to
     be in canonical form (atoms and zero always; compound terms once
-    ``normalize`` has returned them).  Both are functions of the term's
-    value, so equal terms never disagree on them except by one being set
-    later.
+    ``normalize`` or a text reader has returned them).  Both are functions
+    of the term's value, so equal terms never disagree on them except by one
+    being set later.
 
     A constructor sets the class's fields, then ``_init_compound`` sets
     ``_args`` and the five other slots once from the arguments (an atom's
@@ -138,31 +138,39 @@ _order_key = operator.attrgetter("_key")
 _hash_of = operator.attrgetter("_hash")
 
 
+# The setters of the term slots.  A frozen term's fields are set once, in
+# its constructor, through these; calling a slot's setter skips the
+# attribute lookup of ``object.__setattr__``.
+_set_args, _set_key, _set_hash, _set_vars, _set_text, _set_canon = (
+    Term.__dict__[name].__set__ for name in Term.__slots__
+)
+
+
 def _init_compound(t: Term, args: tuple[Term, ...]) -> None:
     """Set the arguments of a compound term or zero, and the cached fields
     computed from them."""
     rank = _RANK[type(t)]
-    init = object.__setattr__
-    init(t, "_args", args)
-    init(t, "_key", (rank, len(args), "", tuple(map(_order_key, args))))
-    init(t, "_hash", hash((rank, "", tuple(map(_hash_of, args)))))
-    init(t, "_vars", vars_of_all(args))
-    init(t, "_text", None)
-    init(t, "_canon", False)
+    _set_args(t, args)
+    _set_key(t, (rank, len(args), "", tuple(map(_order_key, args))))
+    _set_hash(t, hash((rank, "", tuple(map(_hash_of, args)))))
+    _set_vars(t, vars_of_all(args))
+    _set_text(t, None)
+    _set_canon(t, False)
 
 
 def _init_atom(self: "Var | Const", name: str, sort: Sort) -> None:
-    rank = _RANK[type(self)]
+    cls = type(self)
+    rank = _RANK[cls]
     payload = f"{name}:{sort._value_}"
     init = object.__setattr__
     init(self, "name", name)
     init(self, "sort", sort)
-    init(self, "_args", ())
-    init(self, "_key", (rank, 0, payload, ()))
-    init(self, "_hash", hash((rank, payload, ())))
-    init(self, "_vars", None if type(self) is Var else _NO_VARS)
-    init(self, "_text", None)
-    init(self, "_canon", True)
+    _set_args(self, ())
+    _set_key(self, (rank, 0, payload, ()))
+    _set_hash(self, hash((rank, payload, ())))
+    _set_vars(self, None if cls is Var else _NO_VARS)
+    _set_text(self, None)
+    _set_canon(self, True)
 
 
 def _init_items(self: "Seq | Xor", items: tuple[Term, ...]) -> None:
@@ -344,6 +352,7 @@ def map_term(
 
 
 ZERO = Zero()
+_BUILT_CANONICAL = frozenset((Seq, PEnc, SEnc))
 
 
 def _normalize_node(t: Term) -> Term:
@@ -352,6 +361,45 @@ def _normalize_node(t: Term) -> Term:
     out = _reduce_node(t)
     object.__setattr__(out, "_canon", True)
     return out
+
+
+def _canonical_node(ctor: Constructor, args: tuple[Term, ...]) -> Term:
+    """The canonical form of the node of ``ctor`` over the canonical
+    ``args``, marked as such.  A sequence or an encryption of canonical
+    arguments is canonical as it is built, and an XOR is built once, over
+    its summands."""
+    cls = ctor.cls
+    if cls is Xor:
+        odd = _xor_summands(args)
+        if len(odd) < 2:
+            return odd[0] if odd else ZERO
+        t = Xor(odd)
+    else:
+        t = cls(args) if ctor.arity is None else cls(*args)
+        if cls not in _BUILT_CANONICAL:
+            return _normalize_node(t)
+    _set_canon(t, True)
+    return t
+
+
+def _xor_summands(items: tuple[Term, ...]) -> tuple[Term, ...]:
+    """The summands of the XOR of the canonical ``items``: nested XORs
+    flattened, ``zero`` dropped, equal summands cancelled in pairs
+    (nilpotence), and the rest sorted."""
+    flat: list[Term] = []
+    for c in items:
+        if isinstance(c, Xor):
+            flat.extend(c.items)
+        elif not isinstance(c, Zero):
+            flat.append(c)
+    keys = list(map(_order_key, flat))
+    if all(map(operator.lt, keys, keys[1:])):
+        # ascending, so no two are equal: nothing cancels
+        return tuple(flat)
+    counts: dict[Term, int] = {}
+    for c in flat:
+        counts[c] = counts.get(c, 0) + 1
+    return tuple(sorted((c for c, n in counts.items() if n % 2 == 1), key=_order_key))
 
 
 def _reduce_node(t: Term) -> Term:
@@ -365,17 +413,7 @@ def _reduce_node(t: Term) -> Term:
         if isinstance(t, Sh) and t.right < t.left:
             return Sh(t.right, t.left)
     elif isinstance(t, Xor):
-        flat: list[Term] = []
-        for c in t.items:
-            if isinstance(c, Xor):
-                flat.extend(c.items)
-            elif not isinstance(c, Zero):
-                flat.append(c)
-        # cancel duplicates in pairs (nilpotence)
-        counts: dict[Term, int] = {}
-        for c in flat:
-            counts[c] = counts.get(c, 0) + 1
-        odd = tuple(sorted((c for c, n in counts.items() if n % 2 == 1), key=term_key))
+        odd = _xor_summands(t.items)
         if not odd:
             return ZERO
         if len(odd) == 1:
@@ -636,51 +674,101 @@ class TermTextError(XorsleuthError):
 
 def from_text(text: str) -> Term:
     """Parse the canonical text form produced by :func:`to_text`."""
-    term, pos = _parse_term(text, 0)
-    if pos != len(text):
-        raise TermTextError(f"trailing input at offset {pos}: {text[pos:]!r}")
-    return normalize(term)
+    return _read_term(text, {})
 
 
-# A whole atom, ``var(...)`` or ``const(...)`` (its text runs to the first
-# ``)``), or else the head of a term: everything before the next ``(``,
-# ``)`` or ``,``.
-_ATOM_OR_HEAD = re.compile(r"(var|const)\(([^)]*)\)|([^(),]*)")
+# The tokens of a term text, which cover it: a whole atom, ``var(...)`` or
+# ``const(...)`` (its text runs to the first ``)``), a punctuation mark, or
+# a head, the text up to the next mark.
+_TERM_TOKEN = re.compile(r"(?:var|const)\([^)]*\)|[(),]|[^(),]+")
+# the tokens that hold no head: the marks and the end of the text
+_NO_HEAD = frozenset(("(", ")", ",", ""))
 
 
-def _parse_term(s: str, pos: int) -> tuple[Term, int]:
-    m = _ATOM_OR_HEAD.match(s, pos)
-    head = m.group(3)
-    pos = m.end()
-    if head is None:
-        inner = m.group(2)
-        name, colon, sort_name = inner.rpartition(":")
-        if not colon or sort_name not in _SORT_BY_NAME or not name:
-            raise TermTextError(f"malformed atom {inner!r}")
-        cls = Var if m.group(1) == "var" else Const
-        return cls(name, _SORT_BY_NAME[sort_name]), pos
-    if head == "zero":
-        return ZERO, pos
-    if pos >= len(s) or s[pos] != "(":
-        raise TermTextError(f"expected '(' after {head!r} at offset {pos}")
-    if head in ("var", "const"):
-        # an atom's text would have matched whole
-        raise TermTextError("unterminated atom")
-    pos += 1
-    args: list[Term] = []
+def _read_term(text: str, seen: dict[str, Term]) -> Term:
+    """The term that ``text`` writes in the canonical text form.  ``seen``
+    maps the text of each atom and compound term read so far to its term,
+    and gains those of ``text``: the reads of one trace share it, so each
+    distinct subterm is built once, canonical from its canonical children.
+
+    One loop reads the tokens, with a stack of the constructors still open:
+    each one's name, the offset of its text and its arguments so far.  A
+    syntax error anywhere is reported before a term that breaks the sort
+    discipline, and of those the first to be closed."""
+    toks = _TERM_TOKEN.findall(text)
+    toks.append("")
+    stack: list[tuple[str, int, list[Term]]] = []
+    failed: SortError | None = None
+    i = pos = 0  # the index and offset of the token that starts a term
     while True:
-        arg, pos = _parse_term(s, pos)
-        args.append(arg)
-        if pos >= len(s):
-            raise TermTextError("unterminated term")
-        if s[pos] == ",":
+        tok = toks[i]
+        # a token that is a key of ``seen`` is an atom's text
+        term = seen.get(tok)
+        if term is not None:
+            i += 1
+            pos += len(tok)
+        elif tok[-1:] == ")" and len(tok) > 1:
+            kind, _, inner = tok[:-1].partition("(")
+            name, colon, sort_name = inner.rpartition(":")
+            sort = _SORT_BY_NAME.get(sort_name)
+            if not colon or sort is None or not name:
+                raise TermTextError(f"malformed atom {inner!r}")
+            term = seen[tok] = (Var if kind == "var" else Const)(name, sort)
+            i += 1
+            pos += len(tok)
+        elif tok == "zero":
+            term = ZERO
+            i += 1
+            pos += 4
+        else:
+            # a constructor's name, empty before a mark, and its '('
+            start = pos
+            if tok in _NO_HEAD:
+                head = ""
+            else:
+                head = tok
+                i += 1
+                pos += len(tok)
+            if toks[i] != "(":
+                if toks[i] == ")" and not head and stack and not stack[-1][2]:
+                    raise TermTextError(f"expected a term at offset {pos}")
+                raise TermTextError(f"expected '(' after {head!r} at offset {pos}")
+            if head in ("var", "const"):
+                # an atom's text would have matched whole
+                raise TermTextError("unterminated atom")
+            stack.append((head, start, []))
+            i += 1
             pos += 1
             continue
-        if s[pos] == ")":
+        # the term is read: close each constructor it ends
+        while stack:
+            args = stack[-1][2]
+            args.append(term)
+            mark = toks[i]
+            if mark == ",":
+                i += 1
+                pos += 1
+                break
+            if mark != ")":
+                if not mark:
+                    raise TermTextError("unterminated term")
+                raise TermTextError(f"unexpected character {mark[0]!r} at offset {pos}")
+            head, start, _ = stack.pop()
+            i += 1
             pos += 1
-            break
-        raise TermTextError(f"unexpected character {s[pos]!r} at offset {pos}")
-    ctor = CONSTRUCTOR_NAMED.get(head)
-    if ctor is None or ctor.arity not in (None, len(args)):
-        raise TermTextError(f"unknown constructor {head!r} with {len(args)} arguments")
-    return ctor.make(tuple(args)), pos
+            ctor = CONSTRUCTOR_NAMED.get(head)
+            if ctor is None or ctor.arity not in (None, len(args)):
+                raise TermTextError(f"unknown constructor {head!r} with {len(args)} arguments")
+            key = text[start:pos]
+            term = seen.get(key)
+            if term is None and failed is None:
+                try:
+                    term = seen[key] = _canonical_node(ctor, tuple(args))
+                except SortError as e:
+                    failed = e
+        else:
+            if toks[i]:
+                raise TermTextError(f"trailing input at offset {pos}: {text[pos:]!r}")
+            if failed is not None:
+                raise failed
+            return term

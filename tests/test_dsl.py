@@ -266,18 +266,36 @@ _LEX_PIECES = st.sampled_from(
 )
 
 
-class TestLexer:
-    """The regular-expression lexer against the character loop it replaced."""
+_LEX_TEXTS = st.one_of(st.lists(_LEX_PIECES, max_size=30).map("".join), st.text(max_size=40))
+_LEX_EDGE_CASES = ["", "\n", "a # trailing", "a\n# last line", "a\n  #", "(a, b)\n\tx:Agent", "a\x0bb", "ab²\n é!", "#\n#"]
 
-    @given(st.one_of(st.lists(_LEX_PIECES, max_size=30).map("".join), st.text(max_size=40)))
+
+def token_strings(text):
+    """The token strings the parser reads, or the text of the error."""
+    try:
+        return dsl._tokens(text)
+    except ProtocolSyntaxError as e:
+        return str(e)
+
+
+def lexed_values(text):
+    """The values of `_lex`'s tokens, or the text of the error."""
+    try:
+        return [t.value for t in dsl._lex(text)]
+    except ProtocolSyntaxError as e:
+        return str(e)
+
+
+class TestLexer:
+    """The regular-expression lexer against the character loop it replaced,
+    and the parser's token strings against the lexer."""
+
+    @given(_LEX_TEXTS)
     @settings(max_examples=500, deadline=None)
     def test_matches_the_character_loop(self, text):
         assert lexed(dsl._lex, text) == lexed(reference_lex, text)
 
-    @pytest.mark.parametrize(
-        "text",
-        ["", "\n", "a # trailing", "a\n# last line", "a\n  #", "(a, b)\n\tx:Agent", "a\x0bb", "ab²\n é!", "#\n#"],
-    )
+    @pytest.mark.parametrize("text", _LEX_EDGE_CASES)
     def test_matches_on_edge_cases(self, text):
         assert lexed(dsl._lex, text) == lexed(reference_lex, text)
 
@@ -285,6 +303,40 @@ class TestLexer:
         for f in sorted(FIXTURES.glob("*.proto")):
             text = f.read_text(encoding="utf-8")
             assert lexed(dsl._lex, text) == lexed(reference_lex, text), f.name
+
+    # the parser reads its tokens as strings and looks a token's position up
+    # in `_lex` by index, so both must give the same tokens, or the same error
+
+    @given(_LEX_TEXTS)
+    @settings(max_examples=500, deadline=None)
+    def test_token_strings_match_the_lexer(self, text):
+        assert token_strings(text) == lexed_values(text)
+
+    @pytest.mark.parametrize("text", _LEX_EDGE_CASES)
+    def test_token_strings_match_on_edge_cases(self, text):
+        assert token_strings(text) == lexed_values(text)
+
+    def test_token_strings_of_fixtures_match(self):
+        for f in sorted(FIXTURES.glob("*.proto")):
+            text = f.read_text(encoding="utf-8")
+            assert token_strings(text) == lexed_values(text), f.name
+
+    def test_only_an_error_works_out_positions(self, monkeypatch):
+        calls = []
+        lex = dsl._lex
+
+        def counting(text):
+            calls.append(text)
+            return lex(text)
+
+        monkeypatch.setattr(dsl, "_lex", counting)
+        for f in sorted(FIXTURES.glob("*.proto")):
+            parse_protocol_file(f)
+        assert calls == []
+        with pytest.raises(UndeclaredIdentifier) as exc:
+            parse_protocol("protocol x\nrole A:\n send seq(a, NA)\n")
+        assert (exc.value.line, exc.value.col) == (3, 14)
+        assert len(calls) == 1
 
 
 # -- the parser as it was: a syntax tree, then sorts, then terms ---------------

@@ -1,16 +1,22 @@
 """Term algebra: canonical forms, equality oracle, orders, substitutions."""
 
+import contextlib
 import copy
+import io
 import itertools
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorsleuth import terms
+from xorsleuth import cli, terms
 from xorsleuth.solver import Constraint
 from xorsleuth.terms import (
+    CONSTRUCTOR_NAMED,
+    CONSTRUCTORS,
     EMPTY_SUBST,
     ZERO,
     Const,
@@ -226,7 +232,8 @@ class TestTextForm:
         [
             ("", "expected '(' after '' at offset 0"),
             ("var(X)", "malformed atom 'X'"),
-            ("seq()", "expected '(' after '' at offset 4"),
+            ("seq()", "expected a term at offset 4"),
+            ("xor()", "expected a term at offset 4"),
             ("pk(const(a:Agent)", "unterminated term"),
             ("frob(zero)", "unknown constructor 'frob' with 1 arguments"),
             ("zero,zero", "trailing input at offset 4: ',zero'"),
@@ -594,3 +601,215 @@ def test_constraint_copies_go_through_the_constructor():
         assert dup == con and hash(dup) == hash(con)
         assert dup._naming is None
         assert (dup.variables, dup.set_variables) == (con.variables, con.set_variables)
+
+
+# -- the text reader against the one it replaced ---------------------------------
+
+_REF_ATOM_OR_HEAD = re.compile(r"(var|const)\(([^)]*)\)|([^(),]*)")
+
+
+def reference_from_text(text):
+    """The text reader before it read its tokens with one regular
+    expression: a recursive descent over the characters that builds the raw
+    term, then normalizes it."""
+    term, pos = _reference_parse_term(text, 0)
+    if pos != len(text):
+        raise TermTextError(f"trailing input at offset {pos}: {text[pos:]!r}")
+    return normalize(term)
+
+
+def _reference_parse_term(s, pos):
+    m = _REF_ATOM_OR_HEAD.match(s, pos)
+    head = m.group(3)
+    pos = m.end()
+    if head is None:
+        inner = m.group(2)
+        name, colon, sort_name = inner.rpartition(":")
+        sorts = {s.value: s for s in Sort}
+        if not colon or sort_name not in sorts or not name:
+            raise TermTextError(f"malformed atom {inner!r}")
+        cls = Var if m.group(1) == "var" else Const
+        return cls(name, sorts[sort_name]), pos
+    if head == "zero":
+        return ZERO, pos
+    if pos >= len(s) or s[pos] != "(":
+        raise TermTextError(f"expected '(' after {head!r} at offset {pos}")
+    if head in ("var", "const"):
+        raise TermTextError("unterminated atom")
+    pos += 1
+    args = []
+    while True:
+        arg, pos = _reference_parse_term(s, pos)
+        args.append(arg)
+        if pos >= len(s):
+            raise TermTextError("unterminated term")
+        if s[pos] == ",":
+            pos += 1
+            continue
+        if s[pos] == ")":
+            pos += 1
+            break
+        raise TermTextError(f"unexpected character {s[pos]!r} at offset {pos}")
+    ctor = CONSTRUCTOR_NAMED.get(head)
+    if ctor is None or ctor.arity not in (None, len(args)):
+        raise TermTextError(f"unknown constructor {head!r} with {len(args)} arguments")
+    return ctor.make(tuple(args)), pos
+
+
+def read(reader, text):
+    """The term ``text`` reads to, or the type and text of the error."""
+    try:
+        return reader(text)
+    except (TermTextError, SortError) as e:
+        return type(e), str(e)
+
+
+def reference_read(text):
+    """`read` of the reference reader, with the one message the new reader
+    words otherwise: a ')' where a constructor's first argument should
+    start is reported as the term it lacks."""
+    got = read(reference_from_text, text)
+    empty = re.fullmatch(r"expected '\(' after '' at offset (\d+)", got[1]) if isinstance(got, tuple) else None
+    if empty and text[int(empty[1]) - 1 : int(empty[1]) + 1] == "()":
+        return TermTextError, f"expected a term at offset {empty[1]}"
+    return got
+
+
+def _any_compound(kids):
+    # every constructor over any arguments, so pk and sh may break the sort
+    # discipline and XOR may nest or cancel
+    return st.one_of(
+        *(
+            st.lists(kids, min_size=n or 1, max_size=n or 3).map(lambda args, c=c: c.make(tuple(args)))
+            for c in CONSTRUCTORS
+            for n in [c.arity]
+        )
+    )
+
+
+_any_raw_terms = st.recursive(_atoms, _any_compound, max_leaves=10)
+
+_TEXT_PIECES = st.sampled_from(
+    ["var(", "const(", "seq(", "xor(", "pk(", "sh(", "senc(", "penc(", "zero", ",", ")", "(", ":", "Agent",
+     "Nonce", "Data", "a", "X", "var", "frob(", " ", "a:Agent)", "X:Nonce)", "const(a:Data)", "()"]
+)
+
+
+class TestTextReaderAgainstReference:
+    """The one-scan text reader against the recursive one it replaced: the
+    same term, every node of it marked canonical, or the same error."""
+
+    @staticmethod
+    def assert_reads_alike(text):
+        got, want = read(from_text, text), reference_read(text)
+        assert got == want
+        if isinstance(got, Term):
+            assert all(s._canon for s in subterms(got))
+
+    @given(_raw_terms)
+    @settings(max_examples=300, deadline=None)
+    def test_texts_of_drawn_terms(self, t):
+        # the raw term's text, then its canonical form's
+        self.assert_reads_alike(to_text(t))
+        self.assert_reads_alike(to_text(normalize(t)))
+
+    @given(_any_raw_terms)
+    @settings(max_examples=300, deadline=None)
+    def test_texts_of_terms_of_every_constructor(self, t):
+        self.assert_reads_alike(to_text(t))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sh(const(b:Agent),const(a:Agent))",
+            "xor(xor(const(c:Data),xor(const(d:Data),zero)),const(c:Data))",
+            "xor(const(c:Data),xor(const(d:Data),const(c:Data)),const(d:Data))",
+            "seq(xor(var(X:Data),var(X:Data)),sh(var(B:Agent),var(A:Agent)))",
+            "pk(xor(const(a:Agent),zero))",
+            "penc(seq(var(A:Agent),var(N_A:Nonce)),pk(var(B:Agent)))",
+        ],
+    )
+    def test_non_canonical_texts(self, text):
+        self.assert_reads_alike(text)
+
+    @given(st.one_of(st.text(max_size=40), st.lists(_TEXT_PIECES, max_size=16).map("".join)))
+    @settings(max_examples=500, deadline=None)
+    def test_arbitrary_texts(self, text):
+        self.assert_reads_alike(text)
+
+    @given(_any_raw_terms, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_texts_with_one_edit(self, t, data):
+        # a character of a term's text deleted, doubled or replaced by a mark
+        text = to_text(t)
+        k = data.draw(st.integers(0, len(text) - 1))
+        edit = data.draw(st.sampled_from(["", text[k] * 2, "(", ")", ",", "x"]))
+        self.assert_reads_alike(text[:k] + edit + text[k + 1 :])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "seq()", "xor()", "pk()", "frob()", "()", "seq((),zero)", "seq(zero,)", "seq(,zero)", "seq(",
+         "pk(const(a:Data))", "seq(pk(const(a:Data)),zero", "frob(pk(const(a:Data)))", "pk(const(a:Data)),x",
+         "sh(const(a:Agent),pk(const(b:Agent)))", "seq(var(x:Data)var(y:Data))", "seq(zerovar(x:Data))"],
+    )
+    def test_malformed_texts(self, text):
+        self.assert_reads_alike(text)
+
+
+# The attacks of the benchmark's `attacks` workload (perfbench/workloads.py):
+# (protocols, sessions, --secret names); ``leak_xy`` sends the key sh(x, y).
+ATTACKS = (
+    (("p1", "p2"), 1, ("NA",)),
+    (("nslx",), 1, ()),
+    (("nslx_nslx",), 1, ()),
+    (("nslx", "p2"), 1, ()),
+    (("q1", "leak_ab"), 1, ()),
+    (("q3", "leak_ac"), 1, ()),
+    (("q5", "leak_bc"), 1, ()),
+    (("q1", "q3", "leak_ab"), 1, ()),
+    (("q1", "q5", "leak_bc"), 1, ()),
+    (("q5", "leak_bc"), 2, ()),
+    (("q3", "leak_ac"), 2, ()),
+)
+
+
+@pytest.fixture(scope="module")
+def attack_traces(tmp_path_factory):
+    """The report `analyze --json` writes for each attack."""
+    out = tmp_path_factory.mktemp("traces")
+    fixtures = Path(cli.__file__).parent / "fixtures"
+
+    def path(name):
+        if name.startswith("leak_"):
+            leak = out / f"{name}.proto"
+            leak.write_text(f"protocol {name}\nrole A:\n  send sh({name[-2]}, {name[-1]})\n")
+            return str(leak)
+        return str(fixtures / f"{name}.proto")
+
+    traces = []
+    for protocols, sessions, secrets in ATTACKS:
+        report = out / f"{'+'.join(protocols)}@{sessions}.json"
+        argv = ["analyze", path(protocols[0]), *(a for p in protocols[1:] for a in ("--combined", path(p)))]
+        argv += ["--sessions", str(sessions), *(a for s in secrets for a in ("--secret", s)), "--json", str(report)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run_command(argv) == 1, argv
+        traces.append(report)
+    return traces
+
+
+def test_traces_load_as_with_the_reference_reader(attack_traces, monkeypatch):
+    for report in attack_traces:
+        got = cli._load_trace(str(report))
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_term", lambda text, seen: reference_from_text(text))
+            want = cli._load_trace(str(report))
+        assert got.constraints == want.constraints, report.name
+        assert got.subst == want.subst, report.name
+        assert cli._trace_digest(got) == cli._trace_digest(want), report.name
+        # every node is canonical, and a subterm that recurs across the
+        # trace is one object
+        first = {}
+        for c in got.constraints:
+            for t in (c.target, *c.term_set):
+                for s in subterms(t):
+                    assert s._canon and first.setdefault(s, s) is s, report.name
