@@ -35,6 +35,7 @@ from .terms import (
     Record,
     SEnc,
     Seq,
+    Sort,
     Substitution,
     Term,
     Var,
@@ -488,6 +489,30 @@ def _sends_originated(cs: ConstraintSequence) -> bool:
     return True
 
 
+def _loose(cs: ConstraintSequence) -> bool:
+    """A variable that can take a compound value, one not of sort Agent or
+    Tag, occurs in a term set before an earlier target holds it, or in an
+    unplaced send before a placed target or an earlier receive of its
+    strand holds it: `_originated` or `_sends_originated` fails for it."""
+    known: frozenset[Var] = frozenset()
+    for c in cs.constraints:
+        if any(v.sort not in (Sort.AGENT, Sort.TAG) for v in c.set_variables - known):
+            return True
+        known |= vars_of(c.target)
+    p = cs.pending
+    if p is None or p.done:
+        return False
+    for nodes, position in zip(p.plan.nodes, p.positions):
+        held = known
+        for i, node in enumerate(nodes):
+            vs = vars_of(cs.subst.apply(node.term))
+            if node.sign == RECV:
+                held |= vs
+            elif i >= position and any(v.sort not in (Sort.AGENT, Sort.TAG) for v in vs - held):
+                return True
+    return False
+
+
 def _rule_sites(cs: ConstraintSequence, c: Constraint) -> tuple[tuple[RuleName, int], ...]:
     """The (rule, site) pairs the search expands at ``cs``'s active
     constraint ``c``: `applicable_rules`, except that a target that is a
@@ -826,9 +851,12 @@ def _children(
     exhausted: set[str],
     decided: Decisions,
     safe: frozenset[Term] = frozenset(),
+    un_first: bool = False,
 ) -> Iterator[_Child]:
     """The children of the expanded state ``cur``, in search order: the
-    branches of each of its rule sites (`_rule_sites`) in turn.  A site is
+    branches of each of its rule sites (`_rule_sites`) in turn, or, with
+    ``un_first``, those of its `un` sites and then those of the others,
+    each group in `_rule_sites` order.  A site is
     applied only when the search asks for its first child, and a unifier
     search it runs that hits its budget adds ``unifier`` to ``exhausted``.
 
@@ -871,7 +899,10 @@ def _children(
     them could run out `unify_sua`'s pairing budget; there the skip gives
     the answer that search would leave open, and no ``unifier`` cut.)"""
     c = active[1]
-    for rule, site in _rule_sites(cur, c):
+    sites = _rule_sites(cur, c)
+    if un_first:
+        sites = sorted(sites, key=lambda rs: rs[0] is not RuleName.UN)
+    for rule, site in sites:
         row = _RULES[rule]
         if row.pair is not None and shape_clash(*row.pair(c, site)):
             continue
@@ -891,8 +922,20 @@ def _children(
 def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
     """The search of `satisfiable` from ``cs`` at depth ``depth0``, with its
     own visited set.  It yields each ground constraint it needs decided,
-    with its depth, and is sent back the status of the nested search."""
+    with its depth, and is sent back the status of the nested search.
+
+    From a start with a loose variable (`_loose`) every state's `un` sites
+    are expanded before its other sites (`_children`).  A term-set
+    variable that no target binds can be bound to close the active
+    constraint in one step, while the rules that decompose or compose
+    recurse through the members that hold it and can spend the node budget
+    before the search comes back to that `un`.  The order decides only
+    which solution is found first and which states are visited before it:
+    each state has the same children, so when no budget cuts the search in
+    either order, both end with the same status.  Any other start keeps
+    `_rule_sites` order; an Agent or Tag variable binds only an atom."""
     budget, tokens, decided, safe = shared.budget, shared.tokens, shared.decided, shared.safe_keys
+    un_first = _loose(cs)
     visited: set[str] = set()
     # node ids of the prefixes at which a secret's demand was placed
     reached: set[tuple[str, ...]] = set() if cs.pending is not None else {cs.origin}
@@ -949,7 +992,7 @@ def _search(cs: ConstraintSequence, depth0: int, shared: _Shared) -> Search:
             exhausted.add("branch")
             visited.discard(key)
             continue
-        stack.append(_children(cur, active, trace, depth, exhausted, decided, safe))
+        stack.append(_children(cur, active, trace, depth, exhausted, decided, safe, un_first))
 
     status = SolveStatus.BUDGET_EXHAUSTED if exhausted else SolveStatus.UNSATISFIABLE
     return SolverResult(status, (), _stats(shared, reached, exhausted))

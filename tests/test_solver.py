@@ -1252,6 +1252,21 @@ def small_protocols(draw, secret=False):
 ATTACKED = [(("p1", "p2"), ("NA",)), (("nslx",), ()), (("q3", "leak_ac"), ()), (("echo",), ())]
 
 
+# Y is sent but never received: one `un` that binds it closes echo's demand at
+# the first placement, where rule order spent the whole node budget under `sdec`
+UNBOUND_SENDS = """protocol gen
+vars Y:Data M:Nonce
+fresh M
+role R0:
+  send xor(seq(Y, m), penc(m, pk(c)))
+  send xor(m, penc(1, pk(c)))
+role R1:
+  send senc(penc(M, pk(c)), sh(c, d))
+  send xor(M, Y, seq(1, M))
+  send penc(senc(Y, sh(c, d)), pk(c))
+"""
+
+
 def confirmed_attack(protocols, secrets):
     res = check_secrecy(protocols, AnalysisConfig(sessions=1, secrets=secrets))
     return res.verdict == "attack" and verify_solution(ConstraintSequence(res.attack.constraints), res.attack.substitution)
@@ -1270,10 +1285,18 @@ class TestPrefixes:
                 assert confirmed_attack([load(n) for n in (*names, q)], secrets), q
 
     @given(small_protocols(), st.sampled_from(ATTACKED))
+    @example(parse_protocol(UNBOUND_SENDS), (("echo",), ()))
     @settings(max_examples=60, deadline=None)
     def test_attack_stays_with_a_generated_protocol(self, q, attacked):
         names, secrets = attacked
         assert confirmed_attack([load(n) for n in names] + [q], secrets)
+
+    def test_only_a_start_with_a_loose_variable_expands_un_first(self):
+        # nslx's initiator sends B before it receives anything, but an Agent
+        # binds only an atom; unrecv sends a Data variable it never receives
+        assert [solver._loose(cs) for cs in secret_searches(("nslx",), 1, ())] == [False, False]
+        assert [solver._loose(cs) for cs in secret_searches(("echo",), 1, ())] == [False]
+        assert [solver._loose(cs) for cs in secret_searches(("echo", "unrecv"), 1, ())] == [True]
 
     @pytest.mark.parametrize("names,sessions,secrets", analysis_cases(full=True), ids=case_id)
     def test_verdict_matches_every_prefix_of_every_interleaving(self, names, sessions, secrets):
@@ -1840,8 +1863,10 @@ def reference_search(cs, depth0, shared):
     safe-key `sdec` site nor a `un` or `ksub` site that `shape_clash`
     decides is skipped.  States are dropped as `solver._search` drops them:
     one whose active target is a safe key, and one whose active constraint
-    is decided dead."""
+    is decided dead.  From a start with a loose variable, the `un` sites
+    come first, as in `solver._search`."""
     budget, tokens, decided, safe = shared.budget, shared.tokens, shared.decided, shared.safe_keys
+    un_first = solver._loose(cs)
     visited = set()
     reached = set() if cs.pending is not None else {cs.origin}
     exhausted = set()
@@ -1888,7 +1913,10 @@ def reference_search(cs, depth0, shared):
             visited.discard(key)
             continue
         expansions = []
-        for rule, site in solver._rule_sites(cur, active[1]):
+        sites = solver._rule_sites(cur, active[1])
+        if un_first:
+            sites = [rs for rs in sites if rs[0] is RuleName.UN] + [rs for rs in sites if rs[0] is not RuleName.UN]
+        for rule, site in sites:
             branches, complete = solver._apply(rule, site, cur, active)
             if not complete:
                 exhausted.add("unifier")
